@@ -3,7 +3,7 @@
 Computes the nonlocal nonlinear susceptibility of an interacting
 Rydberg gas under ladder EIT, dresses the middle layer of a planar
 glass-atoms-glass stack with it, and propagates a Gaussian probe
-through the angular-spectrum reflection operator to obtain the
+through the zeroth-order reflection operator to obtain the closed-form
 spin-resolved transverse centroid shifts of the reflected beam.
 """
 
@@ -22,9 +22,7 @@ from .quantum import (AtomParams, DriveParams, ComplexDenominators,
 from .multilayer import (Layer, LayerStack, FresnelPair, refraction_cosine,
                          layer_matrix, stack_matrix, stack_fresnel,
                          stack_fresnel_pair, brewster_angle)
-from .beam_shift import (BeamSpec, SpinFields, ShiftResult,
-                         incident_spectrum, reflected_spin_spectra,
-                         reflected_field, centroid, analytic_gaussian_shift,
+from .beam_shift import (BeamSpec, ShiftResult, analytic_gaussian_shift,
                          shifts_from_coefficients, pshe_shifts, medium_index,
                          intensity_profiles, intensity_maps_2d)
 from .oracle import (DensityMatrix3, full_local_bloch_steady_state,

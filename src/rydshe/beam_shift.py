@@ -1,4 +1,4 @@
-"""Angular-spectrum beam shifts of the reflected probe (spin Hall geometry).
+"""Closed-form beam shifts of the reflected probe (spin Hall geometry).
 
 A horizontally polarized Gaussian beam hits the stack at theta_i.  In
 the zeroth-order (angle-independent Fresnel coefficient) approximation
@@ -12,67 +12,52 @@ and the circular components are E+/- = (E_H -/+ i E_V) / sqrt(2), i.e.
     E+/-(ky) = (rp +/- i a ky) G(ky) / sqrt(2),
     a = (rp + rs) cot(theta_i) / k0.
 
-Because the operator depends on ky only, the kx direction factors out
-analytically and the problem is one-dimensional; a separable 2-D mode
-is kept for transverse intensity maps.  Inverse transforms are done by
-direct quadrature of the spectral integral on an explicit y grid, which
-keeps the output grid free of the FFT spacing and is exponentially
-accurate for these truncated-Gaussian spectra.
+With G the spectrum of exp(-y^2/w0^2), i ky G transforms to the y
+derivative, so the reflected fields are closed forms (Bliokh & Aiello,
+J. Opt. 15, 014001 (2013)):
 
-Transverse centroids of |E+/-|^2 give the spin-resolved shifts.  The
-label sigma+ denotes the (E_H - i E_V)/sqrt(2) component throughout;
-with this labeling delta+ is negative just below the Brewster-like
-reflectivity minimum and positive above it.
+    E+/-(y) = (rp -/+ 2 a y / w0^2) exp(-y^2/w0^2) / sqrt(2).
+
+The kx direction factors out as exp(-x^2/w0^2).  Two Gaussian moments
+give the centroids and powers of |E+/-|^2 exactly; the spectral
+synthesis of the same spectra is kept in `rydshe.oracle` as their
+independent reference.  The label sigma+ denotes the (E_H - i E_V)/sqrt(2)
+component throughout; with this labeling delta+ is negative just below
+the Brewster-like reflectivity minimum and positive above it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, WindowError
+from .errors import DomainError, PropagationError
 from .multilayer import LayerStack, stack_fresnel
 from .quantum import AtomParams, DriveParams, susceptibility
 
 _THETA_MIN = math.radians(5.0)
 _THETA_MAX = math.radians(85.0)
 
-# y-window half-width and sampling, in units of w0
-_Y_HALFWIDTH_W0 = 8.0
-_Y_POINTS = 2049
-
-_ALIAS_POWER_TOL = 1e-6
-_ALIAS_EDGE_FRACTION = 0.05
-
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """Incident Gaussian beam and spectral grid parameters.
+    """Incident Gaussian beam parameters.
 
     w0 in um, theta_i in rad, lambda_p in um; n_in is the refractive
     index of the entry medium the beam travels in (the spin-mixing term
     scales with the in-medium wavenumber n_in * 2 pi / lambda_p).
-    grid_span is the k-space half width in units of 1/w0; the default
-    covers the spectrum down to exp(-16) in amplitude.
     """
 
     w0: float
     theta_i: float
     lambda_p: float
     n_in: float = 1.0
-    grid_n: int = 2048
-    grid_span: float = 8.0
 
     def __post_init__(self):
         if self.w0 <= 0 or self.lambda_p <= 0 or self.n_in <= 0:
             raise DomainError("w0, lambda_p and n_in must be positive")
-        if self.grid_n < 256 or (self.grid_n & (self.grid_n - 1)) != 0:
-            raise DomainError("grid_n must be a power of two >= 256")
-        if self.grid_span < 6:
-            raise DomainError("grid_span must be >= 6 (spectral coverage)")
         if not (_THETA_MIN <= self.theta_i <= _THETA_MAX):
             raise DomainError("theta_i restricted to [5 deg, 85 deg]")
 
@@ -86,15 +71,6 @@ class BeamSpec:
 
 
 @dataclass(frozen=True)
-class SpinFields:
-    """Reflected circular components sampled on a transverse grid."""
-
-    y_samples: np.ndarray
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-
-
-@dataclass(frozen=True)
 class ShiftResult:
     """Spin-resolved transverse centroid shifts and relative powers."""
 
@@ -102,20 +78,6 @@ class ShiftResult:
     delta_minus: float
     power_plus: float
     power_minus: float
-
-
-def incident_spectrum(beam: BeamSpec) -> tuple[np.ndarray, np.ndarray]:
-    """ky grid (1/um) and Gaussian spectral amplitude w0 sqrt(pi) e^{-ky^2 w0^2/4}.
-
-    The kx direction is already integrated out; the returned amplitude is
-    the 1-D spectrum of exp(-y^2/w0^2).  The grid holds grid_n + 1
-    samples, symmetric about (and including) ky = 0, so that mirror
-    symmetry of the synthesized fields is exact.
-    """
-    kmax = beam.grid_span / beam.w0
-    ky = np.linspace(-kmax, kmax, beam.grid_n + 1)
-    amp = beam.w0 * math.sqrt(math.pi) * np.exp(-(ky * beam.w0) ** 2 / 4.0)
-    return ky, amp
 
 
 def spin_mixing_amplitude(rp: complex, rs: complex, theta_i: float,
@@ -129,72 +91,21 @@ def spin_mixing_amplitude(rp: complex, rs: complex, theta_i: float,
     return (rp + rs) / math.tan(theta_i) / k_medium
 
 
-def reflected_spin_spectra(beam: BeamSpec, rp: complex, rs: complex
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ky, E+ spectrum, E- spectrum) for unit-amplitude H input."""
-    ky, amp = incident_spectrum(beam)
-    a = spin_mixing_amplitude(rp, rs, beam.theta_i, beam.k_medium)
-    e_plus = (rp + 1j * a * ky) * amp / math.sqrt(2.0)
-    e_minus = (rp - 1j * a * ky) * amp / math.sqrt(2.0)
-    return ky, e_plus, e_minus
+def _centroid_moments(rp: complex, rs: complex, theta_i: float,
+                      beam: BeamSpec) -> tuple[float, float]:
+    """(Re(rp conj(a)), P) with P = |rp|^2 + |a|^2 / w0^2.
 
-
-@lru_cache(maxsize=2)
-def _phase_matrix(y_key: tuple, ky_key: tuple) -> np.ndarray:
-    # keys are (start, step, count) for each uniform grid
-    y = y_key[0] + y_key[1] * np.arange(y_key[2])
-    ky = ky_key[0] + ky_key[1] * np.arange(ky_key[2])
-    return np.exp(1j * np.outer(y, ky))
-
-
-def _synthesize(beam: BeamSpec, ky: np.ndarray, spectrum: np.ndarray,
-                y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """E(y) = (dk/2pi) sum_k E(k) e^{i k y} on an explicit y grid."""
-    dk = float(ky[1] - ky[0])
-    if y is None:
-        half = _Y_HALFWIDTH_W0 * beam.w0
-        dy = 2.0 * half / (_Y_POINTS - 1)
-        y = -half + dy * np.arange(_Y_POINTS)
-        ph = _phase_matrix((-half, dy, _Y_POINTS),
-                           (float(ky[0]), dk, len(ky)))
-    else:
-        y = np.asarray(y, dtype=float)
-        ph = np.exp(1j * np.outer(y, ky))
-    return y, (dk / (2 * math.pi)) * (ph @ spectrum)
-
-
-def reflected_field(beam: BeamSpec, ky: np.ndarray,
-                    e_plus_spec: np.ndarray, e_minus_spec: np.ndarray,
-                    y: np.ndarray | None = None,
-                    guard: bool = True) -> SpinFields:
-    """Inverse-transform the spin spectra to the transverse y grid.
-
-    With `guard` on (the default, and mandatory for centroid work) a
-    WindowError is raised when more than 1e-6 of either component's
-    power sits in the outer 5% of the window (aliasing / undersized
-    window).  Visualization cuts may disable it.
+    P is the power of each spin component relative to its half of the
+    incident power, and delta+/- = -/+ Re(rp conj(a)) / P.
     """
-    y_out, ep = _synthesize(beam, ky, e_plus_spec, y)
-    _, em = _synthesize(beam, ky, e_minus_spec, y)
-    for name, f in (("sigma+", ep), ("sigma-", em)) if guard else ():
-        p = np.abs(f) ** 2
-        tot = p.sum()
-        if tot > 0:
-            edge = max(1, int(len(y_out) * _ALIAS_EDGE_FRACTION / 2))
-            leak = (p[:edge].sum() + p[-edge:].sum()) / tot
-            if leak > _ALIAS_POWER_TOL:
-                raise WindowError(
-                    f"{name}: {leak:.2e} of the power in the window edge")
-    return SpinFields(y_samples=y_out, e_plus=ep, e_minus=em)
-
-
-def centroid(y: np.ndarray, field: np.ndarray) -> float:
-    """Power-weighted mean transverse position (uniform-grid midpoint rule)."""
-    p = np.abs(field) ** 2
-    tot = p.sum()
-    if tot <= 0:
-        raise DomainError("zero total power: centroid undefined")
-    return float((y * p).sum() / tot)
+    a = spin_mixing_amplitude(rp, rs, theta_i, beam.k_medium)
+    power = abs(rp) ** 2 + abs(a) ** 2 / beam.w0**2
+    if not math.isfinite(power):          # rp or rs is nan or inf
+        raise PropagationError(f"non-finite Fresnel coefficients "
+                               f"rp={rp}, rs={rs}")
+    if power == 0:
+        raise DomainError("zero reflected power: shift undefined")
+    return float((rp * a.conjugate()).real), float(power)
 
 
 def analytic_gaussian_shift(rp: complex, rs: complex, theta_i: float,
@@ -204,33 +115,18 @@ def analytic_gaussian_shift(rp: complex, rs: complex, theta_i: float,
     With G = exp(-y^2/w0^2) the two Gaussian moments <y^2 G^2> =
     (w0^2/4) <G^2> collapse the centroid to
 
-        delta+/- = -/+ Re(rp conj(a)) / (|rp|^2 + |a|^2 / w0^2),
-
-    the independent oracle for the spectral-synthesis pipeline.
+        delta+/- = -/+ Re(rp conj(a)) / (|rp|^2 + |a|^2 / w0^2).
     """
-    a = spin_mixing_amplitude(rp, rs, theta_i, beam.k_medium)
-    den = abs(rp) ** 2 + abs(a) ** 2 / beam.w0**2
-    if den == 0:
-        raise DomainError("zero reflected power: shift undefined")
-    num = (rp * np.conj(a)).real
-    return -num / den, num / den
+    num, power = _centroid_moments(rp, rs, theta_i, beam)
+    return -num / power, num / power
 
 
 def shifts_from_coefficients(beam: BeamSpec, rp: complex, rs: complex) -> ShiftResult:
-    """Full spectral pipeline: spectra -> fields -> centroids/powers."""
-    ky, ep_s, em_s = reflected_spin_spectra(beam, rp, rs)
-    fields = reflected_field(beam, ky, ep_s, em_s)
-    dy = fields.y_samples[1] - fields.y_samples[0]
-    # unit-amplitude H input carries power w0 sqrt(pi/2), half per spin
-    p_in_spin = beam.w0 * math.sqrt(math.pi / 2.0) / 2.0
-    pp = float((np.abs(fields.e_plus) ** 2).sum() * dy)
-    pm = float((np.abs(fields.e_minus) ** 2).sum() * dy)
-    return ShiftResult(
-        delta_plus=centroid(fields.y_samples, fields.e_plus),
-        delta_minus=centroid(fields.y_samples, fields.e_minus),
-        power_plus=pp / p_in_spin,
-        power_minus=pm / p_in_spin,
-    )
+    """Spin-resolved centroids and powers (relative to the incident
+    power per spin) for the Fresnel coefficients rp, rs."""
+    num, power = _centroid_moments(rp, rs, beam.theta_i, beam)
+    return ShiftResult(delta_plus=-num / power, delta_minus=num / power,
+                       power_plus=power, power_minus=power)
 
 
 def medium_index(chi: complex) -> complex:
@@ -256,18 +152,27 @@ def pshe_shifts(stack: LayerStack, beam: BeamSpec, drive: DriveParams,
     return shifts_from_coefficients(beam, rp, rs)
 
 
+def _peak_normalized(v: np.ndarray) -> np.ndarray:
+    return v / v.max() if v.max() > 0 else v
+
+
 def intensity_profiles(beam: BeamSpec, rp: complex, rs: complex,
                        y: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(y, I_incident, I+, I-) 1-D transverse profiles, each peak-normalized."""
-    ky, ep_s, em_s = reflected_spin_spectra(beam, rp, rs)
-    fields = reflected_field(beam, ky, ep_s, em_s, y=y, guard=y is None)
-    yy = fields.y_samples
-    i_in = np.exp(-2.0 * yy**2 / beam.w0**2)
-    ip = np.abs(fields.e_plus) ** 2
-    im = np.abs(fields.e_minus) ** 2
-    norm = lambda v: v / v.max() if v.max() > 0 else v
-    return yy, norm(i_in), norm(ip), norm(im)
+    """(y, I_incident, I+, I-) 1-D transverse profiles, each peak-normalized.
+
+    I+/- = |rp -/+ 2 a y / w0^2|^2 exp(-2 y^2/w0^2); the default y grid
+    spans +/- 8 w0 with 2049 samples.
+    """
+    if y is None:
+        y = np.linspace(-8.0 * beam.w0, 8.0 * beam.w0, 2049)
+    y = np.asarray(y, dtype=float)
+    a = spin_mixing_amplitude(rp, rs, beam.theta_i, beam.k_medium)
+    i_in = np.exp(-2.0 * y**2 / beam.w0**2)
+    slope = 2.0 * a * y / beam.w0**2
+    return (y, _peak_normalized(i_in),
+            _peak_normalized(np.abs(rp - slope) ** 2 * i_in),
+            _peak_normalized(np.abs(rp + slope) ** 2 * i_in))
 
 
 def intensity_maps_2d(beam: BeamSpec, rp: complex, rs: complex,
@@ -275,24 +180,13 @@ def intensity_maps_2d(beam: BeamSpec, rp: complex, rs: complex,
                       y: np.ndarray | None = None):
     """Full 2-D transverse intensity maps (x, y, I_in, I+, I-).
 
-    The 2-D angular spectrum (rp +/- i a ky) exp(-(kx^2+ky^2) w0^2/4)
-    is inverse-transformed over kx and ky; the kx transform is evaluated
-    with the same quadrature as the ky one (the operator is kx-free, so
-    the double integral separates exactly).
+    The reflection operator is kx-free, so every map is the outer
+    product of exp(-2 x^2/w0^2) with the 1-D y profile.
     """
     if x is None:
         x = np.linspace(-2 * beam.w0, 2 * beam.w0, 129)
     if y is None:
         y = np.linspace(-2 * beam.w0, 2 * beam.w0, 257)
-    kmax = beam.grid_span / beam.w0
-    kx = np.linspace(-kmax, kmax, beam.grid_n + 1)
-    gx_spec = beam.w0 * math.sqrt(math.pi) * np.exp(-(kx * beam.w0) ** 2 / 4.0)
-    dkx = kx[1] - kx[0]
-    ex = (dkx / (2 * math.pi)) * (np.exp(1j * np.outer(x, kx)) @ gx_spec)
-    ky, ep_s, em_s = reflected_spin_spectra(beam, rp, rs)
-    fields = reflected_field(beam, ky, ep_s, em_s, y=y, guard=False)
-    i_in = np.abs(np.outer(ex, np.exp(-y**2 / beam.w0**2))) ** 2
-    i_p = np.abs(np.outer(ex, fields.e_plus)) ** 2
-    i_m = np.abs(np.outer(ex, fields.e_minus)) ** 2
-    norm = lambda v: v / v.max() if v.max() > 0 else v
-    return x, y, norm(i_in), norm(i_p), norm(i_m)
+    _, i_in, i_p, i_m = intensity_profiles(beam, rp, rs, y)
+    ix = _peak_normalized(np.exp(-2.0 * x**2 / beam.w0**2))
+    return x, y, np.outer(ix, i_in), np.outer(ix, i_p), np.outer(ix, i_m)

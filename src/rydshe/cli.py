@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .errors import ConfigError, RydsheError
 from .config import RunConfig, parse_config, serialize_config, with_overrides
-from .sweeps import run_sweep, emit
+from .sweeps import run_sweep, emit, profile_coefficients
 from .oracle import verify_suite, report_as_dicts
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3, 4
@@ -182,18 +182,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_profile_full_map(cfg: RunConfig, out: str) -> None:
-    import math as _m
     import numpy as np
-    from .quantum import susceptibility
-    from .multilayer import stack_fresnel
     from .beam_shift import intensity_maps_2d
-    b = susceptibility(cfg.drive_params(), cfg.atom_params())
-    stack = cfg.layer_stack(b.total)
-    k0 = 2 * _m.pi / cfg.lambda_um
-    th = _m.radians(cfg.theta_deg)
-    rp, _ = stack_fresnel(stack, th, k0, "p")
-    rs, _ = stack_fresnel(stack, th, k0, "s")
-    x, y, i_in, i_p, i_m = intensity_maps_2d(cfg.beam_spec(), rp, rs)
+    x, y, i_in, i_p, i_m = intensity_maps_2d(cfg.beam_spec(),
+                                             *profile_coefficients(cfg))
     payload = {"x_um": list(np.round(x, 6)), "y_um": list(np.round(y, 6)),
                "i_incident": np.round(i_in, 9).tolist(),
                "i_plus": np.round(i_p, 9).tolist(),

@@ -66,8 +66,6 @@ class RunConfig:
     # [beam]
     w0_um: float = 50.0
     theta_deg: float = 33.87
-    grid_n: int = 2048
-    grid_span: float = 8.0
     # [sweep]
     quantity: str = "shift"
     variable: str = "Delta2"
@@ -140,8 +138,7 @@ class RunConfig:
 
     def beam_spec(self) -> BeamSpec:
         return BeamSpec(w0=self.w0_um, theta_i=math.radians(self.theta_deg),
-                        lambda_p=self.lambda_um, n_in=self.n1,
-                        grid_n=self.grid_n, grid_span=self.grid_span)
+                        lambda_p=self.lambda_um, n_in=self.n1)
 
 
 _SCHEMA = {
@@ -151,8 +148,7 @@ _SCHEMA = {
     "drive": {"omega_p_mhz": float, "omega_c_mhz": float, "delta2_mhz": float,
               "delta_c_mhz": float},
     "geometry": {"n1": float, "n3": float, "d2_um": float},
-    "beam": {"w0_um": float, "theta_deg": float, "grid_n": int,
-             "grid_span": float},
+    "beam": {"w0_um": float, "theta_deg": float},
     "sweep": {"quantity": str, "variable": str, "min": float, "max": float,
               "steps": int, "variable2": str, "min2": float, "max2": float,
               "steps2": int},

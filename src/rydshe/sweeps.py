@@ -21,8 +21,7 @@ from .errors import RydsheError, ConfigError
 from .config import RunConfig, AXIS_COLUMNS, config_hash, serialize_config
 from .quantum import susceptibility
 from .multilayer import stack_fresnel
-from .beam_shift import (BeamSpec, medium_index, shifts_from_coefficients,
-                         intensity_profiles)
+from .beam_shift import shifts_from_coefficients, intensity_profiles
 
 _CHI_COLUMNS = ["re_chi1", "im_chi1", "re_chi3_local", "im_chi3_local",
                 "re_chi3_nonlocal", "im_chi3_nonlocal"]
@@ -147,19 +146,22 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
                        config_text=serialize_config(cfg))
 
 
-def _run_profile(cfg: RunConfig, t0: float) -> SweepResult:
-    """Transverse intensity profiles of incident and spin components."""
-    beam = cfg.beam_spec()
+def profile_coefficients(cfg: RunConfig) -> tuple[complex, complex]:
+    """(rp, rs) at the configured operating point, for the profile outputs."""
     b = susceptibility(cfg.drive_params(), cfg.atom_params())
     stack = cfg.layer_stack(b.total)
     k0 = 2 * math.pi / cfg.lambda_um
     theta = math.radians(cfg.theta_deg)
-    rp, _ = stack_fresnel(stack, theta, k0, "p")
-    rs, _ = stack_fresnel(stack, theta, k0, "s")
+    return (stack_fresnel(stack, theta, k0, "p")[0],
+            stack_fresnel(stack, theta, k0, "s")[0])
+
+
+def _run_profile(cfg: RunConfig, t0: float) -> SweepResult:
+    """Transverse intensity profiles of incident and spin components."""
+    beam = cfg.beam_spec()
     y = np.linspace(-1.6 * beam.w0, 1.6 * beam.w0, 1281)
-    yy, i_in, i_p, i_m = intensity_profiles(beam, rp, rs, y=y)
-    rows = [[float(yy[i]), float(i_in[i]), float(i_p[i]), float(i_m[i]), ""]
-            for i in range(len(yy))]
+    profiles = intensity_profiles(beam, *profile_coefficients(cfg), y=y)
+    rows = [[*map(float, r), ""] for r in zip(*profiles)]
     return SweepResult(columns=["y_um"] + _PROFILE_COLUMNS + ["error"],
                        rows=rows, config_hash=config_hash(cfg),
                        version=__version__,

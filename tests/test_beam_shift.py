@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from rydshe import (BeamSpec, DomainError, WindowError,
-                    analytic_gaussian_shift, centroid, incident_spectrum,
-                    intensity_maps_2d, intensity_profiles, reflected_field,
-                    reflected_spin_spectra, shifts_from_coefficients,
+from rydshe import (BeamSpec, DomainError, PropagationError, WindowError,
+                    analytic_gaussian_shift, intensity_maps_2d,
+                    intensity_profiles, shifts_from_coefficients,
                     pshe_shifts, canonical_atom, canonical_drive, canonical_stack,
                     susceptibility)
+from rydshe.oracle import (centroid, incident_spectrum, reflected_field,
+                           reflected_spin_spectra, spectral_shifts)
 
 TWO_PI = 2.0 * math.pi
+GRID_N = 2048      # the oracle's default spectral grid
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +25,11 @@ def beam():
 def test_beamspec_validation():
     with pytest.raises(DomainError):
         BeamSpec(w0=-1.0, theta_i=0.6, lambda_p=0.78)
+    beam = BeamSpec(w0=50.0, theta_i=0.6, lambda_p=0.78)
     with pytest.raises(DomainError):
-        BeamSpec(w0=50.0, theta_i=0.6, lambda_p=0.78, grid_n=1000)
+        incident_spectrum(beam, grid_n=1000)
     with pytest.raises(DomainError):
-        BeamSpec(w0=50.0, theta_i=0.6, lambda_p=0.78, grid_span=4.0)
+        incident_spectrum(beam, grid_span=4.0)
     with pytest.raises(DomainError):
         BeamSpec(w0=50.0, theta_i=math.radians(2.0), lambda_p=0.78)
     with pytest.raises(DomainError):
@@ -37,8 +40,8 @@ def test_beamspec_validation():
 
 def test_incident_spectrum_peak_and_width(beam):
     ky, amp = incident_spectrum(beam)
-    i0 = beam.grid_n // 2
-    assert len(ky) == beam.grid_n + 1
+    i0 = GRID_N // 2
+    assert len(ky) == GRID_N + 1
     assert ky[i0] == 0.0
     assert amp.max() == amp[i0]
     # Gaussian width identity amp(2/w0) = e^-1 * peak, checked on the grid
@@ -61,7 +64,7 @@ def test_spin_spectra_cancellation_and_axis(beam):
     rp = 0.1 + 0.02j
     ky, ep, em = reflected_spin_spectra(beam, rp, -rp)   # rs = -rp
     assert np.allclose(ep, em)                           # cross term vanishes
-    i0 = beam.grid_n // 2
+    i0 = GRID_N // 2
     assert ep[i0] == pytest.approx(em[i0])               # no on-axis splitting
     # swapping the spin labels is the same as reversing ky
     _, ep2, em2 = reflected_spin_spectra(beam, rp, 0.3 + 0j)
@@ -108,7 +111,7 @@ def test_centroid_zero_power(beam):
         centroid(np.linspace(-1, 1, 11), np.zeros(11, dtype=complex))
 
 
-# ----------------------------------------------------------- analytic oracle
+# ------------------------------------------------ closed form against oracle
 
 def test_analytic_shift_null_cases(beam):
     dp, dm = analytic_gaussian_shift(0.3 + 0.1j, -(0.3 + 0.1j),
@@ -118,7 +121,18 @@ def test_analytic_shift_null_cases(beam):
     assert dp == 0 and dm == 0
 
 
+def test_shift_typed_errors(beam):
+    # a non-finite coefficient names itself instead of giving nan shifts
+    for rp, rs in ((math.nan, 0.3), (0.01, math.inf),
+                   (complex(0.01, math.nan), 0.3)):
+        with pytest.raises(PropagationError):
+            shifts_from_coefficients(beam, rp, rs)
+    with pytest.raises(DomainError):           # rp = 0 and rs = -rp
+        shifts_from_coefficients(beam, 0.0, 0.0)
+
+
 def test_pipeline_matches_analytic(beam, rng):
+    # the closed-form pipeline against the spectral-synthesis oracle
     worst = 0.0
     for _ in range(50):
         rp = rng.normal() * 0.4 + 1j * rng.normal() * 0.4
@@ -126,20 +140,40 @@ def test_pipeline_matches_analytic(beam, rng):
         if abs(rp) <= 0.05:
             continue
         s = shifts_from_coefficients(beam, rp, rs)
-        da, db = analytic_gaussian_shift(rp, rs, beam.theta_i, beam)
-        scale = max(abs(da), 1e-3 * beam.w0)
-        worst = max(worst, abs(s.delta_plus - da) / scale,
-                    abs(s.delta_minus - db) / scale)
+        o = spectral_shifts(beam, rp, rs)
+        scale = max(abs(o.delta_plus), 1e-3 * beam.w0)
+        worst = max(worst, abs(s.delta_plus - o.delta_plus) / scale,
+                    abs(s.delta_minus - o.delta_minus) / scale)
     assert worst < 0.02
+
+
+def test_oracle_agreement_brewster_region(rng):
+    # |rp| down to 1e-5, where the shifts approach w0/2, with the power
+    # normalization checked as well
+    for theta_deg in (20.0, 33.87, 60.0):
+        for n_in in (1.0, 1.49):
+            beam = BeamSpec(w0=50.0, theta_i=math.radians(theta_deg),
+                            lambda_p=0.78, n_in=n_in)
+            for log_rp in rng.uniform(-5.0, math.log10(0.5), 4):
+                rp = 10**log_rp * np.exp(1j * rng.uniform(0, 2 * math.pi))
+                rs = rng.normal() * 0.4 + 1j * rng.normal() * 0.4
+                s = shifts_from_coefficients(beam, rp, rs)
+                o = spectral_shifts(beam, rp, rs)
+                scale = max(abs(o.delta_plus), beam.lambda_p)
+                assert abs(s.delta_plus - o.delta_plus) <= 1e-9 * scale
+                assert abs(s.delta_minus - o.delta_minus) <= 1e-9 * scale
+                assert s.power_plus == pytest.approx(o.power_plus, rel=1e-9)
+                assert s.power_minus == pytest.approx(o.power_minus, rel=1e-9)
 
 
 def test_mirror_antisymmetry(beam, rng):
     for _ in range(20):
         rp = rng.normal() * 0.2 + 1j * rng.normal() * 0.2
         rs = rng.normal() * 0.5 + 1j * rng.normal() * 0.5
-        s = shifts_from_coefficients(beam, rp, rs)
-        assert abs(s.delta_plus + s.delta_minus) < 1e-9
-        assert s.power_plus == pytest.approx(s.power_minus, rel=1e-12)
+        for s in (shifts_from_coefficients(beam, rp, rs),
+                  spectral_shifts(beam, rp, rs)):
+            assert abs(s.delta_plus + s.delta_minus) < 1e-9
+            assert s.power_plus == pytest.approx(s.power_minus, rel=1e-12)
 
 
 def test_shift_bound_near_brewster(beam):
@@ -151,10 +185,8 @@ def test_shift_bound_near_brewster(beam):
 
 def test_grid_independence(beam):
     rp, rs = 3e-3 + 1e-3j, 0.38 - 0.01j   # near-Brewster, large shift
-    s1 = shifts_from_coefficients(beam, rp, rs)
-    beam2 = BeamSpec(w0=beam.w0, theta_i=beam.theta_i, lambda_p=beam.lambda_p,
-                     grid_n=2 * beam.grid_n, grid_span=beam.grid_span)
-    s2 = shifts_from_coefficients(beam2, rp, rs)
+    s1 = spectral_shifts(beam, rp, rs)
+    s2 = spectral_shifts(beam, rp, rs, grid_n=2 * GRID_N)
     assert abs(s2.delta_plus - s1.delta_plus) < 1e-3 * abs(s1.delta_plus)
 
 
@@ -186,6 +218,19 @@ def test_intensity_profiles_normalized(beam):
     assert np.allclose(ip, im[::-1], rtol=1e-9, atol=1e-12)
 
 
+def test_intensity_profiles_match_oracle_fields(beam):
+    # pointwise, the default grid_span = 8 leaves a ringing of ~1e-7 from
+    # the spectrum cut at exp(-16); grid_span = 12 cuts at exp(-36)
+    rp, rs = 0.01 + 0.002j, 0.4
+    y, i_in, ip, im = intensity_profiles(beam, rp, rs)
+    ky, ep_s, em_s = reflected_spin_spectra(beam, rp, rs, grid_span=12.0)
+    f = reflected_field(beam, ky, ep_s, em_s)
+    assert np.allclose(y, f.y_samples, rtol=0, atol=1e-12)
+    for got, field in ((ip, f.e_plus), (im, f.e_minus)):
+        want = np.abs(field) ** 2
+        assert np.allclose(got, want / want.max(), rtol=0, atol=1e-9)
+
+
 def test_intensity_maps_2d_separable(beam):
     rp, rs = 0.02 + 0.01j, 0.35 + 0j
     x, y, i_in, ip, im = intensity_maps_2d(beam, rp, rs)
@@ -202,7 +247,7 @@ def test_mutated_cross_term_sign_flips_orientation(beam):
     # inverts the shift direction: the orientation check is what detects it
     rp, rs = 4e-3 + 1e-3j, 0.4 + 0.02j
     ky, amp = incident_spectrum(beam)
-    a = (rp + rs) / math.tan(beam.theta_i) / beam.k0
+    a = (rp + rs) / math.tan(beam.theta_i) / beam.k_medium
     ep_bad = (rp - 1j * a * ky) * amp / math.sqrt(2)   # flipped
     em_bad = (rp + 1j * a * ky) * amp / math.sqrt(2)
     f = reflected_field(beam, ky, ep_bad, em_bad)

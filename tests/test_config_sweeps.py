@@ -66,6 +66,9 @@ def test_config_unknown_key_reports_line():
         parse_config("[fruit]\nbananas = 3\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("[atom]\ndensity_mm3 = apple\n")
+    # the spectral grid is an oracle argument, not a run setting
+    with pytest.raises(ConfigError, match=r"unknown key 'grid_n'.*line 3"):
+        parse_config("[beam]\nw0_um = 50\ngrid_n = 2048\n")
 
 
 def test_config_roundtrip_idempotent():
@@ -194,6 +197,9 @@ def test_cli_config_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[atom]\ndensity_mm3 = -5\n")
     assert run_cli("chi", "--config", str(bad), "--out",
+                   str(tmp_path / "x.csv"), "--steps", "3") == 2
+    bad.write_text("[beam]\ngrid_span = 8.0\n")
+    assert run_cli("shift-angle", "--config", str(bad), "--out",
                    str(tmp_path / "x.csv"), "--steps", "3") == 2
 
 
