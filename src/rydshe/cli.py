@@ -11,6 +11,9 @@ Subcommands map onto the figure-style data products:
   verify          run the oracle/invariant suite, exit nonzero on failure
   defaults        print the canonical configuration
 
+The sweep subcommands also accept `--threads N`, which is ignored (a
+sweep is array calls, not a thread pool) and changes no output byte.
+
 Exit codes: 0 success, 1 usage, 2 config, 3 numerical failure, 4 I/O.
 """
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, RydsheError
@@ -36,14 +40,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# flag stem -> (sweep variable, metavar)
+_AXIS_FLAGS = {"delta2": ("Delta2", "MHZ"), "theta": ("theta_i", "DEG")}
+
+# sweep subcommand -> (help, quantity, axes); each axis is
+# (flag stem, default min, default max, steps flag, default steps)
+_SWEEP_COMMANDS = {
+    "chi": ("susceptibility vs probe detuning", "chi",
+            [("delta2", -10.0, 10.0, "steps", 201)]),
+    "fresnel": ("Fresnel coefficients vs incidence angle", "fresnel",
+                [("theta", 20.0, 50.0, "steps", 601)]),
+    "shift-angle": ("spin shifts vs incidence angle", "shift",
+                    [("theta", 33.5, 34.2, "steps", 501)]),
+    "shift-detuning": ("spin shifts vs probe detuning", "shift",
+                       [("delta2", -5.0, 5.0, "steps", 201)]),
+    "map": ("2-D shift map over angle and detuning", "map",
+            [("theta", 33.5, 34.2, "theta-steps", 71),
+             ("delta2", -5.0, 5.0, "delta2-steps", 51)]),
+}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="configuration file")
     p.add_argument("--out", metavar="PATH", help="output file path")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
-
-
-def _add_overrides(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.add_argument("--density", type=float, metavar="MM3",
                    help="atom density in mm^-3")
     p.add_argument("--omega-c", type=float, metavar="MHZ")
@@ -62,42 +83,17 @@ def build_parser() -> _Parser:
                              "glass stack under ladder EIT")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", metavar="COMMAND")
-
-    def cmd(name, help_):
+    for name, (help_, _, axes) in _SWEEP_COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         _add_common(p)
-        _add_overrides(p)
-        return p
+        for stem, lo, hi, steps_flag, steps in axes:
+            unit = _AXIS_FLAGS[stem][1]
+            p.add_argument(f"--{stem}-min", type=float, default=lo, metavar=unit)
+            p.add_argument(f"--{stem}-max", type=float, default=hi, metavar=unit)
+            p.add_argument(f"--{steps_flag}", type=int, default=steps)
 
-    p = cmd("chi", "susceptibility vs probe detuning")
-    p.add_argument("--delta2-min", type=float, default=-10.0, metavar="MHZ")
-    p.add_argument("--delta2-max", type=float, default=10.0, metavar="MHZ")
-    p.add_argument("--steps", type=int, default=201)
-
-    p = cmd("fresnel", "Fresnel coefficients vs incidence angle")
-    p.add_argument("--theta-min", type=float, default=20.0, metavar="DEG")
-    p.add_argument("--theta-max", type=float, default=50.0, metavar="DEG")
-    p.add_argument("--steps", type=int, default=601)
-
-    p = cmd("shift-angle", "spin shifts vs incidence angle")
-    p.add_argument("--theta-min", type=float, default=33.5, metavar="DEG")
-    p.add_argument("--theta-max", type=float, default=34.2, metavar="DEG")
-    p.add_argument("--steps", type=int, default=501)
-
-    p = cmd("shift-detuning", "spin shifts vs probe detuning")
-    p.add_argument("--delta2-min", type=float, default=-5.0, metavar="MHZ")
-    p.add_argument("--delta2-max", type=float, default=5.0, metavar="MHZ")
-    p.add_argument("--steps", type=int, default=201)
-
-    p = cmd("map", "2-D shift map over angle and detuning")
-    p.add_argument("--theta-min", type=float, default=33.5, metavar="DEG")
-    p.add_argument("--theta-max", type=float, default=34.2, metavar="DEG")
-    p.add_argument("--theta-steps", type=int, default=71)
-    p.add_argument("--delta2-min", type=float, default=-5.0, metavar="MHZ")
-    p.add_argument("--delta2-max", type=float, default=5.0, metavar="MHZ")
-    p.add_argument("--delta2-steps", type=int, default=51)
-
-    p = cmd("profile", "transverse intensity profiles")
+    p = sub.add_parser("profile", help="transverse intensity profiles")
+    _add_common(p)
     p.add_argument("--full-map", action="store_true",
                    help="emit the separable 2-D intensity map as JSON")
 
@@ -131,37 +127,17 @@ def _load_config(args) -> RunConfig:
 
 
 def _sweep_config(cfg: RunConfig, args) -> RunConfig:
-    c = args.command
-    if c == "chi":
-        return with_overrides(cfg, quantity="chi", variable="Delta2",
-                              sweep_min=args.delta2_min,
-                              sweep_max=args.delta2_max, steps=args.steps,
-                              variable2=None)
-    if c == "fresnel":
-        return with_overrides(cfg, quantity="fresnel", variable="theta_i",
-                              sweep_min=args.theta_min,
-                              sweep_max=args.theta_max, steps=args.steps,
-                              variable2=None)
-    if c == "shift-angle":
-        return with_overrides(cfg, quantity="shift", variable="theta_i",
-                              sweep_min=args.theta_min,
-                              sweep_max=args.theta_max, steps=args.steps,
-                              variable2=None)
-    if c == "shift-detuning":
-        return with_overrides(cfg, quantity="shift", variable="Delta2",
-                              sweep_min=args.delta2_min,
-                              sweep_max=args.delta2_max, steps=args.steps,
-                              variable2=None)
-    if c == "map":
-        return with_overrides(cfg, quantity="map",
-                              variable="theta_i", sweep_min=args.theta_min,
-                              sweep_max=args.theta_max, steps=args.theta_steps,
-                              variable2="Delta2", sweep_min2=args.delta2_min,
-                              sweep_max2=args.delta2_max,
-                              steps2=args.delta2_steps)
-    if c == "profile":
-        return with_overrides(cfg, quantity="profile")
-    raise ConfigError(f"unhandled command {c}")
+    if args.command == "profile":
+        return replace(cfg, quantity="profile")
+    _, quantity, axes = _SWEEP_COMMANDS[args.command]
+    # a 1-D subcommand sweeps one axis whatever the config file says
+    fields = {"quantity": quantity, "variable2": None}
+    for sfx, (stem, _, _, steps_flag, _) in zip(("", "2"), axes):
+        fields.update({"variable" + sfx: _AXIS_FLAGS[stem][0],
+                       "sweep_min" + sfx: getattr(args, f"{stem}_min"),
+                       "sweep_max" + sfx: getattr(args, f"{stem}_max"),
+                       "steps" + sfx: getattr(args, steps_flag.replace("-", "_"))})
+    return replace(cfg, **fields)
 
 
 def _cmd_verify(args) -> int:
@@ -214,7 +190,7 @@ def main(argv=None) -> int:
         if args.command == "profile" and args.full_map:
             _cmd_profile_full_map(cfg, out)
             return EXIT_OK
-        result = run_sweep(cfg, threads=max(1, args.threads))
+        result = run_sweep(cfg)
         emit(result, fmt, out, cfg.precision)
         n_err = sum(1 for r in result.rows if r[-1] != "")
         print(f"{args.command}: {len(result.rows)} rows -> {out} "

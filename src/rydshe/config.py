@@ -162,10 +162,6 @@ _FIELD_RENAMES = {
     ("output", "path"): "out_path", ("output", "format"): "out_format",
 }
 
-_OPTIONAL_KEYS = {("atom", "coh21_mhz"), ("atom", "coh31_mhz"),
-                  ("atom", "coh32_mhz"), ("sweep", "variable2")}
-
-
 def _line_of(text: str, section: str, key: str) -> int:
     in_section = False
     for i, line in enumerate(text.splitlines(), start=1):

@@ -204,19 +204,33 @@ class ComplexDenominators:
                    d23=D2 - D3 + 1j * atom.gamma32)
 
 
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in m (over the last two axes)."""
+    f = m.reshape(m.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(f, f).real)
+
+
 def _solve_checked(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Dense LU solve (partial pivoting) with a relative-residual guard."""
+    """Dense LU solve (partial pivoting) with a relative-residual guard.
+
+    A is (..., n, n) and b is (n,) or (..., n, k); the residual is
+    checked per system, so one bad system in a batch cannot hide behind
+    the norm of the others.
+    """
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise PropagationError(f"non-finite entries entering the {what} solve")
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"singular matrix in {what}: {exc}") from exc
-    resid = np.linalg.norm(A @ x - b)
-    scale = max(np.linalg.norm(b), np.linalg.norm(A) * np.linalg.norm(x), 1e-300)
-    if not np.isfinite(resid) or resid / scale > SOLVE_RESIDUAL_TOL:
-        raise SingularityError(
-            f"{what} solve residual {resid / scale:.2e} exceeds {SOLVE_RESIDUAL_TOL:.0e}")
+    bm, xm = (b[:, None], x[:, None]) if b.ndim == 1 else (b, x)
+    scale = np.maximum(_frobenius(bm), _frobenius(A) * _frobenius(xm))
+    rel = _frobenius(A @ xm - bm) / np.maximum(scale, 1e-300)
+    if not np.all(rel <= SOLVE_RESIDUAL_TOL):            # nan fails too
+        i = np.flatnonzero(~(rel <= SOLVE_RESIDUAL_TOL))[0]
+        where = f" at batch index {i}" if rel.ndim else ""
+        raise SingularityError(f"{what} solve residual {rel.flat[i]:.2e} "
+                               f"exceeds {SOLVE_RESIDUAL_TOL:.0e}{where}")
     return x
 
 

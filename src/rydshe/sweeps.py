@@ -1,17 +1,20 @@
 """Parameter sweeps over the physics pipeline and figure-ready output.
 
 A sweep evaluates one pipeline stage (chi / fresnel / shift / map /
-profile) on a 1-D or 2-D grid.  Failures at isolated grid points are
-recorded in the row's `error` column instead of aborting the sweep.
-Susceptibilities are memoized per (drive, atom) so that 2-D maps over
-(theta, Delta2) pay for each detuning only once.
+profile) on a 1-D or 2-D grid.  Grid points that share a medium and a
+slab (the same drive, atom and thickness) form one group, which pays one
+`susceptibility` call and one `stack_fresnel` call per polarization over
+the array of its incidence angles.  Failures are recorded in the row's
+`error` column instead of aborting the sweep: a point's own config or
+shift failure on its row, a chi or layer failure on every row of its
+group.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,61 +48,53 @@ class SweepResult:
         return np.array([r[i] for r in self.rows if r[-1] == ""], dtype=float)
 
 
-def _axis_values(cfg: RunConfig, which: int) -> tuple[str, np.ndarray]:
-    if which == 1:
-        return cfg.variable, np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.steps)
-    return cfg.variable2, np.linspace(cfg.sweep_min2, cfg.sweep_max2, cfg.steps2)
+# sweep variable -> the RunConfig field it sets
+_AXIS_FIELDS = {"Delta2": "delta2_mhz", "theta_i": "theta_deg",
+                "Na": "density_mm3", "Omega_c": "omega_c_mhz",
+                "Omega_p": "omega_p_mhz", "d2": "d2_um"}
 
 
-def _apply_axis(cfg: RunConfig, var: str, value: float) -> RunConfig:
-    patch = {
-        "Delta2": {"delta2_mhz": value},
-        "theta_i": {"theta_deg": value},
-        "Na": {"density_mm3": value},
-        "Omega_c": {"omega_c_mhz": value},
-        "Omega_p": {"omega_p_mhz": value},
-        "d2": {"d2_um": value},
-    }[var]
-    return replace(cfg, **patch)
-
-
-class _ChiCache:
-    """Memoizes SusceptibilityBreakdown per (drive, atom) parameter tuple."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def get(self, cfg: RunConfig):
-        key = (cfg.gamma21_mhz, cfg.gamma32_mhz, cfg.c6_ghz_um6,
-               cfg.density_mm3, cfg.lambda_um, cfg.coh21_mhz, cfg.coh31_mhz,
-               cfg.coh32_mhz, cfg.omega_p_mhz, cfg.omega_c_mhz,
-               cfg.delta2_mhz, cfg.delta_c_mhz)
-        if key not in self._store:
-            self._store[key] = susceptibility(cfg.drive_params(), cfg.atom_params())
-        return self._store[key]
-
-
-def _eval_point(cfg: RunConfig, cache: _ChiCache) -> list:
-    quantity = cfg.quantity
-    if quantity == "chi":
-        b = cache.get(cfg)
-        return [b.chi1.real, b.chi1.imag,
-                b.chi3_local_contrib.real, b.chi3_local_contrib.imag,
-                b.chi3_nonlocal_contrib.real, b.chi3_nonlocal_contrib.imag]
-    b = cache.get(cfg)
-    stack = cfg.layer_stack(b.total)
+def _reflection_coefficients(cfg: RunConfig, chi: complex, theta_deg):
+    """(rp, rs) of the configured slab dressed with `chi`; broadcasts
+    over an array of incidence angles in degrees."""
+    stack = cfg.layer_stack(chi)
     k0 = 2 * math.pi / cfg.lambda_um
-    theta = math.radians(cfg.theta_deg)
-    rp, _ = stack_fresnel(stack, theta, k0, "p")
-    rs, _ = stack_fresnel(stack, theta, k0, "s")
-    if quantity == "fresnel":
-        ratio = abs(rs) / abs(rp) if abs(rp) > 0 else math.inf
-        return [rp.real, rp.imag, rs.real, rs.imag, abs(rp), abs(rs), ratio]
-    s = shifts_from_coefficients(cfg.beam_spec(), rp, rs)
-    return [s.delta_plus, s.delta_minus, s.power_plus, s.power_minus]
+    theta = np.radians(theta_deg)
+    return (stack_fresnel(stack, theta, k0, "p")[0],
+            stack_fresnel(stack, theta, k0, "s")[0])
 
 
-def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
+def _error_cell(exc: RydsheError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _group_values(quantity: str, pcfgs: tuple) -> list:
+    """Value cells (or an error cell) for points sharing drive, atom and d2."""
+    b = susceptibility(pcfgs[0].drive_params(), pcfgs[0].atom_params())
+    if quantity == "chi":
+        return [[b.chi1.real, b.chi1.imag,
+                 b.chi3_local_contrib.real, b.chi3_local_contrib.imag,
+                 b.chi3_nonlocal_contrib.real, b.chi3_nonlocal_contrib.imag]
+                ] * len(pcfgs)
+    rps, rss = _reflection_coefficients(pcfgs[0], b.total,
+                                       [c.theta_deg for c in pcfgs])
+    values = []
+    for pcfg, rp, rs in zip(pcfgs, map(complex, rps), map(complex, rss)):
+        if quantity == "fresnel":
+            ratio = abs(rs) / abs(rp) if abs(rp) > 0 else math.inf
+            values.append([rp.real, rp.imag, rs.real, rs.imag,
+                           abs(rp), abs(rs), ratio])
+            continue
+        try:
+            s = shifts_from_coefficients(pcfg.beam_spec(), rp, rs)
+            values.append([s.delta_plus, s.delta_minus,
+                           s.power_plus, s.power_minus])
+        except RydsheError as exc:
+            values.append(_error_cell(exc))
+    return values
+
+
+def run_sweep(cfg: RunConfig) -> SweepResult:
     """Evaluate the configured quantity over the 1-D or 2-D grid."""
     t0 = time.perf_counter()
     if cfg.quantity == "profile":
@@ -107,39 +102,39 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
     if cfg.quantity == "map" and cfg.variable2 is None:
         raise ConfigError("map sweeps need variable2/min2/max2/steps2")
 
-    var1, axis1 = _axis_values(cfg, 1)
-    grid: list[tuple] = []
-    if cfg.quantity == "map" or cfg.variable2 is not None:
-        var2, axis2 = _axis_values(cfg, 2)
-        for v1 in axis1:            # row-major: axis1 outer, axis2 inner
-            for v2 in axis2:
-                grid.append((v1, v2))
-        axis_cols = [AXIS_COLUMNS[var1], AXIS_COLUMNS[var2]]
-    else:
-        var2 = None
-        grid = [(v1,) for v1 in axis1]
-        axis_cols = [AXIS_COLUMNS[var1]]
-
+    variables = [cfg.variable]
+    axes = [np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.steps)]
+    if cfg.variable2 is not None:
+        variables.append(cfg.variable2)
+        axes.append(np.linspace(cfg.sweep_min2, cfg.sweep_max2, cfg.steps2))
+    grid = list(itertools.product(*axes))      # row-major: axis1 outer
     value_cols = {"chi": _CHI_COLUMNS, "fresnel": _FRESNEL_COLUMNS,
                   "shift": _SHIFT_COLUMNS, "map": _SHIFT_COLUMNS}[cfg.quantity]
-    columns = axis_cols + value_cols + ["error"]
-    cache = _ChiCache()
-
-    def work(point):
+    cells: list = [None] * len(grid)
+    groups: dict = {}
+    for i, point in enumerate(grid):
         try:
-            pcfg = _apply_axis(cfg, var1, point[0])
-            if var2 is not None:
-                pcfg = _apply_axis(pcfg, var2, point[1])
-            return list(point) + _eval_point(pcfg, cache) + [""]
+            pcfg = cfg
+            for var, value in zip(variables, point):
+                pcfg = replace(pcfg, **{_AXIS_FIELDS[var]: value})
+            key = (pcfg.drive_params(), pcfg.atom_params(), pcfg.d2_um)
         except RydsheError as exc:
-            pad = [math.nan] * len(value_cols)
-            return list(point) + pad + [f"{type(exc).__name__}: {exc}"]
+            cells[i] = _error_cell(exc)
+            continue
+        groups.setdefault(key, []).append((i, pcfg))
+    for members in groups.values():
+        index, pcfgs = zip(*members)
+        try:
+            values = _group_values(cfg.quantity, pcfgs)
+        except RydsheError as exc:
+            values = [_error_cell(exc)] * len(index)
+        for i, v in zip(index, values):
+            cells[i] = v
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, grid))
-    else:
-        rows = [work(p) for p in grid]
+    pad = [math.nan] * len(value_cols)
+    rows = [list(point) + (pad + [c] if isinstance(c, str) else c + [""])
+            for point, c in zip(grid, cells)]
+    columns = [AXIS_COLUMNS[v] for v in variables] + value_cols + ["error"]
     return SweepResult(columns=columns, rows=rows,
                        config_hash=config_hash(cfg), version=__version__,
                        wall_time_ms=(time.perf_counter() - t0) * 1e3,
@@ -149,11 +144,7 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> SweepResult:
 def profile_coefficients(cfg: RunConfig) -> tuple[complex, complex]:
     """(rp, rs) at the configured operating point, for the profile outputs."""
     b = susceptibility(cfg.drive_params(), cfg.atom_params())
-    stack = cfg.layer_stack(b.total)
-    k0 = 2 * math.pi / cfg.lambda_um
-    theta = math.radians(cfg.theta_deg)
-    return (stack_fresnel(stack, theta, k0, "p")[0],
-            stack_fresnel(stack, theta, k0, "s")[0])
+    return _reflection_coefficients(cfg, b.total, cfg.theta_deg)
 
 
 def _run_profile(cfg: RunConfig, t0: float) -> SweepResult:

@@ -106,6 +106,27 @@ def test_reflected_field_window_guard(beam):
                         y=np.linspace(-beam.w0, beam.w0, 257))
 
 
+def test_reflected_field_window_guard_per_column(beam):
+    # a field pushed to the window edge trips the guard inside a batch
+    ky, amp = incident_spectrum(beam)
+    edge = amp * np.exp(-1j * ky * 7.5 * beam.w0)
+    reflected_field(beam, ky, amp, amp)
+    with pytest.raises(WindowError, match="sigma-"):
+        reflected_field(beam, ky, np.stack([amp, amp]), np.stack([amp, edge]))
+
+
+def test_spectral_shifts_batch_matches_pairs(beam, rng):
+    rp = rng.normal(size=5) * 0.2 + 1j * rng.normal(size=5) * 0.2
+    rs = rng.normal(size=5) * 0.4 + 1j * rng.normal(size=5) * 0.4
+    batch = spectral_shifts(beam, rp, rs)
+    for i in range(5):
+        one = spectral_shifts(beam, rp[i], rs[i])
+        for field in ("delta_plus", "delta_minus", "power_plus", "power_minus"):
+            want = getattr(one, field)
+            assert getattr(batch, field)[i] == pytest.approx(want, rel=1e-12,
+                                                             abs=1e-12)
+
+
 def test_centroid_zero_power(beam):
     with pytest.raises(DomainError):
         centroid(np.linspace(-1, 1, 11), np.zeros(11, dtype=complex))

@@ -9,7 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from rydshe import ConfigError, RunConfig, parse_config, serialize_config
+import rydshe.sweeps
+
+from rydshe import (ConfigError, RunConfig, SingularityError, parse_config,
+                    pshe_shifts, serialize_config)
 from rydshe.config import with_overrides
 from rydshe.sweeps import run_sweep, emit, format_csv, format_json, load_json
 from rydshe.cli import main as cli_main
@@ -118,12 +121,6 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sweep_threads_same_result():
-    cfg = with_overrides(RunConfig(), quantity="shift", variable="theta_i",
-                         sweep_min=33.5, sweep_max=34.2, steps=8)
-    r1 = run_sweep(cfg, threads=1)
-    r4 = run_sweep(cfg, threads=4)
-    assert format_csv(r1) == format_csv(r4)
 
 
 def test_sweep_json_roundtrip():
@@ -159,6 +156,56 @@ def test_map_row_major_grid():
     # axis1 outer, axis2 inner
     assert [r[0] for r in res.rows[:3]] == [33.8] * 3
     assert [r[1] for r in res.rows[:3]] == [-1.0, 0.0, 1.0]
+
+
+def test_map_chi_failure_lands_on_its_detuning(monkeypatch):
+    real = rydshe.sweeps.susceptibility
+    seen = []
+
+    def flaky(drive, atom):
+        seen.append(drive.Delta2)
+        if drive.Delta2 == 0.0:
+            raise SingularityError("injected")
+        return real(drive, atom)
+    monkeypatch.setattr(rydshe.sweeps, "susceptibility", flaky)
+    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
+                         sweep_min=33.8, sweep_max=33.9, steps=3,
+                         variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
+                         steps2=3)
+    res = run_sweep(cfg)
+    assert sorted(seen) == sorted(set(seen)) and len(seen) == 3
+    for row in res.rows:
+        if row[1] == 0.0:
+            assert row[-1] == "SingularityError: injected"
+            assert all(math.isnan(v) for v in row[2:-1])
+        else:
+            assert row[-1] == "" and all(math.isfinite(v) for v in row[2:-1])
+
+
+def test_fresnel_config_error_stays_on_its_row():
+    cfg = with_overrides(RunConfig(), quantity="fresnel", variable="theta_i",
+                         sweep_min=4.0, sweep_max=6.0, steps=3)
+    res = run_sweep(cfg)
+    assert [r[0] for r in res.rows] == [4.0, 5.0, 6.0]
+    assert res.rows[0][-1].startswith("ConfigError")
+    assert all(math.isnan(v) for v in res.rows[0][1:-1])
+    assert [r[-1] for r in res.rows[1:]] == ["", ""]
+
+
+def test_shift_sweep_over_thickness_builds_each_stack():
+    cfg = with_overrides(RunConfig(), quantity="shift", variable="d2",
+                         sweep_min=50.0, sweep_max=150.0, steps=3)
+    res = run_sweep(cfg)
+    assert [r[0] for r in res.rows] == [50.0, 100.0, 150.0]
+    for row in res.rows:
+        pcfg = with_overrides(cfg, d2_um=row[0])
+        want = pshe_shifts(pcfg.layer_stack(), pcfg.beam_spec(),
+                           pcfg.drive_params(), pcfg.atom_params())
+        got = dict(zip(res.columns, row))
+        scale = max(abs(want.delta_plus), pcfg.lambda_um)
+        assert abs(got["delta_plus_um"] - want.delta_plus) <= 1e-10 * scale
+        assert got["power_plus"] == pytest.approx(want.power_plus, rel=1e-10)
+    assert len({r[1] for r in res.rows}) == 3
 
 
 def test_chi_sweep_throughput():
@@ -277,3 +324,64 @@ def test_cli_shift_detuning_strong_coupling(tmp_path):
     assert code == 0
     rows = out.read_text().splitlines()[3:]
     assert len(rows) == 3 and all(r.endswith(",") for r in rows)
+
+
+def test_sweep_threads_same_result(tmp_path, capsys):
+    # --threads is accepted for old scripts, hidden, and changes no byte
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["shift-angle", "--theta-min", "33.5", "--theta-max", "34.2",
+            "--steps", "8"]
+    assert run_cli(*argv, "--out", str(a)) == 0
+    assert run_cli(*argv, "--threads", "4", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(SystemExit):
+        run_cli("shift-angle", "--help")
+    assert "--threads" not in capsys.readouterr().out
+
+
+class _Captured(Exception):
+    pass
+
+
+def _cli_sweep_config(monkeypatch, *argv) -> RunConfig:
+    """The RunConfig the CLI hands to run_sweep for `argv`."""
+    seen = []
+
+    def capture(cfg, **_):
+        seen.append(cfg)
+        raise _Captured
+    monkeypatch.setattr("rydshe.cli.run_sweep", capture)
+    with pytest.raises(_Captured):
+        run_cli(*argv)
+    return seen[0]
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("chi", ("chi", "Delta2", -10.0, 10.0, 201, None)),
+    ("fresnel", ("fresnel", "theta_i", 20.0, 50.0, 601, None)),
+    ("shift-angle", ("shift", "theta_i", 33.5, 34.2, 501, None)),
+    ("shift-detuning", ("shift", "Delta2", -5.0, 5.0, 201, None)),
+    ("map", ("map", "theta_i", 33.5, 34.2, 71, "Delta2", -5.0, 5.0, 51)),
+    ("profile", ("profile", "Delta2", -5.0, 5.0, 101, None)),
+])
+def test_cli_sweep_defaults(monkeypatch, tmp_path, command, fields):
+    cfg = _cli_sweep_config(monkeypatch, command, "--out",
+                            str(tmp_path / "x.csv"))
+    got = (cfg.quantity, cfg.variable, cfg.sweep_min, cfg.sweep_max,
+           cfg.steps, cfg.variable2)
+    if cfg.variable2 is not None:
+        got += (cfg.sweep_min2, cfg.sweep_max2, cfg.steps2)
+    assert got == fields
+
+
+def test_cli_one_axis_drops_config_variable2(tmp_path):
+    ini = tmp_path / "two_axes.ini"
+    ini.write_text("[sweep]\nvariable2 = theta_i\nmin2 = 33.5\nmax2 = 34.0\n"
+                   "steps2 = 3\n")
+    out = tmp_path / "chi.csv"
+    assert run_cli("chi", "--config", str(ini), "--steps", "2",
+                   "--delta2-min", "-1", "--delta2-max", "1",
+                   "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2].startswith("delta2_MHz,re_chi1")
+    assert len(lines) == 3 + 2

@@ -416,3 +416,27 @@ def test_nan_input_names_failing_solve(atom, drive0):
     from rydshe.quantum import _third_order_batch
     with pytest.raises(PropagationError, match="second-order two-body"):
         _third_order_batch(drive0, atom, np.array([math.nan]))
+
+
+def test_solve_residual_checked_per_system(monkeypatch):
+    # LU with partial pivoting is backward stable, so only a spoiled solve
+    # misses the tolerance.  Spoil one small-scale system of a batch: its
+    # own relative residual is 1e-6, while the norm over the whole batch
+    # stays near 1e-15 and would let it pass.
+    from rydshe import SingularityError
+    from rydshe.quantum import _solve_checked
+    rng = np.random.default_rng(3)
+    A = 4 * np.eye(8) + rng.normal(size=(64, 8, 8)) + 1j * rng.normal(size=(64, 8, 8))
+    b = rng.normal(size=(64, 8, 1)) + 0j
+    A[17] *= 1e-6
+    b[17] *= 1e-6
+    _solve_checked(A, b, "test batch")          # the clean batch passes
+    solve = np.linalg.solve
+
+    def spoiled(a, rhs):
+        x = solve(a, rhs)
+        x[17] *= 1 + 1e-6
+        return x
+    monkeypatch.setattr(np.linalg, "solve", spoiled)
+    with pytest.raises(SingularityError, match="batch index 17"):
+        _solve_checked(A, b, "test batch")
