@@ -11,8 +11,8 @@ import pytest
 
 import rydshe.sweeps
 
-from rydshe import (ConfigError, RunConfig, SingularityError, parse_config,
-                    pshe_shifts, serialize_config)
+from rydshe import (ConfigError, DomainError, RunConfig, SingularityError,
+                    parse_config, pshe_shifts, serialize_config)
 from rydshe.config import with_overrides
 from rydshe.sweeps import run_sweep, emit, format_csv, format_json, load_json
 from rydshe.cli import main as cli_main
@@ -121,8 +121,6 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-
-
 def test_sweep_json_roundtrip():
     cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
                          sweep_min=-2.0, sweep_max=2.0, steps=4)
@@ -190,6 +188,22 @@ def test_fresnel_config_error_stays_on_its_row():
     assert res.rows[0][-1].startswith("ConfigError")
     assert all(math.isnan(v) for v in res.rows[0][1:-1])
     assert [r[-1] for r in res.rows[1:]] == ["", ""]
+
+
+def test_shift_error_stays_on_its_row(monkeypatch):
+    real = rydshe.sweeps.shifts_from_coefficients
+
+    def fails_at_34(beam, rp, rs):
+        if beam.theta_i == math.radians(34.0):
+            raise DomainError("injected")
+        return real(beam, rp, rs)
+    monkeypatch.setattr(rydshe.sweeps, "shifts_from_coefficients", fails_at_34)
+    cfg = with_overrides(RunConfig(), quantity="shift", variable="theta_i",
+                         sweep_min=33.0, sweep_max=35.0, steps=3)
+    res = run_sweep(cfg)
+    assert [r[-1] for r in res.rows] == ["", "DomainError: injected", ""]
+    assert all(math.isfinite(v) for r in (res.rows[0], res.rows[2])
+               for v in r[1:-1])
 
 
 def test_shift_sweep_over_thickness_builds_each_stack():
