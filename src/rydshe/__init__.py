@@ -10,8 +10,7 @@ spin-resolved transverse centroid shifts of the reflected beam.
 __version__ = "0.1.0"
 
 from .errors import (RydsheError, DomainError, SingularityError,
-                     ConvergenceError, PropagationError, SearchError,
-                     WindowError, ConfigError)
+                     PropagationError, SearchError, WindowError, ConfigError)
 from .quantum import (AtomParams, DriveParams, ComplexDenominators,
                       CorrelatorSet, SusceptibilityBreakdown,
                       derive_dipole_moment, blockade_radius,

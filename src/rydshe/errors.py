@@ -13,10 +13,6 @@ class SingularityError(RydsheError):
     """A linear system or closed-form denominator is (numerically) singular."""
 
 
-class ConvergenceError(RydsheError):
-    """A numerical scheme failed its convergence self-check."""
-
-
 class PropagationError(RydsheError):
     """An upstream quantity contained NaN/Inf and poisoned a downstream solve."""
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, SearchError, SingularityError
 
@@ -169,6 +168,8 @@ def brewster_angle(stack: LayerStack, k0: float,
     followed by bounded golden-section refinement around the global
     minimum.  Raises SearchError when the minimum sits on the scan edge.
     """
+    # imported here: no sweep needs it, and scipy.optimize costs ~0.5 s to load
+    from scipy.optimize import minimize_scalar
     thetas = np.linspace(theta_min, theta_max, coarse)
     rp, _ = stack_fresnel(stack, thetas, k0, "p")
     i = int(np.argmin(np.abs(rp)))

@@ -5,8 +5,8 @@ The main physics modules are validated against four kinds of oracle:
 * the full (all orders in Omega_p) steady state of the local three-level
   Bloch equations, solved as a 9x9 linear system with the trace row --
   this pins every sign convention of the perturbative expansion;
-* dense-trapezoid quadrature of the nonlocal shell integral, checking
-  the fixed-order Gauss-Legendre scheme and the 3 R_b truncation;
+* Gauss-Legendre and dense-trapezoid quadrature of the nonlocal shell
+  integral, checking its closed form and the 3 R_b truncation;
 * closed-form optics identities (two-interface Airy summation, energy
   conservation) exercised in the tests;
 * angular-spectrum synthesis of the reflected beam: the spin spectra are
@@ -125,6 +125,23 @@ def perturbative_rho21_local(drive: DriveParams, atom: AtomParams) -> complex:
     # Na = 0 skips the shell integral; the local coefficient is Na-free
     loc, _ = third_order_coherence(drive, atom.with_density(0.0))
     return drive.Omega_p * r21_1 + drive.Omega_p**3 * loc
+
+
+def gauss_legendre_nonlocal_integral(drive: DriveParams, atom: AtomParams,
+                                     n_nodes: int = quantum.DEFAULT_QUAD_NODES,
+                                     upper_factor: float = 3.0) -> complex:
+    """Reference for the closed-form shell integral: Gauss-Legendre
+    quadrature in u = 1/s^3 (where s^2 V ds -> (C6/3) du), one batched
+    8x8 solve per node."""
+    if atom.C6 == 0 or atom.Na == 0:
+        return 0.0 + 0.0j
+    Rb = atom.blockade_radius(drive.Omega_c)
+    u_hi, u_lo = Rb**-3, (upper_factor * Rb)**-3
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    u = 0.5 * (u_hi - u_lo) * x + 0.5 * (u_hi + u_lo)
+    wu = 0.5 * (u_hi - u_lo) * w
+    x1 = quantum._third_order_batch(drive, atom, atom.C6 * u**2)[:, 0]
+    return complex(atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * np.sum(wu * x1))
 
 
 def trapezoid_nonlocal_integral(drive: DriveParams, atom: AtomParams,
@@ -276,10 +293,12 @@ class QuadratureReport:
 
 def quadrature_refine(drive: DriveParams, atom: AtomParams,
                       node_counts=(16, 32, 64, 128)) -> QuadratureReport:
-    """Convergence study of the nonlocal quadrature against brute force."""
+    """Convergence study of the oracle Gauss-Legendre rule against brute
+    force, and the closed form's sensitivity to the 3 R_b cutoff."""
     if list(node_counts) != sorted(set(node_counts)):
         raise ValueError("node_counts must be strictly increasing")
-    vals = [nonlocal_integral(drive, atom, n_nodes=n) for n in node_counts]
+    vals = [gauss_legendre_nonlocal_integral(drive, atom, n_nodes=n)
+            for n in node_counts]
     diffs = [abs(vals[i + 1] - vals[i]) / max(abs(vals[i + 1]), 1e-300)
              for i in range(len(vals) - 1)]
     ref = trapezoid_nonlocal_integral(drive, atom)
@@ -407,10 +426,11 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
 
     def chk_quadrature():
         drv = canonical_drive(0.0)
-        i32 = nonlocal_integral(drv, atom, n_nodes=32)
-        i64 = nonlocal_integral(drv, atom, n_nodes=64)
-        return abs(i64 - i32) / abs(i64)
-    _run_check("quadrature_node_doubling", chk_quadrature, 1e-8, results)
+        i_cf = nonlocal_integral(drv, atom)
+        i_gl = gauss_legendre_nonlocal_integral(drv, atom)
+        return abs(i_cf - i_gl) / abs(i_gl)
+    _run_check("shell_integral_vs_gauss_legendre", chk_quadrature, 1e-8,
+               results)
 
     def chk_airy():
         k0 = TWO_PI / atom.lambda_p

@@ -21,7 +21,11 @@ rho21^(1) comes from a closed form, rho21^(3) splits into a local part
 correlator <sigma33(r') sigma31(r)> integrated against V over the shell
 [R_b, 3 R_b] outside the blockade radius.  The correlator hierarchy is
 closed at two atoms / third order and reduces to one 5x5, two 4x4 and
-one 8x8 complex linear solve per separation.
+one 8x8 complex linear solve per separation.  The pair energy enters
+those systems as a low-rank change, so the correlator is a rational
+function of V and the shell integral has a closed form: per detuning it
+costs the same four solves (two of them with several right-hand sides)
+and a 2x2 eigenvalue problem.
 
 Sign conventions are pinned by two independent checks exercised in the
 test suite: (a) the full nonperturbative local steady state (oracle
@@ -43,17 +47,27 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.constants as const
 
-from .errors import DomainError, PropagationError, SingularityError, ConvergenceError
+from .errors import DomainError, PropagationError, SingularityError
 
 TWO_PI = 2.0 * math.pi
+
+# SI constants, CODATA 2022: speed of light (m/s), vacuum permittivity
+# (F/m), reduced Planck constant (J s)
+C_LIGHT = 299792458.0
+EPSILON_0 = 8.8541878188e-12
+HBAR = 1.0545718176461565e-34
 
 # relative residual allowed for any dense solve in this module
 SOLVE_RESIDUAL_TOL = 1e-10
 
-# default Gauss-Legendre order for the nonlocal shell integral
+# default order of the oracle's Gauss-Legendre rule for the shell integral
 DEFAULT_QUAD_NODES = 64
+
+# a pole of rr33_31^(3)(V) closer to the shell than this fraction of its
+# length (in u = 1/s^3), or two poles closer than this relative distance,
+# is a resonance the closed form refuses to integrate
+POLE_CLEARANCE = 1e-3
 
 
 def derive_dipole_moment(Gamma21_si: float, lambda_si: float) -> float:
@@ -65,8 +79,8 @@ def derive_dipole_moment(Gamma21_si: float, lambda_si: float) -> float:
     """
     if Gamma21_si < 0 or lambda_si <= 0:
         raise DomainError("decay rate must be >= 0 and wavelength > 0")
-    omega = TWO_PI * const.c / lambda_si
-    return math.sqrt(3 * math.pi * const.epsilon_0 * const.hbar * const.c**3
+    omega = TWO_PI * C_LIGHT / lambda_si
+    return math.sqrt(3 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3
                      * Gamma21_si / omega**3)
 
 
@@ -133,7 +147,7 @@ class AtomParams:
         g32 = (Gamma21 + Gamma32) / 2 if gamma32 is None else gamma32
         p21 = derive_dipole_moment(Gamma21 * 1e6, lambda_p * 1e-6)
         # K = Na p^2/(eps0 hbar): um^-3 -> m^-3 is 1e18, 1/s -> rad/us is 1e-6
-        K = Na * 1e18 * p21**2 / (const.epsilon_0 * const.hbar) * 1e-6
+        K = Na * 1e18 * p21**2 / (EPSILON_0 * HBAR) * 1e-6
         return cls(Gamma21=Gamma21, Gamma32=Gamma32, gamma21=g21, gamma32=g32,
                    gamma31=g31, C6=C6, Na=Na, lambda_p=lambda_p, p21=p21,
                    chi_prefactor=K)
@@ -144,7 +158,7 @@ class AtomParams:
             raise DomainError("Na must be non-negative")
         scale = 0.0 if self.Na == 0 else Na / self.Na
         K = self.chi_prefactor * scale if self.Na else \
-            Na * 1e18 * self.p21**2 / (const.epsilon_0 * const.hbar) * 1e-6
+            Na * 1e18 * self.p21**2 / (EPSILON_0 * HBAR) * 1e-6
         return AtomParams(Gamma21=self.Gamma21, Gamma32=self.Gamma32,
                           gamma21=self.gamma21, gamma32=self.gamma32,
                           gamma31=self.gamma31, C6=self.C6, Na=Na,
@@ -292,21 +306,30 @@ def _second_order_systems(drive: DriveParams, atom: AtomParams):
     return d, r21, r31, zA
 
 
+def _pair_matrix(d: ComplexDenominators, Oc: float) -> np.ndarray:
+    """MB0, the pair 4x4 of (rr31_31, rr21_31, rr21_21, rr31_21)^(2) at
+    V = 0; the pair energy enters as MB(V) = MB0 - V e0 e0^T."""
+    return np.array([
+        [2 * d.d31, Oc, 0, Oc],
+        [Oc, d.d21 + d.d31, Oc, 0],
+        [0, Oc, 2 * d.d21, Oc],
+        [Oc, 0, Oc, d.d21 + d.d31],
+    ], dtype=complex)
+
+
+def _pair_rhs(r21: complex, r31: complex) -> np.ndarray:
+    return np.array([0, -r31, -2 * r21, -r31], dtype=complex)
+
+
 def _coherence_pair_batch(d: ComplexDenominators, Oc: float,
                           r21: complex, r31: complex,
                           V: np.ndarray) -> np.ndarray:
     """Batched V-dependent 4x4: (rr31_31, rr21_31, rr21_21, rr31_21)^(2)."""
     n = V.shape[0]
     MB = np.empty((n, 4, 4), dtype=complex)
-    MB[:] = np.array([
-        [2 * d.d31, Oc, 0, Oc],
-        [Oc, d.d21 + d.d31, Oc, 0],
-        [0, Oc, 2 * d.d21, Oc],
-        [Oc, 0, Oc, d.d21 + d.d31],
-    ], dtype=complex)
+    MB[:] = _pair_matrix(d, Oc)
     MB[:, 0, 0] -= V
-    qB = np.broadcast_to(np.array([0, -r31, -2 * r21, -r31], dtype=complex),
-                         (n, 4))
+    qB = np.broadcast_to(_pair_rhs(r21, r31), (n, 4))
     return _solve_checked(MB, qB[..., None], "second-order two-body (pair 4x4)")[..., 0]
 
 
@@ -329,23 +352,26 @@ def second_order_twobody(drive: DriveParams, atom: AtomParams, r: float) -> np.n
     return np.concatenate([zA, zB])
 
 
-def _third_order_batch(drive: DriveParams, atom: AtomParams,
-                       V: np.ndarray) -> np.ndarray:
-    """Batched 8x8 third-order solve over an array of pair energies V.
+# rows of the third-order right-hand side fed by the pair correlators
+# (rr31_31, rr21_31, rr21_21, rr31_21)^(2), in that order
+_PAIR_ROWS = [2, 4, 7, 6]
 
-    Returns shape (n, 8) in the order (rr33_31, rr23_31, rr32_31,
-    rr33_21, rr22_31, rr23_21, rr32_21, rr22_21)^(3).
+
+def _third_order_system(d: ComplexDenominators, Oc: float, atom: AtomParams,
+                        zA: np.ndarray, onebody: tuple
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(Q0, q_c): the third-order 8x8 at V = 0 and the part of its
+    right-hand side that the pair correlators zB do not feed.
+
+    The pair energy shifts the double-Rydberg coherences (rows 0 and 2),
+    Q(V) = Q0 - V (e0 e0^T + e2 e2^T), and q(V) = q_c + P zB(V) with P
+    scattering zB onto `_PAIR_ROWS`.
     """
-    d, r21, r31, zA = _second_order_systems(drive, atom)
     rr13_31, rr12_31, rr12_21, rr13_21 = zA
-    r11, r22, r33, r32 = second_order_onebody(drive, atom)
+    r11, r22, r33, r32 = onebody
     r23 = np.conj(r32)
-    Oc = drive.Omega_c
     G12, G23 = atom.Gamma21, atom.Gamma32
-    zB = _coherence_pair_batch(d, Oc, r21, r31, V)
-    n = V.shape[0]
-    Q = np.empty((n, 8, 8), dtype=complex)
-    Q[:] = np.array([
+    Q0 = np.array([
         [d.d31 + 1j * G23, Oc, -Oc, Oc, 0, 0, 0, 0],
         [Oc, d.d23 + d.d31, 0, 0, -Oc, Oc, 0, 0],
         [-Oc, 0, d.d31 + d.d32, 0, Oc, 0, Oc, 0],
@@ -355,18 +381,31 @@ def _third_order_batch(drive: DriveParams, atom: AtomParams,
         [0, 0, Oc, -Oc, 0, 0, d.d21 + d.d32, Oc],
         [0, 0, 0, -1j * G23, Oc, -Oc, Oc, d.d21 + 1j * G12],
     ], dtype=complex)
-    # the pair energy shifts the double-Rydberg coherences (rows 1 and 3)
+    qc = np.array([0, -rr13_31, 0, -r33, -rr12_31, -r23 - rr13_21, -r32,
+                   -r22 - rr12_21], dtype=complex)
+    return Q0, qc
+
+
+def _third_order_batch(drive: DriveParams, atom: AtomParams,
+                       V: np.ndarray) -> np.ndarray:
+    """Batched 8x8 third-order solve over an array of pair energies V.
+
+    Returns shape (n, 8) in the order (rr33_31, rr23_31, rr32_31,
+    rr33_21, rr22_31, rr23_21, rr32_21, rr22_21)^(3).
+    """
+    d, r21, r31, zA = _second_order_systems(drive, atom)
+    Oc = drive.Omega_c
+    Q0, qc = _third_order_system(d, Oc, atom, zA,
+                                 second_order_onebody(drive, atom))
+    zB = _coherence_pair_batch(d, Oc, r21, r31, V)
+    n = V.shape[0]
+    Q = np.empty((n, 8, 8), dtype=complex)
+    Q[:] = Q0
     Q[:, 0, 0] -= V
     Q[:, 2, 2] -= V
     q = np.empty((n, 8), dtype=complex)
-    q[:, 0] = 0.0
-    q[:, 1] = -rr13_31
-    q[:, 2] = zB[:, 0]                    # rr31_31^(2)(V)
-    q[:, 3] = -r33
-    q[:, 4] = zB[:, 1] - rr12_31          # rr21_31^(2)(V) - rr12_31^(2)
-    q[:, 5] = -r23 - rr13_21
-    q[:, 6] = -r32 + zB[:, 3]             # rr31_21^(2)(V)
-    q[:, 7] = -r22 - rr12_21 + zB[:, 2]   # rr21_21^(2)(V)
+    q[:] = qc
+    q[:, _PAIR_ROWS] += zB
     return _solve_checked(Q, q[..., None], "third-order two-body (8x8)")[..., 0]
 
 
@@ -385,46 +424,111 @@ def third_order_twobody(drive: DriveParams, atom: AtomParams, r: float) -> np.nd
                                f"{drive.Delta2:g} rad/us") from exc
 
 
+def _correlator_poles(drive: DriveParams, atom: AtomParams, onebody: tuple
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Poles V_k and residues c_k of rr33_31^(3)(V) = sum_k c_k / (V - V_k).
+
+    Sherman-Morrison on the pair 4x4: MB0 [zB0, w] = [qB, e0] gives
+    zB(V) = zB0 + w zB0_0 g(V), g(V) = V / (1 - V beta), beta = w_0.
+    Woodbury on the 8x8 with U = [e0, e2]: Q0 X = [e0, e2, q0, p], with
+    q0 = q_c + P zB0 and p = P w zB0_0, and rows 0 and 2 of X give
+    S = U^T Q0^-1 U, a and b, so that
+
+        rr33_31^(3)(V) = e0^T (I - V S)^-1 (a + g(V) b).
+
+    The poles are 1/eig(S) and 1/beta; the numerator is of lower degree
+    than the denominator, so there is no polynomial part.
+    """
+    d, r21, r31, zA = _second_order_systems(drive, atom)
+    Oc = drive.Omega_c
+    zw = _solve_checked(_pair_matrix(d, Oc),
+                        np.array([_pair_rhs(r21, r31), [1, 0, 0, 0]]).T,
+                        "second-order two-body (pair 4x4)")
+    zB0, w = zw[:, 0], zw[:, 1]
+    beta = w[0]
+    Q0, qc = _third_order_system(d, Oc, atom, zA, onebody)
+    rhs = np.zeros((8, 4), dtype=complex)
+    rhs[0, 0] = rhs[2, 1] = 1.0
+    rhs[:, 2] = qc
+    rhs[_PAIR_ROWS, 2] += zB0
+    rhs[_PAIR_ROWS, 3] = w * zB0[0]
+    X = _solve_checked(Q0, rhs, "third-order two-body (8x8)")[[0, 2]]
+    S, a, b = X[:, :2], X[:, 2], X[:, 3]
+    lam = np.linalg.eigvals(S)
+    # coincident poles give non-finite residues; _shell_pole_sum refuses them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        V = 1.0 / np.array([lam[0], lam[1], beta])
+        # row 0 of adj(I - V_k S), so that (I - V S)^-1 = adj / det
+        adj0 = np.stack([1 - V * S[1, 1], V * S[0, 1]], axis=1)
+        c = np.empty(3, dtype=complex)
+        c[:2] = ((adj0[:2] @ a + (adj0[:2] @ b) / (lam - beta))
+                 / (lam[::-1] - lam))
+        c[2] = -V[2] ** 2 * (adj0[2] @ b) / np.prod(1 - V[2] * lam)
+    return V, c
+
+
+def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
+                    u_lo: float, u_hi: float) -> complex:
+    """int_{u_lo}^{u_hi} sum_k c_k / (C6 u^2 - V_k) du, exactly.
+
+    With a_k = sqrt(V_k / C6) each term is
+    c_k / (2 a_k C6) [ln(u - a_k) - ln(u + a_k)] between the limits.  The
+    differences are taken as log1p of (u_hi -/+ a_k)/(u_lo -/+ a_k) - 1,
+    which stays on the principal branch along the segment and keeps full
+    precision for poles far from it.  A pole within POLE_CLEARANCE
+    segment lengths of [u_lo, u_hi], or two poles within POLE_CLEARANCE
+    of each other (relative), raises SingularityError.
+    """
+    if not (np.all(np.isfinite(poles)) and np.all(np.isfinite(residues))):
+        raise SingularityError(f"non-finite pole or residue of rr33_31^(3): "
+                               f"poles {poles}")
+    for i in range(len(poles)):
+        for j in range(i):
+            if abs(poles[i] - poles[j]) <= POLE_CLEARANCE * max(
+                    abs(poles[i]), abs(poles[j])):
+                raise SingularityError(
+                    f"poles V = {poles[j]:.6g} and V = {poles[i]:.6g} rad/us "
+                    f"of rr33_31^(3) coincide")
+    span = u_hi - u_lo
+    a = np.sqrt(poles / C6)                    # principal root, Re a >= 0
+    dist = np.abs(a - np.clip(a.real, u_lo, u_hi)) / span
+    k = int(np.argmin(dist))
+    if dist[k] <= POLE_CLEARANCE:
+        raise SingularityError(
+            f"pole V = {poles[k]:.6g} rad/us of rr33_31^(3) lies "
+            f"{dist[k]:.2g} shell lengths from the shell")
+    logs = np.log1p(span / (u_lo - a)) - np.log1p(span / (u_lo + a))
+    return complex(np.sum(residues / (2 * a * C6) * logs))
+
+
 def nonlocal_integral(drive: DriveParams, atom: AtomParams,
-                      n_nodes: int = DEFAULT_QUAD_NODES,
-                      upper_factor: float = 3.0,
-                      check_convergence: bool = False,
-                      convergence_tol: float = 1e-8) -> complex:
+                      upper_factor: float = 3.0, *,
+                      onebody: tuple | None = None) -> complex:
     """I = Na * 4 pi * int_{R_b}^{u.f.*R_b} s^2 V(s) rr33_31^(3)(s) ds.
 
     The substitution u = 1/s^3 flattens the s^-6 kernel exactly
-    (s^2 V ds -> (C6/3) du), leaving a smooth integrand handled by
-    fixed-order Gauss-Legendre quadrature.  With `check_convergence`
-    the node count is doubled and the relative drift must stay below
-    `convergence_tol`.
+    (s^2 V ds -> (C6/3) du).  The integrand is a rational function of
+    V = C6 u^2 with three simple poles (`_correlator_poles`), so the
+    integral is a sum of logarithms (`_shell_pole_sum`), with no
+    quadrature.  `onebody` takes the `second_order_onebody` values when
+    the caller already has them.
     """
     if atom.C6 == 0 or atom.Na == 0:
         return 0.0 + 0.0j
     Rb = atom.blockade_radius(drive.Omega_c)
-
-    def gauss(n):
-        u_hi = Rb**-3
-        u_lo = (upper_factor * Rb)**-3
-        x, w = np.polynomial.legendre.leggauss(n)
-        u = 0.5 * (u_hi - u_lo) * x + 0.5 * (u_hi + u_lo)
-        wu = 0.5 * (u_hi - u_lo) * w
-        x1 = _third_order_batch(drive, atom, atom.C6 * u**2)[:, 0]
-        return atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * np.sum(wu * x1)
-
-    val = gauss(n_nodes)
-    if check_convergence:
-        val2 = gauss(2 * n_nodes)
-        drift = abs(val2 - val) / max(abs(val2), 1e-300)
-        if drift > convergence_tol:
-            raise ConvergenceError(
-                f"quadrature drift {drift:.2e} on node doubling "
-                f"{n_nodes}->{2*n_nodes} exceeds {convergence_tol:.0e}")
-        val = val2
-    return complex(val)
+    if onebody is None:
+        onebody = second_order_onebody(drive, atom)
+    try:
+        poles, residues = _correlator_poles(drive, atom, onebody)
+        total = _shell_pole_sum(poles, residues, atom.C6,
+                                (upper_factor * Rb) ** -3, Rb ** -3)
+    except SingularityError as exc:
+        raise SingularityError(f"{exc} at Delta2 = {drive.Delta2:g} rad/us"
+                               ) from exc
+    return complex(atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total)
 
 
-def third_order_coherence(drive: DriveParams, atom: AtomParams,
-                          n_nodes: int = DEFAULT_QUAD_NODES
+def third_order_coherence(drive: DriveParams, atom: AtomParams
                           ) -> tuple[complex, complex]:
     """(rho21^(3,local), rho21^(3,nonlocal)).
 
@@ -439,11 +543,12 @@ def third_order_coherence(drive: DriveParams, atom: AtomParams,
     if den == 0:
         raise SingularityError(
             f"EIT denominator vanishes at Delta2 = {drive.Delta2:g} rad/us")
-    r11, r22, r33, r32 = second_order_onebody(drive, atom)
+    onebody = second_order_onebody(drive, atom)
+    r11, r22, r33, r32 = onebody
     local = -(d.d31 * (r22 - r11) - drive.Omega_c * r32) / den
     if atom.C6 == 0 or drive.Omega_c == 0 or atom.Na == 0:
         return complex(local), 0.0 + 0.0j
-    I = nonlocal_integral(drive, atom, n_nodes=n_nodes)
+    I = nonlocal_integral(drive, atom, onebody=onebody)
     return complex(local), complex(drive.Omega_c * I / den)
 
 
@@ -465,8 +570,7 @@ class SusceptibilityBreakdown:
         return self.chi1 + self.chi3_local_contrib
 
 
-def susceptibility(drive: DriveParams, atom: AtomParams,
-                   n_nodes: int = DEFAULT_QUAD_NODES) -> SusceptibilityBreakdown:
+def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakdown:
     """Probe susceptibility chi = K rho21 / Omega_p, split by order.
 
     chi1 scales as Na, chi3_nonlocal_contrib as Na^2 (one power through
@@ -474,7 +578,7 @@ def susceptibility(drive: DriveParams, atom: AtomParams,
     """
     K = atom.chi_prefactor
     r21_1, _ = first_order_coherences(drive, atom)
-    loc, nl = third_order_coherence(drive, atom, n_nodes=n_nodes)
+    loc, nl = third_order_coherence(drive, atom)
     Op2 = drive.Omega_p**2
     return SusceptibilityBreakdown(chi1=K * r21_1,
                                    chi3_local_contrib=K * Op2 * loc,

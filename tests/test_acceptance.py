@@ -25,7 +25,8 @@ from rydshe import (BeamSpec, DriveParams, brewster_angle,
                     stack_fresnel, susceptibility, canonical_atom, canonical_drive,
                     canonical_stack)
 from rydshe.oracle import (oracle_rho21, perturbative_rho21_local,
-                           _airy_two_interface, spectral_shifts)
+                           _airy_two_interface, spectral_shifts,
+                           gauss_legendre_nonlocal_integral)
 from rydshe.multilayer import Layer, LayerStack
 
 TWO_PI = 2.0 * math.pi
@@ -269,7 +270,8 @@ def test_criterion_9_oracle_certification(rng):
     steady state at 0.1 MHz probe; closed-form two-interface formula
     within 1e-12; closed-form pipeline within 2% of the spectral-synthesis
     centroid;
-    quadrature node-doubling drift under 1e-8; < 60 s total."""
+    closed-form shell integral within 1e-8 of the oracle Gauss-Legendre
+    rule; < 60 s total."""
     t0 = time.perf_counter()
     atom = canonical_atom()
 
@@ -306,9 +308,9 @@ def test_criterion_9_oracle_certification(rng):
                           abs(s.delta_plus - da) / max(abs(da), 1e-3 * W0))
 
     drv = canonical_drive(0.0)
-    i32 = nonlocal_integral(drv, atom, n_nodes=32)
-    i64 = nonlocal_integral(drv, atom, n_nodes=64)
-    drift = abs(i64 - i32) / abs(i64)
+    i_gl = gauss_legendre_nonlocal_integral(drv, atom)
+    i_cf = nonlocal_integral(drv, atom)
+    drift = abs(i_cf - i_gl) / abs(i_gl)
 
     elapsed = time.perf_counter() - t0
     ok = (worst_pert < 0.01 and worst_airy < 1e-12 and worst_shift < 0.02
@@ -317,4 +319,4 @@ def test_criterion_9_oracle_certification(rng):
                   f"pert-vs-oracle={worst_pert:.2e} (<1e-2), "
                   f"airy={worst_airy:.2e} (<1e-12), "
                   f"pipeline-vs-analytic={worst_shift:.2e} (<2e-2), "
-                  f"quadrature drift={drift:.2e} (<1e-8), {elapsed:.1f}s")
+                  f"closed-form-vs-GL64={drift:.2e} (<1e-8), {elapsed:.1f}s")

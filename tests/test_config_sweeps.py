@@ -331,6 +331,15 @@ def test_cli_entry_point_installed():
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, rydshe.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_shift_detuning_strong_coupling(tmp_path):
     out = tmp_path / "sd8.csv"
     code = run_cli("shift-detuning", "--omega-c", "8", "--delta2-min", "-1",

@@ -1,17 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydshe import (AtomParams, DriveParams, CorrelatorSet, DomainError,
-                    blockade_radius, derive_dipole_moment,
+                    SingularityError, blockade_radius, derive_dipole_moment,
                     first_order_coherences, nonlocal_integral,
                     second_order_onebody, second_order_twobody,
                     susceptibility, third_order_coherence,
                     third_order_twobody, canonical_atom, canonical_drive)
-from rydshe.oracle import full_local_bloch_steady_state
-from rydshe.quantum import ComplexDenominators, _third_order_batch
+from rydshe import quantum
+from rydshe.oracle import (full_local_bloch_steady_state,
+                           gauss_legendre_nonlocal_integral)
+from rydshe.quantum import (ComplexDenominators, _correlator_poles,
+                            _shell_pole_sum, _third_order_batch)
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,6 +38,14 @@ def test_dipole_moment_reference_value():
     ref = mp.sqrt(3 * mp.pi * eps0 * hbar * c**3
                   * (2 * mp.pi * mp.mpf("6.0e6")) / omega**3)
     assert p == pytest.approx(float(ref), rel=1e-8)
+
+
+def test_si_constants_match_scipy():
+    import scipy.constants as const
+    for ours, theirs in ((quantum.C_LIGHT, const.c),
+                         (quantum.EPSILON_0, const.epsilon_0),
+                         (quantum.HBAR, const.hbar)):
+        assert ours == pytest.approx(theirs, rel=1e-9)
 
 
 def test_dipole_moment_sqrt_scaling():
@@ -298,18 +310,95 @@ def test_nonlocal_integral_linear_density_prefactor(atom, drive0):
 
 def test_nonlocal_integral_vs_trapezoid_reference(atom, drive0):
     from rydshe.oracle import trapezoid_nonlocal_integral
-    i_gl = nonlocal_integral(drive0, atom, n_nodes=64)
+    i_gl = nonlocal_integral(drive0, atom)
     i_tr = trapezoid_nonlocal_integral(drive0, atom, panels=10_000)
     assert abs(i_gl - i_tr) / abs(i_tr) < 1e-6
 
 
 def test_nonlocal_integral_node_doubling(atom, drive0):
-    i64 = nonlocal_integral(drive0, atom, n_nodes=64)
-    i128 = nonlocal_integral(drive0, atom, n_nodes=128)
+    # the oracle rule is converged, and the closed form sits on it
+    i64 = gauss_legendre_nonlocal_integral(drive0, atom, n_nodes=64)
+    i128 = gauss_legendre_nonlocal_integral(drive0, atom, n_nodes=128)
     assert abs(i128 - i64) / abs(i128) < 1e-8
-    # the self-check variant must agree and not raise
-    ichk = nonlocal_integral(drive0, atom, n_nodes=64, check_convergence=True)
-    assert ichk == pytest.approx(i128, rel=1e-12)
+    i_cf = nonlocal_integral(drive0, atom)
+    assert abs(i_cf - i128) / abs(i128) < 1e-12
+
+
+def test_partial_fractions_reproduce_correlator(atom):
+    drv = canonical_drive(TWO_PI * 1.3)
+    poles, res = _correlator_poles(drv, atom,
+                                   second_order_onebody(drv, atom))
+    V = np.concatenate([
+        [0.0, 1.0 + 1.0j, 1e3 + 5j, -2e3 + 300j, 1e5j],
+        poles * (1 + 1e-2j), poles * (1 - 1e-2), poles * (1 + 1e-3)])
+    direct = _third_order_batch(drv, atom, V)[:, 0]
+    pf = np.sum(res / (V[:, None] - poles), axis=1)
+    assert np.max(np.abs(pf - direct) / np.abs(direct)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d2=st.floats(-10, 10), dc=st.floats(-1, 1), oc=st.floats(0.5, 8),
+       c6_sign=st.sampled_from([-1.0, 1.0]), na=st.floats(0.004, 0.4),
+       upper=st.sampled_from([3.0, 5.0]))
+def test_closed_form_matches_gauss_legendre(d2, dc, oc, c6_sign, na, upper):
+    base = canonical_atom()
+    atom = AtomParams.from_decay_rates(base.Gamma21, base.Gamma32,
+                                       c6_sign * base.C6, na, base.lambda_p)
+    drv = DriveParams(Omega_p=TWO_PI * 0.75, Omega_c=TWO_PI * oc,
+                      Delta2=TWO_PI * d2, Delta_c=TWO_PI * dc)
+    i_cf = nonlocal_integral(drv, atom, upper_factor=upper)
+    i_gl = gauss_legendre_nonlocal_integral(drv, atom, n_nodes=128,
+                                            upper_factor=upper)
+    assert abs(i_cf - i_gl) / abs(i_gl) < 1e-12
+
+
+def test_shell_pole_sum_single_pole():
+    # c / (C6 u^2 - V) with V = C6 a^2: antiderivative
+    # c / (2 a C6) ln((u - a) / (u + a)), a pole well off the segment
+    C6, a, c = 2.0, 0.3 + 0.4j, 1.5 - 0.5j
+    got = _shell_pole_sum(np.array([C6 * a**2]), np.array([c]), C6, 1.0, 2.0)
+    F = lambda u: c / (2 * a * C6) * (np.log(u - a) - np.log(u + a))
+    assert got == pytest.approx(F(2.0) - F(1.0), rel=1e-14)
+
+
+def test_shell_pole_sum_refuses_poles_on_the_shell():
+    C6, lo, hi = -3.0, 1.0, 2.0
+    res = np.array([1.0, 1.0])
+    on_shell = C6 * (1.5 + 1e-5j) ** 2
+    with pytest.raises(SingularityError,
+                       match=re.escape(f"pole V = {on_shell:.6g} rad/us")):
+        _shell_pole_sum(np.array([on_shell, 7.0 + 1j]), res, C6, lo, hi)
+    near_end = C6 * (hi + 5e-4) ** 2          # just beyond u_hi
+    with pytest.raises(SingularityError, match="shell lengths"):
+        _shell_pole_sum(np.array([near_end, 7.0 + 1j]), res, C6, lo, hi)
+    twin = 7.0 + 1j
+    with pytest.raises(SingularityError, match="coincide"):
+        _shell_pole_sum(np.array([twin, twin * (1 + 1e-4)]), res, C6, lo, hi)
+    # a clear segment and well separated poles pass
+    _shell_pole_sum(np.array([C6 * (hi + 0.01) ** 2, twin]), res, C6, lo, hi)
+
+
+def test_pole_error_names_the_detuning(atom, monkeypatch):
+    # widen the clearance so the canonical poles count as on the shell
+    monkeypatch.setattr(quantum, "POLE_CLEARANCE", 10.0)
+    drv = canonical_drive(TWO_PI * 1.3)
+    with pytest.raises(SingularityError,
+                       match=re.escape(f"at Delta2 = {drv.Delta2:g} rad/us")):
+        nonlocal_integral(drv, atom)
+
+
+def test_susceptibility_solve_count(atom, monkeypatch):
+    # one 5x5 (shared by the local and nonlocal terms), the mixed and the
+    # pair 4x4 and one 8x8 per detuning; no node axis
+    shapes = []
+    solve = quantum._solve_checked
+
+    def record(A, b, what):
+        shapes.append(A.shape)
+        return solve(A, b, what)
+    monkeypatch.setattr(quantum, "_solve_checked", record)
+    susceptibility(canonical_drive(TWO_PI * 0.4), atom)
+    assert sorted(shapes) == [(4, 4), (4, 4), (5, 5), (8, 8)]
 
 
 # ------------------------------------------------------ third-order parts
