@@ -12,15 +12,14 @@ __version__ = "0.1.0"
 from .errors import (RydsheError, DomainError, SingularityError,
                      PropagationError, SearchError, WindowError, ConfigError)
 from .quantum import (AtomParams, DriveParams, ComplexDenominators,
-                      CorrelatorSet, SusceptibilityBreakdown,
+                      SusceptibilityBreakdown,
                       derive_dipole_moment, blockade_radius,
                       first_order_coherences, second_order_onebody,
                       second_order_twobody, third_order_twobody,
                       nonlocal_integral, third_order_coherence,
                       susceptibility)
-from .multilayer import (Layer, LayerStack, FresnelPair, refraction_cosine,
-                         layer_matrix, stack_matrix, stack_fresnel,
-                         stack_fresnel_pair, brewster_angle)
+from .multilayer import (Layer, LayerStack, refraction_cosine, layer_matrix,
+                         stack_matrix, stack_fresnel, brewster_angle)
 from .beam_shift import (BeamSpec, ShiftResult, analytic_gaussian_shift,
                          shifts_from_coefficients, pshe_shifts, medium_index,
                          intensity_profiles, intensity_maps_2d)

@@ -22,13 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .errors import ConfigError, RydsheError
 from .config import RunConfig, parse_config, serialize_config, with_overrides
 from .sweeps import run_sweep, emit, profile_coefficients
-from .oracle import verify_suite, report_as_dicts
+from .oracle import verify_suite
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3, 4
 
@@ -39,6 +39,18 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+
+# override flag -> (RunConfig field, metavar, help)
+_OVERRIDES = {
+    "--density": ("density_mm3", "MM3", "atom density in mm^-3"),
+    "--omega-c": ("omega_c_mhz", "MHZ", None),
+    "--omega-p": ("omega_p_mhz", "MHZ", None),
+    "--d2": ("d2_um", "UM", None),
+    "--w0": ("w0_um", "UM", None),
+    "--delta2": ("delta2_mhz", "MHZ",
+                 "fixed probe detuning (non-detuning sweeps)"),
+    "--theta": ("theta_deg", "DEG", "fixed incidence angle (non-angle sweeps)"),
+}
 
 # flag stem -> (sweep variable, metavar)
 _AXIS_FLAGS = {"delta2": ("Delta2", "MHZ"), "theta": ("theta_i", "DEG")}
@@ -65,16 +77,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="output file path")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--density", type=float, metavar="MM3",
-                   help="atom density in mm^-3")
-    p.add_argument("--omega-c", type=float, metavar="MHZ")
-    p.add_argument("--omega-p", type=float, metavar="MHZ")
-    p.add_argument("--d2", type=float, metavar="UM")
-    p.add_argument("--w0", type=float, metavar="UM")
-    p.add_argument("--delta2", type=float, metavar="MHZ",
-                   help="fixed probe detuning (non-detuning sweeps)")
-    p.add_argument("--theta", type=float, metavar="DEG",
-                   help="fixed incidence angle (non-angle sweeps)")
+    for flag, (field, metavar, help_) in _OVERRIDES.items():
+        p.add_argument(flag, type=float, dest=field, metavar=metavar,
+                       help=help_)
 
 
 def build_parser() -> _Parser:
@@ -114,16 +119,8 @@ def _load_config(args) -> RunConfig:
         cfg = parse_config(text)
     else:
         cfg = RunConfig()
-    return with_overrides(
-        cfg,
-        density_mm3=getattr(args, "density", None),
-        omega_c_mhz=getattr(args, "omega_c", None),
-        omega_p_mhz=getattr(args, "omega_p", None),
-        d2_um=getattr(args, "d2", None),
-        w0_um=getattr(args, "w0", None),
-        delta2_mhz=getattr(args, "delta2", None),
-        theta_deg=getattr(args, "theta", None),
-    )
+    return with_overrides(cfg, **{field: getattr(args, field)
+                                  for field, _, _ in _OVERRIDES.values()})
 
 
 def _sweep_config(cfg: RunConfig, args) -> RunConfig:
@@ -151,7 +148,7 @@ def _cmd_verify(args) -> int:
               f"({r.runtime_ms:.0f} ms)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report_as_dicts(results), fh, indent=1, sort_keys=True)
+            json.dump([asdict(r) for r in results], fh, indent=1, sort_keys=True)
         print(f"report written to {args.out}")
     print("verify:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERICAL

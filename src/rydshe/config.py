@@ -26,16 +26,14 @@ MHZ = TWO_PI            # MHz -> rad/us
 GHZ_UM6 = TWO_PI * 1e3  # GHz um^6 -> rad/us um^6
 MM3 = 1e-9              # mm^-3 -> um^-3
 
-SWEEP_VARIABLES = ("Delta2", "theta_i", "Na", "Omega_c", "Omega_p", "d2")
-
-# axis metadata: config/CSV unit label and CSV column name
-AXIS_COLUMNS = {
-    "Delta2": "delta2_MHz",
-    "theta_i": "theta_deg",
-    "Na": "density_mm3",
-    "Omega_c": "omega_c_MHz",
-    "Omega_p": "omega_p_MHz",
-    "d2": "d2_um",
+# sweep variable -> (the RunConfig field it sets, its CSV column)
+AXES = {
+    "Delta2": ("delta2_mhz", "delta2_MHz"),
+    "theta_i": ("theta_deg", "theta_deg"),
+    "Na": ("density_mm3", "density_mm3"),
+    "Omega_c": ("omega_c_mhz", "omega_c_MHz"),
+    "Omega_p": ("omega_p_mhz", "omega_p_MHz"),
+    "d2": ("d2_um", "d2_um"),
 }
 
 QUANTITIES = ("chi", "fresnel", "shift", "map", "profile")
@@ -96,10 +94,10 @@ class RunConfig:
             raise ConfigError("window indices must be positive")
         if self.quantity not in QUANTITIES:
             raise ConfigError(f"quantity must be one of {QUANTITIES}")
-        if self.variable not in SWEEP_VARIABLES:
-            raise ConfigError(f"sweep variable must be one of {SWEEP_VARIABLES}")
-        if self.variable2 is not None and self.variable2 not in SWEEP_VARIABLES:
-            raise ConfigError(f"sweep variable2 must be one of {SWEEP_VARIABLES}")
+        if self.variable not in AXES:
+            raise ConfigError(f"sweep variable must be one of {tuple(AXES)}")
+        if self.variable2 is not None and self.variable2 not in AXES:
+            raise ConfigError(f"sweep variable2 must be one of {tuple(AXES)}")
         for lo, hi, n, lbl in ((self.sweep_min, self.sweep_max, self.steps, ""),
                                (self.sweep_min2, self.sweep_max2, self.steps2, "2")):
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -195,6 +193,8 @@ def parse_config(text: str) -> RunConfig:
             field = _FIELD_RENAMES.get((section, key), key)
             try:
                 values[field] = caster(raw) if caster is not str else raw.strip()
+                if caster is float and not math.isfinite(values[field]):
+                    raise ValueError(f"{raw.strip()!r} is not finite")
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for '{key}' in [{section}] "
@@ -232,4 +232,7 @@ def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
     unknown = set(updates) - known
     if unknown:
         raise ConfigError(f"unknown override(s): {sorted(unknown)}")
+    for k, v in updates.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"override {k} = {v} is not finite")
     return replace(cfg, **updates)

@@ -69,16 +69,6 @@ class LayerStack:
         return LayerStack(n_in=self.n_in, layers=tuple(layers), n_out=self.n_out)
 
 
-@dataclass(frozen=True)
-class FresnelPair:
-    """Reflection/transmission amplitudes for both polarizations."""
-
-    rp: complex
-    rs: complex
-    tp: complex
-    ts: complex
-
-
 def refraction_cosine(n_in: float, theta_i, n_j) -> np.ndarray | complex:
     """cos(theta_j) continued by Snell's law into a (complex) medium.
 
@@ -152,32 +142,23 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     return r, t
 
 
-def stack_fresnel_pair(stack: LayerStack, theta_i, k0: float) -> FresnelPair:
-    rp, tp = stack_fresnel(stack, theta_i, k0, "p")
-    rs, ts = stack_fresnel(stack, theta_i, k0, "s")
-    return FresnelPair(rp=rp, rs=rs, tp=tp, ts=ts)
-
-
 def brewster_angle(stack: LayerStack, k0: float,
                    theta_min: float = math.radians(5.0),
                    theta_max: float = math.radians(85.0),
                    coarse: int = 20001) -> float:
-    """Incidence angle minimizing |r_p|, to ~1e-5 rad.
+    """Incidence angle minimizing |r_p|, to ~1e-9 rad.
 
-    Coarse scan (fine enough to resolve slab interference fringes)
-    followed by bounded golden-section refinement around the global
-    minimum.  Raises SearchError when the minimum sits on the scan edge.
+    Coarse scan (fine enough to resolve slab interference fringes), then
+    three 101-point scans, each over the two steps of the previous scan
+    around its minimum.  Raises SearchError when the coarse minimum sits
+    on the scan edge.
     """
-    # imported here: no sweep needs it, and scipy.optimize costs ~0.5 s to load
-    from scipy.optimize import minimize_scalar
     thetas = np.linspace(theta_min, theta_max, coarse)
-    rp, _ = stack_fresnel(stack, thetas, k0, "p")
-    i = int(np.argmin(np.abs(rp)))
+    i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
     if i == 0 or i == coarse - 1:
         raise SearchError("no interior |r_p| minimum in the scan range")
-    lo, hi = thetas[i - 1], thetas[i + 1]
-    res = minimize_scalar(
-        lambda t: abs(stack_fresnel(stack, float(t), k0, "p")[0]),
-        bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-6})
-    return float(res.x)
+    for _ in range(3):
+        i = min(max(i, 1), len(thetas) - 2)
+        thetas = np.linspace(thetas[i - 1], thetas[i + 1], 101)
+        i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
+    return float(thetas[i])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .quantum import (AtomParams, DriveParams, first_order_coherences,
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, shifts_from_coefficients,
                          spin_mixing_amplitude)
+from .config import RunConfig
 
 TWO_PI = 2.0 * math.pi
 
@@ -314,27 +315,18 @@ def quadrature_refine(drive: DriveParams, atom: AtomParams,
 
 
 def canonical_atom() -> AtomParams:
-    """Canonical medium: Gamma21/2pi = 6 MHz, Gamma32/2pi = 3 kHz,
-    C6/2pi = 140 GHz um^6, Na = 4e7 mm^-3, lambda = 780 nm."""
-    return AtomParams.from_decay_rates(Gamma21=TWO_PI * 6.0,
-                                       Gamma32=TWO_PI * 3e-3,
-                                       C6=TWO_PI * 1.4e5,
-                                       Na=0.04,
-                                       lambda_p=0.78)
+    """The medium of the default `RunConfig`."""
+    return RunConfig().atom_params()
 
 
 def canonical_drive(Delta2: float = 0.0) -> DriveParams:
-    """Canonical drive: Omega_c/2pi = 4 MHz, Omega_p/2pi = 0.75 MHz,
-    Delta_c/2pi = -0.1 MHz."""
-    return DriveParams(Omega_p=TWO_PI * 0.75, Omega_c=TWO_PI * 4.0,
-                       Delta2=Delta2, Delta_c=-TWO_PI * 0.1)
+    """The drive of the default `RunConfig` at probe detuning Delta2 (rad/us)."""
+    return RunConfig().drive_params().detuned(Delta2)
 
 
-def canonical_stack(chi: complex = 0.0, d2: float = 100.0,
-                n_glass: float = 1.49) -> LayerStack:
-    from .beam_shift import medium_index
-    return LayerStack(n_in=n_glass, layers=(Layer(n=medium_index(chi), d=d2),),
-                      n_out=n_glass)
+def canonical_stack(chi: complex = 0.0) -> LayerStack:
+    """The glass-atoms-glass stack of the default `RunConfig`, dressed with chi."""
+    return RunConfig().layer_stack(chi)
 
 
 @dataclass
@@ -371,9 +363,7 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
             drv = canonical_drive(d2)
             drv_weak = DriveParams(TWO_PI * 0.1, drv.Omega_c, d2, drv.Delta_c)
             o = oracle_rho21(drv_weak, atom)
-            r21_1, _ = first_order_coherences(drv_weak, atom)
-            loc, _ = third_order_coherence(drv_weak, atom.with_density(0.0))
-            p = drv_weak.Omega_p * r21_1 + drv_weak.Omega_p**3 * loc
+            p = perturbative_rho21_local(drv_weak, atom)
             worst = max(worst, abs(p - o) / abs(o))
         return worst
     _run_check("perturbative_vs_oracle_rho21", chk_oracle, 0.01, results)
@@ -542,7 +532,3 @@ def _airy_two_interface(stack: LayerStack, theta: float, k0: float,
     r23 = (p2 - p3) / (p2 + p3)
     phase = np.exp(2j * k0 * layer.n * layer.d * c2)
     return complex((r12 + r23 * phase) / (1 + r12 * r23 * phase))
-
-
-def report_as_dicts(results: list[CheckResult]) -> list[dict]:
-    return [asdict(r) for r in results]

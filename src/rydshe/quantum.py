@@ -42,9 +42,8 @@ choices break both checks at O(1).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,17 +152,12 @@ class AtomParams:
                    chi_prefactor=K)
 
     def with_density(self, Na: float) -> "AtomParams":
-        """Same atom at a different number density (K rescales linearly)."""
+        """Same atom at a different number density."""
         if Na < 0:
             raise DomainError("Na must be non-negative")
-        scale = 0.0 if self.Na == 0 else Na / self.Na
-        K = self.chi_prefactor * scale if self.Na else \
-            Na * 1e18 * self.p21**2 / (EPSILON_0 * HBAR) * 1e-6
-        return AtomParams(Gamma21=self.Gamma21, Gamma32=self.Gamma32,
-                          gamma21=self.gamma21, gamma32=self.gamma32,
-                          gamma31=self.gamma31, C6=self.C6, Na=Na,
-                          lambda_p=self.lambda_p, p21=self.p21,
-                          chi_prefactor=K)
+        return AtomParams.from_decay_rates(
+            self.Gamma21, self.Gamma32, self.C6, Na, self.lambda_p,
+            gamma21=self.gamma21, gamma32=self.gamma32, gamma31=self.gamma31)
 
     def blockade_radius(self, Omega_c: float) -> float:
         # the EIT linewidth uses gamma12 = gamma21 (the only symmetric reading)
@@ -583,39 +577,3 @@ def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakd
     return SusceptibilityBreakdown(chi1=K * r21_1,
                                    chi3_local_contrib=K * Op2 * loc,
                                    chi3_nonlocal_contrib=K * Op2 * nl)
-
-
-@dataclass(frozen=True)
-class CorrelatorSet:
-    """Every correlator entering rho21^(3) at one separation (debug dump)."""
-
-    r: float
-    rho21_1: complex
-    rho31_1: complex
-    rho11_2: complex
-    rho22_2: complex
-    rho33_2: complex
-    rho32_2: complex
-    twobody2: tuple
-    twobody3: tuple
-
-    @classmethod
-    def at(cls, drive: DriveParams, atom: AtomParams, r: float) -> "CorrelatorSet":
-        r21, r31 = first_order_coherences(drive, atom)
-        r11, r22, r33, r32 = second_order_onebody(drive, atom)
-        z2 = second_order_twobody(drive, atom, r)
-        x3 = third_order_twobody(drive, atom, r)
-        return cls(r=r, rho21_1=r21, rho31_1=r31, rho11_2=r11, rho22_2=r22,
-                   rho33_2=r33, rho32_2=r32,
-                   twobody2=tuple(complex(v) for v in z2),
-                   twobody3=tuple(complex(v) for v in x3))
-
-    def to_json(self) -> str:
-        def enc(v):
-            if isinstance(v, complex):
-                return {"re": v.real, "im": v.imag}
-            if isinstance(v, tuple):
-                return [enc(x) for x in v]
-            return v
-        return json.dumps({k: enc(v) for k, v in asdict(self).items()},
-                          indent=2, sort_keys=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import RydsheError, ConfigError
-from .config import RunConfig, AXIS_COLUMNS, config_hash, serialize_config
+from .config import RunConfig, AXES, config_hash
 from .quantum import susceptibility
 from .multilayer import stack_fresnel
 from .beam_shift import shifts_from_coefficients, intensity_profiles
@@ -41,17 +41,6 @@ class SweepResult:
     config_hash: str
     version: str
     wall_time_ms: float
-    config_text: str
-
-    def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([r[i] for r in self.rows if r[-1] == ""], dtype=float)
-
-
-# sweep variable -> the RunConfig field it sets
-_AXIS_FIELDS = {"Delta2": "delta2_mhz", "theta_i": "theta_deg",
-                "Na": "density_mm3", "Omega_c": "omega_c_mhz",
-                "Omega_p": "omega_p_mhz", "d2": "d2_um"}
 
 
 def _reflection_coefficients(cfg: RunConfig, chi: complex, theta_deg):
@@ -116,7 +105,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         try:
             pcfg = cfg
             for var, value in zip(variables, point):
-                pcfg = replace(pcfg, **{_AXIS_FIELDS[var]: value})
+                pcfg = replace(pcfg, **{AXES[var][0]: value})
             key = (pcfg.drive_params(), pcfg.atom_params(), pcfg.d2_um)
         except RydsheError as exc:
             cells[i] = _error_cell(exc)
@@ -134,11 +123,10 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     pad = [math.nan] * len(value_cols)
     rows = [list(point) + (pad + [c] if isinstance(c, str) else c + [""])
             for point, c in zip(grid, cells)]
-    columns = [AXIS_COLUMNS[v] for v in variables] + value_cols + ["error"]
+    columns = [AXES[v][1] for v in variables] + value_cols + ["error"]
     return SweepResult(columns=columns, rows=rows,
                        config_hash=config_hash(cfg), version=__version__,
-                       wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                       config_text=serialize_config(cfg))
+                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def profile_coefficients(cfg: RunConfig) -> tuple[complex, complex]:
@@ -156,8 +144,7 @@ def _run_profile(cfg: RunConfig, t0: float) -> SweepResult:
     return SweepResult(columns=["y_um"] + _PROFILE_COLUMNS + ["error"],
                        rows=rows, config_hash=config_hash(cfg),
                        version=__version__,
-                       wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                       config_text=serialize_config(cfg))
+                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
 
 
 def emit(result: SweepResult, fmt: str, path: str, precision: int = 12) -> None:
@@ -205,17 +192,3 @@ def format_json(result: SweepResult, precision: int = 12) -> str:
                                 "config": result.config_hash},
                        "columns": result.columns,
                        "rows": rows}, indent=1, sort_keys=True) + "\n"
-
-
-def load_json(text: str) -> SweepResult:
-    import json
-    obj = json.loads(text)
-    rows = []
-    for row in obj["rows"]:
-        parsed = [math.nan if v is None else v if isinstance(v, str)
-                  else float(v) for v in row[:-1]]
-        rows.append(parsed + [row[-1]])
-    return SweepResult(columns=list(obj["columns"]), rows=rows,
-                       config_hash=obj["meta"]["config"],
-                       version=obj["meta"]["version"],
-                       wall_time_ms=0.0, config_text="")

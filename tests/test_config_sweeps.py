@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import rydshe.sweeps
 from rydshe import (ConfigError, DomainError, RunConfig, SingularityError,
                     parse_config, pshe_shifts, serialize_config)
 from rydshe.config import with_overrides
-from rydshe.sweeps import run_sweep, emit, format_csv, format_json, load_json
+from rydshe.sweeps import run_sweep, emit, format_csv, format_json
 from rydshe.cli import main as cli_main
 
 TWO_PI = 2.0 * math.pi
@@ -74,6 +75,40 @@ def test_config_unknown_key_reports_line():
         parse_config("[beam]\nw0_um = 50\ngrid_n = 2048\n")
 
 
+# (section, key, raw value) of settings that must be finite
+_NON_FINITE = [("atom", "density_mm3", "nan"), ("atom", "density_mm3", "inf"),
+               ("drive", "omega_p_mhz", "nan"), ("drive", "delta2_mhz", "-inf"),
+               ("beam", "w0_um", "nan"), ("atom", "coh21_mhz", "nan"),
+               ("geometry", "d2_um", "inf")]
+
+
+@pytest.mark.parametrize("path", ["config", "override"])
+@pytest.mark.parametrize("section, key, raw", _NON_FINITE)
+def test_non_finite_setting_rejected(tmp_path, capsys, path, section, key,
+                                     raw):
+    # nan passes every `<` check, so it must be refused where it enters
+    if path == "config":
+        with pytest.raises(ConfigError,
+                           match=rf"'{key}' in \[{section}\] \(line 2\)"):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{section}]\n{key} = {raw}\n")
+        argv = ["--config", str(ini)]
+    else:
+        with pytest.raises(ConfigError, match=key):
+            with_overrides(RunConfig(), **{key: float(raw)})
+        flag = {"density_mm3": "--density", "omega_p_mhz": "--omega-p",
+                "delta2_mhz": "--delta2", "w0_um": "--w0",
+                "d2_um": "--d2"}.get(key)
+        argv = [] if flag is None else [f"{flag}={raw}"]
+    if argv:
+        out = tmp_path / "x.csv"
+        assert run_cli("chi", *argv, "--steps", "2", "--delta2-min", "-1",
+                       "--delta2-max", "1", "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_roundtrip_idempotent():
     text = "[drive]\nomega_c_mhz = 6.25\n[sweep]\nvariable = theta_i\nmin = 33.5\nmax = 34.2\nsteps = 11\n"
     cfg = parse_config(text)
@@ -125,9 +160,9 @@ def test_sweep_json_roundtrip():
     cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
                          sweep_min=-2.0, sweep_max=2.0, steps=4)
     res = run_sweep(cfg)
-    back = load_json(format_json(res, precision=17))
-    assert back.columns == res.columns
-    for r1, r2 in zip(back.rows, res.rows):
+    back = json.loads(format_json(res, precision=17))
+    assert back["columns"] == res.columns
+    for r1, r2 in zip(back["rows"], res.rows):
         assert r1[-1] == r2[-1]
         np.testing.assert_allclose(np.array(r1[:-1], dtype=float),
                                    np.array(r2[:-1], dtype=float), rtol=1e-15)
@@ -395,6 +430,21 @@ def test_cli_sweep_defaults(monkeypatch, tmp_path, command, fields):
     if cfg.variable2 is not None:
         got += (cfg.sweep_min2, cfg.sweep_max2, cfg.steps2)
     assert got == fields
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--density", "density_mm3", 8e7), ("--omega-c", "omega_c_mhz", 6.5),
+    ("--omega-p", "omega_p_mhz", 0.3), ("--d2", "d2_um", 75.0),
+    ("--w0", "w0_um", 40.0), ("--delta2", "delta2_mhz", 1.25),
+    ("--theta", "theta_deg", 34.5),
+])
+def test_cli_overrides_reach_config(monkeypatch, tmp_path, flag, field, value):
+    cfg = _cli_sweep_config(monkeypatch, "fresnel", flag, repr(value),
+                            "--out", str(tmp_path / "x.csv"))
+    assert getattr(cfg, field) == value
+    assert cfg == replace(_cli_sweep_config(
+        monkeypatch, "fresnel", "--out", str(tmp_path / "x.csv")),
+        **{field: value})
 
 
 def test_cli_one_axis_drops_config_variable2(tmp_path):

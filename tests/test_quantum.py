@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rydshe import (AtomParams, DriveParams, CorrelatorSet, DomainError,
+from rydshe import (AtomParams, DriveParams, DomainError,
                     SingularityError, blockade_radius, derive_dipole_moment,
                     first_order_coherences, nonlocal_integral,
                     second_order_onebody, second_order_twobody,
@@ -477,16 +477,6 @@ def test_breakdown_total_is_sum(atom, drive0):
 
 
 # ------------------------------------------------------------- diagnostics
-
-def test_correlator_set_json_roundtrip(atom, drive0):
-    import json
-    rb = atom.blockade_radius(drive0.Omega_c)
-    cs = CorrelatorSet.at(drive0, atom, 1.5 * rb)
-    doc = json.loads(cs.to_json())
-    assert doc["r"] == pytest.approx(1.5 * rb)
-    assert len(doc["twobody3"]) == 8
-    assert doc["rho21_1"]["re"] == pytest.approx(cs.rho21_1.real)
-
 
 def test_hermiticity_of_second_order_pair(atom):
     drv = canonical_drive(TWO_PI * 2.4)
