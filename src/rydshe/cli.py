@@ -148,7 +148,8 @@ def _cmd_verify(args) -> int:
               f"({r.runtime_ms:.0f} ms)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([asdict(r) for r in results], fh, indent=1, sort_keys=True)
+            json.dump([asdict(r) for r in results], fh, indent=1,
+                      sort_keys=True)
         print(f"report written to {args.out}")
     print("verify:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERICAL

@@ -320,12 +320,12 @@ def canonical_atom() -> AtomParams:
 
 
 def canonical_drive(Delta2: float = 0.0) -> DriveParams:
-    """The drive of the default `RunConfig` at probe detuning Delta2 (rad/us)."""
+    """The default `RunConfig` drive at probe detuning Delta2 (rad/us)."""
     return RunConfig().drive_params().detuned(Delta2)
 
 
 def canonical_stack(chi: complex = 0.0) -> LayerStack:
-    """The glass-atoms-glass stack of the default `RunConfig`, dressed with chi."""
+    """The default `RunConfig` stack, its slab dressed with chi."""
     return RunConfig().layer_stack(chi)
 
 
