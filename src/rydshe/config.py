@@ -134,8 +134,10 @@ class RunConfig:
                           layers=(Layer(n=medium_index(chi), d=self.d2_um),),
                           n_out=self.n3)
 
-    def beam_spec(self) -> BeamSpec:
-        return BeamSpec(w0=self.w0_um, theta_i=math.radians(self.theta_deg),
+    def beam_spec(self, theta_deg: float | None = None) -> BeamSpec:
+        """The beam at `theta_deg` (default: the configured angle)."""
+        theta = self.theta_deg if theta_deg is None else theta_deg
+        return BeamSpec(w0=self.w0_um, theta_i=math.radians(theta),
                         lambda_p=self.lambda_um, n_in=self.n1)
 
 

@@ -1,13 +1,15 @@
 """Parameter sweeps over the physics pipeline and figure-ready output.
 
 A sweep evaluates one pipeline stage (chi / fresnel / shift / map /
-profile) on a 1-D or 2-D grid.  Grid points that share a medium and a
-slab (the same drive, atom and thickness) form one group, which pays one
-`susceptibility` call and one `stack_fresnel` call per polarization over
-the array of its incidence angles.  Failures are recorded in the row's
-`error` column instead of aborting the sweep: a point's own config or
-shift failure on its row, a chi or layer failure on every row of its
-group.
+profile) on a 1-D or 2-D grid.  Each axis is validated once, not each
+row (`_axis_errors`).  Grid points with the same values on the axes
+other than theta_i share a medium and a slab (the same drive, atom and
+thickness) and form one group: one `RunConfig`, one `susceptibility`
+call and one `stack_fresnel` call per polarization over the array of
+its incidence angles.  Failures are recorded in the row's `error` column
+instead of aborting the sweep: a point's own config or shift failure on
+its row (the first axis's config error when both axes fail), a chi or
+layer failure on every row of its group.
 """
 
 from __future__ import annotations
@@ -57,30 +59,47 @@ def _error_cell(exc: RydsheError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _group_values(quantity: str, pcfgs: tuple) -> list:
-    """Value cells (or an error cell) for points sharing drive, atom and d2."""
-    b = susceptibility(pcfgs[0].drive_params(), pcfgs[0].atom_params())
+def _group_values(quantity: str, cfg: RunConfig, thetas: tuple) -> list:
+    """Value cells (or an error cell) for the incidence angles `thetas`
+    (deg) on the medium and slab of `cfg`."""
+    b = susceptibility(cfg.drive_params(), cfg.atom_params())
     if quantity == "chi":
         return [[b.chi1.real, b.chi1.imag,
                  b.chi3_local_contrib.real, b.chi3_local_contrib.imag,
                  b.chi3_nonlocal_contrib.real, b.chi3_nonlocal_contrib.imag]
-                ] * len(pcfgs)
-    rps, rss = _reflection_coefficients(pcfgs[0], b.total,
-                                       [c.theta_deg for c in pcfgs])
+                ] * len(thetas)
+    rps, rss = _reflection_coefficients(cfg, b.total, thetas)
     values = []
-    for pcfg, rp, rs in zip(pcfgs, map(complex, rps), map(complex, rss)):
+    for theta, rp, rs in zip(thetas, map(complex, rps), map(complex, rss)):
         if quantity == "fresnel":
             ratio = abs(rs) / abs(rp) if abs(rp) > 0 else math.inf
             values.append([rp.real, rp.imag, rs.real, rs.imag,
                            abs(rp), abs(rs), ratio])
             continue
         try:
-            s = shifts_from_coefficients(pcfg.beam_spec(), rp, rs)
+            s = shifts_from_coefficients(cfg.beam_spec(theta), rp, rs)
             values.append([s.delta_plus, s.delta_minus,
                            s.power_plus, s.power_minus])
         except RydsheError as exc:
             values.append(_error_cell(exc))
     return values
+
+
+def _axis_errors(cfg: RunConfig, field: str, values) -> list:
+    """Error cell (or None) per value of one axis.
+
+    Every `RunConfig` check on a sweep field is an interval in that field
+    alone: when both endpoints pass, every value between them passes.
+    """
+    def error(value):
+        try:
+            replace(cfg, **{field: value})
+        except RydsheError as exc:
+            return _error_cell(exc)
+        return None
+    if error(values[0]) is None and error(values[-1]) is None:
+        return [None] * len(values)
+    return [error(v) for v in values]
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
@@ -96,25 +115,26 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     if cfg.variable2 is not None:
         variables.append(cfg.variable2)
         axes.append(np.linspace(cfg.sweep_min2, cfg.sweep_max2, cfg.steps2))
+    fields = [AXES[v][0] for v in variables]
     grid = list(itertools.product(*axes))      # row-major: axis1 outer
+    errors = itertools.product(*(_axis_errors(cfg, f, a)
+                                 for f, a in zip(fields, axes)))
     value_cols = {"chi": _CHI_COLUMNS, "fresnel": _FRESNEL_COLUMNS,
                   "shift": _SHIFT_COLUMNS, "map": _SHIFT_COLUMNS}[cfg.quantity]
     cells: list = [None] * len(grid)
-    groups: dict = {}
-    for i, point in enumerate(grid):
-        try:
-            pcfg = cfg
-            for var, value in zip(variables, point):
-                pcfg = replace(pcfg, **{AXES[var][0]: value})
-            key = (pcfg.drive_params(), pcfg.atom_params(), pcfg.d2_um)
-        except RydsheError as exc:
-            cells[i] = _error_cell(exc)
+    groups: dict = {}             # non-theta settings -> [(row, theta)]
+    for i, (point, errs) in enumerate(zip(grid, errors)):
+        if any(errs):             # the first axis's error wins
+            cells[i] = next(e for e in errs if e)
             continue
-        groups.setdefault(key, []).append((i, pcfg))
-    for members in groups.values():
-        index, pcfgs = zip(*members)
+        setting = dict(zip(fields, point))
+        theta = setting.pop("theta_deg", cfg.theta_deg)
+        groups.setdefault(tuple(setting.items()), []).append((i, theta))
+    for setting, members in groups.items():
+        index, thetas = zip(*members)
         try:
-            values = _group_values(cfg.quantity, pcfgs)
+            values = _group_values(cfg.quantity,
+                                   replace(cfg, **dict(setting)), thetas)
         except RydsheError as exc:
             values = [_error_cell(exc)] * len(index)
         for i, v in zip(index, values):
@@ -165,30 +185,23 @@ def emit(result: SweepResult, fmt: str, path: str, precision: int = 12) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
-def _fmt(v, precision: int) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    return f"{v:.{precision}g}"
-
-
 def format_csv(result: SweepResult, precision: int = 12) -> str:
     lines = [f"# rydshe {result.version} config={result.config_hash}",
              "# frequencies in MHz, angles in deg, lengths in um, densities in mm^-3",
              ",".join(result.columns)]
-    for row in result.rows:
-        lines.append(",".join(_fmt(v, precision) for v in row))
+    row_format = ",".join([f"%.{precision}g"] * (len(result.columns) - 1)
+                          + ["%s"])
+    lines.extend(row_format % tuple(row) for row in result.rows)
     return "\n".join(lines) + "\n"
 
 
 def format_json(result: SweepResult, precision: int = 12) -> str:
     import json
     rows = [[v if isinstance(v, str) else
-             (None if (isinstance(v, float) and math.isnan(v)) else
-              float(f"{v:.{precision}g}"))
+             (float(f"{v:.{precision}g}") if math.isfinite(v) else None)
              for v in row] for row in result.rows]
     return json.dumps({"meta": {"version": result.version,
                                 "config": result.config_hash},
                        "columns": result.columns,
-                       "rows": rows}, indent=1, sort_keys=True) + "\n"
+                       "rows": rows}, indent=1, sort_keys=True,
+                      allow_nan=False) + "\n"

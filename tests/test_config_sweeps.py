@@ -9,13 +9,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rydshe.sweeps
 
 from rydshe import (ConfigError, DomainError, RunConfig, SingularityError,
                     parse_config, pshe_shifts, serialize_config)
-from rydshe.config import with_overrides
-from rydshe.sweeps import run_sweep, emit, format_csv, format_json
+from rydshe.config import AXES, with_overrides
+from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
 from rydshe.cli import main as cli_main
 
 TWO_PI = 2.0 * math.pi
@@ -168,6 +169,56 @@ def test_sweep_json_roundtrip():
                                    np.array(r2[:-1], dtype=float), rtol=1e-15)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sweep_json_non_finite_cells_are_null():
+    res = SweepResult(columns=["x", "a", "b", "error"],
+                      rows=[[1.0, math.inf, -math.inf, ""],
+                            [2.0, math.nan, np.float64(-np.inf), "E: x"]],
+                      config_hash="0" * 16, version="0", wall_time_ms=0.0)
+    back = json.loads(format_json(res), parse_constant=_reject_constant)
+    assert back["rows"] == [[1.0, None, None, ""], [2.0, None, None, "E: x"]]
+
+
+def _old_cell(v, precision: int) -> str:
+    """The per-cell CSV formatter format_csv used before it formatted
+    each row with one call."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, float) and math.isnan(v):
+        return "nan"
+    return f"{v:.{precision}g}"
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan,
+                     math.inf, -math.inf]),
+    st.integers(min_value=-10**300, max_value=10**300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 17), st.integers(1, 6), st.data())
+def test_csv_row_format_matches_per_cell_format(precision, n_cols, data):
+    rows = [data.draw(st.lists(_CELLS, min_size=n_cols, max_size=n_cols))
+            + [data.draw(st.text(alphabet=st.characters(
+                blacklist_categories=("Cs",), blacklist_characters="\n"),
+                max_size=40)
+                | st.sampled_from(["", "ConfigError: a, b: c",
+                                   "DomainError: 100% at 5,6"]))]
+            for _ in range(data.draw(st.integers(0, 4)))]
+    res = SweepResult(columns=[f"c{i}" for i in range(n_cols)] + ["error"],
+                      rows=rows, config_hash="0" * 16, version="0",
+                      wall_time_ms=0.0)
+    body = format_csv(res, precision).split("\n")[3:-1]
+    assert body == [",".join(_old_cell(v, precision) for v in row)
+                    for row in rows]
+
+
 def test_sweep_isolates_failing_points():
     cfg = with_overrides(RunConfig(), quantity="chi", variable="Na",
                          sweep_min=-1e7, sweep_max=4e7, steps=3)
@@ -255,6 +306,89 @@ def test_shift_sweep_over_thickness_builds_each_stack():
         assert abs(got["delta_plus_um"] - want.delta_plus) <= 1e-10 * scale
         assert got["power_plus"] == pytest.approx(want.power_plus, rel=1e-10)
     assert len({r[1] for r in res.rows}) == 3
+
+
+def _config_error_cell(cfg, **fields) -> str:
+    """The error cell of a row whose fields are applied one by one."""
+    try:
+        for field, value in fields.items():
+            cfg = replace(cfg, **{field: value})
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+    return ""
+
+
+def _bounded_axes() -> set:
+    """Sweep variables whose field RunConfig rejects somewhere on the
+    real line."""
+    bounded = set()
+    for var, (field, _) in AXES.items():
+        if any(_config_error_cell(RunConfig(), **{field: v})
+               for v in (-1e9, -1.0, 1e9)):
+            bounded.add(var)
+    return bounded
+
+
+# one sweep range per bound, crossing it
+_CROSSING_RANGES = [("theta_i", 3.0, 7.0), ("theta_i", 83.0, 87.0),
+                    ("Na", -2e7, 2e7), ("Omega_c", -1.0, 1.0),
+                    ("Omega_p", -1.0, 1.0), ("d2", -50.0, 50.0)]
+
+
+def test_crossing_ranges_cover_every_bounded_axis():
+    assert {var for var, _, _ in _CROSSING_RANGES} == _bounded_axes()
+
+
+@pytest.mark.parametrize("variable, lo, hi", _CROSSING_RANGES)
+def test_axis_crossing_its_bound_errors_per_value(variable, lo, hi):
+    cfg = with_overrides(RunConfig(), quantity="fresnel", variable=variable,
+                         sweep_min=lo, sweep_max=hi, steps=9)
+    res = run_sweep(cfg)
+    field = AXES[variable][0]
+    want = [_config_error_cell(cfg, **{field: r[0]}) for r in res.rows]
+    assert "" in want and any(want)
+    assert [r[-1] for r in res.rows] == want
+    for row, err in zip(res.rows, want):
+        assert all(math.isnan(v) == bool(err) for v in row[1:-1])
+
+
+@pytest.mark.parametrize("axes", [
+    (("Na", -1e7, 1e7, 3), ("theta_i", 3.0, 7.0, 5)),
+    (("theta_i", 3.0, 7.0, 5), ("Na", -1e7, 1e7, 3)),
+])
+def test_first_axis_error_wins(axes):
+    (v1, lo1, hi1, n1), (v2, lo2, hi2, n2) = axes
+    cfg = with_overrides(RunConfig(), quantity="fresnel", variable=v1,
+                         sweep_min=lo1, sweep_max=hi1, steps=n1, variable2=v2,
+                         sweep_min2=lo2, sweep_max2=hi2, steps2=n2)
+    res = run_sweep(cfg)
+    f1, f2 = AXES[v1][0], AXES[v2][0]
+    n_both = 0
+    for row in res.rows:
+        e1 = _config_error_cell(cfg, **{f1: row[0]})
+        e2 = _config_error_cell(cfg, **{f2: row[1]})
+        assert row[-1] == (e1 or e2)
+        if e1 and e2:
+            assert e1 != e2
+            n_both += 1
+    assert n_both == 2
+
+
+def test_map_builds_one_config_per_group(monkeypatch):
+    # the CLI default map: 71 angles x 51 detunings, 51 groups
+    calls = []
+
+    def counting_replace(obj, **changes):
+        calls.append(changes)
+        return replace(obj, **changes)
+    monkeypatch.setattr(rydshe.sweeps, "replace", counting_replace)
+    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
+                         sweep_min=33.5, sweep_max=34.2, steps=71,
+                         variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
+                         steps2=51)
+    res = run_sweep(cfg)
+    assert len(res.rows) == 71 * 51 and all(r[-1] == "" for r in res.rows)
+    assert len(calls) <= 51 + 2 * 2
 
 
 def test_chi_sweep_throughput():
