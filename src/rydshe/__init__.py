@@ -15,7 +15,6 @@ from .quantum import (AtomParams, DriveParams, ComplexDenominators,
                       SusceptibilityBreakdown,
                       derive_dipole_moment, blockade_radius,
                       first_order_coherences, second_order_onebody,
-                      second_order_twobody, third_order_twobody,
                       nonlocal_integral, third_order_coherence,
                       susceptibility)
 from .multilayer import (Layer, LayerStack, refraction_cosine, layer_matrix,

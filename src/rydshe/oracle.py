@@ -5,8 +5,11 @@ The main physics modules are validated against four kinds of oracle:
 * the full (all orders in Omega_p) steady state of the local three-level
   Bloch equations, solved as a 9x9 linear system with the trace row --
   this pins every sign convention of the perturbative expansion;
-* Gauss-Legendre and dense-trapezoid quadrature of the nonlocal shell
-  integral, checking its closed form and the 3 R_b truncation;
+* the two-body correlators solved directly at given pair energies
+  (`twobody_correlators`: the pair 4x4 and the third-order 8x8 rebuilt
+  with V on their diagonals, batched over V), and Gauss-Legendre and
+  dense-trapezoid quadrature of the nonlocal shell integral over them,
+  checking its closed form and the 3 R_b truncation;
 * closed-form optics identities (two-interface Airy summation, energy
   conservation) exercised in the tests;
 * angular-spectrum synthesis of the reflected beam: the spin spectra are
@@ -29,10 +32,10 @@ import numpy as np
 
 from .errors import DomainError, SingularityError, WindowError
 from . import quantum
-from .quantum import (AtomParams, DriveParams, first_order_coherences,
-                      second_order_onebody, second_order_twobody,
-                      third_order_twobody, nonlocal_integral,
-                      third_order_coherence, susceptibility)
+from .quantum import (AtomParams, ComplexDenominators, DriveParams,
+                      first_order_coherences, second_order_onebody,
+                      nonlocal_integral, third_order_coherence,
+                      susceptibility)
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, shifts_from_coefficients,
                          spin_mixing_amplitude)
@@ -128,12 +131,49 @@ def perturbative_rho21_local(drive: DriveParams, atom: AtomParams) -> complex:
     return drive.Omega_p * r21_1 + drive.Omega_p**3 * loc
 
 
+def twobody_correlators(drive: DriveParams, atom: AtomParams, V
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(z2, x3), each (n, 8): the two-body correlators solved directly at
+    each of the n pair energies V (rad/us); a separation r is V = C6/r^6.
+
+    z2 holds the O(Omega_p^2) (rr13_31, rr12_31, rr12_21, rr13_21, rr31_31,
+    rr21_31, rr21_21, rr31_21), of which only the last four see V; x3 the
+    O(Omega_p^3) unknowns of `quantum._third_order_system`, x3[:, 0] being
+    rr33_31, the source of the nonlocal susceptibility.  The pair 4x4 and
+    the 8x8 are rebuilt with V on their diagonals and solved as batches,
+    not through the poles the closed form uses.
+    """
+    V = np.asarray(V)
+    n, Oc = len(V), drive.Omega_c
+    d = ComplexDenominators.from_params(drive, atom)
+    r21, r31 = quantum._first_order(d, Oc)
+    zA = quantum._mixed_correlators(d, Oc, r21, r31)
+    Q0, qc = quantum._third_order_system(
+        d, Oc, atom, zA, quantum._onebody(d, Oc, atom, r21, r31))
+    MB = np.empty((n, 4, 4), dtype=complex)
+    MB[:] = quantum._pair_matrix(d, Oc)
+    MB[:, 0, 0] -= V
+    qB = np.broadcast_to(quantum._pair_rhs(r21, r31), (n, 4))
+    zB = quantum._solve_checked(MB, qB[..., None],
+                                "second-order two-body (pair 4x4)")[..., 0]
+    Q = np.empty((n, 8, 8), dtype=complex)
+    Q[:] = Q0
+    Q[:, 0, 0] -= V
+    Q[:, 2, 2] -= V
+    q = np.empty((n, 8), dtype=complex)
+    q[:] = qc
+    q[:, quantum._PAIR_ROWS] += zB
+    x3 = quantum._solve_checked(Q, q[..., None],
+                                "third-order two-body (8x8)")[..., 0]
+    return np.concatenate([np.broadcast_to(zA, (n, 4)), zB], axis=1), x3
+
+
 def gauss_legendre_nonlocal_integral(drive: DriveParams, atom: AtomParams,
                                      n_nodes: int = quantum.DEFAULT_QUAD_NODES,
                                      upper_factor: float = 3.0) -> complex:
     """Reference for the closed-form shell integral: Gauss-Legendre
-    quadrature in u = 1/s^3 (where s^2 V ds -> (C6/3) du), one batched
-    8x8 solve per node."""
+    quadrature in u = 1/s^3 (where s^2 V ds -> (C6/3) du) of
+    `twobody_correlators`, one batched 8x8 solve per node."""
     if atom.C6 == 0 or atom.Na == 0:
         return 0.0 + 0.0j
     Rb = atom.blockade_radius(drive.Omega_c)
@@ -141,7 +181,7 @@ def gauss_legendre_nonlocal_integral(drive: DriveParams, atom: AtomParams,
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     u = 0.5 * (u_hi - u_lo) * x + 0.5 * (u_hi + u_lo)
     wu = 0.5 * (u_hi - u_lo) * w
-    x1 = quantum._third_order_batch(drive, atom, atom.C6 * u**2)[:, 0]
+    x1 = twobody_correlators(drive, atom, atom.C6 * u**2)[1][:, 0]
     return complex(atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * np.sum(wu * x1))
 
 
@@ -154,7 +194,7 @@ def trapezoid_nonlocal_integral(drive: DriveParams, atom: AtomParams,
         return 0.0 + 0.0j
     Rb = atom.blockade_radius(drive.Omega_c)
     s = np.linspace(Rb, upper_factor * Rb, panels + 1)
-    x1 = quantum._third_order_batch(drive, atom, atom.C6 / s**6)[:, 0]
+    x1 = twobody_correlators(drive, atom, atom.C6 / s**6)[1][:, 0]
     integrand = 4.0 * np.pi * s**2 * (atom.C6 / s**6) * x1
     return complex(atom.Na * np.trapezoid(integrand, s))
 
@@ -382,7 +422,7 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
     def chk_factorization():
         drv = canonical_drive(TWO_PI * 1.3)
         Rb = atom.blockade_radius(drv.Omega_c)
-        z = second_order_twobody(drv, atom, 100.0 * Rb)
+        z = twobody_correlators(drv, atom, [atom.C6 / (100.0 * Rb) ** 6])[0][0]
         r21, r31 = first_order_coherences(drv, atom)
         r12, r13 = np.conj(r21), np.conj(r31)
         expect = np.array([r13 * r31, r12 * r31, r12 * r21, r13 * r21,
@@ -393,7 +433,8 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
     def chk_blockade_continuity():
         drv = canonical_drive(TWO_PI * 1.3)
         Rb = atom.blockade_radius(drv.Omega_c)
-        far = third_order_twobody(drv, atom, 100.0 * Rb)[0]
+        far = twobody_correlators(drv, atom,
+                                  [atom.C6 / (100.0 * Rb) ** 6])[1][0, 0]
         r21, r31 = first_order_coherences(drv, atom)
         _, _, r33, _ = second_order_onebody(drv, atom)
         return abs(far - r33 * r31) / abs(r33 * r31)
@@ -490,7 +531,8 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
     def chk_residuals():
         drv = canonical_drive(TWO_PI * 0.37)
         Rb = atom.blockade_radius(drv.Omega_c)
-        third_order_twobody(drv, atom, 1.7 * Rb)   # raises if residual > 1e-10
+        # raises if residual > 1e-10
+        twobody_correlators(drv, atom, [atom.C6 / (1.7 * Rb) ** 6])
         return 0.0
     _run_check("solver_residuals", chk_residuals, 0.5, results)
 

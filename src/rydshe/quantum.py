@@ -20,12 +20,14 @@ rho21^(1) comes from a closed form, rho21^(3) splits into a local part
 (single-atom saturation) and a nonlocal part driven by the pair
 correlator <sigma33(r') sigma31(r)> integrated against V over the shell
 [R_b, 3 R_b] outside the blockade radius.  The correlator hierarchy is
-closed at two atoms / third order and reduces to one 5x5, two 4x4 and
-one 8x8 complex linear solve per separation.  The pair energy enters
-those systems as a low-rank change, so the correlator is a rational
-function of V and the shell integral has a closed form: per detuning it
-costs the same four solves (two of them with several right-hand sides)
-and a 2x2 eigenvalue problem.
+closed at two atoms / third order: one 5x5, two 4x4 and one 8x8 complex
+linear system.  The pair energy enters them as a low-rank change, so the
+correlator is a rational function of V and the shell integral has a
+closed form.  `susceptibility` makes one pass per detuning: the
+denominators, rho21^(1), the four solves (two of them with several
+right-hand sides) and a 2x2 eigenvalue problem, each once.  Nothing here
+solves at a given separation; `oracle.twobody_correlators` does, and
+certifies the closed form.
 
 Sign conventions are pinned by two independent checks exercised in the
 test suite: (a) the full nonperturbative local steady state (oracle
@@ -43,6 +45,7 @@ choices break both checks at O(1).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,34 +245,28 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def first_order_coherences(drive: DriveParams, atom: AtomParams) -> tuple[complex, complex]:
-    """(rho21^(1), rho31^(1)) from the linear-response closed form.
+@contextmanager
+def _at_detuning(drive: DriveParams):
+    """Name the probe detuning in any SingularityError raised inside."""
+    try:
+        yield
+    except SingularityError as exc:
+        raise SingularityError(f"{exc} at Delta2 = {drive.Delta2:g} rad/us"
+                               ) from exc
 
-    rho21^(1) = -d31 / (d21 d31 - Omega_c^2),
-    rho31^(1) = -Omega_c rho21^(1) / d31 = Omega_c / (d21 d31 - Omega_c^2).
-    """
-    d = ComplexDenominators.from_params(drive, atom)
-    den = d.d21 * d.d31 - drive.Omega_c**2
+
+def _first_order(d: ComplexDenominators, Oc: float) -> tuple[complex, complex]:
+    den = d.d21 * d.d31 - Oc**2
     if den == 0:
-        raise SingularityError(
-            f"EIT denominator vanishes at Delta2 = {drive.Delta2:g} rad/us")
-    return -d.d31 / den, drive.Omega_c / den
+        raise SingularityError("EIT denominator vanishes")
+    return -d.d31 / den, Oc / den
 
 
-def second_order_onebody(drive: DriveParams, atom: AtomParams
-                         ) -> tuple[complex, complex, complex, complex]:
-    """(rho11^(2), rho22^(2), rho33^(2), rho32^(2)) populations/coherence.
-
-    Collects the O(Omega_p^2) steady-state equations, with the trace
-    condition rho11+rho22+rho33 = 0 replacing the redundant ground-state
-    equation.  rho23^(2) is carried as an independent unknown and checked
-    to equal conj(rho32^(2)) by the tests (real drives).
-    """
-    d = ComplexDenominators.from_params(drive, atom)
-    Oc = drive.Omega_c
-    r21, r31 = first_order_coherences(drive, atom)
+def _onebody(d: ComplexDenominators, Oc: float, atom: AtomParams,
+             r21: complex, r31: complex) -> tuple:
+    """The 5x5 of `second_order_onebody`; unknowns (rho11, rho22, rho33,
+    rho32, rho23)^(2)."""
     r12, r13 = np.conj(r21), np.conj(r31)
-    # unknowns: (rho11, rho22, rho33, rho32, rho23)
     A = np.array([
         [1, 1, 1, 0, 0],
         [0, 0, -1j * atom.Gamma32, Oc, -Oc],
@@ -282,12 +279,35 @@ def second_order_onebody(drive: DriveParams, atom: AtomParams
     return u[0], u[1], u[2], u[3]
 
 
-def _second_order_systems(drive: DriveParams, atom: AtomParams):
-    """Shared pieces for the two-body builds: first-order values and the
-    r-independent 'mixed' 4x4 solution (rr13_31, rr12_31, rr12_21, rr13_21)."""
-    d = ComplexDenominators.from_params(drive, atom)
-    Oc = drive.Omega_c
-    r21, r31 = first_order_coherences(drive, atom)
+def first_order_coherences(drive: DriveParams, atom: AtomParams) -> tuple[complex, complex]:
+    """(rho21^(1), rho31^(1)) from the linear-response closed form.
+
+    rho21^(1) = -d31 / (d21 d31 - Omega_c^2),
+    rho31^(1) = -Omega_c rho21^(1) / d31 = Omega_c / (d21 d31 - Omega_c^2).
+    """
+    with _at_detuning(drive):
+        return _first_order(ComplexDenominators.from_params(drive, atom),
+                            drive.Omega_c)
+
+
+def second_order_onebody(drive: DriveParams, atom: AtomParams
+                         ) -> tuple[complex, complex, complex, complex]:
+    """(rho11^(2), rho22^(2), rho33^(2), rho32^(2)) populations/coherence.
+
+    Collects the O(Omega_p^2) steady-state equations, with the trace
+    condition rho11+rho22+rho33 = 0 replacing the redundant ground-state
+    equation.  rho23^(2) is carried as an independent unknown and checked
+    to equal conj(rho32^(2)) by the tests (real drives).
+    """
+    with _at_detuning(drive):
+        d = ComplexDenominators.from_params(drive, atom)
+        return _onebody(d, drive.Omega_c, atom, *_first_order(d, drive.Omega_c))
+
+
+def _mixed_correlators(d: ComplexDenominators, Oc: float,
+                       r21: complex, r31: complex) -> np.ndarray:
+    """zA = (rr13_31, rr12_31, rr12_21, rr13_21)^(2), the two-body
+    correlators the pair energy does not reach (the 'mixed' 4x4)."""
     r12, r13 = np.conj(r21), np.conj(r31)
     MA = np.array([
         [d.d13 + d.d31, -Oc, 0, Oc],
@@ -296,8 +316,7 @@ def _second_order_systems(drive: DriveParams, atom: AtomParams):
         [Oc, 0, -Oc, d.d13 + d.d21],
     ], dtype=complex)
     qA = np.array([0, r31, r21 - r12, -r13], dtype=complex)
-    zA = _solve_checked(MA, qA, "second-order two-body (mixed 4x4)")
-    return d, r21, r31, zA
+    return _solve_checked(MA, qA, "second-order two-body (mixed 4x4)")
 
 
 def _pair_matrix(d: ComplexDenominators, Oc: float) -> np.ndarray:
@@ -315,37 +334,6 @@ def _pair_rhs(r21: complex, r31: complex) -> np.ndarray:
     return np.array([0, -r31, -2 * r21, -r31], dtype=complex)
 
 
-def _coherence_pair_batch(d: ComplexDenominators, Oc: float,
-                          r21: complex, r31: complex,
-                          V: np.ndarray) -> np.ndarray:
-    """Batched V-dependent 4x4: (rr31_31, rr21_31, rr21_21, rr31_21)^(2)."""
-    n = V.shape[0]
-    MB = np.empty((n, 4, 4), dtype=complex)
-    MB[:] = _pair_matrix(d, Oc)
-    MB[:, 0, 0] -= V
-    qB = np.broadcast_to(_pair_rhs(r21, r31), (n, 4))
-    return _solve_checked(MB, qB[..., None], "second-order two-body (pair 4x4)")[..., 0]
-
-
-def second_order_twobody(drive: DriveParams, atom: AtomParams, r: float) -> np.ndarray:
-    """The eight O(Omega_p^2) two-body correlators at separation r (um).
-
-    Order: (rr13_31, rr12_31, rr12_21, rr13_21, rr31_31, rr21_31,
-    rr21_21, rr31_21).  Only the second quadruple sees V(r) = C6/r^6;
-    the first is r-independent.
-    """
-    if r <= 0:
-        raise DomainError("separation r must be positive")
-    d, r21, r31, zA = _second_order_systems(drive, atom)
-    V = np.array([atom.C6 / r**6])
-    try:
-        zB = _coherence_pair_batch(d, drive.Omega_c, r21, r31, V)[0]
-    except SingularityError as exc:
-        raise SingularityError(f"{exc} at r = {r:g} um, Delta2 = "
-                               f"{drive.Delta2:g} rad/us") from exc
-    return np.concatenate([zA, zB])
-
-
 # rows of the third-order right-hand side fed by the pair correlators
 # (rr31_31, rr21_31, rr21_21, rr31_21)^(2), in that order
 _PAIR_ROWS = [2, 4, 7, 6]
@@ -357,7 +345,9 @@ def _third_order_system(d: ComplexDenominators, Oc: float, atom: AtomParams,
     """(Q0, q_c): the third-order 8x8 at V = 0 and the part of its
     right-hand side that the pair correlators zB do not feed.
 
-    The pair energy shifts the double-Rydberg coherences (rows 0 and 2),
+    The unknowns are (rr33_31, rr23_31, rr32_31, rr33_21, rr22_31,
+    rr23_21, rr32_21, rr22_21)^(3).  The pair energy shifts the
+    double-Rydberg coherences (rows 0 and 2),
     Q(V) = Q0 - V (e0 e0^T + e2 e2^T), and q(V) = q_c + P zB(V) with P
     scattering zB onto `_PAIR_ROWS`.
     """
@@ -380,45 +370,8 @@ def _third_order_system(d: ComplexDenominators, Oc: float, atom: AtomParams,
     return Q0, qc
 
 
-def _third_order_batch(drive: DriveParams, atom: AtomParams,
-                       V: np.ndarray) -> np.ndarray:
-    """Batched 8x8 third-order solve over an array of pair energies V.
-
-    Returns shape (n, 8) in the order (rr33_31, rr23_31, rr32_31,
-    rr33_21, rr22_31, rr23_21, rr32_21, rr22_21)^(3).
-    """
-    d, r21, r31, zA = _second_order_systems(drive, atom)
-    Oc = drive.Omega_c
-    Q0, qc = _third_order_system(d, Oc, atom, zA,
-                                 second_order_onebody(drive, atom))
-    zB = _coherence_pair_batch(d, Oc, r21, r31, V)
-    n = V.shape[0]
-    Q = np.empty((n, 8, 8), dtype=complex)
-    Q[:] = Q0
-    Q[:, 0, 0] -= V
-    Q[:, 2, 2] -= V
-    q = np.empty((n, 8), dtype=complex)
-    q[:] = qc
-    q[:, _PAIR_ROWS] += zB
-    return _solve_checked(Q, q[..., None], "third-order two-body (8x8)")[..., 0]
-
-
-def third_order_twobody(drive: DriveParams, atom: AtomParams, r: float) -> np.ndarray:
-    """x^(3), the eight O(Omega_p^3) two-body correlators at separation r.
-
-    Component 0 is rr33_31^(3), the source of the nonlocal susceptibility.
-    """
-    if r <= 0:
-        raise DomainError("separation r must be positive")
-    V = np.array([atom.C6 / r**6])
-    try:
-        return _third_order_batch(drive, atom, V)[0]
-    except SingularityError as exc:
-        raise SingularityError(f"{exc} at r = {r:g} um, Delta2 = "
-                               f"{drive.Delta2:g} rad/us") from exc
-
-
-def _correlator_poles(drive: DriveParams, atom: AtomParams, onebody: tuple
+def _correlator_poles(d: ComplexDenominators, Oc: float, atom: AtomParams,
+                      r21: complex, r31: complex, onebody: tuple
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Poles V_k and residues c_k of rr33_31^(3)(V) = sum_k c_k / (V - V_k).
 
@@ -433,8 +386,7 @@ def _correlator_poles(drive: DriveParams, atom: AtomParams, onebody: tuple
     The poles are 1/eig(S) and 1/beta; the numerator is of lower degree
     than the denominator, so there is no polynomial part.
     """
-    d, r21, r31, zA = _second_order_systems(drive, atom)
-    Oc = drive.Omega_c
+    zA = _mixed_correlators(d, Oc, r21, r31)
     zw = _solve_checked(_pair_matrix(d, Oc),
                         np.array([_pair_rhs(r21, r31), [1, 0, 0, 0]]).T,
                         "second-order two-body (pair 4x4)")
@@ -495,31 +447,40 @@ def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
     return complex(np.sum(residues / (2 * a * C6) * logs))
 
 
+def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
+              ) -> tuple[complex, complex, complex, complex]:
+    """The one pass per detuning: (rho21^(1), rho21^(3,local), I,
+    rho21^(3,nonlocal)), each system built and solved once."""
+    Oc = drive.Omega_c
+    with _at_detuning(drive):
+        d = ComplexDenominators.from_params(drive, atom)
+        r21, r31 = _first_order(d, Oc)
+        onebody = _onebody(d, Oc, atom, r21, r31)
+        r11, r22, _, r32 = onebody
+        den = Oc**2 - d.d21 * d.d31
+        local = complex(-(d.d31 * (r22 - r11) - Oc * r32) / den)
+        # exact zeros: Oc * 0 / den could carry a signed zero into the CSV
+        if atom.C6 == 0 or atom.Na == 0 or Oc == 0:
+            return r21, local, 0.0 + 0.0j, 0.0 + 0.0j
+        Rb = atom.blockade_radius(Oc)
+        poles, residues = _correlator_poles(d, Oc, atom, r21, r31, onebody)
+        total = _shell_pole_sum(poles, residues, atom.C6,
+                                (upper_factor * Rb) ** -3, Rb ** -3)
+    I = complex(atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total)
+    return r21, local, I, complex(Oc * I / den)
+
+
 def nonlocal_integral(drive: DriveParams, atom: AtomParams,
-                      upper_factor: float = 3.0, *,
-                      onebody: tuple | None = None) -> complex:
+                      upper_factor: float = 3.0) -> complex:
     """I = Na * 4 pi * int_{R_b}^{u.f.*R_b} s^2 V(s) rr33_31^(3)(s) ds.
 
     The substitution u = 1/s^3 flattens the s^-6 kernel exactly
     (s^2 V ds -> (C6/3) du).  The integrand is a rational function of
     V = C6 u^2 with three simple poles (`_correlator_poles`), so the
     integral is a sum of logarithms (`_shell_pole_sum`), with no
-    quadrature.  `onebody` takes the `second_order_onebody` values when
-    the caller already has them.
+    quadrature.  I = 0 when C6, Na or Omega_c is 0.
     """
-    if atom.C6 == 0 or atom.Na == 0:
-        return 0.0 + 0.0j
-    Rb = atom.blockade_radius(drive.Omega_c)
-    if onebody is None:
-        onebody = second_order_onebody(drive, atom)
-    try:
-        poles, residues = _correlator_poles(drive, atom, onebody)
-        total = _shell_pole_sum(poles, residues, atom.C6,
-                                (upper_factor * Rb) ** -3, Rb ** -3)
-    except SingularityError as exc:
-        raise SingularityError(f"{exc} at Delta2 = {drive.Delta2:g} rad/us"
-                               ) from exc
-    return complex(atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total)
+    return _response(drive, atom, upper_factor)[2]
 
 
 def third_order_coherence(drive: DriveParams, atom: AtomParams
@@ -532,18 +493,8 @@ def third_order_coherence(drive: DriveParams, atom: AtomParams
 
     with I from `nonlocal_integral` (the density prefactor lives in I).
     """
-    d = ComplexDenominators.from_params(drive, atom)
-    den = drive.Omega_c**2 - d.d21 * d.d31
-    if den == 0:
-        raise SingularityError(
-            f"EIT denominator vanishes at Delta2 = {drive.Delta2:g} rad/us")
-    onebody = second_order_onebody(drive, atom)
-    r11, r22, r33, r32 = onebody
-    local = -(d.d31 * (r22 - r11) - drive.Omega_c * r32) / den
-    if atom.C6 == 0 or drive.Omega_c == 0 or atom.Na == 0:
-        return complex(local), 0.0 + 0.0j
-    I = nonlocal_integral(drive, atom, onebody=onebody)
-    return complex(local), complex(drive.Omega_c * I / den)
+    _, local, _, nl = _response(drive, atom)
+    return local, nl
 
 
 @dataclass(frozen=True)
@@ -571,8 +522,7 @@ def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakd
     K, one through the shell integral).
     """
     K = atom.chi_prefactor
-    r21_1, _ = first_order_coherences(drive, atom)
-    loc, nl = third_order_coherence(drive, atom)
+    r21_1, loc, _, nl = _response(drive, atom)
     Op2 = drive.Omega_p**2
     return SusceptibilityBreakdown(chi1=K * r21_1,
                                    chi3_local_contrib=K * Op2 * loc,

@@ -24,3 +24,56 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def _imported_modules(tree):
+    """Dotted names a module imports, relative imports resolved in rydshe."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["rydshe" if node.level else "",
+                                          node.module]))
+            out |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return out
+
+
+def test_only_the_front_ends_import_the_oracle():
+    # production paths never lean on the brute-force references
+    importers = sorted(name for name, tree in _trees().items()
+                       if "rydshe.oracle" in _imported_modules(tree))
+    assert set(importers) <= {"oracle.py", "cli.py", "__init__.py"}, importers
+
+
+def test_every_private_module_name_is_used():
+    trees = _trees()
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                                ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{module}: {name}" for module, name in defined
+              if name not in used]
+    assert not unused, f"private names nothing in src/ refers to: {unused}"

@@ -8,16 +8,26 @@ from hypothesis import given, settings, strategies as st
 from rydshe import (AtomParams, DriveParams, DomainError,
                     SingularityError, blockade_radius, derive_dipole_moment,
                     first_order_coherences, nonlocal_integral,
-                    second_order_onebody, second_order_twobody,
-                    susceptibility, third_order_coherence,
-                    third_order_twobody, canonical_atom, canonical_drive)
+                    second_order_onebody, susceptibility,
+                    third_order_coherence, canonical_atom, canonical_drive)
 from rydshe import quantum
 from rydshe.oracle import (full_local_bloch_steady_state,
-                           gauss_legendre_nonlocal_integral)
+                           gauss_legendre_nonlocal_integral,
+                           twobody_correlators)
 from rydshe.quantum import (ComplexDenominators, _correlator_poles,
-                            _shell_pole_sum, _third_order_batch)
+                            _shell_pole_sum)
 
 TWO_PI = 2.0 * math.pi
+
+
+def second_order_twobody(drv, atom, r):
+    """The eight O(Omega_p^2) two-body correlators at separation r (um)."""
+    return twobody_correlators(drv, atom, [atom.C6 / r**6])[0][0]
+
+
+def third_order_twobody(drv, atom, r):
+    """The eight O(Omega_p^3) two-body correlators at separation r (um)."""
+    return twobody_correlators(drv, atom, [atom.C6 / r**6])[1][0]
 
 
 # ---------------------------------------------------------------- dipole
@@ -241,7 +251,7 @@ def test_twobody_decoupled_without_coupling(atom):
 
 def test_third_order_factorizes_at_zero_interaction(atom):
     drv = canonical_drive(TWO_PI * 1.3)
-    x = _third_order_batch(drv, atom, np.array([0.0]))[0]
+    x = twobody_correlators(drv, atom, np.array([0.0]))[1][0]
     r21, r31 = first_order_coherences(drv, atom)
     _, r22, r33, r32 = second_order_onebody(drv, atom)
     r23 = np.conj(r32)
@@ -271,7 +281,7 @@ def test_third_order_continuity_on_shell(atom):
     drv = canonical_drive(TWO_PI * 1.3)
     rb = atom.blockade_radius(drv.Omega_c)
     s = np.linspace(rb, 3 * rb, 200)
-    x1 = _third_order_batch(drv, atom, atom.C6 / s**6)[:, 0]
+    x1 = twobody_correlators(drv, atom, atom.C6 / s**6)[1][:, 0]
     steps = np.abs(np.diff(x1))
     assert np.max(steps) < 0.2 * np.max(np.abs(x1))
 
@@ -300,6 +310,9 @@ def test_nonlocal_integral_zero_cases(atom, drive0):
                                          atom.Na, atom.lambda_p)
     assert nonlocal_integral(drive0, no_vdw) == 0
     assert nonlocal_integral(drive0, atom.with_density(0.0)) == 0
+    no_coupling = DriveParams(drive0.Omega_p, 0.0, drive0.Delta2,
+                              drive0.Delta_c)
+    assert nonlocal_integral(no_coupling, atom) == 0
 
 
 def test_nonlocal_integral_linear_density_prefactor(atom, drive0):
@@ -326,12 +339,14 @@ def test_nonlocal_integral_node_doubling(atom, drive0):
 
 def test_partial_fractions_reproduce_correlator(atom):
     drv = canonical_drive(TWO_PI * 1.3)
-    poles, res = _correlator_poles(drv, atom,
+    d = ComplexDenominators.from_params(drv, atom)
+    poles, res = _correlator_poles(d, drv.Omega_c, atom,
+                                   *first_order_coherences(drv, atom),
                                    second_order_onebody(drv, atom))
     V = np.concatenate([
         [0.0, 1.0 + 1.0j, 1e3 + 5j, -2e3 + 300j, 1e5j],
         poles * (1 + 1e-2j), poles * (1 - 1e-2), poles * (1 + 1e-3)])
-    direct = _third_order_batch(drv, atom, V)[:, 0]
+    direct = twobody_correlators(drv, atom, V)[1][:, 0]
     pf = np.sum(res / (V[:, None] - poles), axis=1)
     assert np.max(np.abs(pf - direct) / np.abs(direct)) < 1e-12
 
@@ -387,18 +402,46 @@ def test_pole_error_names_the_detuning(atom, monkeypatch):
         nonlocal_integral(drv, atom)
 
 
-def test_susceptibility_solve_count(atom, monkeypatch):
-    # one 5x5 (shared by the local and nonlocal terms), the mixed and the
-    # pair 4x4 and one 8x8 per detuning; no node axis
-    shapes = []
+@pytest.mark.parametrize("label", ["second-order one-body (5x5)",
+                                   "second-order two-body (mixed 4x4)",
+                                   "second-order two-body (pair 4x4)",
+                                   "third-order two-body (8x8)"])
+def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
     solve = quantum._solve_checked
+
+    def failing(A, b, what):
+        if what == label:
+            raise SingularityError(f"singular matrix in {what}: injected")
+        return solve(A, b, what)
+    monkeypatch.setattr(quantum, "_solve_checked", failing)
+    drv = canonical_drive(TWO_PI * 1.3)
+    with pytest.raises(SingularityError, match=re.escape(
+            f"{label}: injected at Delta2 = {drv.Delta2:g} rad/us")):
+        susceptibility(drv, atom)
+
+
+def test_susceptibility_solve_count(atom, monkeypatch):
+    # one pass per detuning: one set of denominators, one 5x5 (shared by
+    # the local and nonlocal terms), the mixed and the pair 4x4 and one
+    # 8x8; no node axis
+    shapes, made = [], []
+    solve = quantum._solve_checked
+    from_params = quantum.ComplexDenominators.from_params
 
     def record(A, b, what):
         shapes.append(A.shape)
         return solve(A, b, what)
+
+    def denominators(cls, drive, atom):
+        made.append(drive.Delta2)
+        return from_params(drive, atom)
     monkeypatch.setattr(quantum, "_solve_checked", record)
-    susceptibility(canonical_drive(TWO_PI * 0.4), atom)
+    monkeypatch.setattr(quantum.ComplexDenominators, "from_params",
+                        classmethod(denominators))
+    drv = canonical_drive(TWO_PI * 0.4)
+    susceptibility(drv, atom)
     assert sorted(shapes) == [(4, 4), (4, 4), (5, 5), (8, 8)]
+    assert made == [drv.Delta2]
 
 
 # ------------------------------------------------------ third-order parts
@@ -492,9 +535,8 @@ def test_hermiticity_of_second_order_pair(atom):
 def test_nan_input_names_failing_solve(atom, drive0):
     # a poisoned pair energy is reported at the first solve it reaches
     from rydshe import PropagationError
-    from rydshe.quantum import _third_order_batch
     with pytest.raises(PropagationError, match="second-order two-body"):
-        _third_order_batch(drive0, atom, np.array([math.nan]))
+        twobody_correlators(drive0, atom, np.array([math.nan]))
 
 
 def test_solve_residual_checked_per_system(monkeypatch):
