@@ -15,6 +15,8 @@ import io
 import math
 from dataclasses import dataclass, replace, fields as dc_fields
 
+import numpy as np
+
 from .errors import ConfigError
 from .quantum import AtomParams, DriveParams
 from .multilayer import Layer, LayerStack
@@ -123,10 +125,14 @@ class RunConfig:
             gamma32=None if self.coh32_mhz is None else self.coh32_mhz * MHZ,
         )
 
-    def drive_params(self) -> DriveParams:
+    def drive_params(self, delta2_mhz=None) -> DriveParams:
+        """The drive at the probe detuning `delta2_mhz` (MHz; a scalar or
+        a sequence, default: the configured detuning)."""
+        delta2 = (self.delta2_mhz if delta2_mhz is None
+                  else np.asarray(delta2_mhz, dtype=float))
         return DriveParams(Omega_p=self.omega_p_mhz * MHZ,
                            Omega_c=self.omega_c_mhz * MHZ,
-                           Delta2=self.delta2_mhz * MHZ,
+                           Delta2=delta2 * MHZ,
                            Delta_c=self.delta_c_mhz * MHZ)
 
     def layer_stack(self, chi: complex = 0.0) -> LayerStack:

@@ -145,17 +145,20 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
     """
     V = np.asarray(V)
     n, Oc = len(V), drive.Omega_c
-    d = ComplexDenominators.from_params(drive, atom)
-    r21, r31 = quantum._first_order(d, Oc)
-    zA = quantum._mixed_correlators(d, Oc, r21, r31)
-    Q0, qc = quantum._third_order_system(
-        d, Oc, atom, zA, quantum._onebody(d, Oc, atom, r21, r31))
+    batch = quantum._batch(drive)
+    d = ComplexDenominators.from_params(batch, atom)
+    r21, r31, first = quantum._first_order(d, Oc)
+    onebody, second = quantum._onebody(d, Oc, atom, r21, r31)
+    zA, mixed = quantum._mixed_correlators(d, Oc, r21, r31)
+    # the V-free parts raise as a scalar call at this detuning would
+    quantum._one((), quantum._first_errors(first, second, mixed), batch)
+    Q0, qc = quantum._third_order_system(d, Oc, atom, zA, onebody)
     MB = np.empty((n, 4, 4), dtype=complex)
     MB[:] = quantum._pair_matrix(d, Oc)
     MB[:, 0, 0] -= V
-    qB = np.broadcast_to(quantum._pair_rhs(r21, r31), (n, 4))
-    zB = quantum._solve_checked(MB, qB[..., None],
-                                "second-order two-body (pair 4x4)")[..., 0]
+    qB = np.broadcast_to(quantum._pair_rhs(r21, r31)[..., :1], (n, 4, 1))
+    zB = _checked(*quantum._solve_checked(
+        MB, qB, "second-order two-body (pair 4x4)"))[..., 0]
     Q = np.empty((n, 8, 8), dtype=complex)
     Q[:] = Q0
     Q[:, 0, 0] -= V
@@ -163,9 +166,18 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
     q = np.empty((n, 8), dtype=complex)
     q[:] = qc
     q[:, quantum._PAIR_ROWS] += zB
-    x3 = quantum._solve_checked(Q, q[..., None],
-                                "third-order two-body (8x8)")[..., 0]
+    x3 = _checked(*quantum._solve_checked(
+        Q, q[..., None], "third-order two-body (8x8)"))[..., 0]
     return np.concatenate([np.broadcast_to(zA, (n, 4)), zB], axis=1), x3
+
+
+def _checked(value, errors: dict):
+    """value, unless a system of its batch over V failed: then the first
+    failure's error, naming its batch index."""
+    if errors:
+        i = min(errors)
+        raise type(errors[i])(f"{errors[i]} at batch index {i}") from errors[i]
+    return value
 
 
 def gauss_legendre_nonlocal_integral(drive: DriveParams, atom: AtomParams,
@@ -173,8 +185,9 @@ def gauss_legendre_nonlocal_integral(drive: DriveParams, atom: AtomParams,
                                      upper_factor: float = 3.0) -> complex:
     """Reference for the closed-form shell integral: Gauss-Legendre
     quadrature in u = 1/s^3 (where s^2 V ds -> (C6/3) du) of
-    `twobody_correlators`, one batched 8x8 solve per node."""
-    if atom.C6 == 0 or atom.Na == 0:
+    `twobody_correlators`, one batched 8x8 solve per node.  0 when C6,
+    Na or Omega_c is 0, as in production."""
+    if atom.C6 == 0 or atom.Na == 0 or drive.Omega_c == 0:
         return 0.0 + 0.0j
     Rb = atom.blockade_radius(drive.Omega_c)
     u_hi, u_lo = Rb**-3, (upper_factor * Rb)**-3
@@ -189,8 +202,9 @@ def trapezoid_nonlocal_integral(drive: DriveParams, atom: AtomParams,
                                 panels: int = 10_000,
                                 upper_factor: float = 3.0) -> complex:
     """Brute-force reference for the shell integral: composite trapezoid
-    in s of Na * 4 pi * s^2 V(s) rr33_31^(3)(s), no substitution."""
-    if atom.C6 == 0 or atom.Na == 0:
+    in s of Na * 4 pi * s^2 V(s) rr33_31^(3)(s), no substitution.  0
+    when C6, Na or Omega_c is 0, as in production."""
+    if atom.C6 == 0 or atom.Na == 0 or drive.Omega_c == 0:
         return 0.0 + 0.0j
     Rb = atom.blockade_radius(drive.Omega_c)
     s = np.linspace(Rb, upper_factor * Rb, panels + 1)

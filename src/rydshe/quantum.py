@@ -23,11 +23,14 @@ correlator <sigma33(r') sigma31(r)> integrated against V over the shell
 closed at two atoms / third order: one 5x5, two 4x4 and one 8x8 complex
 linear system.  The pair energy enters them as a low-rank change, so the
 correlator is a rational function of V and the shell integral has a
-closed form.  `susceptibility` makes one pass per detuning: the
-denominators, rho21^(1), the four solves (two of them with several
-right-hand sides) and a 2x2 eigenvalue problem, each once.  Nothing here
-solves at a given separation; `oracle.twobody_correlators` does, and
-certifies the closed form.
+closed form.  `susceptibility` takes a scalar or a 1-D array of probe
+detunings through one batched pass: the denominators, rho21^(1), four
+batched solves (two of them with several right-hand sides), a batch of
+2x2 eigenvalue problems and a broadcast sum of logarithms, each once.
+Every guard is applied per detuning, and a failure is reported against
+its own detuning; a scalar is the length-1 batch.  Nothing here solves
+at a given separation; `oracle.twobody_correlators` does, and certifies
+the closed form.
 
 Sign conventions are pinned by two independent checks exercised in the
 test suite: (a) the full nonperturbative local steady state (oracle
@@ -45,7 +48,7 @@ choices break both checks at O(1).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from itertools import combinations
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +176,7 @@ class DriveParams:
 
     Omega_p and Omega_c are taken real and non-negative; conjugate
     coherences are then plain complex conjugates.  Delta3 is always
-    Delta2 + Delta_c.
+    Delta2 + Delta_c.  Delta2 may be a 1-D array for `susceptibility`.
     """
 
     Omega_p: float
@@ -195,7 +198,8 @@ class DriveParams:
 
 @dataclass(frozen=True)
 class ComplexDenominators:
-    """d_ab = Delta_a - Delta_b + i gamma_ab with Delta_1 = 0."""
+    """d_ab = Delta_a - Delta_b + i gamma_ab with Delta_1 = 0 (arrays when
+    Delta2 is an array)."""
 
     d21: complex
     d31: complex
@@ -215,68 +219,137 @@ class ComplexDenominators:
                    d23=D2 - D3 + 1j * atom.gamma32)
 
 
+def _batch(drive: DriveParams) -> DriveParams:
+    """drive with Delta2 as a 1-D array; a scalar is the length-1 batch."""
+    Delta2 = np.atleast_1d(np.asarray(drive.Delta2, dtype=float))
+    if Delta2.ndim != 1:
+        raise DomainError("Delta2 must be a scalar or a 1-D array")
+    return drive.detuned(Delta2)
+
+
+def _stacked(entries: list) -> np.ndarray:
+    """Complex array of shape batch + (m,) from a list of m entries, or
+    batch + (m, k) from m rows of k entries; each entry is a scalar or an
+    array of the batch's shape."""
+    rows = entries if isinstance(entries[0], list) else [entries]
+    arrays = [(i, j, e) for i, row in enumerate(rows)
+              for j, e in enumerate(row) if type(e) is np.ndarray]
+    out = np.empty((arrays[0][2].shape if arrays else ())
+                   + (len(rows), len(rows[0])), dtype=complex)
+    out[...] = [[0 if type(e) is np.ndarray else e for e in row]
+                for row in rows]
+    for i, j, e in arrays:
+        out[..., i, j] = e
+    return out if rows is entries else out[..., 0, :]
+
+
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in m (over the last two axes)."""
     f = m.reshape(m.shape[:-2] + (-1,))
     return np.sqrt(np.vecdot(f, f).real)
 
 
-def _solve_checked(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Dense LU solve (partial pivoting) with a relative-residual guard.
+def _failures(bad: np.ndarray, error) -> dict:
+    """{i: error(i)} for the batch members i where bad[i]."""
+    if not bad.any():
+        return {}
+    return {i: error(i) for i in np.flatnonzero(bad).tolist()}
 
-    A is (..., n, n) and b is (n,) or (..., n, k); the residual is
-    checked per system, so one bad system in a batch cannot hide behind
-    the norm of the others.
+
+def _first_errors(*stages: dict) -> dict:
+    """Per failed batch member, the error of the earliest stage it failed."""
+    first: dict = {}
+    for errors in reversed(stages):
+        first.update(errors)
+    return first
+
+
+def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
+                   ) -> tuple[np.ndarray, dict]:
+    """Dense LU solves (partial pivoting) of A x = b, A (n, m, m) and
+    b (n, m, k), each system guarded on its own.
+
+    Returns (x, errors): errors maps each failed system i to the typed
+    error it gives alone -- non-finite entries, an exactly singular
+    matrix, or a relative residual above SOLVE_RESIDUAL_TOL -- so one bad
+    system cannot hide behind the norm of the others.  A failed system's
+    x is 0, so it cannot poison later arithmetic on the batch.
     """
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise PropagationError(f"non-finite entries entering the {what} solve")
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    eye = np.eye(A.shape[-1])
+    if not finite.all():
+        A = np.where(finite[:, None, None], A, eye)
+        b = np.where(finite[:, None, None], b, 0)
+    singular = np.zeros(len(A), dtype=bool)
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"singular matrix in {what}: {exc}") from exc
-    bm, xm = (b[:, None], x[:, None]) if b.ndim == 1 else (b, x)
-    scale = np.maximum(_frobenius(bm), _frobenius(A) * _frobenius(xm))
-    rel = _frobenius(A @ xm - bm) / np.maximum(scale, 1e-300)
-    if not np.all(rel <= SOLVE_RESIDUAL_TOL):            # nan fails too
-        i = np.flatnonzero(~(rel <= SOLVE_RESIDUAL_TOL))[0]
-        where = f" at batch index {i}" if rel.ndim else ""
-        raise SingularityError(f"{what} solve residual {rel.flat[i]:.2e} "
-                               f"exceeds {SOLVE_RESIDUAL_TOL:.0e}{where}")
-    return x
+        # LU finds the same zero pivot as the solve; the rest still solve
+        singular = np.linalg.slogdet(A).sign == 0
+        x = np.linalg.solve(np.where(singular[:, None, None], eye, A), b)
+        reason = exc
+    scale = np.maximum(_frobenius(b), _frobenius(A) * _frobenius(x))
+    rel = _frobenius(A @ x - b) / np.maximum(scale, 1e-300)
+    bad = ~finite | singular | ~(rel <= SOLVE_RESIDUAL_TOL)   # nan fails too
+    if bad.any():
+        x[bad] = 0
+
+    def error(i):
+        if not finite[i]:
+            return PropagationError(
+                f"non-finite entries entering the {what} solve")
+        if singular[i]:
+            return SingularityError(f"singular matrix in {what}: {reason}")
+        return SingularityError(f"{what} solve residual {rel[i]:.2e} "
+                                f"exceeds {SOLVE_RESIDUAL_TOL:.0e}")
+    return x, _failures(bad, error)
 
 
-@contextmanager
-def _at_detuning(drive: DriveParams):
-    """Name the probe detuning in any SingularityError raised inside."""
-    try:
-        yield
-    except SingularityError as exc:
-        raise SingularityError(f"{exc} at Delta2 = {drive.Delta2:g} rad/us"
-                               ) from exc
+def _named(errors: dict, drive: DriveParams) -> tuple:
+    """Per detuning, None or its error; a SingularityError is named with
+    the detuning."""
+    named = [None] * len(drive.Delta2)
+    for i, e in errors.items():
+        if isinstance(e, SingularityError):
+            cause = e
+            e = SingularityError(f"{e} at Delta2 = {drive.Delta2[i]:g} rad/us")
+            e.__cause__ = cause
+        named[i] = e
+    return tuple(named)
 
 
-def _first_order(d: ComplexDenominators, Oc: float) -> tuple[complex, complex]:
+def _one(parts, errors: dict, drive: DriveParams) -> tuple:
+    """The parts of a length-1 batch as complex numbers; raises its error."""
+    if errors:
+        raise _named(errors, drive)[0]
+    return tuple(complex(p.item()) for p in parts)
+
+
+def _first_order(d: ComplexDenominators, Oc: float
+                 ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(rho21^(1), rho31^(1), errors)."""
     den = d.d21 * d.d31 - Oc**2
-    if den == 0:
-        raise SingularityError("EIT denominator vanishes")
-    return -d.d31 / den, Oc / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r21, r31 = -d.d31 / den, Oc / den
+    return r21, r31, _failures(
+        den == 0, lambda i: SingularityError("EIT denominator vanishes"))
 
 
 def _onebody(d: ComplexDenominators, Oc: float, atom: AtomParams,
-             r21: complex, r31: complex) -> tuple:
+             r21: np.ndarray, r31: np.ndarray) -> tuple[tuple, dict]:
     """The 5x5 of `second_order_onebody`; unknowns (rho11, rho22, rho33,
     rho32, rho23)^(2)."""
     r12, r13 = np.conj(r21), np.conj(r31)
-    A = np.array([
+    A = _stacked([
         [1, 1, 1, 0, 0],
         [0, 0, -1j * atom.Gamma32, Oc, -Oc],
         [0, -1j * atom.Gamma21, 1j * atom.Gamma32, -Oc, Oc],
         [0, -Oc, Oc, -d.d32, 0],
         [0, Oc, -Oc, 0, -d.d23],
-    ], dtype=complex)
-    b = np.array([0, 0, r12 - r21, -r31, r13], dtype=complex)
-    u = _solve_checked(A, b, "second-order one-body (5x5)")
-    return u[0], u[1], u[2], u[3]
+    ])
+    b = _stacked([[0], [0], [r12 - r21], [-r31], [r13]])
+    u, errors = _solve_checked(A, b, "second-order one-body (5x5)")
+    return tuple(u[:, :4, 0].T), errors
 
 
 def first_order_coherences(drive: DriveParams, atom: AtomParams) -> tuple[complex, complex]:
@@ -285,9 +358,10 @@ def first_order_coherences(drive: DriveParams, atom: AtomParams) -> tuple[comple
     rho21^(1) = -d31 / (d21 d31 - Omega_c^2),
     rho31^(1) = -Omega_c rho21^(1) / d31 = Omega_c / (d21 d31 - Omega_c^2).
     """
-    with _at_detuning(drive):
-        return _first_order(ComplexDenominators.from_params(drive, atom),
-                            drive.Omega_c)
+    batch = _batch(drive)
+    r21, r31, errors = _first_order(
+        ComplexDenominators.from_params(batch, atom), drive.Omega_c)
+    return _one((r21, r31), errors, batch)
 
 
 def second_order_onebody(drive: DriveParams, atom: AtomParams
@@ -299,39 +373,44 @@ def second_order_onebody(drive: DriveParams, atom: AtomParams
     equation.  rho23^(2) is carried as an independent unknown and checked
     to equal conj(rho32^(2)) by the tests (real drives).
     """
-    with _at_detuning(drive):
-        d = ComplexDenominators.from_params(drive, atom)
-        return _onebody(d, drive.Omega_c, atom, *_first_order(d, drive.Omega_c))
+    batch, Oc = _batch(drive), drive.Omega_c
+    d = ComplexDenominators.from_params(batch, atom)
+    r21, r31, first = _first_order(d, Oc)
+    onebody, errors = _onebody(d, Oc, atom, r21, r31)
+    return _one(onebody, _first_errors(first, errors), batch)
 
 
 def _mixed_correlators(d: ComplexDenominators, Oc: float,
-                       r21: complex, r31: complex) -> np.ndarray:
+                       r21: np.ndarray, r31: np.ndarray
+                       ) -> tuple[np.ndarray, dict]:
     """zA = (rr13_31, rr12_31, rr12_21, rr13_21)^(2), the two-body
     correlators the pair energy does not reach (the 'mixed' 4x4)."""
     r12, r13 = np.conj(r21), np.conj(r31)
-    MA = np.array([
+    MA = _stacked([
         [d.d13 + d.d31, -Oc, 0, Oc],
         [-Oc, d.d12 + d.d31, Oc, 0],
         [0, Oc, d.d12 + d.d21, -Oc],
         [Oc, 0, -Oc, d.d13 + d.d21],
-    ], dtype=complex)
-    qA = np.array([0, r31, r21 - r12, -r13], dtype=complex)
-    return _solve_checked(MA, qA, "second-order two-body (mixed 4x4)")
+    ])
+    qA = _stacked([[0], [r31], [r21 - r12], [-r13]])
+    zA, errors = _solve_checked(MA, qA, "second-order two-body (mixed 4x4)")
+    return zA[..., 0], errors
 
 
 def _pair_matrix(d: ComplexDenominators, Oc: float) -> np.ndarray:
     """MB0, the pair 4x4 of (rr31_31, rr21_31, rr21_21, rr31_21)^(2) at
     V = 0; the pair energy enters as MB(V) = MB0 - V e0 e0^T."""
-    return np.array([
+    return _stacked([
         [2 * d.d31, Oc, 0, Oc],
         [Oc, d.d21 + d.d31, Oc, 0],
         [0, Oc, 2 * d.d21, Oc],
         [Oc, 0, Oc, d.d21 + d.d31],
-    ], dtype=complex)
+    ])
 
 
-def _pair_rhs(r21: complex, r31: complex) -> np.ndarray:
-    return np.array([0, -r31, -2 * r21, -r31], dtype=complex)
+def _pair_rhs(r21: np.ndarray, r31: np.ndarray) -> np.ndarray:
+    """[qB, e0]: the pair 4x4's right-hand side and its first unit vector."""
+    return _stacked([[0, 1], [-r31, 0], [-2 * r21, 0], [-r31, 0]])
 
 
 # rows of the third-order right-hand side fed by the pair correlators
@@ -351,11 +430,11 @@ def _third_order_system(d: ComplexDenominators, Oc: float, atom: AtomParams,
     Q(V) = Q0 - V (e0 e0^T + e2 e2^T), and q(V) = q_c + P zB(V) with P
     scattering zB onto `_PAIR_ROWS`.
     """
-    rr13_31, rr12_31, rr12_21, rr13_21 = zA
+    rr13_31, rr12_31, rr12_21, rr13_21 = zA.T
     r11, r22, r33, r32 = onebody
     r23 = np.conj(r32)
     G12, G23 = atom.Gamma21, atom.Gamma32
-    Q0 = np.array([
+    Q0 = _stacked([
         [d.d31 + 1j * G23, Oc, -Oc, Oc, 0, 0, 0, 0],
         [Oc, d.d23 + d.d31, 0, 0, -Oc, Oc, 0, 0],
         [-Oc, 0, d.d31 + d.d32, 0, Oc, 0, Oc, 0],
@@ -364,16 +443,17 @@ def _third_order_system(d: ComplexDenominators, Oc: float, atom: AtomParams,
         [0, Oc, 0, Oc, 0, d.d21 + d.d23, 0, -Oc],
         [0, 0, Oc, -Oc, 0, 0, d.d21 + d.d32, Oc],
         [0, 0, 0, -1j * G23, Oc, -Oc, Oc, d.d21 + 1j * G12],
-    ], dtype=complex)
-    qc = np.array([0, -rr13_31, 0, -r33, -rr12_31, -r23 - rr13_21, -r32,
-                   -r22 - rr12_21], dtype=complex)
+    ])
+    qc = _stacked([0, -rr13_31, 0, -r33, -rr12_31, -r23 - rr13_21, -r32,
+                   -r22 - rr12_21])
     return Q0, qc
 
 
 def _correlator_poles(d: ComplexDenominators, Oc: float, atom: AtomParams,
-                      r21: complex, r31: complex, onebody: tuple
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Poles V_k and residues c_k of rr33_31^(3)(V) = sum_k c_k / (V - V_k).
+                      r21: np.ndarray, r31: np.ndarray, onebody: tuple
+                      ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Poles V_k and residues c_k, each (n, 3), of
+    rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solves.
 
     Sherman-Morrison on the pair 4x4: MB0 [zB0, w] = [qB, e0] gives
     zB(V) = zB0 + w zB0_0 g(V), g(V) = V / (1 - V beta), beta = w_0.
@@ -386,88 +466,117 @@ def _correlator_poles(d: ComplexDenominators, Oc: float, atom: AtomParams,
     The poles are 1/eig(S) and 1/beta; the numerator is of lower degree
     than the denominator, so there is no polynomial part.
     """
-    zA = _mixed_correlators(d, Oc, r21, r31)
-    zw = _solve_checked(_pair_matrix(d, Oc),
-                        np.array([_pair_rhs(r21, r31), [1, 0, 0, 0]]).T,
-                        "second-order two-body (pair 4x4)")
-    zB0, w = zw[:, 0], zw[:, 1]
-    beta = w[0]
+    zA, mixed = _mixed_correlators(d, Oc, r21, r31)
+    zw, pair = _solve_checked(_pair_matrix(d, Oc), _pair_rhs(r21, r31),
+                              "second-order two-body (pair 4x4)")
+    zB0, w = zw[..., 0], zw[..., 1]
+    beta = w[:, :1]
     Q0, qc = _third_order_system(d, Oc, atom, zA, onebody)
-    rhs = np.zeros((8, 4), dtype=complex)
-    rhs[0, 0] = rhs[2, 1] = 1.0
-    rhs[:, 2] = qc
-    rhs[_PAIR_ROWS, 2] += zB0
-    rhs[_PAIR_ROWS, 3] = w * zB0[0]
-    X = _solve_checked(Q0, rhs, "third-order two-body (8x8)")[[0, 2]]
-    S, a, b = X[:, :2], X[:, 2], X[:, 3]
+    rhs = np.zeros(qc.shape + (4,), dtype=complex)
+    rhs[:, 0, 0] = rhs[:, 2, 1] = 1.0
+    rhs[..., 2] = qc
+    rhs[:, _PAIR_ROWS, 2] += zB0
+    rhs[:, _PAIR_ROWS, 3] = w * zB0[:, :1]
+    X, third = _solve_checked(Q0, rhs, "third-order two-body (8x8)")
+    X = X[:, [0, 2]]
+    S, a, b = X[..., :2], X[..., 2, None], X[..., 3, None]
     lam = np.linalg.eigvals(S)
     # coincident poles give non-finite residues; _shell_pole_sum refuses them
     with np.errstate(divide="ignore", invalid="ignore"):
-        V = 1.0 / np.array([lam[0], lam[1], beta])
+        V = 1.0 / np.concatenate([lam, beta], axis=1)
         # row 0 of adj(I - V_k S), so that (I - V S)^-1 = adj / det
-        adj0 = np.stack([1 - V * S[1, 1], V * S[0, 1]], axis=1)
-        c = np.empty(3, dtype=complex)
-        c[:2] = ((adj0[:2] @ a + (adj0[:2] @ b) / (lam - beta))
-                 / (lam[::-1] - lam))
-        c[2] = -V[2] ** 2 * (adj0[2] @ b) / np.prod(1 - V[2] * lam)
-    return V, c
+        adj0 = np.stack([1 - V * S[:, 1, 1, None], V * S[:, 0, 1, None]],
+                        axis=2)
+        adj0_a, adj0_b = (adj0 @ a)[..., 0], (adj0 @ b)[..., 0]
+        c = np.empty_like(V)
+        c[:, :2] = ((adj0_a[:, :2] + adj0_b[:, :2] / (lam - beta))
+                    / (lam[:, ::-1] - lam))
+        c[:, 2] = (-V[:, 2] ** 2 * adj0_b[:, 2]
+                   / np.prod(1 - V[:, 2:] * lam, axis=1))
+    return V, c, _first_errors(mixed, pair, third)
 
 
 def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
-                    u_lo: float, u_hi: float) -> complex:
-    """int_{u_lo}^{u_hi} sum_k c_k / (C6 u^2 - V_k) du, exactly.
+                    u_lo: float, u_hi: float) -> tuple[np.ndarray, dict]:
+    """int_{u_lo}^{u_hi} sum_k c_k / (C6 u^2 - V_k) du, exactly, for each
+    row of poles and residues (n, k); returns (integrals, errors).
 
     With a_k = sqrt(V_k / C6) each term is
     c_k / (2 a_k C6) [ln(u - a_k) - ln(u + a_k)] between the limits.  The
     differences are taken as log1p of (u_hi -/+ a_k)/(u_lo -/+ a_k) - 1,
     which stays on the principal branch along the segment and keeps full
-    precision for poles far from it.  A pole within POLE_CLEARANCE
-    segment lengths of [u_lo, u_hi], or two poles within POLE_CLEARANCE
-    of each other (relative), raises SingularityError.
+    precision for poles far from it.  Non-finite poles or residues, two
+    poles within POLE_CLEARANCE of each other (relative), or a pole
+    within POLE_CLEARANCE segment lengths of [u_lo, u_hi] make that row's
+    SingularityError, checked in that order.
     """
-    if not (np.all(np.isfinite(poles)) and np.all(np.isfinite(residues))):
-        raise SingularityError(f"non-finite pole or residue of rr33_31^(3): "
-                               f"poles {poles}")
-    for i in range(len(poles)):
-        for j in range(i):
-            if abs(poles[i] - poles[j]) <= POLE_CLEARANCE * max(
-                    abs(poles[i]), abs(poles[j])):
-                raise SingularityError(
-                    f"poles V = {poles[j]:.6g} and V = {poles[i]:.6g} rad/us "
-                    f"of rr33_31^(3) coincide")
     span = u_hi - u_lo
-    a = np.sqrt(poles / C6)                    # principal root, Re a >= 0
-    dist = np.abs(a - np.clip(a.real, u_lo, u_hi)) / span
-    k = int(np.argmin(dist))
-    if dist[k] <= POLE_CLEARANCE:
-        raise SingularityError(
-            f"pole V = {poles[k]:.6g} rad/us of rr33_31^(3) lies "
-            f"{dist[k]:.2g} shell lengths from the shell")
-    logs = np.log1p(span / (u_lo - a)) - np.log1p(span / (u_lo + a))
-    return complex(np.sum(residues / (2 * a * C6) * logs))
+    pairs = list(combinations(range(poles.shape[1]), 2))  # (0, 1), (0, 2), ..
+    lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        finite = (np.isfinite(poles).all(axis=1)
+                  & np.isfinite(residues).all(axis=1))
+        p_hi, p_lo = poles[:, hi], poles[:, lo]
+        coincide = (np.abs(p_hi - p_lo) <= POLE_CLEARANCE
+                    * np.maximum(np.abs(p_hi), np.abs(p_lo)))
+        a = np.sqrt(poles / C6)                # principal root, Re a >= 0
+        dist = np.abs(a - np.clip(a.real, u_lo, u_hi)) / span
+        logs = np.log1p(span / (u_lo - a)) - np.log1p(span / (u_lo + a))
+        total = np.sum(residues / (2 * a * C6) * logs, axis=1)
+
+    def error(i):
+        p = poles[i]
+        if not finite[i]:
+            return SingularityError(
+                f"non-finite pole or residue of rr33_31^(3): poles {p}")
+        if coincide[i].any():
+            m = np.argmax(coincide[i])
+            return SingularityError(
+                f"poles V = {p[lo[m]]:.6g} and V = {p[hi[m]]:.6g} rad/us "
+                f"of rr33_31^(3) coincide")
+        k = np.argmin(dist[i])
+        return SingularityError(
+            f"pole V = {p[k]:.6g} rad/us of rr33_31^(3) lies "
+            f"{dist[i, k]:.2g} shell lengths from the shell")
+    bad = ~finite | coincide.any(axis=1) | ~(dist.min(axis=1) > POLE_CLEARANCE)
+    return total, _failures(bad, error)
 
 
 def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
-              ) -> tuple[complex, complex, complex, complex]:
-    """The one pass per detuning: (rho21^(1), rho21^(3,local), I,
-    rho21^(3,nonlocal)), each system built and solved once."""
+              ) -> tuple[np.ndarray, dict]:
+    """The one pass over a batch of detunings (drive from `_batch`).
+
+    Returns (parts, errors): parts is (4, n), the rows rho21^(1),
+    rho21^(3,local), I and rho21^(3,nonlocal); errors maps each failed
+    detuning to its first error, and its parts are nan.  Each system is
+    built and solved once, as one batch over the detunings.
+    """
     Oc = drive.Omega_c
-    with _at_detuning(drive):
-        d = ComplexDenominators.from_params(drive, atom)
-        r21, r31 = _first_order(d, Oc)
-        onebody = _onebody(d, Oc, atom, r21, r31)
-        r11, r22, _, r32 = onebody
-        den = Oc**2 - d.d21 * d.d31
-        local = complex(-(d.d31 * (r22 - r11) - Oc * r32) / den)
-        # exact zeros: Oc * 0 / den could carry a signed zero into the CSV
-        if atom.C6 == 0 or atom.Na == 0 or Oc == 0:
-            return r21, local, 0.0 + 0.0j, 0.0 + 0.0j
+    d = ComplexDenominators.from_params(drive, atom)
+    r21, r31, first = _first_order(d, Oc)
+    onebody, second = _onebody(d, Oc, atom, r21, r31)
+    stages = [first, second]
+    r11, r22, _, r32 = onebody
+    den = Oc**2 - d.d21 * d.d31
+    with np.errstate(divide="ignore", invalid="ignore"):
+        local = -(d.d31 * (r22 - r11) - Oc * r32) / den
+    # exact zeros: Oc * 0 / den could carry a signed zero into the CSV
+    I = nl = np.zeros_like(local)
+    if atom.C6 != 0 and atom.Na != 0 and Oc != 0:
         Rb = atom.blockade_radius(Oc)
-        poles, residues = _correlator_poles(d, Oc, atom, r21, r31, onebody)
-        total = _shell_pole_sum(poles, residues, atom.C6,
-                                (upper_factor * Rb) ** -3, Rb ** -3)
-    I = complex(atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total)
-    return r21, local, I, complex(Oc * I / den)
+        poles, residues, third = _correlator_poles(d, Oc, atom, r21, r31,
+                                                   onebody)
+        total, shell = _shell_pole_sum(poles, residues, atom.C6,
+                                       (upper_factor * Rb) ** -3, Rb ** -3)
+        stages += [third, shell]
+        I = atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nl = Oc * I / den
+    errors = _first_errors(*stages)
+    parts = np.array([r21, local, I, nl])
+    if errors:
+        parts[:, list(errors)] = np.nan
+    return parts, errors
 
 
 def nonlocal_integral(drive: DriveParams, atom: AtomParams,
@@ -480,7 +589,9 @@ def nonlocal_integral(drive: DriveParams, atom: AtomParams,
     integral is a sum of logarithms (`_shell_pole_sum`), with no
     quadrature.  I = 0 when C6, Na or Omega_c is 0.
     """
-    return _response(drive, atom, upper_factor)[2]
+    batch = _batch(drive)
+    parts, errors = _response(batch, atom, upper_factor)
+    return _one(parts[2:3], errors, batch)[0]
 
 
 def third_order_coherence(drive: DriveParams, atom: AtomParams
@@ -493,17 +604,24 @@ def third_order_coherence(drive: DriveParams, atom: AtomParams
 
     with I from `nonlocal_integral` (the density prefactor lives in I).
     """
-    _, local, _, nl = _response(drive, atom)
-    return local, nl
+    batch = _batch(drive)
+    parts, errors = _response(batch, atom)
+    return _one(parts[[1, 3]], errors, batch)
 
 
 @dataclass(frozen=True)
 class SusceptibilityBreakdown:
-    """chi split into linear, local-Kerr and nonlocal-Kerr contributions."""
+    """chi split into linear, local-Kerr and nonlocal-Kerr contributions.
+
+    The parts are complex numbers, or arrays over the detunings of an
+    array call; `errors` holds, per detuning, None or the typed error a
+    scalar call at that detuning raises (the parts are nan there).
+    """
 
     chi1: complex
     chi3_local_contrib: complex
     chi3_nonlocal_contrib: complex
+    errors: tuple = ()
 
     @property
     def total(self) -> complex:
@@ -518,12 +636,16 @@ class SusceptibilityBreakdown:
 def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakdown:
     """Probe susceptibility chi = K rho21 / Omega_p, split by order.
 
-    chi1 scales as Na, chi3_nonlocal_contrib as Na^2 (one power through
-    K, one through the shell integral).
+    drive.Delta2 is a scalar, or a 1-D array solved as one batch.  A
+    scalar call returns complex parts and raises the detuning's error; an
+    array call returns arrays and reports each failure in `errors`
+    against its own detuning.  chi1 scales as Na, chi3_nonlocal_contrib
+    as Na^2 (one power through K, one through the shell integral).
     """
-    K = atom.chi_prefactor
-    r21_1, loc, _, nl = _response(drive, atom)
-    Op2 = drive.Omega_p**2
-    return SusceptibilityBreakdown(chi1=K * r21_1,
-                                   chi3_local_contrib=K * Op2 * loc,
-                                   chi3_nonlocal_contrib=K * Op2 * nl)
+    batch = _batch(drive)
+    parts, errors = _response(batch, atom)
+    K, Op2 = atom.chi_prefactor, drive.Omega_p**2
+    chi = (K * parts[0], K * Op2 * parts[1], K * Op2 * parts[3])
+    if np.ndim(drive.Delta2) == 0:
+        chi = _one(chi, errors, batch)
+    return SusceptibilityBreakdown(*chi, errors=_named(errors, batch))

@@ -3,13 +3,15 @@
 A sweep evaluates one pipeline stage (chi / fresnel / shift / map /
 profile) on a 1-D or 2-D grid.  Each axis is validated once, not each
 row (`_axis_errors`).  Grid points with the same values on the axes
-other than theta_i share a medium and a slab (the same drive, atom and
-thickness) and form one group: one `RunConfig`, one `susceptibility`
-call and one `stack_fresnel` call per polarization over the array of
-its incidence angles.  Failures are recorded in the row's `error` column
+other than theta_i and Delta2 share an atom, a coupling field and a slab
+and form one group: one `RunConfig` and one `susceptibility` call over
+the array of its probe detunings.  Each detuning of a group then makes
+one `stack_fresnel` call per polarization over the array of its
+incidence angles.  Failures are recorded in the row's `error` column
 instead of aborting the sweep: a point's own config or shift failure on
 its row (the first axis's config error when both axes fail), a chi or
-layer failure on every row of its group.
+layer failure on every row of its detuning, and a failure of the group
+as a whole on every row of the group.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,16 +62,40 @@ def _error_cell(exc: RydsheError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _group_values(quantity: str, cfg: RunConfig, thetas: tuple) -> list:
+def _group_values(quantity: str, cfg: RunConfig, setting: dict,
+                  detunings: dict) -> list:
+    """Per probe detuning of `detunings` ({Delta2 (MHz): [(row, theta)]}),
+    the value or error cells of its rows on `cfg` changed by `setting`:
+    one `susceptibility` call over the group's detunings."""
+    try:
+        cfg = replace(cfg, **setting)
+        b = susceptibility(cfg.drive_params(list(detunings)), cfg.atom_params())
+    except RydsheError as exc:
+        return [[_error_cell(exc)] * len(m) for m in detunings.values()]
+    chis = np.array([b.chi1, b.chi3_local_contrib, b.chi3_nonlocal_contrib])
+    values = []
+    for members, error, chi in zip(detunings.values(), b.errors,
+                                   chis.T.tolist()):
+        if error is None:
+            try:
+                values.append(_detuning_values(
+                    quantity, cfg, chi, [theta for _, theta in members]))
+                continue
+            except RydsheError as exc:
+                error = exc
+        values.append([_error_cell(error)] * len(members))
+    return values
+
+
+def _detuning_values(quantity: str, cfg: RunConfig, chi: list,
+                     thetas: list) -> list:
     """Value cells (or an error cell) for the incidence angles `thetas`
-    (deg) on the medium and slab of `cfg`."""
-    b = susceptibility(cfg.drive_params(), cfg.atom_params())
+    (deg) on the slab of `cfg` dressed with the susceptibility parts
+    chi = [chi1, chi3_local, chi3_nonlocal] of one detuning."""
     if quantity == "chi":
-        return [[b.chi1.real, b.chi1.imag,
-                 b.chi3_local_contrib.real, b.chi3_local_contrib.imag,
-                 b.chi3_nonlocal_contrib.real, b.chi3_nonlocal_contrib.imag]
+        return [[c for part in chi for c in (part.real, part.imag)]
                 ] * len(thetas)
-    rps, rss = _reflection_coefficients(cfg, b.total, thetas)
+    rps, rss = _reflection_coefficients(cfg, chi[0] + chi[1] + chi[2], thetas)
     values = []
     for theta, rp, rs in zip(thetas, map(complex, rps), map(complex, rss)):
         if quantity == "fresnel":
@@ -122,23 +149,21 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     value_cols = {"chi": _CHI_COLUMNS, "fresnel": _FRESNEL_COLUMNS,
                   "shift": _SHIFT_COLUMNS, "map": _SHIFT_COLUMNS}[cfg.quantity]
     cells: list = [None] * len(grid)
-    groups: dict = {}             # non-theta settings -> [(row, theta)]
+    # settings other than theta and Delta2 -> {Delta2: [(row, theta)]}
+    groups: dict = defaultdict(lambda: defaultdict(list))
     for i, (point, errs) in enumerate(zip(grid, errors)):
         if any(errs):             # the first axis's error wins
             cells[i] = next(e for e in errs if e)
             continue
         setting = dict(zip(fields, point))
         theta = setting.pop("theta_deg", cfg.theta_deg)
-        groups.setdefault(tuple(setting.items()), []).append((i, theta))
-    for setting, members in groups.items():
-        index, thetas = zip(*members)
-        try:
-            values = _group_values(cfg.quantity,
-                                   replace(cfg, **dict(setting)), thetas)
-        except RydsheError as exc:
-            values = [_error_cell(exc)] * len(index)
-        for i, v in zip(index, values):
-            cells[i] = v
+        delta2 = setting.pop("delta2_mhz", cfg.delta2_mhz)
+        groups[tuple(setting.items())][delta2].append((i, theta))
+    for setting, detunings in groups.items():
+        for members, values in zip(detunings.values(), _group_values(
+                cfg.quantity, cfg, dict(setting), detunings)):
+            for (i, _), v in zip(members, values):
+                cells[i] = v
 
     pad = [math.nan] * len(value_cols)
     rows = [list(point) + (pad + [c] if isinstance(c, str) else c + [""])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 import rydshe.sweeps
 
 from rydshe import (ConfigError, DomainError, RunConfig, SingularityError,
-                    parse_config, pshe_shifts, serialize_config)
+                    parse_config, pshe_shifts, serialize_config,
+                    susceptibility)
+from rydshe import quantum
 from rydshe.config import AXES, with_overrides
 from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
 from rydshe.cli import main as cli_main
@@ -242,28 +245,81 @@ def test_map_row_major_grid():
     assert [r[1] for r in res.rows[:3]] == [-1.0, 0.0, 1.0]
 
 
+def _fail_8x8_at(monkeypatch, delta2_mhz):
+    """Make the batched 8x8 solve fail at one probe detuning: the 8x8
+    carries d21 + i Gamma32 on its diagonal, whose real part is Delta2."""
+    solve = quantum._solve_checked
+
+    def failing(A, b, what):
+        x, errors = solve(A, b, what)
+        if what == "third-order two-body (8x8)":
+            at = A[:, 3, 3].real == delta2_mhz * TWO_PI
+            errors.update({int(i): SingularityError("injected")
+                           for i in np.flatnonzero(at)})
+        return x, errors
+    monkeypatch.setattr(quantum, "_solve_checked", failing)
+
+
 def test_map_chi_failure_lands_on_its_detuning(monkeypatch):
+    # one susceptibility call over the group's three detunings; the
+    # failure injected at one index of the batch marks only its rows
     real = rydshe.sweeps.susceptibility
     seen = []
 
-    def flaky(drive, atom):
+    def counting(drive, atom):
         seen.append(drive.Delta2)
-        if drive.Delta2 == 0.0:
-            raise SingularityError("injected")
         return real(drive, atom)
-    monkeypatch.setattr(rydshe.sweeps, "susceptibility", flaky)
+    monkeypatch.setattr(rydshe.sweeps, "susceptibility", counting)
+    _fail_8x8_at(monkeypatch, 0.0)
     cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
                          sweep_min=33.8, sweep_max=33.9, steps=3,
                          variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
                          steps2=3)
     res = run_sweep(cfg)
-    assert sorted(seen) == sorted(set(seen)) and len(seen) == 3
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], TWO_PI * np.array([-1.0, 0.0, 1.0]))
     for row in res.rows:
         if row[1] == 0.0:
-            assert row[-1] == "SingularityError: injected"
+            assert row[-1] == ("SingularityError: injected at "
+                               "Delta2 = 0 rad/us")
             assert all(math.isnan(v) for v in row[2:-1])
         else:
             assert row[-1] == "" and all(math.isfinite(v) for v in row[2:-1])
+
+
+def test_chi_failure_cell_is_the_scalar_error(monkeypatch):
+    # a 201-point chi sweep with one failing detuning: its error cell is
+    # the text a scalar call raises there, and the other 200 rows are
+    # byte-identical to a clean run
+    cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
+                         sweep_min=-10.0, sweep_max=10.0, steps=201)
+    clean = format_csv(run_sweep(cfg)).splitlines()
+    bad = np.linspace(-10.0, 10.0, 201)[57]
+    _fail_8x8_at(monkeypatch, bad)
+    one = replace(cfg, delta2_mhz=bad)
+    with pytest.raises(SingularityError) as exc:
+        susceptibility(one.drive_params(), one.atom_params())
+    assert re.search(r"at Delta2 = \S+ rad/us$", str(exc.value))
+    lines = format_csv(run_sweep(cfg)).splitlines()
+    header = 3
+    assert lines[header + 57].endswith(f",SingularityError: {exc.value}")
+    del lines[header + 57], clean[header + 57]
+    assert lines == clean
+
+
+def test_chi_sweep_makes_one_susceptibility_call(monkeypatch):
+    real = rydshe.sweeps.susceptibility
+    calls = []
+
+    def counting(drive, atom):
+        calls.append(np.size(drive.Delta2))
+        return real(drive, atom)
+    monkeypatch.setattr(rydshe.sweeps, "susceptibility", counting)
+    cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
+                         sweep_min=-10.0, sweep_max=10.0, steps=201)
+    res = run_sweep(cfg)
+    assert calls == [201]
+    assert all(r[-1] == "" for r in res.rows)
 
 
 def test_fresnel_config_error_stays_on_its_row():
@@ -375,7 +431,8 @@ def test_first_axis_error_wins(axes):
 
 
 def test_map_builds_one_config_per_group(monkeypatch):
-    # the CLI default map: 71 angles x 51 detunings, 51 groups
+    # the CLI default map: 71 angles x 51 detunings, one group (theta and
+    # Delta2 are both batched), plus two endpoint checks per axis
     calls = []
 
     def counting_replace(obj, **changes):
@@ -388,7 +445,7 @@ def test_map_builds_one_config_per_group(monkeypatch):
                          steps2=51)
     res = run_sweep(cfg)
     assert len(res.rows) == 71 * 51 and all(r[-1] == "" for r in res.rows)
-    assert len(calls) <= 51 + 2 * 2
+    assert len(calls) <= 1 + 2 * 2
 
 
 def test_chi_sweep_throughput():

@@ -83,6 +83,29 @@ def test_trapezoid_reference_null_kernel(atom, drive0):
     assert trapezoid_nonlocal_integral(drive0, no_vdw) == 0
 
 
+@pytest.mark.parametrize("limit", ["C6 = 0", "Na = 0", "Omega_c = 0"])
+def test_references_agree_with_production_at_zero(atom, drive0, limit):
+    # the shell integral vanishes exactly, in production and in both
+    # quadrature references
+    from rydshe import AtomParams, nonlocal_integral
+    from rydshe.oracle import gauss_legendre_nonlocal_integral
+    drive = drive0
+    if limit == "C6 = 0":
+        atom = AtomParams.from_decay_rates(atom.Gamma21, atom.Gamma32, 0.0,
+                                           atom.Na, atom.lambda_p)
+    elif limit == "Na = 0":
+        atom = atom.with_density(0.0)
+    else:
+        drive = DriveParams(drive0.Omega_p, 0.0, drive0.Delta2,
+                            drive0.Delta_c)
+    values = [nonlocal_integral(drive, atom),
+              gauss_legendre_nonlocal_integral(drive, atom),
+              trapezoid_nonlocal_integral(drive, atom)]
+    for v in values:
+        assert v == 0
+        assert math.copysign(1, v.real) == math.copysign(1, v.imag) == 1
+
+
 def test_verify_suite_all_pass():
     results = verify_suite()
     names = {r.check_name for r in results}

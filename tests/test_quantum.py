@@ -339,10 +339,13 @@ def test_nonlocal_integral_node_doubling(atom, drive0):
 
 def test_partial_fractions_reproduce_correlator(atom):
     drv = canonical_drive(TWO_PI * 1.3)
-    d = ComplexDenominators.from_params(drv, atom)
-    poles, res = _correlator_poles(d, drv.Omega_c, atom,
-                                   *first_order_coherences(drv, atom),
-                                   second_order_onebody(drv, atom))
+    d = ComplexDenominators.from_params(quantum._batch(drv), atom)
+    r21, r31 = first_order_coherences(drv, atom)
+    poles, res, errors = _correlator_poles(
+        d, drv.Omega_c, atom, np.array([r21]), np.array([r31]),
+        tuple(np.array([p]) for p in second_order_onebody(drv, atom)))
+    assert not errors
+    poles, res = poles[0], res[0]
     V = np.concatenate([
         [0.0, 1.0 + 1.0j, 1e3 + 5j, -2e3 + 300j, 1e5j],
         poles * (1 + 1e-2j), poles * (1 - 1e-2), poles * (1 + 1e-3)])
@@ -371,26 +374,32 @@ def test_shell_pole_sum_single_pole():
     # c / (C6 u^2 - V) with V = C6 a^2: antiderivative
     # c / (2 a C6) ln((u - a) / (u + a)), a pole well off the segment
     C6, a, c = 2.0, 0.3 + 0.4j, 1.5 - 0.5j
-    got = _shell_pole_sum(np.array([C6 * a**2]), np.array([c]), C6, 1.0, 2.0)
+    got, errors = _shell_pole_sum(np.array([[C6 * a**2]]), np.array([[c]]),
+                                  C6, 1.0, 2.0)
     F = lambda u: c / (2 * a * C6) * (np.log(u - a) - np.log(u + a))
-    assert got == pytest.approx(F(2.0) - F(1.0), rel=1e-14)
+    assert not errors
+    assert got[0] == pytest.approx(F(2.0) - F(1.0), rel=1e-14)
 
 
 def test_shell_pole_sum_refuses_poles_on_the_shell():
+    # one batch: each row gets its own error, and a clear row its value
     C6, lo, hi = -3.0, 1.0, 2.0
-    res = np.array([1.0, 1.0])
     on_shell = C6 * (1.5 + 1e-5j) ** 2
-    with pytest.raises(SingularityError,
-                       match=re.escape(f"pole V = {on_shell:.6g} rad/us")):
-        _shell_pole_sum(np.array([on_shell, 7.0 + 1j]), res, C6, lo, hi)
     near_end = C6 * (hi + 5e-4) ** 2          # just beyond u_hi
-    with pytest.raises(SingularityError, match="shell lengths"):
-        _shell_pole_sum(np.array([near_end, 7.0 + 1j]), res, C6, lo, hi)
     twin = 7.0 + 1j
-    with pytest.raises(SingularityError, match="coincide"):
-        _shell_pole_sum(np.array([twin, twin * (1 + 1e-4)]), res, C6, lo, hi)
-    # a clear segment and well separated poles pass
-    _shell_pole_sum(np.array([C6 * (hi + 0.01) ** 2, twin]), res, C6, lo, hi)
+    clear = [C6 * (hi + 0.01) ** 2, twin]     # a clear segment, poles apart
+    poles = np.array([[on_shell, twin], [near_end, twin],
+                      [twin, twin * (1 + 1e-4)], clear])
+    total, errors = _shell_pole_sum(poles, np.ones((4, 2)), C6, lo, hi)
+    assert sorted(errors) == [0, 1, 2]
+    assert all(isinstance(e, SingularityError) for e in errors.values())
+    assert re.search(re.escape(f"pole V = {on_shell:.6g} rad/us"),
+                     str(errors[0]))
+    assert "shell lengths" in str(errors[1])
+    assert "coincide" in str(errors[2])
+    alone, none = _shell_pole_sum(np.array([clear]), np.ones((1, 2)),
+                                  C6, lo, hi)
+    assert not none and total[3] == alone[0]
 
 
 def test_pole_error_names_the_detuning(atom, monkeypatch):
@@ -410,9 +419,11 @@ def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
     solve = quantum._solve_checked
 
     def failing(A, b, what):
+        x, errors = solve(A, b, what)
         if what == label:
-            raise SingularityError(f"singular matrix in {what}: injected")
-        return solve(A, b, what)
+            errors = {i: SingularityError(f"singular matrix in {what}: "
+                                          "injected") for i in range(len(A))}
+        return x, errors
     monkeypatch.setattr(quantum, "_solve_checked", failing)
     drv = canonical_drive(TWO_PI * 1.3)
     with pytest.raises(SingularityError, match=re.escape(
@@ -421,9 +432,10 @@ def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
 
 
 def test_susceptibility_solve_count(atom, monkeypatch):
-    # one pass per detuning: one set of denominators, one 5x5 (shared by
-    # the local and nonlocal terms), the mixed and the pair 4x4 and one
-    # 8x8; no node axis
+    # one pass per call, whatever the number of detunings: one set of
+    # denominators, and four batched solves -- the 5x5 (shared by the
+    # local and nonlocal terms), the mixed and the pair 4x4 and the 8x8,
+    # each over the n detunings; no node axis
     shapes, made = [], []
     solve = quantum._solve_checked
     from_params = quantum.ComplexDenominators.from_params
@@ -438,10 +450,96 @@ def test_susceptibility_solve_count(atom, monkeypatch):
     monkeypatch.setattr(quantum, "_solve_checked", record)
     monkeypatch.setattr(quantum.ComplexDenominators, "from_params",
                         classmethod(denominators))
-    drv = canonical_drive(TWO_PI * 0.4)
-    susceptibility(drv, atom)
-    assert sorted(shapes) == [(4, 4), (4, 4), (5, 5), (8, 8)]
-    assert made == [drv.Delta2]
+    for n, D2 in [(1, TWO_PI * 0.4), (1, TWO_PI * np.array([0.4])),
+                  (7, TWO_PI * np.linspace(-10, 10, 7)),
+                  (201, TWO_PI * np.linspace(-10, 10, 201))]:
+        shapes.clear()
+        made.clear()
+        susceptibility(canonical_drive(0.0).detuned(D2), atom)
+        assert sorted(shapes) == [(n, 4, 4), (n, 4, 4), (n, 5, 5), (n, 8, 8)]
+        assert len(made) == 1 and np.array_equal(made[0], np.atleast_1d(D2))
+
+
+def _parts(b):
+    return np.array([b.chi1, b.chi3_local_contrib, b.chi3_nonlocal_contrib])
+
+
+def test_array_call_reports_each_failure_at_its_detuning(atom, monkeypatch):
+    # a wider pole clearance fails some detunings and not others, and one
+    # detuning is poisoned; each failure is the error a scalar call at
+    # that detuning raises, its parts are nan, and the rest are the
+    # scalar values
+    from rydshe import RydsheError
+    monkeypatch.setattr(quantum, "POLE_CLEARANCE", 0.25)
+    D2 = TWO_PI * np.linspace(-10, 10, 41)
+    D2[7] = math.nan
+    b = susceptibility(canonical_drive(0.0).detuned(D2), atom)
+    parts = _parts(b)
+    assert len(b.errors) == len(D2)
+    n_failed = 0
+    for i, d2 in enumerate(D2):
+        try:
+            one = _parts(susceptibility(canonical_drive(d2), atom))
+        except RydsheError as exc:
+            n_failed += 1
+            assert type(b.errors[i]) is type(exc)
+            assert str(b.errors[i]) == str(exc)
+            assert np.all(np.isnan(parts[:, i]))
+        else:
+            assert b.errors[i] is None
+            assert np.array_equal(parts[:, i], one)
+    assert "non-finite entries" in str(b.errors[7])
+    assert 1 < n_failed < len(D2) - 1
+    assert any(re.search(r"at Delta2 = \S+ rad/us$", str(e))
+               for e in b.errors if e)
+
+
+@pytest.mark.parametrize("medium", ["canonical", "Gamma32=0", "C6<0"])
+def test_batch_matches_gauss_legendre(atom, medium):
+    # the array call at 41 detunings against the 128-node quadrature of
+    # the directly solved correlators, and against the scalar closed forms
+    if medium == "Gamma32=0":
+        atom = AtomParams.from_decay_rates(atom.Gamma21, 0.0, atom.C6,
+                                           atom.Na, atom.lambda_p)
+    elif medium == "C6<0":
+        atom = AtomParams.from_decay_rates(atom.Gamma21, atom.Gamma32,
+                                           -atom.C6, atom.Na, atom.lambda_p)
+    D2 = TWO_PI * np.linspace(-10, 10, 41)
+    b = susceptibility(canonical_drive(0.0).detuned(D2), atom)
+    assert not any(b.errors)
+    K = atom.chi_prefactor
+    for i, d2 in enumerate(D2):
+        drv = canonical_drive(d2)
+        Op2, Oc = drv.Omega_p**2, drv.Omega_c
+        d = ComplexDenominators.from_params(drv, atom)
+        i_gl = gauss_legendre_nonlocal_integral(drv, atom, n_nodes=128)
+        want = K * Op2 * Oc * i_gl / (Oc**2 - d.d21 * d.d31)
+        got = b.chi3_nonlocal_contrib[i]
+        assert abs(got - want) / abs(want) < 1e-12
+        r21, _ = first_order_coherences(drv, atom)
+        local, _ = third_order_coherence(drv, atom)
+        assert b.chi1[i] == pytest.approx(K * r21, rel=1e-14)
+        assert b.chi3_local_contrib[i] == pytest.approx(K * Op2 * local,
+                                                       rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d2=st.lists(st.floats(-10, 10), min_size=2, max_size=24),
+       data=st.data())
+def test_batch_members_are_independent(d2, data):
+    # member i of a batch does not depend on the other members: a
+    # permutation or a subset of the batch gives the same values
+    atom = canonical_atom()
+    D2 = TWO_PI * np.array(d2)
+    full = _parts(susceptibility(canonical_drive(0.0).detuned(D2), atom))
+    order = data.draw(st.permutations(range(len(D2))))
+    keep = data.draw(st.lists(st.sampled_from(range(len(D2))), min_size=1,
+                              max_size=len(D2), unique=True))
+    for index in (order, keep):
+        part = _parts(susceptibility(
+            canonical_drive(0.0).detuned(D2[index]), atom))
+        scale = np.abs(full[:, index])
+        assert np.all(np.abs(part - full[:, index]) <= 1e-14 * scale)
 
 
 # ------------------------------------------------------ third-order parts
@@ -551,7 +649,8 @@ def test_solve_residual_checked_per_system(monkeypatch):
     b = rng.normal(size=(64, 8, 1)) + 0j
     A[17] *= 1e-6
     b[17] *= 1e-6
-    _solve_checked(A, b, "test batch")          # the clean batch passes
+    clean, errors = _solve_checked(A, b, "test batch")
+    assert not errors                           # the clean batch passes
     solve = np.linalg.solve
 
     def spoiled(a, rhs):
@@ -559,5 +658,33 @@ def test_solve_residual_checked_per_system(monkeypatch):
         x[17] *= 1 + 1e-6
         return x
     monkeypatch.setattr(np.linalg, "solve", spoiled)
-    with pytest.raises(SingularityError, match="batch index 17"):
-        _solve_checked(A, b, "test batch")
+    x, errors = _solve_checked(A, b, "test batch")
+    assert list(errors) == [17]
+    assert isinstance(errors[17], SingularityError)
+    assert re.fullmatch(r"test batch solve residual \S+ exceeds 1e-10",
+                        str(errors[17]))
+    assert np.all(x[17] == 0)
+    assert np.array_equal(np.delete(x, 17, axis=0), np.delete(clean, 17, axis=0))
+
+
+def test_solve_guards_each_system():
+    # a non-finite and an exactly singular system fail alone, with the
+    # text a batch of one gives; the rest of the batch still solves
+    from rydshe import PropagationError
+    from rydshe.quantum import _solve_checked
+    rng = np.random.default_rng(5)
+    A = 4 * np.eye(4) + rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    b = rng.normal(size=(6, 4, 2)) + 0j
+    A[2, :, 1] = 0.0                            # singular
+    b[4, 3, 0] = math.nan                       # poisoned
+    x, errors = _solve_checked(A, b, "test batch")
+    assert sorted(errors) == [2, 4]
+    assert isinstance(errors[2], SingularityError)
+    assert isinstance(errors[4], PropagationError)
+    for i in (2, 4):
+        alone = _solve_checked(A[i:i + 1], b[i:i + 1], "test batch")[1]
+        assert str(alone[0]) == str(errors[i])
+        assert type(alone[0]) is type(errors[i])
+        assert np.all(x[i] == 0)
+    for i in (0, 1, 3, 5):
+        assert np.allclose(A[i] @ x[i], b[i], rtol=1e-12, atol=1e-12)
