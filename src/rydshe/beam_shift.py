@@ -48,17 +48,20 @@ class BeamSpec:
     w0 in um, theta_i in rad, lambda_p in um; n_in is the refractive
     index of the entry medium the beam travels in (the spin-mixing term
     scales with the in-medium wavenumber n_in * 2 pi / lambda_p).
+    theta_i may be an array of angles, one per row of a sweep; the shift
+    functions broadcast over it.
     """
 
     w0: float
-    theta_i: float
+    theta_i: float | np.ndarray
     lambda_p: float
     n_in: float = 1.0
 
     def __post_init__(self):
         if self.w0 <= 0 or self.lambda_p <= 0 or self.n_in <= 0:
             raise DomainError("w0, lambda_p and n_in must be positive")
-        if not (_THETA_MIN <= self.theta_i <= _THETA_MAX):
+        if not np.all((self.theta_i >= _THETA_MIN)
+                      & (self.theta_i <= _THETA_MAX)):
             raise DomainError("theta_i restricted to [5 deg, 85 deg]")
 
     @property
@@ -72,40 +75,75 @@ class BeamSpec:
 
 @dataclass(frozen=True)
 class ShiftResult:
-    """Spin-resolved transverse centroid shifts and relative powers."""
+    """Spin-resolved transverse centroid shifts and relative powers.
+
+    The fields are floats, or arrays over the rows of an array call;
+    `errors` holds, per row, None or the typed error a scalar call on
+    that row raises (the fields are nan there).
+    """
 
     delta_plus: float
     delta_minus: float
     power_plus: float
     power_minus: float
+    errors: tuple = ()
 
 
-def spin_mixing_amplitude(rp: complex, rs: complex, theta_i: float,
-                          k_medium: float) -> complex:
+def spin_mixing_amplitude(rp, rs, theta_i, k_medium: float):
     """a = (rp + rs) cot(theta_i) / k, the H->V conversion slope in ky.
 
     k is the wavenumber in the entry medium: the term is the geometric
     rotation of the per-plane-wave s/p basis, and the beam's angular
-    spread is ky over the in-medium wavenumber.
+    spread is ky over the in-medium wavenumber.  Broadcasts over arrays.
     """
-    return (rp + rs) / math.tan(theta_i) / k_medium
+    s = np.asarray(rp + rs, dtype=complex)
+    tan = np.tan(theta_i)
+    # part by part: a complex quotient would turn an inf part into nan
+    a = np.empty(np.broadcast_shapes(s.shape, np.shape(tan)), dtype=complex)
+    a.real = s.real / tan / k_medium
+    a.imag = s.imag / tan / k_medium
+    return a
 
 
-def _centroid_moments(rp: complex, rs: complex, theta_i: float,
-                      beam: BeamSpec) -> tuple[float, float]:
-    """(Re(rp conj(a)), P) with P = |rp|^2 + |a|^2 / w0^2.
+def _centroid_moments(rp, rs, theta_i, beam: BeamSpec) -> tuple:
+    """(Re(rp conj(a)), P, errors) with P = |rp|^2 + |a|^2 / w0^2, as
+    arrays broadcast over rp, rs and theta_i.
 
     P is the power of each spin component relative to its half of the
-    incident power, and delta+/- = -/+ Re(rp conj(a)) / P.
+    incident power, and delta+/- = -/+ Re(rp conj(a)) / P.  errors holds
+    per element (flattened) None or its typed error; both moments are nan
+    there.
     """
+    given = np.asarray(rp), np.asarray(rs)
+    rp, rs = (np.asarray(c, dtype=complex) for c in given)
     a = spin_mixing_amplitude(rp, rs, theta_i, beam.k_medium)
-    power = abs(rp) ** 2 + abs(a) ** 2 / beam.w0**2
-    if not math.isfinite(power):          # rp or rs is nan or inf
-        raise PropagationError(f"non-finite Fresnel coefficients "
-                               f"rp={rp}, rs={rs}")
-    if power == 0:
-        raise DomainError("zero reflected power: shift undefined")
-    return float((rp * a.conjugate()).real), float(power)
+    # hypot rounds as the scalar abs() does; np.abs does not
+    power = (np.hypot(rp.real, rp.imag) ** 2
+             + np.hypot(a.real, a.imag) ** 2 / beam.w0**2)
+    nonfinite = ~np.isfinite(power)           # rp or rs is nan or inf
+    dark = power == 0
+    failed = nonfinite | dark
+    errors = [None] * failed.size
+    if failed.any():
+        rp_, rs_ = (np.broadcast_to(c, power.shape) for c in given)
+        for i in np.flatnonzero(nonfinite).tolist():
+            errors[i] = PropagationError(
+                f"non-finite Fresnel coefficients "
+                f"rp={rp_.flat[i].item()}, rs={rs_.flat[i].item()}")
+        for i in np.flatnonzero(dark).tolist():
+            errors[i] = DomainError("zero reflected power: shift undefined")
+        # keep nan and inf out of the arithmetic below
+        rp, a = np.where(failed, 0, rp), np.where(failed, 0, a)
+        power = np.where(failed, np.nan, power)
+    num = rp.real * a.real + rp.imag * a.imag
+    return np.where(failed, np.nan, num), power, tuple(errors)
+
+
+def _one(num, power, errors: tuple) -> tuple[float, float]:
+    """The moments of a one-point call as floats; raises its error."""
+    if errors[0] is not None:
+        raise errors[0]
+    return float(num), float(power)
 
 
 def analytic_gaussian_shift(rp: complex, rs: complex, theta_i: float,
@@ -117,22 +155,30 @@ def analytic_gaussian_shift(rp: complex, rs: complex, theta_i: float,
 
         delta+/- = -/+ Re(rp conj(a)) / (|rp|^2 + |a|^2 / w0^2).
     """
-    num, power = _centroid_moments(rp, rs, theta_i, beam)
+    num, power = _one(*_centroid_moments(rp, rs, theta_i, beam))
     return -num / power, num / power
 
 
-def shifts_from_coefficients(beam: BeamSpec, rp: complex, rs: complex) -> ShiftResult:
+def shifts_from_coefficients(beam: BeamSpec, rp, rs) -> ShiftResult:
     """Spin-resolved centroids and powers (relative to the incident
-    power per spin) for the Fresnel coefficients rp, rs."""
-    num, power = _centroid_moments(rp, rs, beam.theta_i, beam)
+    power per spin) for the Fresnel coefficients rp, rs.
+
+    rp, rs and beam.theta_i broadcast: a scalar call returns floats and
+    raises its error, an array call returns arrays and reports each
+    row's error in `errors`.
+    """
+    num, power, errors = _centroid_moments(rp, rs, beam.theta_i, beam)
+    if np.ndim(num) == 0:
+        num, power = _one(num, power, errors)
     return ShiftResult(delta_plus=-num / power, delta_minus=num / power,
-                       power_plus=power, power_minus=power)
+                       power_plus=power, power_minus=power, errors=errors)
 
 
-def medium_index(chi: complex) -> complex:
-    """n = sqrt(1 + chi), forward branch."""
-    n = complex(np.sqrt(1.0 + chi))
-    return -n if n.real < 0 else n
+def medium_index(chi):
+    """n = sqrt(1 + chi), forward branch; broadcasts over arrays."""
+    n = np.sqrt(1.0 + np.asarray(chi, dtype=complex))
+    n = np.where(n.real < 0, -n, n)
+    return complex(n) if n.ndim == 0 else n
 
 
 def pshe_shifts(stack: LayerStack, beam: BeamSpec, drive: DriveParams,

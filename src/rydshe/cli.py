@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 usage, 2 config, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, replace
@@ -82,7 +83,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                        help=help_)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process (parsing leaves it as is)."""
     ap = _Parser(prog="rydshe",
                  description="Spin-resolved beam shifts off a glass-Rydberg-"
                              "glass stack under ladder EIT")

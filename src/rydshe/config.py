@@ -135,15 +135,17 @@ class RunConfig:
                            Delta2=delta2 * MHZ,
                            Delta_c=self.delta_c_mhz * MHZ)
 
-    def layer_stack(self, chi: complex = 0.0) -> LayerStack:
+    def layer_stack(self, chi=0.0) -> LayerStack:
+        """The slab stack dressed with `chi` (a scalar or an array)."""
         return LayerStack(n_in=self.n1,
                           layers=(Layer(n=medium_index(chi), d=self.d2_um),),
                           n_out=self.n3)
 
-    def beam_spec(self, theta_deg: float | None = None) -> BeamSpec:
-        """The beam at `theta_deg` (default: the configured angle)."""
+    def beam_spec(self, theta_deg=None) -> BeamSpec:
+        """The beam at `theta_deg` (deg; a scalar or a sequence, default:
+        the configured angle)."""
         theta = self.theta_deg if theta_deg is None else theta_deg
-        return BeamSpec(w0=self.w0_um, theta_i=math.radians(theta),
+        return BeamSpec(w0=self.w0_um, theta_i=np.radians(theta),
                         lambda_p=self.lambda_um, n_in=self.n1)
 
 

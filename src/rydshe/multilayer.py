@@ -14,7 +14,11 @@ product M = M_1 M_2 ... :
     t = 2 p_in / D,   D = (M11 + M12 p_out) p_in + (M21 + M22 p_out)
 
 All angle-dependent entry points accept scalars or numpy arrays of
-incidence angles and broadcast elementwise.
+incidence angles, and a layer's index may be an array too: indices and
+angles broadcast elementwise, so one call evaluates a whole sweep grid.
+A call raises its first failure; `stack_fresnel(..., masked=True)`
+instead reports each element's failure as a fault code (`fault_error`
+names it), so one bad element cannot fail its batch.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SearchError, SingularityError
+from .errors import DomainError, RydsheError, SearchError, SingularityError
 
 # cap on Im(delta): beyond this the layer is opaque and cosh/sinh overflow
 _MAX_IM_DELTA = 35.0
@@ -34,19 +38,48 @@ _MAX_IM_DELTA = 35.0
 # active index -- the signature of a conjugated chi -- is rejected.
 _PASSIVITY_TOL = 0.1
 
+# fault codes, in the order the checks run (0: the element is fine)
+_ACTIVE, _IMPEDANCE, _DENOMINATOR = 1, 2, 3
+_FAULTS = {
+    _ACTIVE: (DomainError, "layer index is strongly active (Im n << 0)"),
+    _IMPEDANCE: (SingularityError,
+                 "vanishing layer impedance (grazing pathology)"),
+    _DENOMINATOR: (SingularityError,
+                   "vanishing denominator in stack Fresnel formula"),
+}
+
+
+def fault_error(fault) -> RydsheError | None:
+    """The error a raising call gives for the fault codes `fault`: that
+    of the earliest check any element fails, or None when none fails."""
+    fault = np.asarray(fault)
+    if not fault.any():
+        return None
+    kind, message = _FAULTS[int(fault[fault > 0].min())]
+    return kind(message)
+
+
+def _active(n) -> np.ndarray:
+    return np.imag(n) < -_PASSIVITY_TOL
+
 
 @dataclass(frozen=True)
 class Layer:
-    """One finite layer: complex refractive index and thickness (um)."""
+    """One finite layer: complex refractive index and thickness (um).
 
-    n: complex
+    n may be an array that broadcasts against the incidence angles; a
+    scalar n is checked for passivity here, an array n per element by
+    `stack_fresnel`.
+    """
+
+    n: complex | np.ndarray
     d: float
 
     def __post_init__(self):
         if self.d < 0:
             raise DomainError("layer thickness must be >= 0")
-        if complex(self.n).imag < -_PASSIVITY_TOL:
-            raise DomainError("layer index is strongly active (Im n << 0)")
+        if np.ndim(self.n) == 0 and _active(self.n):
+            raise fault_error(_ACTIVE)
 
 
 @dataclass(frozen=True)
@@ -89,16 +122,15 @@ def _impedance(n, cos_t, polarization: str):
     raise DomainError("polarization must be 'p' or 's'")
 
 
-def layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
-                 polarization: str) -> np.ndarray:
-    """Characteristic 2x2 matrix of one layer; unimodular by construction.
-
-    Shape (..., 2, 2) for array-valued theta_i.
-    """
+def _layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
+                  polarization: str) -> tuple[np.ndarray, np.ndarray]:
+    """(M, singular): the layer matrices and where the impedance vanishes
+    (M is then computed with unit impedance and means nothing)."""
     cos_t = refraction_cosine(n_in, theta_i, layer.n)
     p = _impedance(layer.n, cos_t, polarization)
-    if np.any(p == 0):
-        raise SingularityError("vanishing layer impedance (grazing pathology)")
+    singular = p == 0
+    if singular.any():
+        p = np.where(singular, 1.0, p)
     delta = np.asarray(k0 * layer.n * layer.d * cos_t, dtype=complex)
     # opaque-layer guard: clamp the decay exponent, the phase is then moot
     im = np.clip(delta.imag, None, _MAX_IM_DELTA)
@@ -109,21 +141,65 @@ def layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
     M[..., 0, 1] = -1j * sd / p
     M[..., 1, 0] = -1j * p * sd
     M[..., 1, 1] = cd
+    return M, singular
+
+
+def layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
+                 polarization: str) -> np.ndarray:
+    """Characteristic 2x2 matrix of one layer; unimodular by construction.
+
+    Shape (..., 2, 2) for array-valued theta_i or layer.n.
+    """
+    M, singular = _layer_matrix(layer, theta_i, k0, n_in, polarization)
+    if singular.any():
+        raise fault_error(_IMPEDANCE)
     return M
+
+
+def _shape(stack: LayerStack, theta_i) -> tuple:
+    """The broadcast shape of the angles and the layer indices."""
+    return np.broadcast_shapes(np.shape(theta_i),
+                               *(np.shape(layer.n) for layer in stack.layers))
+
+
+def _stack_matrix(stack: LayerStack, theta_i, k0: float, polarization: str
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(M, singular): the ordered product of the layer matrices and where
+    the impedance of any layer vanishes."""
+    shape = _shape(stack, theta_i)
+    M = np.broadcast_to(np.eye(2, dtype=complex), shape + (2, 2)).copy()
+    singular = np.zeros(shape, dtype=bool)
+    for layer in stack.layers:
+        L, bad = _layer_matrix(layer, theta_i, k0, stack.n_in, polarization)
+        M = M @ L
+        singular |= bad
+    return M, singular
 
 
 def stack_matrix(stack: LayerStack, theta_i, k0: float, polarization: str) -> np.ndarray:
-    shape = np.shape(np.asarray(theta_i, dtype=float))
-    M = np.broadcast_to(np.eye(2, dtype=complex), shape + (2, 2)).copy()
-    for layer in stack.layers:
-        M = M @ layer_matrix(layer, theta_i, k0, stack.n_in, polarization)
+    M, singular = _stack_matrix(stack, theta_i, k0, polarization)
+    if singular.any():
+        raise fault_error(_IMPEDANCE)
     return M
 
 
-def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
-    """(r, t) of the stack for one polarization; broadcasts over theta_i."""
+def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
+                  masked: bool = False):
+    """(r, t) of the stack for one polarization; broadcasts over theta_i
+    and the layer indices.
+
+    A failing element raises the error of `fault_error`.  With
+    masked=True the call returns (r, t, fault) instead: fault holds each
+    element's code (0 when it is fine), and r and t are nan where it is
+    not.
+    """
     theta_i = np.asarray(theta_i, dtype=float)
-    M = stack_matrix(stack, theta_i, k0, polarization)
+    shape = _shape(stack, theta_i)
+    if not shape:
+        # one element through the array loops: numpy's scalar arithmetic
+        # rounds differently, and a scalar call must equal an array call
+        theta_i = theta_i.reshape(1)
+    M, singular = _stack_matrix(stack, theta_i, k0, polarization)
     # entry cosine through the same branch formula so that identical
     # entry/exit media give p1 == p3 exactly (trivial-stack reciprocity)
     cos_in = refraction_cosine(stack.n_in, theta_i, stack.n_in + 0j)
@@ -133,12 +209,23 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     top = (M[..., 0, 0] + M[..., 0, 1] * p3) * p1
     bot = M[..., 1, 0] + M[..., 1, 1] * p3
     den = top + bot
-    if np.any(den == 0):
-        raise SingularityError("vanishing denominator in stack Fresnel formula")
+    active = np.zeros((), dtype=bool)
+    for layer in stack.layers:
+        active = active | _active(layer.n)
+    fault = np.select([active, singular, den == 0],
+                      [_ACTIVE, _IMPEDANCE, _DENOMINATOR], 0)
+    failed = fault > 0
+    if failed.any():
+        if not masked:
+            raise fault_error(fault)
+        den = np.where(failed, 1.0, den)
     r = (top - bot) / den
     t = 2 * p1 / den
-    if theta_i.ndim == 0:
-        return complex(r), complex(t)
+    if masked:
+        return (np.where(failed, np.nan, r).reshape(shape),
+                np.where(failed, np.nan, t).reshape(shape), fault.reshape(shape))
+    if not shape:
+        return complex(r[0]), complex(t[0])
     return r, t
 
 

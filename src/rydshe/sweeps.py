@@ -2,12 +2,15 @@
 
 A sweep evaluates one pipeline stage (chi / fresnel / shift / map /
 profile) on a 1-D or 2-D grid.  Each axis is validated once, not each
-row (`_axis_errors`).  Grid points with the same values on the axes
+row (`_axis_errors`).  Grid points at the same position on the axes
 other than theta_i and Delta2 share an atom, a coupling field and a slab
 and form one group: one `RunConfig` and one `susceptibility` call over
-the array of its probe detunings.  Each detuning of a group then makes
-one `stack_fresnel` call per polarization over the array of its
-incidence angles.  Failures are recorded in the row's `error` column
+the array of the probe detunings.  The group's rows then go
+through the optics and the beam as flat arrays of their detuning's
+index and their incidence angle: one `stack_fresnel` call per
+polarization and one `shifts_from_coefficients` call for the whole
+group, and the rows are sliced out of the result arrays with
+`.tolist()`.  Failures are recorded in the row's `error` column
 instead of aborting the sweep: a point's own config or shift failure on
 its row (the first axis's config error when both axes fail), a chi or
 layer failure on every row of its detuning, and a failure of the group
@@ -16,10 +19,8 @@ as a whole on every row of the group.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from . import __version__
 from .errors import RydsheError, ConfigError
 from .config import RunConfig, AXES, config_hash
 from .quantum import susceptibility
-from .multilayer import stack_fresnel
+from .multilayer import fault_error, stack_fresnel
 from .beam_shift import shifts_from_coefficients, intensity_profiles
 
 _CHI_COLUMNS = ["re_chi1", "im_chi1", "re_chi3_local", "im_chi3_local",
@@ -48,68 +49,64 @@ class SweepResult:
     wall_time_ms: float
 
 
-def _reflection_coefficients(cfg: RunConfig, chi: complex, theta_deg):
-    """(rp, rs) of the configured slab dressed with `chi`; broadcasts
-    over an array of incidence angles in degrees."""
-    stack = cfg.layer_stack(chi)
-    k0 = 2 * math.pi / cfg.lambda_um
-    theta = np.radians(theta_deg)
-    return (stack_fresnel(stack, theta, k0, "p")[0],
-            stack_fresnel(stack, theta, k0, "s")[0])
-
-
 def _error_cell(exc: RydsheError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _group_values(quantity: str, cfg: RunConfig, setting: dict,
-                  detunings: dict) -> list:
-    """Per probe detuning of `detunings` ({Delta2 (MHz): [(row, theta)]}),
-    the value or error cells of its rows on `cfg` changed by `setting`:
-    one `susceptibility` call over the group's detunings."""
-    try:
-        cfg = replace(cfg, **setting)
-        b = susceptibility(cfg.drive_params(list(detunings)), cfg.atom_params())
-    except RydsheError as exc:
-        return [[_error_cell(exc)] * len(m) for m in detunings.values()]
-    chis = np.array([b.chi1, b.chi3_local_contrib, b.chi3_nonlocal_contrib])
-    values = []
-    for members, error, chi in zip(detunings.values(), b.errors,
-                                   chis.T.tolist()):
-        if error is None:
-            try:
-                values.append(_detuning_values(
-                    quantity, cfg, chi, [theta for _, theta in members]))
-                continue
-            except RydsheError as exc:
-                error = exc
-        values.append([_error_cell(error)] * len(members))
-    return values
-
-
-def _detuning_values(quantity: str, cfg: RunConfig, chi: list,
-                     thetas: list) -> list:
-    """Value cells (or an error cell) for the incidence angles `thetas`
-    (deg) on the slab of `cfg` dressed with the susceptibility parts
-    chi = [chi1, chi3_local, chi3_nonlocal] of one detuning."""
+def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
+                  det: np.ndarray, theta: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, error cells) of the rows of one group, each at the probe
+    detuning detunings[det] (MHz) and the incidence angle `theta` (deg):
+    one `susceptibility` call over `detunings`, then one `stack_fresnel`
+    call per polarization and one shift call over the rows.  A row's
+    values mean nothing where its error cell is set."""
+    b = susceptibility(cfg.drive_params(detunings), cfg.atom_params())
+    errors = list(b.errors)                    # per detuning
     if quantity == "chi":
-        return [[c for part in chi for c in (part.real, part.imag)]
-                ] * len(thetas)
-    rps, rss = _reflection_coefficients(cfg, chi[0] + chi[1] + chi[2], thetas)
-    values = []
-    for theta, rp, rs in zip(thetas, map(complex, rps), map(complex, rss)):
-        if quantity == "fresnel":
-            ratio = abs(rs) / abs(rp) if abs(rp) > 0 else math.inf
-            values.append([rp.real, rp.imag, rs.real, rs.imag,
-                           abs(rp), abs(rs), ratio])
-            continue
-        try:
-            s = shifts_from_coefficients(cfg.beam_spec(theta), rp, rs)
-            values.append([s.delta_plus, s.delta_minus,
-                           s.power_plus, s.power_minus])
-        except RydsheError as exc:
-            values.append(_error_cell(exc))
-    return values
+        chi = np.array([b.chi1, b.chi3_local_contrib,
+                        b.chi3_nonlocal_contrib]).T
+        values = np.stack([chi.real, chi.imag], axis=-1).reshape(-1, 6)[det]
+        row_errors = {}
+    else:
+        values, row_errors = _optics_values(quantity, cfg, b.total, errors,
+                                            det, theta)
+    cells = np.array([_error_cell(e) if e else "" for e in errors],
+                     dtype=object)[det]
+    for i, e in row_errors.items():            # a detuning's error wins
+        cells[i] = cells[i] or _error_cell(e)
+    return values, cells
+
+
+def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
+                   errors: list, det: np.ndarray, theta: np.ndarray) -> tuple:
+    """(values, {row: error}) of the Fresnel or shift columns, for rows
+    at the detunings `det` of `chi` and the angles `theta` (deg).  A
+    layer failure is recorded in `errors` against its detuning."""
+    failed = np.array([e is not None for e in errors])
+    # a failed detuning's rows carry its error; chi = 0 keeps nan out
+    stack = cfg.layer_stack(np.where(failed, 0, chi)[det])
+    beam = cfg.beam_spec(theta)
+    rp, _, fault_p = stack_fresnel(stack, beam.theta_i, beam.k0, "p",
+                                   masked=True)
+    rs, _, fault_s = stack_fresnel(stack, beam.theta_i, beam.k0, "s",
+                                   masked=True)
+    for d in set(det[(fault_p > 0) | (fault_s > 0)].tolist()):
+        at = det == d
+        errors[d] = errors[d] or fault_error(fault_p[at]) or fault_error(
+            fault_s[at])
+    if quantity == "fresnel":
+        # hypot rounds as the scalar abs() does; np.abs does not
+        abs_rp, abs_rs = np.hypot(rp.real, rp.imag), np.hypot(rs.real, rs.imag)
+        ratio = np.divide(abs_rs, abs_rp, out=np.full_like(abs_rp, math.inf),
+                          where=abs_rp > 0)
+        return np.stack([rp.real, rp.imag, rs.real, rs.imag,
+                         abs_rp, abs_rs, ratio], axis=-1), {}
+    s = shifts_from_coefficients(beam, rp, rs)
+    return (np.stack([s.delta_plus, s.delta_minus, s.power_plus,
+                      s.power_minus], axis=-1),
+            {i: s.errors[i] for i in np.flatnonzero(np.isnan(s.power_plus))
+             .tolist()})
 
 
 def _axis_errors(cfg: RunConfig, field: str, values) -> list:
@@ -143,31 +140,45 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         variables.append(cfg.variable2)
         axes.append(np.linspace(cfg.sweep_min2, cfg.sweep_max2, cfg.steps2))
     fields = [AXES[v][0] for v in variables]
-    grid = list(itertools.product(*axes))      # row-major: axis1 outer
-    errors = itertools.product(*(_axis_errors(cfg, f, a)
-                                 for f, a in zip(fields, axes)))
     value_cols = {"chi": _CHI_COLUMNS, "fresnel": _FRESNEL_COLUMNS,
                   "shift": _SHIFT_COLUMNS, "map": _SHIFT_COLUMNS}[cfg.quantity]
-    cells: list = [None] * len(grid)
-    # settings other than theta and Delta2 -> {Delta2: [(row, theta)]}
-    groups: dict = defaultdict(lambda: defaultdict(list))
-    for i, (point, errs) in enumerate(zip(grid, errors)):
-        if any(errs):             # the first axis's error wins
-            cells[i] = next(e for e in errs if e)
-            continue
-        setting = dict(zip(fields, point))
-        theta = setting.pop("theta_deg", cfg.theta_deg)
-        delta2 = setting.pop("delta2_mhz", cfg.delta2_mhz)
-        groups[tuple(setting.items())][delta2].append((i, theta))
-    for setting, detunings in groups.items():
-        for members, values in zip(detunings.values(), _group_values(
-                cfg.quantity, cfg, dict(setting), detunings)):
-            for (i, _), v in zip(members, values):
-                cells[i] = v
-
-    pad = [math.nan] * len(value_cols)
-    rows = [list(point) + (pad + [c] if isinstance(c, str) else c + [""])
-            for point, c in zip(grid, cells)]
+    # row-major grid (axis 1 outer): the index and value on each axis
+    index = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
+    grid = np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
+    cells = np.full(len(grid), "", dtype=object)          # the error column
+    for k in reversed(range(len(axes))):       # the first axis's error wins
+        errs = np.array([e or "" for e in _axis_errors(cfg, fields[k], axes[k])],
+                        dtype=object)[index[k]]
+        cells = np.where(errs != "", errs, cells)
+    # per field, its axis (a later axis on the same field overrides)
+    column = {f: k for k, f in enumerate(fields)}
+    theta = (grid[:, column["theta_deg"]] if "theta_deg" in column
+             else np.full(len(grid), cfg.theta_deg))
+    if "delta2_mhz" in column:
+        detunings, det = axes[column["delta2_mhz"]], index[column["delta2_mhz"]]
+    else:
+        detunings, det = np.array([cfg.delta2_mhz]), np.zeros(len(grid), int)
+    # rows at one position on the other axes form a group
+    keys = [k for f, k in column.items() if f not in ("theta_deg", "delta2_mhz")]
+    group = np.zeros(len(grid), dtype=int)
+    for k in keys:
+        group = group * len(axes[k]) + index[k]
+    group[cells != ""] = -1
+    table = np.full((len(grid), len(value_cols)), math.nan)
+    # every group that keeps a row after the axis checks
+    for g in np.flatnonzero(np.bincount(group + 1)[1:]).tolist():
+        rows = np.flatnonzero(group == g)
+        setting = {fields[k]: grid[rows[0], k].item() for k in keys}
+        try:
+            table[rows], cells[rows] = _group_values(
+                cfg.quantity, replace(cfg, **setting), detunings, det[rows],
+                theta[rows])
+        except RydsheError as exc:
+            cells[rows] = _error_cell(exc)
+    table[cells != ""] = math.nan
+    rows = np.concatenate([grid, table], axis=1).tolist()
+    for row, cell in zip(rows, cells.tolist()):
+        row.append(cell)
     columns = [AXES[v][1] for v in variables] + value_cols + ["error"]
     return SweepResult(columns=columns, rows=rows,
                        config_hash=config_hash(cfg), version=__version__,
@@ -177,7 +188,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 def profile_coefficients(cfg: RunConfig) -> tuple[complex, complex]:
     """(rp, rs) at the configured operating point, for the profile outputs."""
     b = susceptibility(cfg.drive_params(), cfg.atom_params())
-    return _reflection_coefficients(cfg, b.total, cfg.theta_deg)
+    stack, beam = cfg.layer_stack(b.total), cfg.beam_spec()
+    return tuple(stack_fresnel(stack, beam.theta_i, beam.k0, pol)[0]
+                 for pol in "ps")
 
 
 def _run_profile(cfg: RunConfig, t0: float) -> SweepResult:

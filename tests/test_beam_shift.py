@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rydshe import (BeamSpec, DomainError, PropagationError, WindowError,
+from rydshe import (BeamSpec, DomainError, Layer, LayerStack,
+                    PropagationError, RydsheError, WindowError,
                     analytic_gaussian_shift, intensity_maps_2d,
-                    intensity_profiles, shifts_from_coefficients,
-                    pshe_shifts, canonical_atom, canonical_drive, canonical_stack,
-                    susceptibility)
+                    intensity_profiles, medium_index, shifts_from_coefficients,
+                    pshe_shifts, canonical_atom, canonical_drive,
+                    canonical_stack, stack_fresnel, susceptibility)
+from rydshe.multilayer import fault_error
 from rydshe.oracle import (centroid, incident_spectrum, reflected_field,
                            reflected_spin_spectra, spectral_shifts)
 
@@ -150,6 +153,85 @@ def test_shift_typed_errors(beam):
             shifts_from_coefficients(beam, rp, rs)
     with pytest.raises(DomainError):           # rp = 0 and rs = -rp
         shifts_from_coefficients(beam, 0.0, 0.0)
+
+
+def _close(got, want) -> bool:
+    return abs(got - want) <= 1e-15 * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(thetas=st.lists(st.floats(5.0, 85.0), min_size=1, max_size=8),
+       chi_re=st.lists(st.floats(-0.5, 3.0), min_size=8, max_size=8),
+       chi_im=st.lists(st.floats(-0.3, 0.5), min_size=8, max_size=8),
+       n2=st.complex_numbers(min_magnitude=0.5, max_magnitude=3.0).filter(
+           lambda n: n.real > 0 and n.imag >= 0),
+       d=st.tuples(st.floats(0.0, 200.0), st.floats(0.0, 200.0)),
+       n_io=st.tuples(st.floats(1.0, 1.6), st.floats(1.0, 1.6)))
+def test_array_optics_and_shifts_match_scalar_calls(thetas, chi_re, chi_im,
+                                                    n2, d, n_io):
+    # one index per angle: the array stack_fresnel and shift calls against
+    # scalar calls at each angle, failures included
+    theta = np.radians(thetas)
+    chi = (np.array(chi_re) + 1j * np.array(chi_im))[:len(thetas)]
+    n1 = medium_index(chi)
+    k0 = TWO_PI / 0.78
+    stack = LayerStack(n_in=n_io[0], layers=(Layer(n=n1, d=d[0]),
+                                             Layer(n=n2, d=d[1])),
+                       n_out=n_io[1])
+    rp, tp, fp = stack_fresnel(stack, theta, k0, "p", masked=True)
+    rs, ts, fs = stack_fresnel(stack, theta, k0, "s", masked=True)
+    shifts = shifts_from_coefficients(
+        BeamSpec(w0=50.0, theta_i=theta, lambda_p=0.78, n_in=n_io[0]), rp, rs)
+    for i, th in enumerate(theta.tolist()):
+        assert n1[i] == medium_index(complex(chi[i]))
+        try:
+            one = LayerStack(n_in=n_io[0], layers=(Layer(n=n1[i], d=d[0]),
+                                                   Layer(n=n2, d=d[1])),
+                             n_out=n_io[1])
+            want = [stack_fresnel(one, th, k0, pol) for pol in "ps"]
+        except RydsheError as exc:
+            got = fault_error(fp[i]) or fault_error(fs[i])
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            assert np.isnan([rp[i], tp[i], rs[i], ts[i]]).all()
+            continue
+        assert fp[i] == fs[i] == 0
+        for got, w in zip((rp[i], tp[i], rs[i], ts[i]),
+                          (*want[0], *want[1])):
+            assert _close(got, w)
+        beam = BeamSpec(w0=50.0, theta_i=th, lambda_p=0.78, n_in=n_io[0])
+        try:
+            one = shifts_from_coefficients(beam, want[0][0], want[1][0])
+        except RydsheError as exc:
+            got = shifts.errors[i]
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            continue
+        assert shifts.errors[i] is None
+        for field in ("delta_plus", "delta_minus", "power_plus",
+                      "power_minus"):
+            assert _close(getattr(shifts, field)[i], getattr(one, field))
+
+
+def test_array_shift_errors_per_row(beam):
+    # a non-finite and a zero-power row fail alone, with the scalar texts
+    rp = np.array([0.01 + 0.02j, complex(math.nan, 0.0), 0.0, 0.03j])
+    rs = np.array([0.3, 0.2 - 0.1j, 0.0, 0.4 + 0.0j])
+    s = shifts_from_coefficients(beam, rp, rs)
+    for i in range(4):
+        try:
+            want = shifts_from_coefficients(beam, complex(rp[i]),
+                                            complex(rs[i]))
+        except RydsheError as exc:
+            assert (type(s.errors[i]), str(s.errors[i])) == (type(exc),
+                                                             str(exc))
+            assert math.isnan(s.delta_plus[i]) and math.isnan(s.power_plus[i])
+            continue
+        assert s.errors[i] is None
+        assert s.delta_plus[i] == want.delta_plus
+        assert s.power_minus[i] == want.power_minus
+    assert [type(e) for e in s.errors] == [type(None), PropagationError,
+                                           DomainError, type(None)]
+    assert str(s.errors[1]) == ("non-finite Fresnel coefficients "
+                                "rp=(nan+0j), rs=(0.2-0.1j)")
 
 
 def test_pipeline_matches_analytic(beam, rng):

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import rydshe.sweeps
 
-from rydshe import (ConfigError, DomainError, RunConfig, SingularityError,
-                    parse_config, pshe_shifts, serialize_config,
-                    susceptibility)
+from rydshe import (ConfigError, DomainError, Layer, PropagationError,
+                    RunConfig, SingularityError, medium_index, parse_config,
+                    pshe_shifts, serialize_config, shifts_from_coefficients,
+                    stack_fresnel, susceptibility)
 from rydshe import quantum
 from rydshe.config import AXES, with_overrides
 from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
@@ -332,20 +333,119 @@ def test_fresnel_config_error_stays_on_its_row():
     assert [r[-1] for r in res.rows[1:]] == ["", ""]
 
 
-def test_shift_error_stays_on_its_row(monkeypatch):
-    real = rydshe.sweeps.shifts_from_coefficients
+def _set_fresnel_at(monkeypatch, theta_deg, **r):
+    """Make the sweep's Fresnel call return r[pol] at one incidence angle
+    (deg) for each polarization pol named in `r`."""
+    real = rydshe.sweeps.stack_fresnel
+    calls = []
 
-    def fails_at_34(beam, rp, rs):
-        if beam.theta_i == math.radians(34.0):
-            raise DomainError("injected")
-        return real(beam, rp, rs)
-    monkeypatch.setattr(rydshe.sweeps, "shifts_from_coefficients", fails_at_34)
-    cfg = with_overrides(RunConfig(), quantity="shift", variable="theta_i",
-                         sweep_min=33.0, sweep_max=35.0, steps=3)
+    def patched(stack, theta, k0, pol, masked=False):
+        calls.append((pol, np.size(theta)))
+        out = real(stack, theta, k0, pol, masked=masked)
+        if pol in r:
+            out[0][np.asarray(theta) == math.radians(theta_deg)] = r[pol]
+        return out
+    monkeypatch.setattr(rydshe.sweeps, "stack_fresnel", patched)
+    return calls
+
+
+_SHIFT_21 = with_overrides(RunConfig(), quantity="shift", variable="theta_i",
+                           sweep_min=33.0, sweep_max=35.0, steps=21)
+
+
+def test_shift_error_stays_on_its_row(monkeypatch):
+    # a non-finite r_p at 34 deg fails that row alone, with the text a
+    # scalar shift call there raises
+    clean = format_csv(run_sweep(_SHIFT_21)).splitlines()
+    _set_fresnel_at(monkeypatch, 34.0, p=complex(math.nan, 0.0))
+    lines = format_csv(run_sweep(_SHIFT_21)).splitlines()
+    bad = 3 + 10
+    cfg = replace(_SHIFT_21, theta_deg=34.0)
+    stack = cfg.layer_stack(susceptibility(cfg.drive_params(),
+                                           cfg.atom_params()).total)
+    rs, _ = stack_fresnel(stack, math.radians(34.0),
+                          TWO_PI / cfg.lambda_um, "s")
+    with pytest.raises(PropagationError) as exc:
+        shifts_from_coefficients(cfg.beam_spec(), complex(math.nan, 0.0), rs)
+    assert str(exc.value).startswith(
+        "non-finite Fresnel coefficients rp=(nan+0j), rs=(")
+    assert lines[bad].endswith(f",PropagationError: {exc.value}")
+    assert lines[bad].split(",")[:5] == ["34"] + ["nan"] * 4
+    del lines[bad], clean[bad]
+    assert lines == clean
+
+
+def test_zero_power_error_stays_on_its_row(monkeypatch):
+    clean = format_csv(run_sweep(_SHIFT_21)).splitlines()
+    _set_fresnel_at(monkeypatch, 34.0, p=0j, s=0j)
+    lines = format_csv(run_sweep(_SHIFT_21)).splitlines()
+    bad = 3 + 10
+    assert lines[bad].endswith(
+        ",DomainError: zero reflected power: shift undefined")
+    del lines[bad], clean[bad]
+    assert lines == clean
+
+
+def test_active_index_fails_its_detuning_rows_only(monkeypatch):
+    # a conjugated-looking chi (Im n < -0.1) at one detuning of a map
+    # fails every row of that detuning with the scalar Layer's error
+    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
+                         sweep_min=33.5, sweep_max=34.2, steps=8,
+                         variable2="Delta2", sweep_min2=-2.0, sweep_max2=2.0,
+                         steps2=5)
+    clean = format_csv(run_sweep(cfg)).splitlines()
+    real = rydshe.sweeps.susceptibility
+    active_chi = -0.5j
+
+    def active_at_zero(drive, atom):
+        b = real(drive, atom)
+        chi1 = np.where(drive.Delta2 == 0.0, active_chi - b.chi3_local_contrib
+                        - b.chi3_nonlocal_contrib, b.chi1)
+        return replace(b, chi1=chi1)
+    monkeypatch.setattr(rydshe.sweeps, "susceptibility", active_at_zero)
+    with pytest.raises(DomainError) as exc:
+        Layer(n=medium_index(active_chi), d=cfg.d2_um)
+    assert str(exc.value) == "layer index is strongly active (Im n << 0)"
+    lines = format_csv(run_sweep(cfg)).splitlines()
+    bad = [i for i, line in enumerate(lines[3:], start=3)
+           if line.split(",")[1] == "0"]
+    assert len(bad) == 8
+    for i in bad:
+        assert lines[i].endswith(f",DomainError: {exc.value}")
+    for i in reversed(bad):
+        del lines[i], clean[i]
+    assert lines == clean
+
+
+def test_fresnel_sweep_rows_match_scalar_calls(monkeypatch):
+    # every fresnel column against per-angle scalar calls; ratio_s_over_p
+    # is inf where |r_p| = 0
+    cfg = with_overrides(RunConfig(), quantity="fresnel", variable="theta_i",
+                         sweep_min=20.0, sweep_max=50.0, steps=7)
+    _set_fresnel_at(monkeypatch, 35.0, p=0j)
     res = run_sweep(cfg)
-    assert [r[-1] for r in res.rows] == ["", "DomainError: injected", ""]
-    assert all(math.isfinite(v) for r in (res.rows[0], res.rows[2])
-               for v in r[1:-1])
+    stack = cfg.layer_stack(susceptibility(cfg.drive_params(),
+                                           cfg.atom_params()).total)
+    k0 = TWO_PI / cfg.lambda_um
+    for row in res.rows:
+        theta = math.radians(row[0])
+        rp = 0j if row[0] == 35.0 else stack_fresnel(stack, theta, k0, "p")[0]
+        rs = stack_fresnel(stack, theta, k0, "s")[0]
+        ratio = abs(rs) / abs(rp) if abs(rp) > 0 else math.inf
+        assert row[1:] == [rp.real, rp.imag, rs.real, rs.imag, abs(rp),
+                           abs(rs), ratio, ""]
+    assert res.rows[3][7] == math.inf
+
+
+def test_map_makes_one_fresnel_call_per_polarization(monkeypatch):
+    calls = _set_fresnel_at(monkeypatch, 0.0)
+    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
+                         sweep_min=33.5, sweep_max=34.2, steps=71,
+                         variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
+                         steps2=51)
+    res = run_sweep(cfg)
+    assert calls == [("p", 71 * 51), ("s", 71 * 51)]
+    assert all(r[-1] == "" for r in res.rows)
 
 
 def test_shift_sweep_over_thickness_builds_each_stack():
