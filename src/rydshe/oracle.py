@@ -6,10 +6,10 @@ The main physics modules are validated against four kinds of oracle:
   Bloch equations, solved as a 9x9 linear system with the trace row --
   this pins every sign convention of the perturbative expansion;
 * the two-body correlators solved directly at given pair energies
-  (`twobody_correlators`: the pair 4x4 and the third-order 8x8 rebuilt
-  with V on their diagonals, batched over V), and Gauss-Legendre and
-  dense-trapezoid quadrature of the nonlocal shell integral over them,
-  checking its closed form and the 3 R_b truncation;
+  (`twobody_correlators`: every matrix built at the detuning itself, the
+  pair 4x4 and the 8x8 with V on their diagonals, batched over V), and
+  Gauss-Legendre and dense-trapezoid quadrature of the nonlocal shell
+  integral over them, checking its closed form and the 3 R_b truncation;
 * closed-form optics identities (two-interface Airy summation, energy
   conservation) exercised in the tests;
 * angular-spectrum synthesis of the reflected beam: the spin spectra are
@@ -138,33 +138,28 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
 
     z2 holds the O(Omega_p^2) (rr13_31, rr12_31, rr12_21, rr13_21, rr31_31,
     rr21_31, rr21_21, rr31_21), of which only the last four see V; x3 the
-    O(Omega_p^3) unknowns of `quantum._third_order_system`, x3[:, 0] being
-    rr33_31, the source of the nonlocal susceptibility.  The pair 4x4 and
-    the 8x8 are rebuilt with V on their diagonals and solved as batches,
-    not through the poles the closed form uses.
+    O(Omega_p^3) unknowns of the 8x8 of `quantum._systems`, x3[:, 0] being
+    rr33_31, the source of the nonlocal susceptibility.  Every matrix is
+    built at this detuning, not shifted from another; the pair 4x4 and
+    the 8x8 take V on their diagonals and are solved as batches, not
+    through the poles the closed form uses.
     """
     V = np.asarray(V)
     n, Oc = len(V), drive.Omega_c
     batch = quantum._batch(drive)
-    d = ComplexDenominators.from_params(batch, atom)
-    r21, r31, first = quantum._first_order(d, Oc)
-    onebody, second = quantum._onebody(d, Oc, atom, r21, r31)
-    zA, mixed = quantum._mixed_correlators(d, Oc, r21, r31)
+    r21, r31, first = quantum._first_order(
+        ComplexDenominators.from_params(batch, atom), Oc)
+    A, MA, MB0, Q0 = quantum._systems(batch.detuned(batch.Delta2[0]), atom)
+    onebody, second = quantum._onebody(A, r21, r31)
+    zA, mixed = quantum._mixed_correlators(MA, r21, r31)
     # the V-free parts raise as a scalar call at this detuning would
     quantum._one((), quantum._first_errors(first, second, mixed), batch)
-    Q0, qc = quantum._third_order_system(d, Oc, atom, zA, onebody)
-    MB = np.empty((n, 4, 4), dtype=complex)
-    MB[:] = quantum._pair_matrix(d, Oc)
-    MB[:, 0, 0] -= V
+    MB = MB0 - V[:, None, None] * np.diag([1, 0, 0, 0])
     qB = np.broadcast_to(quantum._pair_rhs(r21, r31)[..., :1], (n, 4, 1))
     zB = _checked(*quantum._solve_checked(
         MB, qB, "second-order two-body (pair 4x4)"))[..., 0]
-    Q = np.empty((n, 8, 8), dtype=complex)
-    Q[:] = Q0
-    Q[:, 0, 0] -= V
-    Q[:, 2, 2] -= V
-    q = np.empty((n, 8), dtype=complex)
-    q[:] = qc
+    Q = Q0 - V[:, None, None] * np.diag([1, 0, 1, 0, 0, 0, 0, 0])
+    q = quantum._third_order_rhs(zA, onebody).repeat(n, axis=0)
     q[:, quantum._PAIR_ROWS] += zB
     x3 = _checked(*quantum._solve_checked(
         Q, q[..., None], "third-order two-body (8x8)"))[..., 0]

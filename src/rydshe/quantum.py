@@ -24,13 +24,15 @@ closed at two atoms / third order: one 5x5, two 4x4 and one 8x8 complex
 linear system.  The pair energy enters them as a low-rank change, so the
 correlator is a rational function of V and the shell integral has a
 closed form.  `susceptibility` takes a scalar or a 1-D array of probe
-detunings through one batched pass: the denominators, rho21^(1), four
-batched solves (two of them with several right-hand sides), a batch of
-2x2 eigenvalue problems and a broadcast sum of logarithms, each once.
-Every guard is applied per detuning, and a failure is reported against
-its own detuning; a scalar is the length-1 batch.  Nothing here solves
-at a given separation; `oracle.twobody_correlators` does, and certifies
-the closed form.
+detunings through one pass.  The four matrices are built once, from
+scalar denominators (`_systems`): the 5x5 and the mixed 4x4 get one LU
+each, with every detuning's right-hand side as a column; the pair 4x4
+and the 8x8, C + 2 Delta2 I and C + Delta2 I, are batched LU solves.
+The 2x2 eigenvalues behind the poles come in closed form.  Every guard
+is applied per detuning, and a failure is reported against its own
+detuning; a scalar is the length-1 batch.  Nothing here solves at a
+given separation; `oracle.twobody_correlators` does, from each
+detuning's own denominators, and certifies the closed form.
 
 Sign conventions are pinned by two independent checks exercised in the
 test suite: (a) the full nonperturbative local steady state (oracle
@@ -227,26 +229,10 @@ def _batch(drive: DriveParams) -> DriveParams:
     return drive.detuned(Delta2)
 
 
-def _stacked(entries: list) -> np.ndarray:
-    """Complex array of shape batch + (m,) from a list of m entries, or
-    batch + (m, k) from m rows of k entries; each entry is a scalar or an
-    array of the batch's shape."""
-    rows = entries if isinstance(entries[0], list) else [entries]
-    arrays = [(i, j, e) for i, row in enumerate(rows)
-              for j, e in enumerate(row) if type(e) is np.ndarray]
-    out = np.empty((arrays[0][2].shape if arrays else ())
-                   + (len(rows), len(rows[0])), dtype=complex)
-    out[...] = [[0 if type(e) is np.ndarray else e for e in row]
-                for row in rows]
-    for i, j, e in arrays:
-        out[..., i, j] = e
-    return out if rows is entries else out[..., 0, :]
-
-
 def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in m (over the last two axes)."""
-    f = m.reshape(m.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(f, f).real)
+    f = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(f, f))
 
 
 def _failures(bad: np.ndarray, error) -> dict:
@@ -266,36 +252,44 @@ def _first_errors(*stages: dict) -> dict:
 
 def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
                    ) -> tuple[np.ndarray, dict]:
-    """Dense LU solves (partial pivoting) of A x = b, A (n, m, m) and
-    b (n, m, k), each system guarded on its own.
+    """Dense LU solves (partial pivoting) of A x = b for b (n, m, k), each
+    of the n systems guarded on its own.  A is a batch (n, m, m), or one
+    (m, m) matrix factorized once, with the n right-hand sides as columns.
 
     Returns (x, errors): errors maps each failed system i to the typed
     error it gives alone -- non-finite entries, an exactly singular
     matrix, or a relative residual above SOLVE_RESIDUAL_TOL -- so one bad
-    system cannot hide behind the norm of the others.  A failed system's
-    x is 0, so it cannot poison later arithmetic on the batch.
+    system cannot hide behind the norm of the others.  The residual is
+    the test; only the systems that fail it are classified.  A failed
+    system's x is 0, so it cannot poison later arithmetic on the batch.
     """
-    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
-    eye = np.eye(A.shape[-1])
-    if not finite.all():
-        A = np.where(finite[:, None, None], A, eye)
-        b = np.where(finite[:, None, None], b, 0)
-    singular = np.zeros(len(A), dtype=bool)
+    n, m, k = b.shape
+
+    def solve(A):
+        if A.ndim == 3:
+            return np.linalg.solve(A, b)
+        x = np.linalg.solve(A, b.transpose(1, 0, 2).reshape(m, n * k))
+        return x.reshape(m, n, k).transpose(1, 0, 2)
+    singular = np.zeros(n, dtype=bool)
     try:
-        x = np.linalg.solve(A, b)
+        x = solve(A)
     except np.linalg.LinAlgError as exc:
         # LU finds the same zero pivot as the solve; the rest still solve
-        singular = np.linalg.slogdet(A).sign == 0
-        x = np.linalg.solve(np.where(singular[:, None, None], eye, A), b)
         reason = exc
-    scale = np.maximum(_frobenius(b), _frobenius(A) * _frobenius(x))
-    rel = _frobenius(A @ x - b) / np.maximum(scale, 1e-300)
-    bad = ~finite | singular | ~(rel <= SOLVE_RESIDUAL_TOL)   # nan fails too
-    if bad.any():
-        x[bad] = 0
+        eye, finite = np.eye(m), np.isfinite(A).all(axis=(-2, -1))
+        A1 = np.where(finite[..., None, None], A, eye)
+        zero = np.linalg.slogdet(A1).sign == 0
+        x = solve(np.where(zero[..., None, None], eye, A1))
+        singular = np.broadcast_to(zero, (n,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale = np.maximum(_frobenius(b), _frobenius(A) * _frobenius(x))
+        rel = _frobenius(A @ x - b) / np.maximum(scale, 1e-300)
+    bad = singular | ~(rel <= SOLVE_RESIDUAL_TOL)       # nan fails too
+    x[bad] = 0
 
     def error(i):
-        if not finite[i]:
+        if not (np.isfinite(A[i] if A.ndim == 3 else A).all()
+                and np.isfinite(b[i]).all()):
             return PropagationError(
                 f"non-finite entries entering the {what} solve")
         if singular[i]:
@@ -335,19 +329,46 @@ def _first_order(d: ComplexDenominators, Oc: float
         den == 0, lambda i: SingularityError("EIT denominator vanishes"))
 
 
-def _onebody(d: ComplexDenominators, Oc: float, atom: AtomParams,
-             r21: np.ndarray, r31: np.ndarray) -> tuple[tuple, dict]:
-    """The 5x5 of `second_order_onebody`; unknowns (rho11, rho22, rho33,
-    rho32, rho23)^(2)."""
-    r12, r13 = np.conj(r21), np.conj(r31)
-    A = _stacked([
-        [1, 1, 1, 0, 0],
-        [0, 0, -1j * atom.Gamma32, Oc, -Oc],
-        [0, -1j * atom.Gamma21, 1j * atom.Gamma32, -Oc, Oc],
-        [0, -Oc, Oc, -d.d32, 0],
-        [0, Oc, -Oc, 0, -d.d23],
-    ])
-    b = _stacked([[0], [0], [r12 - r21], [-r31], [r13]])
+def _systems(drive: DriveParams, atom: AtomParams) -> tuple:
+    """(A, MA, MB, Q) at the scalar detuning of drive: the 5x5 of
+    `second_order_onebody` and the mixed 4x4, in whose entries Delta2
+    cancels; the pair 4x4 of (rr31_31, rr21_31, rr21_21, rr31_21)^(2) and
+    the 8x8 of (rr33_31, rr23_31, rr32_31, rr33_21, rr22_31, rr23_21,
+    rr32_21, rr22_21)^(3) at V = 0, which a detuning s away are MB + 2 s I
+    and Q + s I.  The pair energy enters as MB - V e0 e0^T and
+    Q - V (e0 e0^T + e2 e2^T)."""
+    d, Oc = ComplexDenominators.from_params(drive, atom), drive.Omega_c
+    G12, G23 = atom.Gamma21, atom.Gamma32
+    A = [[1, 1, 1, 0, 0],
+         [0, 0, -1j * G23, Oc, -Oc],
+         [0, -1j * G12, 1j * G23, -Oc, Oc],
+         [0, -Oc, Oc, -d.d32, 0],
+         [0, Oc, -Oc, 0, -d.d23]]
+    MA = [[d.d13 + d.d31, -Oc, 0, Oc],
+          [-Oc, d.d12 + d.d31, Oc, 0],
+          [0, Oc, d.d12 + d.d21, -Oc],
+          [Oc, 0, -Oc, d.d13 + d.d21]]
+    MB = [[2 * d.d31, Oc, 0, Oc],
+          [Oc, d.d21 + d.d31, Oc, 0],
+          [0, Oc, 2 * d.d21, Oc],
+          [Oc, 0, Oc, d.d21 + d.d31]]
+    Q = [[d.d31 + 1j * G23, Oc, -Oc, Oc, 0, 0, 0, 0],
+         [Oc, d.d23 + d.d31, 0, 0, -Oc, Oc, 0, 0],
+         [-Oc, 0, d.d31 + d.d32, 0, Oc, 0, Oc, 0],
+         [Oc, 0, 0, d.d21 + 1j * G23, 0, Oc, -Oc, 0],
+         [-1j * G23, -Oc, Oc, 0, d.d31 + 1j * G12, 0, 0, Oc],
+         [0, Oc, 0, Oc, 0, d.d21 + d.d23, 0, -Oc],
+         [0, 0, Oc, -Oc, 0, 0, d.d21 + d.d32, Oc],
+         [0, 0, 0, -1j * G23, Oc, -Oc, Oc, d.d21 + 1j * G12]]
+    return tuple(np.array(s, dtype=complex) for s in (A, MA, MB, Q))
+
+
+def _onebody(A: np.ndarray, r21: np.ndarray, r31: np.ndarray
+             ) -> tuple[tuple, dict]:
+    """(rho11, rho22, rho33, rho32)^(2) from the 5x5 A of `_systems`; the
+    unknowns are (rho11, rho22, rho33, rho32, rho23)^(2)."""
+    r12, r13, z = np.conj(r21), np.conj(r31), np.zeros_like(r21)
+    b = np.array([z, z, r12 - r21, -r31, r13]).T[..., None]
     u, errors = _solve_checked(A, b, "second-order one-body (5x5)")
     return tuple(u[:, :4, 0].T), errors
 
@@ -374,43 +395,27 @@ def second_order_onebody(drive: DriveParams, atom: AtomParams
     to equal conj(rho32^(2)) by the tests (real drives).
     """
     batch, Oc = _batch(drive), drive.Omega_c
-    d = ComplexDenominators.from_params(batch, atom)
-    r21, r31, first = _first_order(d, Oc)
-    onebody, errors = _onebody(d, Oc, atom, r21, r31)
+    r21, r31, first = _first_order(
+        ComplexDenominators.from_params(batch, atom), Oc)
+    onebody, errors = _onebody(_systems(drive.detuned(0.0), atom)[0],
+                               r21, r31)
     return _one(onebody, _first_errors(first, errors), batch)
 
 
-def _mixed_correlators(d: ComplexDenominators, Oc: float,
-                       r21: np.ndarray, r31: np.ndarray
+def _mixed_correlators(MA: np.ndarray, r21: np.ndarray, r31: np.ndarray
                        ) -> tuple[np.ndarray, dict]:
     """zA = (rr13_31, rr12_31, rr12_21, rr13_21)^(2), the two-body
-    correlators the pair energy does not reach (the 'mixed' 4x4)."""
+    correlators the pair energy does not reach (the mixed 4x4 MA)."""
     r12, r13 = np.conj(r21), np.conj(r31)
-    MA = _stacked([
-        [d.d13 + d.d31, -Oc, 0, Oc],
-        [-Oc, d.d12 + d.d31, Oc, 0],
-        [0, Oc, d.d12 + d.d21, -Oc],
-        [Oc, 0, -Oc, d.d13 + d.d21],
-    ])
-    qA = _stacked([[0], [r31], [r21 - r12], [-r13]])
+    qA = np.array([np.zeros_like(r21), r31, r21 - r12, -r13]).T[..., None]
     zA, errors = _solve_checked(MA, qA, "second-order two-body (mixed 4x4)")
     return zA[..., 0], errors
 
 
-def _pair_matrix(d: ComplexDenominators, Oc: float) -> np.ndarray:
-    """MB0, the pair 4x4 of (rr31_31, rr21_31, rr21_21, rr31_21)^(2) at
-    V = 0; the pair energy enters as MB(V) = MB0 - V e0 e0^T."""
-    return _stacked([
-        [2 * d.d31, Oc, 0, Oc],
-        [Oc, d.d21 + d.d31, Oc, 0],
-        [0, Oc, 2 * d.d21, Oc],
-        [Oc, 0, Oc, d.d21 + d.d31],
-    ])
-
-
 def _pair_rhs(r21: np.ndarray, r31: np.ndarray) -> np.ndarray:
     """[qB, e0]: the pair 4x4's right-hand side and its first unit vector."""
-    return _stacked([[0, 1], [-r31, 0], [-2 * r21, 0], [-r31, 0]])
+    z = np.zeros_like(r21)
+    return np.array([[z, -r31, -2 * r21, -r31], [z + 1, z, z, z]]).T
 
 
 # rows of the third-order right-hand side fed by the pair correlators
@@ -418,76 +423,66 @@ def _pair_rhs(r21: np.ndarray, r31: np.ndarray) -> np.ndarray:
 _PAIR_ROWS = [2, 4, 7, 6]
 
 
-def _third_order_system(d: ComplexDenominators, Oc: float, atom: AtomParams,
-                        zA: np.ndarray, onebody: tuple
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(Q0, q_c): the third-order 8x8 at V = 0 and the part of its
-    right-hand side that the pair correlators zB do not feed.
-
-    The unknowns are (rr33_31, rr23_31, rr32_31, rr33_21, rr22_31,
-    rr23_21, rr32_21, rr22_21)^(3).  The pair energy shifts the
-    double-Rydberg coherences (rows 0 and 2),
-    Q(V) = Q0 - V (e0 e0^T + e2 e2^T), and q(V) = q_c + P zB(V) with P
-    scattering zB onto `_PAIR_ROWS`.
-    """
+def _third_order_rhs(zA: np.ndarray, onebody: tuple) -> np.ndarray:
+    """q_c of the 8x8's right-hand side q(V) = q_c + P zB(V), where P
+    scatters the pair correlators zB onto `_PAIR_ROWS`."""
     rr13_31, rr12_31, rr12_21, rr13_21 = zA.T
-    r11, r22, r33, r32 = onebody
-    r23 = np.conj(r32)
-    G12, G23 = atom.Gamma21, atom.Gamma32
-    Q0 = _stacked([
-        [d.d31 + 1j * G23, Oc, -Oc, Oc, 0, 0, 0, 0],
-        [Oc, d.d23 + d.d31, 0, 0, -Oc, Oc, 0, 0],
-        [-Oc, 0, d.d31 + d.d32, 0, Oc, 0, Oc, 0],
-        [Oc, 0, 0, d.d21 + 1j * G23, 0, Oc, -Oc, 0],
-        [-1j * G23, -Oc, Oc, 0, d.d31 + 1j * G12, 0, 0, Oc],
-        [0, Oc, 0, Oc, 0, d.d21 + d.d23, 0, -Oc],
-        [0, 0, Oc, -Oc, 0, 0, d.d21 + d.d32, Oc],
-        [0, 0, 0, -1j * G23, Oc, -Oc, Oc, d.d21 + 1j * G12],
-    ])
-    qc = _stacked([0, -rr13_31, 0, -r33, -rr12_31, -r23 - rr13_21, -r32,
-                   -r22 - rr12_21])
-    return Q0, qc
+    _, r22, r33, r32 = onebody
+    z = np.zeros_like(r22)
+    return np.array([z, -rr13_31, z, -r33, -rr12_31, -np.conj(r32) - rr13_21,
+                     -r32, -r22 - rr12_21]).T
 
 
-def _correlator_poles(d: ComplexDenominators, Oc: float, atom: AtomParams,
-                      r21: np.ndarray, r31: np.ndarray, onebody: tuple
+def _eig2(S: np.ndarray) -> np.ndarray:
+    """Eigenvalues (n, 2) of S (n, 2, 2): lam1 = m +- sqrt(((a - d)/2)^2
+    + bc), m = (a + d)/2, with the sign that adds to m, and det S / lam1."""
+    a, b, c, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1]
+    m, r = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b * c)
+    lam1 = m + np.where((m.conj() * r).real < 0, -r, r)
+    return np.stack([lam1, (a * d - b * c) / lam1], axis=1)
+
+
+def _correlator_poles(systems: tuple, shift: np.ndarray, r21: np.ndarray,
+                      r31: np.ndarray, onebody: tuple
                       ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Poles V_k and residues c_k, each (n, 3), of
-    rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solves.
+    rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solves,
+    at the n detunings `shift` away from the one `systems` was built at.
 
-    Sherman-Morrison on the pair 4x4: MB0 [zB0, w] = [qB, e0] gives
-    zB(V) = zB0 + w zB0_0 g(V), g(V) = V / (1 - V beta), beta = w_0.
-    Woodbury on the 8x8 with U = [e0, e2]: Q0 X = [e0, e2, q0, p], with
-    q0 = q_c + P zB0 and p = P w zB0_0, and rows 0 and 2 of X give
-    S = U^T Q0^-1 U, a and b, so that
+    Sherman-Morrison on the pair 4x4 MB0 = MB + 2 shift I: MB0 [zB0, w]
+    = [qB, e0] gives zB(V) = zB0 + w zB0_0 g(V), g(V) = V / (1 - V beta),
+    beta = w_0.  Woodbury on the 8x8 Q0 = Q + shift I with U = [e0, e2]:
+    Q0 X = [e0, e2, q0, p], with q0 = q_c + P zB0 and p = P w zB0_0, and
+    rows 0 and 2 of X give S = U^T Q0^-1 U, a and b, so that
 
         rr33_31^(3)(V) = e0^T (I - V S)^-1 (a + g(V) b).
 
     The poles are 1/eig(S) and 1/beta; the numerator is of lower degree
     than the denominator, so there is no polynomial part.
     """
-    zA, mixed = _mixed_correlators(d, Oc, r21, r31)
-    zw, pair = _solve_checked(_pair_matrix(d, Oc), _pair_rhs(r21, r31),
+    n, (_, MA, MB, Q) = len(shift), systems
+    MB0, Q0 = np.repeat(MB[None], n, axis=0), np.repeat(Q[None], n, axis=0)
+    MB0.reshape(n, -1)[:, ::len(MB) + 1] += 2 * shift[:, None]  # diagonal
+    Q0.reshape(n, -1)[:, ::len(Q) + 1] += shift[:, None]
+    zA, mixed = _mixed_correlators(MA, r21, r31)
+    zw, pair = _solve_checked(MB0, _pair_rhs(r21, r31),
                               "second-order two-body (pair 4x4)")
-    zB0, w = zw[..., 0], zw[..., 1]
-    beta = w[:, :1]
-    Q0, qc = _third_order_system(d, Oc, atom, zA, onebody)
-    rhs = np.zeros(qc.shape + (4,), dtype=complex)
+    zB0, w, beta = zw[..., 0], zw[..., 1], zw[:, :1, 1]
+    rhs = np.zeros((n, 8, 4), dtype=complex)
     rhs[:, 0, 0] = rhs[:, 2, 1] = 1.0
-    rhs[..., 2] = qc
+    rhs[..., 2] = _third_order_rhs(zA, onebody)
     rhs[:, _PAIR_ROWS, 2] += zB0
     rhs[:, _PAIR_ROWS, 3] = w * zB0[:, :1]
     X, third = _solve_checked(Q0, rhs, "third-order two-body (8x8)")
-    X = X[:, [0, 2]]
-    S, a, b = X[..., :2], X[..., 2, None], X[..., 3, None]
-    lam = np.linalg.eigvals(S)
+    X = X[:, 0:3:2]                     # rows 0 and 2: [S, a, b]
     # coincident poles give non-finite residues; _shell_pole_sum refuses them
     with np.errstate(divide="ignore", invalid="ignore"):
+        lam = _eig2(X[..., :2])
         V = 1.0 / np.concatenate([lam, beta], axis=1)
         # row 0 of adj(I - V_k S), so that (I - V S)^-1 = adj / det
-        adj0 = np.stack([1 - V * S[:, 1, 1, None], V * S[:, 0, 1, None]],
-                        axis=2)
-        adj0_a, adj0_b = (adj0 @ a)[..., 0], (adj0 @ b)[..., 0]
+        adj00, adj01 = 1 - V * X[:, 1, 1, None], V * X[:, 0, 1, None]
+        adj0_a = adj00 * X[:, 0, 2, None] + adj01 * X[:, 1, 2, None]
+        adj0_b = adj00 * X[:, 0, 3, None] + adj01 * X[:, 1, 3, None]
         c = np.empty_like(V)
         c[:, :2] = ((adj0_a[:, :2] + adj0_b[:, :2] / (lam - beta))
                     / (lam[:, ::-1] - lam))
@@ -548,13 +543,13 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
 
     Returns (parts, errors): parts is (4, n), the rows rho21^(1),
     rho21^(3,local), I and rho21^(3,nonlocal); errors maps each failed
-    detuning to its first error, and its parts are nan.  Each system is
-    built and solved once, as one batch over the detunings.
+    detuning to its first error, and its parts are nan.  The systems are
+    built once, at Delta2 = 0, and shifted to the detunings.
     """
-    Oc = drive.Omega_c
-    d = ComplexDenominators.from_params(drive, atom)
+    Oc, d = drive.Omega_c, ComplexDenominators.from_params(drive, atom)
+    systems = _systems(drive.detuned(0.0), atom)
     r21, r31, first = _first_order(d, Oc)
-    onebody, second = _onebody(d, Oc, atom, r21, r31)
+    onebody, second = _onebody(systems[0], r21, r31)
     stages = [first, second]
     r11, r22, _, r32 = onebody
     den = Oc**2 - d.d21 * d.d31
@@ -564,8 +559,8 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
     I = nl = np.zeros_like(local)
     if atom.C6 != 0 and atom.Na != 0 and Oc != 0:
         Rb = atom.blockade_radius(Oc)
-        poles, residues, third = _correlator_poles(d, Oc, atom, r21, r31,
-                                                   onebody)
+        poles, residues, third = _correlator_poles(systems, drive.Delta2,
+                                                   r21, r31, onebody)
         total, shell = _shell_pole_sum(poles, residues, atom.C6,
                                        (upper_factor * Rb) ** -3, Rb ** -3)
         stages += [third, shell]

@@ -234,12 +234,22 @@ def format_csv(result: SweepResult, precision: int = 12) -> str:
 
 
 def format_json(result: SweepResult, precision: int = 12) -> str:
+    """json.dumps(..., indent=1, sort_keys=True) of the rows rounded by
+    float(%g), non-finite cells null.  Up to 15 digits name one float, so
+    %g is the repr but for integral values, 10**precision <= |v| < 1e16
+    and subnormals: only those (all, above 15 digits) go through repr."""
     import json
-    rows = [[v if isinstance(v, str) else
-             (float(f"{v:.{precision}g}") if math.isfinite(v) else None)
-             for v in row] for row in result.rows]
-    return json.dumps({"meta": {"version": result.version,
-                                "config": result.config_hash},
-                       "columns": result.columns,
-                       "rows": rows}, indent=1, sort_keys=True,
-                      allow_nan=False) + "\n"
+    import re
+    head = json.dumps({"columns": result.columns, "meta": {
+        "config": result.config_hash, "version": result.version}}, indent=1)
+    row = "\n  [\n   " + ",\n   ".join(
+        [f"%.{precision}g"] * (len(result.columns) - 1) + ["%s"]) + "\n  ]"
+    body = ",".join([row % (*r[:-1], json.dumps(r[-1]) if r[-1] else '""')
+                     for r in result.rows])
+    number = (r"\d+|[\d.]+e(?:\+(?:0\d|1[0-5])|-3\d\d)" if precision <= 15
+              else r"[\d.]+(?:e[-+]\d+)?")
+    body = re.sub(rf"\n   (-?(?:nan|inf|{number}))(?=,?\n)",
+                  lambda m: "\n   " + (repr(v) if math.isfinite(
+                      v := float(m[1])) else "null"), body)
+    rows = body + "\n ]" if body else "]"
+    return head[:-2] + ',\n "rows": [' + rows + "\n}\n"

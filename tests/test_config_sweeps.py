@@ -186,6 +186,51 @@ def test_sweep_json_non_finite_cells_are_null():
     assert back["rows"] == [[1.0, None, None, ""], [2.0, None, None, "E: x"]]
 
 
+def _old_json(result: SweepResult, precision: int) -> str:
+    """The JSON writer format_json replaced: each cell rounded through
+    float(%g), then json.dumps of the whole document."""
+    rows = [[v if isinstance(v, str) else
+             (float(f"{v:.{precision}g}") if math.isfinite(v) else None)
+             for v in row] for row in result.rows]
+    return json.dumps({"meta": {"version": result.version,
+                                "config": result.config_hash},
+                       "columns": result.columns,
+                       "rows": rows}, indent=1, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("precision", [3, 12, 15, 16, 17])
+def test_sweep_json_matches_the_encoder_byte_for_byte(precision):
+    values = [-0.0, 0.0, 3.0, -7.0, 5, 12.5, 1e-5, -1.5e-5, 1e-4, 0.1 + 0.2,
+              math.pi, 999999999999.5, 1e12, -1.23456789012345e13,
+              9.99999999999e15, 9999999999999998.0, 1e16, 1.5e16, 1e300,
+              5e-324, 2.0**53, 123456.0, 1e5, math.nan, math.inf, -math.inf,
+              np.float64(2.5), np.float64(-4.0)]
+    rng = np.random.default_rng(precision)
+    values += (rng.choice([-1.0, 1.0], 300) * rng.uniform(1, 10, 300)
+               * 10.0 ** rng.integers(-320, 300, 300)).tolist()
+    errors = ["", 'E: bad "x" \\ at 34\u00b0 \u2014 \u00fc', "tab\tnew\nline",
+              "nan", "1e12"]
+    rows = [[values[(i + j) % len(values)] for j in range(3)]
+            + [errors[i % len(errors)]] for i in range(2 * len(values))]
+    res = SweepResult(columns=["a", "b", "c", "error"], rows=rows,
+                      config_hash="0" * 16, version="0.1.0",
+                      wall_time_ms=0.0)
+    assert format_json(res, precision) == _old_json(res, precision)
+    empty = SweepResult(columns=["a", "error"], rows=[], config_hash="1",
+                        version="0", wall_time_ms=0.0)
+    assert format_json(empty, precision) == _old_json(empty, precision)
+
+
+def test_sweep_json_of_a_map_matches_the_encoder():
+    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
+                         sweep_min=33.5, sweep_max=34.2, steps=8,
+                         variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
+                         steps2=11)
+    res = run_sweep(cfg)
+    assert format_json(res) == _old_json(res, 12)
+
+
 def _old_cell(v, precision: int) -> str:
     """The per-cell CSV formatter format_csv used before it formatted
     each row with one call."""
@@ -664,6 +709,32 @@ def test_cli_import_leaves_scipy_unloaded():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_sweeps_leave_scipy_and_numpy_ma_unloaded(tmp_path):
+    # a 2-point run of every sweep subcommand, as CSV and as JSON, in one
+    # fresh process; after each, neither scipy nor numpy.ma (about 1 MB
+    # of RSS and set-up time, which e.g. np.unique pulls in) is imported
+    code = f"""
+import contextlib, io, sys
+from rydshe.cli import _SWEEP_COMMANDS, main
+runs = [[name] + [a for _, _, _, flag, _ in axes for a in ("--" + flag, "2")]
+        for name, (_, _, axes) in _SWEEP_COMMANDS.items()] + [["profile"]]
+for argv in runs:
+    for fmt in ("csv", "json"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--format", fmt, "--out",
+                                {str(tmp_path / "out")!r}]) == 0, argv
+        print(argv[0], fmt, sorted(m for m in sys.modules if m == "numpy.ma"
+                                   or m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{name} {fmt} []" for name in ("chi", "fresnel", "shift-angle",
+                                        "shift-detuning", "map", "profile")
+        for fmt in ("csv", "json")]
 
 
 def test_cli_shift_detuning_strong_coupling(tmp_path):

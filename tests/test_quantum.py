@@ -338,11 +338,13 @@ def test_nonlocal_integral_node_doubling(atom, drive0):
 
 
 def test_partial_fractions_reproduce_correlator(atom):
+    # the systems as production builds them: at Delta2 = 0, shifted to
+    # the detuning; the oracle assembles them at the detuning itself
     drv = canonical_drive(TWO_PI * 1.3)
-    d = ComplexDenominators.from_params(quantum._batch(drv), atom)
+    systems = quantum._systems(drv.detuned(0.0), atom)
     r21, r31 = first_order_coherences(drv, atom)
     poles, res, errors = _correlator_poles(
-        d, drv.Omega_c, atom, np.array([r21]), np.array([r31]),
+        systems, np.array([drv.Delta2]), np.array([r21]), np.array([r31]),
         tuple(np.array([p]) for p in second_order_onebody(drv, atom)))
     assert not errors
     poles, res = poles[0], res[0]
@@ -402,6 +404,50 @@ def test_shell_pole_sum_refuses_poles_on_the_shell():
     assert not none and total[3] == alone[0]
 
 
+def _closest(got, want):
+    """Largest distance from an eigenvalue in want to got, relative to
+    the larger eigenvalue: the rounded entries of S fix the smaller one
+    of a widely separated pair only to that scale, for eigvals and the
+    closed form alike."""
+    return max(np.min(np.abs(got - w)) for w in want) / np.max(np.abs(want))
+
+
+def test_closed_form_eigenvalues_match_eigvals():
+    # random, near-degenerate (relative gaps down to 1e-9, eigenvectors
+    # well conditioned) and widely separated (ratios 1e-4 to 1e4) 2x2
+    # matrices
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    P = cplx(60, 2, 2) + 3 * np.eye(2)
+    lam = cplx(60, 1) * np.array([1.0, 1.0])
+    lam[:20, 1] *= 1 + np.logspace(-9, -3, 20) * np.exp(1j * rng.uniform(
+        0, 2 * np.pi, 20))
+    lam[20:40, 1] *= np.logspace(-4, 4, 20)
+    lam[40:] = cplx(20, 2)
+    S = np.concatenate([P @ (lam[:, :, None] * np.linalg.inv(P)),
+                        cplx(40, 2, 2)])
+    got = quantum._eig2(S)
+    for i in range(len(S)):
+        assert _closest(got[i], np.linalg.eigvals(S[i])) < 1e-13, i
+        assert _closest(np.linalg.eigvals(S[i]), got[i]) < 1e-13, i
+
+
+def test_closed_form_eigenvalues_keep_coincident_poles_refused():
+    # poles 1/eig(S) of a near-degenerate S are refused as coincident,
+    # with the text _shell_pole_sum gives for any coincident pair
+    C6, lo, hi = 2.0, 1.0, 2.0
+    lam = np.array([[0.1 + 0.2j, (0.1 + 0.2j) * (1 + 1e-5)]])
+    P = np.array([[[1.0, 0.3j], [0.2, 1.0]]])
+    S = P @ (lam[:, :, None] * np.linalg.inv(P))
+    poles = 1.0 / quantum._eig2(S)
+    total, errors = _shell_pole_sum(poles, np.ones((1, 2)), C6, lo, hi)
+    assert list(errors) == [0]
+    assert re.fullmatch(r"poles V = \S+ and V = \S+ rad/us of "
+                        r"rr33_31\^\(3\) coincide", str(errors[0]))
+
+
 def test_pole_error_names_the_detuning(atom, monkeypatch):
     # widen the clearance so the canonical poles count as on the shell
     monkeypatch.setattr(quantum, "POLE_CLEARANCE", 10.0)
@@ -416,48 +462,77 @@ def test_pole_error_names_the_detuning(atom, monkeypatch):
                                    "second-order two-body (pair 4x4)",
                                    "third-order two-body (8x8)"])
 def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
+    # a failure injected at one detuning of a system -- shared by every
+    # detuning or batched over them -- names that detuning in a scalar
+    # call and lands on that detuning alone in an array call
     solve = quantum._solve_checked
+    at = []
 
     def failing(A, b, what):
         x, errors = solve(A, b, what)
         if what == label:
             errors = {i: SingularityError(f"singular matrix in {what}: "
-                                          "injected") for i in range(len(A))}
+                                          "injected") for i in at}
         return x, errors
     monkeypatch.setattr(quantum, "_solve_checked", failing)
     drv = canonical_drive(TWO_PI * 1.3)
+    at[:] = [0]
     with pytest.raises(SingularityError, match=re.escape(
             f"{label}: injected at Delta2 = {drv.Delta2:g} rad/us")):
         susceptibility(drv, atom)
+    D2 = TWO_PI * np.linspace(-10, 10, 7)
+    at[:] = [4]
+    b = susceptibility(drv.detuned(D2), atom)
+    assert [i for i, e in enumerate(b.errors) if e] == [4]
+    assert str(b.errors[4]) == (f"singular matrix in {label}: injected at "
+                                f"Delta2 = {D2[4]:g} rad/us")
+    parts = _parts(b)
+    assert np.all(np.isnan(parts[:, 4]))
+    assert np.all(np.isfinite(np.delete(parts, 4, axis=1)))
 
 
 def test_susceptibility_solve_count(atom, monkeypatch):
-    # one pass per call, whatever the number of detunings: one set of
-    # denominators, and four batched solves -- the 5x5 (shared by the
-    # local and nonlocal terms), the mixed and the pair 4x4 and the 8x8,
-    # each over the n detunings; no node axis
-    shapes, made = [], []
+    # one pass per call, whatever the number of detunings: the 5x5 (shared
+    # by the local and nonlocal terms) and the mixed 4x4 do not depend on
+    # the detuning and are factorized once, with the n detunings as
+    # right-hand-side columns; the pair 4x4 and the 8x8 are one batched
+    # solve each over the n detunings; no node axis.  The denominators
+    # are made once over the detunings and once, as scalars, for the
+    # matrices.
+    shapes, factorized, made = [], [], []
     solve = quantum._solve_checked
+    lu = np.linalg.solve
     from_params = quantum.ComplexDenominators.from_params
 
     def record(A, b, what):
-        shapes.append(A.shape)
+        shapes.append((A.shape, b.shape[0]))
         return solve(A, b, what)
+
+    def record_lu(A, b):
+        factorized.append(A.shape)
+        return lu(A, b)
 
     def denominators(cls, drive, atom):
         made.append(drive.Delta2)
         return from_params(drive, atom)
     monkeypatch.setattr(quantum, "_solve_checked", record)
+    monkeypatch.setattr(np.linalg, "solve", record_lu)
     monkeypatch.setattr(quantum.ComplexDenominators, "from_params",
                         classmethod(denominators))
     for n, D2 in [(1, TWO_PI * 0.4), (1, TWO_PI * np.array([0.4])),
                   (7, TWO_PI * np.linspace(-10, 10, 7)),
                   (201, TWO_PI * np.linspace(-10, 10, 201))]:
         shapes.clear()
+        factorized.clear()
         made.clear()
         susceptibility(canonical_drive(0.0).detuned(D2), atom)
-        assert sorted(shapes) == [(n, 4, 4), (n, 4, 4), (n, 5, 5), (n, 8, 8)]
-        assert len(made) == 1 and np.array_equal(made[0], np.atleast_1d(D2))
+        assert sorted(shapes, key=str) == sorted(
+            [((5, 5), n), ((4, 4), n), ((n, 4, 4), n), ((n, 8, 8), n)],
+            key=str)
+        assert sorted(factorized, key=str) == sorted(
+            [(5, 5), (4, 4), (n, 4, 4), (n, 8, 8)], key=str)
+        assert len(made) == 2 and made[1] == 0.0
+        assert np.array_equal(made[0], np.atleast_1d(D2))
 
 
 def _parts(b):
@@ -494,16 +569,21 @@ def test_array_call_reports_each_failure_at_its_detuning(atom, monkeypatch):
                for e in b.errors if e)
 
 
+def _medium(atom, medium):
+    if medium == "Gamma32=0":
+        return AtomParams.from_decay_rates(atom.Gamma21, 0.0, atom.C6,
+                                           atom.Na, atom.lambda_p)
+    if medium == "C6<0":
+        return AtomParams.from_decay_rates(atom.Gamma21, atom.Gamma32,
+                                           -atom.C6, atom.Na, atom.lambda_p)
+    return atom
+
+
 @pytest.mark.parametrize("medium", ["canonical", "Gamma32=0", "C6<0"])
 def test_batch_matches_gauss_legendre(atom, medium):
     # the array call at 41 detunings against the 128-node quadrature of
     # the directly solved correlators, and against the scalar closed forms
-    if medium == "Gamma32=0":
-        atom = AtomParams.from_decay_rates(atom.Gamma21, 0.0, atom.C6,
-                                           atom.Na, atom.lambda_p)
-    elif medium == "C6<0":
-        atom = AtomParams.from_decay_rates(atom.Gamma21, atom.Gamma32,
-                                           -atom.C6, atom.Na, atom.lambda_p)
+    atom = _medium(atom, medium)
     D2 = TWO_PI * np.linspace(-10, 10, 41)
     b = susceptibility(canonical_drive(0.0).detuned(D2), atom)
     assert not any(b.errors)
@@ -521,6 +601,47 @@ def test_batch_matches_gauss_legendre(atom, medium):
         assert b.chi1[i] == pytest.approx(K * r21, rel=1e-14)
         assert b.chi3_local_contrib[i] == pytest.approx(K * Op2 * local,
                                                        rel=1e-14)
+
+
+def test_systems_shift_with_the_detuning(atom):
+    # built at two detunings, the 5x5 and the mixed 4x4 are the same, the
+    # pair 4x4 moves by 2 dDelta2 I and the 8x8 by dDelta2 I (to rounding)
+    at = [quantum._systems(canonical_drive(TWO_PI * f), atom)
+          for f in (-3.7, 6.1)]
+    step = TWO_PI * (6.1 - -3.7)
+    for moves, before, after in zip([0, 0, 2, 1], *at):
+        want = moves * step * np.eye(len(before))
+        assert np.max(np.abs(after - before - want)) < 1e-12
+
+
+@pytest.mark.parametrize("medium", ["canonical", "Gamma32=0", "C6<0"])
+def test_chi_matches_per_detuning_assembly(atom, medium):
+    # production builds the systems once and shifts them to each of 201
+    # detunings; the reference builds every matrix from each detuning's
+    # own denominators: the 5x5 for the local term, and the oracle's
+    # directly solved correlators, by 128-node quadrature, for the
+    # nonlocal one
+    atom = _medium(atom, medium)
+    D2 = TWO_PI * np.linspace(-10, 10, 201)
+    b = susceptibility(canonical_drive(0.0).detuned(D2), atom)
+    assert not any(b.errors)
+    K = atom.chi_prefactor
+    worst = 0.0
+    for i, d2 in enumerate(D2):
+        drv = canonical_drive(d2)
+        Op2, Oc = drv.Omega_p**2, drv.Omega_c
+        d = ComplexDenominators.from_params(drv, atom)
+        r21, r31 = first_order_coherences(drv, atom)
+        (r11, r22, _, r32), errors = quantum._onebody(
+            quantum._systems(drv, atom)[0], np.array([r21]), np.array([r31]))
+        assert not errors
+        den = Oc**2 - d.d21 * d.d31
+        local = -(d.d31 * (r22[0] - r11[0]) - Oc * r32[0]) / den
+        i_gl = gauss_legendre_nonlocal_integral(drv, atom, n_nodes=128)
+        want = [K * r21, K * Op2 * local, K * Op2 * Oc * i_gl / den]
+        got = _parts(b)[:, i]
+        worst = max(worst, *(abs(g - w) / abs(w) for g, w in zip(got, want)))
+    assert worst <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
@@ -688,3 +809,31 @@ def test_solve_guards_each_system():
         assert np.all(x[i] == 0)
     for i in (0, 1, 3, 5):
         assert np.allclose(A[i] @ x[i], b[i], rtol=1e-12, atol=1e-12)
+
+
+def test_shared_matrix_guards_each_column():
+    # one matrix for every system, factorized once: a non-finite
+    # right-hand side fails its own system alone, and a singular matrix
+    # fails every system; each with the text a batch of one gives
+    from rydshe import PropagationError
+    from rydshe.quantum import _solve_checked
+    rng = np.random.default_rng(7)
+    A = 4 * np.eye(5) + rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    b = rng.normal(size=(6, 5, 1)) + 0j
+    b[3, 1, 0] = math.inf
+    x, errors = _solve_checked(A, b, "test shared")
+    assert list(errors) == [3]
+    assert isinstance(errors[3], PropagationError)
+    assert str(errors[3]) == str(_solve_checked(A, b[3:4], "test shared")[1][0])
+    assert np.all(x[3] == 0)
+    for i in (0, 1, 2, 4, 5):
+        assert np.allclose(A @ x[i], b[i], rtol=1e-12, atol=1e-12)
+    A[:, 2] = 0.0
+    x, errors = _solve_checked(A, b, "test shared")
+    assert sorted(errors) == list(range(6))
+    assert isinstance(errors[3], PropagationError)
+    for i in (0, 1, 2, 4, 5):
+        assert isinstance(errors[i], SingularityError)
+        assert str(errors[i]) == str(
+            _solve_checked(A, b[i:i + 1], "test shared")[1][0])
+    assert np.all(x == 0)
