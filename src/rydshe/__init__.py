@@ -11,20 +11,18 @@ __version__ = "0.1.0"
 
 from .errors import (RydsheError, DomainError, SingularityError,
                      PropagationError, SearchError, WindowError, ConfigError)
-from .quantum import (AtomParams, DriveParams, ComplexDenominators,
-                      SusceptibilityBreakdown,
+from .quantum import (AtomParams, DriveParams, SusceptibilityBreakdown,
                       derive_dipole_moment, blockade_radius,
                       first_order_coherences, second_order_onebody,
                       nonlocal_integral, third_order_coherence,
                       susceptibility)
-from .multilayer import (Layer, LayerStack, refraction_cosine, layer_matrix,
-                         stack_matrix, stack_fresnel, brewster_angle)
+from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, analytic_gaussian_shift,
-                         shifts_from_coefficients, pshe_shifts, medium_index,
+                         shifts_from_coefficients, medium_index,
                          intensity_profiles, intensity_maps_2d)
 from .oracle import (DensityMatrix3, full_local_bloch_steady_state,
-                     quadrature_refine, verify_suite, canonical_atom,
-                     canonical_drive, canonical_stack)
+                     verify_suite, canonical_atom, canonical_drive,
+                     canonical_stack)
 from .config import RunConfig, parse_config, serialize_config
 from .sweeps import SweepResult, run_sweep, emit
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PropagationError
-from .multilayer import LayerStack, stack_fresnel
-from .quantum import AtomParams, DriveParams, susceptibility
 
 _THETA_MIN = math.radians(5.0)
 _THETA_MAX = math.radians(85.0)
@@ -179,23 +177,6 @@ def medium_index(chi):
     n = np.sqrt(1.0 + np.asarray(chi, dtype=complex))
     n = np.where(n.real < 0, -n, n)
     return complex(n) if n.ndim == 0 else n
-
-
-def pshe_shifts(stack: LayerStack, beam: BeamSpec, drive: DriveParams,
-                atom: AtomParams) -> ShiftResult:
-    """End-to-end pipeline at one operating point.
-
-    The interior layer of `stack` is re-dressed with the medium index
-    from the current susceptibility; its thickness is kept.  The beam
-    must live in the stack's entry medium.
-    """
-    if abs(beam.n_in - stack.n_in) > 1e-12:
-        raise DomainError("beam.n_in must match stack.n_in")
-    chi = susceptibility(drive, atom).total
-    dressed = stack.with_interior(medium_index(chi))
-    rp, _ = stack_fresnel(dressed, beam.theta_i, beam.k0, "p")
-    rs, _ = stack_fresnel(dressed, beam.theta_i, beam.k0, "s")
-    return shifts_from_coefficients(beam, rp, rs)
 
 
 def _peak_normalized(v: np.ndarray) -> np.ndarray:

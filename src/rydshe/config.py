@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass, replace, fields as dc_fields
 
 import numpy as np
@@ -170,13 +171,20 @@ _FIELD_RENAMES = {
     ("output", "path"): "out_path", ("output", "format"): "out_format",
 }
 
-def _line_of(text: str, section: str, key: str) -> int:
+def _line_of(text: str, section: str, key: str | None = None) -> int:
+    """The line of `key` in [section], or of the section's header when key
+    is None; 0 when not found.  Lines are read as configparser reads them:
+    inline comments dropped, section names case-sensitive, keys
+    case-insensitive and ended by '=' or ':'."""
     in_section = False
     for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+        stripped = re.split(r"\s[#;]", line, maxsplit=1)[0].strip()
         if stripped.startswith("["):
-            in_section = stripped.lower() == f"[{section}]"
-        elif in_section and stripped.split("=")[0].strip().lower() == key.lower():
+            in_section = stripped == f"[{section}]"
+            if in_section and key is None:
+                return i
+        elif (in_section and re.split("[=:]", stripped, maxsplit=1)[0]
+              .strip().lower() == key.lower()):
             return i
     return 0
 
@@ -192,7 +200,7 @@ def parse_config(text: str) -> RunConfig:
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] "
-                              f"(line {_line_of(text, section, '')})")
+                              f"(line {_line_of(text, section)})")
         for key, raw in cp.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}] "
@@ -209,10 +217,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"bad value for '{key}' in [{section}] "
                     f"(line {_line_of(text, section, key)}): {exc}") from exc
-    try:
-        return RunConfig(**values)
-    except ConfigError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def serialize_config(cfg: RunConfig) -> str:

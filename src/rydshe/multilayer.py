@@ -13,9 +13,9 @@ product M = M_1 M_2 ... :
     r = [(M11 + M12 p_out) p_in - (M21 + M22 p_out)] / D
     t = 2 p_in / D,   D = (M11 + M12 p_out) p_in + (M21 + M22 p_out)
 
-All angle-dependent entry points accept scalars or numpy arrays of
-incidence angles, and a layer's index may be an array too: indices and
-angles broadcast elementwise, so one call evaluates a whole sweep grid.
+`stack_fresnel` accepts a scalar or a numpy array of incidence angles,
+and a layer's index may be an array too: indices and angles broadcast
+elementwise, so one call evaluates a whole sweep grid.
 A call raises its first failure; `stack_fresnel(..., masked=True)`
 instead reports each element's failure as a fault code (`fault_error`
 names it), so one bad element cannot fail its batch.
@@ -23,12 +23,11 @@ names it), so one bad element cannot fail its batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RydsheError, SearchError, SingularityError
+from .errors import DomainError, RydsheError, SingularityError
 
 # cap on Im(delta): beyond this the layer is opaque and cosh/sinh overflow
 _MAX_IM_DELTA = 35.0
@@ -59,17 +58,12 @@ def fault_error(fault) -> RydsheError | None:
     return kind(message)
 
 
-def _active(n) -> np.ndarray:
-    return np.imag(n) < -_PASSIVITY_TOL
-
-
 @dataclass(frozen=True)
 class Layer:
     """One finite layer: complex refractive index and thickness (um).
 
-    n may be an array that broadcasts against the incidence angles; a
-    scalar n is checked for passivity here, an array n per element by
-    `stack_fresnel`.
+    n may be an array that broadcasts against the incidence angles;
+    `stack_fresnel` checks it for passivity element by element.
     """
 
     n: complex | np.ndarray
@@ -78,8 +72,6 @@ class Layer:
     def __post_init__(self):
         if self.d < 0:
             raise DomainError("layer thickness must be >= 0")
-        if np.ndim(self.n) == 0 and _active(self.n):
-            raise fault_error(_ACTIVE)
 
 
 @dataclass(frozen=True)
@@ -94,12 +86,6 @@ class LayerStack:
         if self.n_in <= 0 or self.n_out <= 0:
             raise DomainError("semi-infinite media need real positive indices")
         object.__setattr__(self, "layers", tuple(self.layers))
-
-    def with_interior(self, n: complex, index: int = 0) -> "LayerStack":
-        """Copy of the stack with layer `index` given refractive index n."""
-        layers = list(self.layers)
-        layers[index] = Layer(n=n, d=layers[index].d)
-        return LayerStack(n_in=self.n_in, layers=tuple(layers), n_out=self.n_out)
 
 
 def refraction_cosine(n_in: float, theta_i, n_j) -> np.ndarray | complex:
@@ -124,8 +110,9 @@ def _impedance(n, cos_t, polarization: str):
 
 def _layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
                   polarization: str) -> tuple[np.ndarray, np.ndarray]:
-    """(M, singular): the layer matrices and where the impedance vanishes
-    (M is then computed with unit impedance and means nothing)."""
+    """(M, singular): the characteristic 2x2 matrices of one layer, shape
+    (..., 2, 2) and unimodular by construction, and where the impedance
+    vanishes (M is then computed with unit impedance and means nothing)."""
     cos_t = refraction_cosine(n_in, theta_i, layer.n)
     p = _impedance(layer.n, cos_t, polarization)
     singular = p == 0
@@ -144,45 +131,6 @@ def _layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
     return M, singular
 
 
-def layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
-                 polarization: str) -> np.ndarray:
-    """Characteristic 2x2 matrix of one layer; unimodular by construction.
-
-    Shape (..., 2, 2) for array-valued theta_i or layer.n.
-    """
-    M, singular = _layer_matrix(layer, theta_i, k0, n_in, polarization)
-    if singular.any():
-        raise fault_error(_IMPEDANCE)
-    return M
-
-
-def _shape(stack: LayerStack, theta_i) -> tuple:
-    """The broadcast shape of the angles and the layer indices."""
-    return np.broadcast_shapes(np.shape(theta_i),
-                               *(np.shape(layer.n) for layer in stack.layers))
-
-
-def _stack_matrix(stack: LayerStack, theta_i, k0: float, polarization: str
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(M, singular): the ordered product of the layer matrices and where
-    the impedance of any layer vanishes."""
-    shape = _shape(stack, theta_i)
-    M = np.broadcast_to(np.eye(2, dtype=complex), shape + (2, 2)).copy()
-    singular = np.zeros(shape, dtype=bool)
-    for layer in stack.layers:
-        L, bad = _layer_matrix(layer, theta_i, k0, stack.n_in, polarization)
-        M = M @ L
-        singular |= bad
-    return M, singular
-
-
-def stack_matrix(stack: LayerStack, theta_i, k0: float, polarization: str) -> np.ndarray:
-    M, singular = _stack_matrix(stack, theta_i, k0, polarization)
-    if singular.any():
-        raise fault_error(_IMPEDANCE)
-    return M
-
-
 def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
                   masked: bool = False):
     """(r, t) of the stack for one polarization; broadcasts over theta_i
@@ -194,12 +142,23 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
     not.
     """
     theta_i = np.asarray(theta_i, dtype=float)
-    shape = _shape(stack, theta_i)
+    shape = np.broadcast_shapes(np.shape(theta_i),
+                                *(np.shape(layer.n) for layer in stack.layers))
     if not shape:
         # one element through the array loops: numpy's scalar arithmetic
         # rounds differently, and a scalar call must equal an array call
         theta_i = theta_i.reshape(1)
-    M, singular = _stack_matrix(stack, theta_i, k0, polarization)
+    grid = shape or (1,)
+    # the ordered product of the layer matrices, and where any layer's
+    # index is strongly active or its impedance vanishes
+    M = np.broadcast_to(np.eye(2, dtype=complex), grid + (2, 2)).copy()
+    active = np.zeros(grid, dtype=bool)
+    singular = np.zeros(grid, dtype=bool)
+    for layer in stack.layers:
+        L, bad = _layer_matrix(layer, theta_i, k0, stack.n_in, polarization)
+        M = M @ L
+        active |= np.imag(layer.n) < -_PASSIVITY_TOL
+        singular |= bad
     # entry cosine through the same branch formula so that identical
     # entry/exit media give p1 == p3 exactly (trivial-stack reciprocity)
     cos_in = refraction_cosine(stack.n_in, theta_i, stack.n_in + 0j)
@@ -209,9 +168,6 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
     top = (M[..., 0, 0] + M[..., 0, 1] * p3) * p1
     bot = M[..., 1, 0] + M[..., 1, 1] * p3
     den = top + bot
-    active = np.zeros((), dtype=bool)
-    for layer in stack.layers:
-        active = active | _active(layer.n)
     fault = np.select([active, singular, den == 0],
                       [_ACTIVE, _IMPEDANCE, _DENOMINATOR], 0)
     failed = fault > 0
@@ -228,24 +184,3 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
         return complex(r[0]), complex(t[0])
     return r, t
 
-
-def brewster_angle(stack: LayerStack, k0: float,
-                   theta_min: float = math.radians(5.0),
-                   theta_max: float = math.radians(85.0),
-                   coarse: int = 20001) -> float:
-    """Incidence angle minimizing |r_p|, to ~1e-9 rad.
-
-    Coarse scan (fine enough to resolve slab interference fringes), then
-    three 101-point scans, each over the two steps of the previous scan
-    around its minimum.  Raises SearchError when the coarse minimum sits
-    on the scan edge.
-    """
-    thetas = np.linspace(theta_min, theta_max, coarse)
-    i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
-    if i == 0 or i == coarse - 1:
-        raise SearchError("no interior |r_p| minimum in the scan range")
-    for _ in range(3):
-        i = min(max(i, 1), len(thetas) - 2)
-        thetas = np.linspace(thetas[i - 1], thetas[i + 1], 101)
-        i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
-    return float(thetas[i])

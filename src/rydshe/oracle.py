@@ -9,9 +9,10 @@ The main physics modules are validated against four kinds of oracle:
   (`twobody_correlators`: every matrix built at the detuning itself, the
   pair 4x4 and the 8x8 with V on their diagonals, batched over V), and
   Gauss-Legendre and dense-trapezoid quadrature of the nonlocal shell
-  integral over them, checking its closed form and the 3 R_b truncation;
+  integral over them, checking its closed form;
 * closed-form optics identities (two-interface Airy summation, energy
-  conservation) exercised in the tests;
+  conservation) exercised in the tests, and the scan for the |r_p|
+  minimum (`brewster_angle`) that the acceptance tests read;
 * angular-spectrum synthesis of the reflected beam: the spin spectra are
   inverse-transformed by direct quadrature on an explicit y grid and the
   centroids and powers are summed numerically -- the reference for the
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, WindowError
+from .errors import DomainError, SearchError, SingularityError, WindowError
 from . import quantum
 from .quantum import (AtomParams, ComplexDenominators, DriveParams,
                       first_order_coherences, second_order_onebody,
@@ -208,6 +209,28 @@ def trapezoid_nonlocal_integral(drive: DriveParams, atom: AtomParams,
     return complex(atom.Na * np.trapezoid(integrand, s))
 
 
+def brewster_angle(stack: LayerStack, k0: float,
+                   theta_min: float = math.radians(5.0),
+                   theta_max: float = math.radians(85.0),
+                   coarse: int = 20001) -> float:
+    """Incidence angle minimizing |r_p|, to ~1e-9 rad.
+
+    Coarse scan (fine enough to resolve slab interference fringes), then
+    three 101-point scans, each over the two steps of the previous scan
+    around its minimum.  Raises SearchError when the coarse minimum sits
+    on the scan edge.
+    """
+    thetas = np.linspace(theta_min, theta_max, coarse)
+    i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
+    if i == 0 or i == coarse - 1:
+        raise SearchError("no interior |r_p| minimum in the scan range")
+    for _ in range(3):
+        i = min(max(i, 1), len(thetas) - 2)
+        thetas = np.linspace(thetas[i - 1], thetas[i + 1], 101)
+        i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
+    return float(thetas[i])
+
+
 # ------------------------------------------------ spectral beam synthesis
 
 def incident_spectrum(beam: BeamSpec, *, grid_n: int = 2048,
@@ -329,38 +352,6 @@ def spectral_shifts(beam: BeamSpec, rp, rs, *, grid_n: int = 2048,
         power_plus=pp / p_in_spin,
         power_minus=pm / p_in_spin,
     )
-
-
-@dataclass
-class QuadratureReport:
-    node_counts: list
-    values: list
-    successive_rel_diff: list
-    trapezoid_reference: complex
-    rel_diff_vs_reference: float
-    upper_limit_sensitivity: float   # |I(5Rb) - I(3Rb)| / |I(3Rb)|
-
-
-def quadrature_refine(drive: DriveParams, atom: AtomParams,
-                      node_counts=(16, 32, 64, 128)) -> QuadratureReport:
-    """Convergence study of the oracle Gauss-Legendre rule against brute
-    force, and the closed form's sensitivity to the 3 R_b cutoff."""
-    if list(node_counts) != sorted(set(node_counts)):
-        raise ValueError("node_counts must be strictly increasing")
-    vals = [gauss_legendre_nonlocal_integral(drive, atom, n_nodes=n)
-            for n in node_counts]
-    diffs = [abs(vals[i + 1] - vals[i]) / max(abs(vals[i + 1]), 1e-300)
-             for i in range(len(vals) - 1)]
-    ref = trapezoid_nonlocal_integral(drive, atom)
-    rel_ref = abs(vals[-1] - ref) / max(abs(ref), 1e-300)
-    i3 = nonlocal_integral(drive, atom, upper_factor=3.0)
-    i5 = nonlocal_integral(drive, atom, upper_factor=5.0)
-    sens = abs(i5 - i3) / max(abs(i3), 1e-300)
-    return QuadratureReport(node_counts=list(node_counts), values=vals,
-                            successive_rel_diff=diffs,
-                            trapezoid_reference=ref,
-                            rel_diff_vs_reference=rel_ref,
-                            upper_limit_sensitivity=sens)
 
 
 def canonical_atom() -> AtomParams:

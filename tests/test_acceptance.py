@@ -19,13 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from rydshe import (BeamSpec, DriveParams, brewster_angle,
-                    first_order_coherences, intensity_profiles,
-                    nonlocal_integral, shifts_from_coefficients,
+from rydshe import (BeamSpec, DriveParams, first_order_coherences,
+                    intensity_profiles, nonlocal_integral,
+                    shifts_from_coefficients,
                     stack_fresnel, susceptibility, canonical_atom, canonical_drive,
                     canonical_stack)
 from rydshe.oracle import (oracle_rho21, perturbative_rho21_local,
-                           _airy_two_interface, spectral_shifts,
+                           _airy_two_interface, brewster_angle, spectral_shifts,
                            gauss_legendre_nonlocal_integral)
 from rydshe.multilayer import Layer, LayerStack
 

@@ -8,7 +8,7 @@ from rydshe import (BeamSpec, DomainError, Layer, LayerStack,
                     PropagationError, RydsheError, WindowError,
                     analytic_gaussian_shift, intensity_maps_2d,
                     intensity_profiles, medium_index, shifts_from_coefficients,
-                    pshe_shifts, canonical_atom, canonical_drive,
+                    canonical_atom, canonical_drive,
                     canonical_stack, stack_fresnel, susceptibility)
 from rydshe.multilayer import fault_error
 from rydshe.oracle import (centroid, incident_spectrum, reflected_field,
@@ -299,13 +299,16 @@ def test_zero_mixing_null(beam):
     assert abs(s.delta_plus) < 1e-9 and abs(s.delta_minus) < 1e-9
 
 
-def test_pshe_shifts_far_from_brewster_subwavelength():
+def test_shifts_far_from_brewster_subwavelength():
     # away from the Brewster region the shift stays at sub-wavelength level
     atom, drive = canonical_atom(), canonical_drive(0.0)
     chi = susceptibility(drive, atom).total
     beam20 = BeamSpec(w0=50.0, theta_i=math.radians(20.0), lambda_p=0.78,
                       n_in=1.49)
-    s = pshe_shifts(canonical_stack(chi), beam20, drive, atom)
+    stack = canonical_stack(chi)
+    rp, rs = (stack_fresnel(stack, beam20.theta_i, beam20.k0, pol)[0]
+              for pol in "ps")
+    s = shifts_from_coefficients(beam20, rp, rs)
     assert abs(s.delta_plus) < beam20.lambda_p
     assert s.delta_plus == pytest.approx(-s.delta_minus, abs=1e-9)
 

@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import rydshe.sweeps
 
-from rydshe import (ConfigError, DomainError, Layer, PropagationError,
-                    RunConfig, SingularityError, medium_index, parse_config,
-                    pshe_shifts, serialize_config, shifts_from_coefficients,
-                    stack_fresnel, susceptibility)
+from rydshe import (ConfigError, DomainError, PropagationError, RunConfig,
+                    SingularityError, parse_config, serialize_config,
+                    shifts_from_coefficients, stack_fresnel, susceptibility)
 from rydshe import quantum
 from rydshe.config import AXES, with_overrides
 from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
@@ -78,6 +77,16 @@ def test_config_unknown_key_reports_line():
     # the spectral grid is an oracle argument, not a run setting
     with pytest.raises(ConfigError, match=r"unknown key 'grid_n'.*line 3"):
         parse_config("[beam]\nw0_um = 50\ngrid_n = 2048\n")
+    # an unknown section reports its header's line, whatever its case;
+    # inline comments and the ':' delimiter do not hide a line
+    for text, line in (("[foo]\na = 1\n\n[atom]\n", 1),
+                       ("[atom]\nc6_ghz_um6 = 1\n[bogus]\nx=1\n", 3),
+                       ("[Atom]\nc6_ghz_um6 = 1\n", 1),
+                       ("[drive]\n[foo]  # note\na = 1\n", 2),
+                       ("[atom]  # medium\nbananas = 3\n", 2),
+                       ("[atom]\nlambda_um = 1\nbananas : 3\n", 3)):
+        with pytest.raises(ConfigError, match=rf"\(line {line}\)$"):
+            parse_config(text)
 
 
 # (section, key, raw value) of settings that must be finite
@@ -433,7 +442,7 @@ def test_zero_power_error_stays_on_its_row(monkeypatch):
 
 def test_active_index_fails_its_detuning_rows_only(monkeypatch):
     # a conjugated-looking chi (Im n < -0.1) at one detuning of a map
-    # fails every row of that detuning with the scalar Layer's error
+    # fails every row of that detuning with a scalar stack call's error
     cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
                          sweep_min=33.5, sweep_max=34.2, steps=8,
                          variable2="Delta2", sweep_min2=-2.0, sweep_max2=2.0,
@@ -448,8 +457,9 @@ def test_active_index_fails_its_detuning_rows_only(monkeypatch):
                         - b.chi3_nonlocal_contrib, b.chi1)
         return replace(b, chi1=chi1)
     monkeypatch.setattr(rydshe.sweeps, "susceptibility", active_at_zero)
+    beam = cfg.beam_spec()
     with pytest.raises(DomainError) as exc:
-        Layer(n=medium_index(active_chi), d=cfg.d2_um)
+        stack_fresnel(cfg.layer_stack(active_chi), beam.theta_i, beam.k0, "p")
     assert str(exc.value) == "layer index is strongly active (Im n << 0)"
     lines = format_csv(run_sweep(cfg)).splitlines()
     bad = [i for i, line in enumerate(lines[3:], start=3)
@@ -500,8 +510,11 @@ def test_shift_sweep_over_thickness_builds_each_stack():
     assert [r[0] for r in res.rows] == [50.0, 100.0, 150.0]
     for row in res.rows:
         pcfg = with_overrides(cfg, d2_um=row[0])
-        want = pshe_shifts(pcfg.layer_stack(), pcfg.beam_spec(),
-                           pcfg.drive_params(), pcfg.atom_params())
+        chi = susceptibility(pcfg.drive_params(), pcfg.atom_params()).total
+        stack, beam = pcfg.layer_stack(chi), pcfg.beam_spec()
+        rp, rs = (stack_fresnel(stack, beam.theta_i, beam.k0, pol)[0]
+                  for pol in "ps")
+        want = shifts_from_coefficients(beam, rp, rs)
         got = dict(zip(res.columns, row))
         scale = max(abs(want.delta_plus), pcfg.lambda_um)
         assert abs(got["delta_plus_um"] - want.delta_plus) <= 1e-10 * scale

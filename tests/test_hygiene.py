@@ -51,6 +51,18 @@ def test_only_the_front_ends_import_the_oracle():
     assert set(importers) <= {"oracle.py", "cli.py", "__init__.py"}, importers
 
 
+@pytest.mark.parametrize("stage", ["quantum.py", "multilayer.py",
+                                   "beam_shift.py"])
+def test_stage_modules_import_no_other_stage(stage):
+    # the three stages compose only through config and sweeps, so each
+    # can be replaced or tested alone
+    trees = _trees()
+    siblings = {f"rydshe.{Path(name).stem}" for name in trees} - {
+        "rydshe.__init__", "rydshe.errors"}
+    imported = sorted(_imported_modules(trees[stage]) & siblings)
+    assert not imported, f"{stage} imports {imported}"
+
+
 def test_every_private_module_name_is_used():
     trees = _trees()
     defined = []

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rydshe import (DomainError, Layer, LayerStack, SearchError,
-                    brewster_angle, layer_matrix, refraction_cosine,
-                    stack_fresnel, stack_matrix)
-from rydshe.oracle import _airy_two_interface, canonical_atom, canonical_drive, canonical_stack
+from rydshe import DomainError, Layer, LayerStack, SearchError, stack_fresnel
+from rydshe.multilayer import _layer_matrix, refraction_cosine
+from rydshe.oracle import (_airy_two_interface, brewster_angle, canonical_atom,
+                           canonical_drive, canonical_stack)
 from rydshe import susceptibility
 
 TWO_PI = 2.0 * math.pi
@@ -52,8 +52,8 @@ def test_refraction_cosine_branch_decaying():
 # ------------------------------------------------------------ layer matrix
 
 def test_layer_matrix_zero_thickness_identity():
-    M = layer_matrix(Layer(n=1.3 + 0.01j, d=0.0), math.radians(20), K0,
-                     GLASS, "p")
+    M, _ = _layer_matrix(Layer(n=1.3 + 0.01j, d=0.0), math.radians(20), K0,
+                         GLASS, "p")
     assert np.allclose(M, np.eye(2), atol=1e-15)
 
 
@@ -61,14 +61,15 @@ def test_layer_matrix_quarter_wave():
     # n = 1, theta = 0 (allowed here; only the beam module restricts theta),
     # d = lambda/4: delta = pi/2 and p = 1 for both polarizations
     lam = 0.78
-    M = layer_matrix(Layer(n=1.0 + 0j, d=lam / 4), 0.0, TWO_PI / lam, 1.0, "s")
+    M, _ = _layer_matrix(Layer(n=1.0 + 0j, d=lam / 4), 0.0, TWO_PI / lam,
+                         1.0, "s")
     assert np.allclose(M, np.array([[0, -1j], [-1j, 0]]), atol=1e-12)
 
 
 @pytest.mark.parametrize("pol", ["p", "s"])
 def test_layer_matrix_unimodular(pol):
-    M = layer_matrix(Layer(n=1.0004 + 2e-4j, d=100.0),
-                     math.radians(33.8), K0, GLASS, pol)
+    M, _ = _layer_matrix(Layer(n=1.0004 + 2e-4j, d=100.0),
+                         math.radians(33.8), K0, GLASS, pol)
     assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -77,7 +78,10 @@ def test_stack_matrix_unimodular_product(rng):
                          d=rng.uniform(0.1, 5.0)) for _ in range(4))
     stk = LayerStack(n_in=1.5, layers=layers, n_out=1.2)
     for pol in ("p", "s"):
-        M = stack_matrix(stk, math.radians(25.0), K0, pol)
+        M = np.eye(2)
+        for layer in stk.layers:
+            M = M @ _layer_matrix(layer, math.radians(25.0), K0, stk.n_in,
+                                  pol)[0]
         assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -195,9 +199,15 @@ def test_brewster_no_interior_minimum():
 # -------------------------------------------------------------- validation
 
 def test_layer_validation():
-    with pytest.raises(DomainError):
-        Layer(n=1.0 - 0.2j, d=1.0)   # conjugated-chi signature
-    Layer(n=1.0 - 1e-3j, d=1.0)      # weak truncation-induced gain admitted
+    def slab(n):
+        return LayerStack(n_in=GLASS, layers=(Layer(n=n, d=1.0),),
+                          n_out=GLASS)
+    # the conjugated-chi signature is rejected where the index is used;
+    # weak truncation-induced gain is admitted
+    with pytest.raises(DomainError,
+                       match=r"strongly active \(Im n << 0\)"):
+        stack_fresnel(slab(1.0 - 0.2j), 0.5, K0, "p")
+    stack_fresnel(slab(1.0 - 1e-3j), 0.5, K0, "p")
     with pytest.raises(DomainError):
         Layer(n=1.0 + 0j, d=-1.0)
     with pytest.raises(DomainError):
@@ -208,5 +218,8 @@ def test_grazing_impedance_singularity():
     from rydshe import SingularityError
     # exactly at the critical angle the s impedance n cos(theta_j) vanishes
     theta_c = math.asin(1.0 / 1.49)
-    with pytest.raises(SingularityError):
-        layer_matrix(Layer(n=1.0 + 0j, d=5.0), theta_c, K0, 1.49, "s")
+    stk = LayerStack(n_in=1.49, layers=(Layer(n=1.0 + 0j, d=5.0),),
+                     n_out=1.49)
+    with pytest.raises(SingularityError,
+                       match="vanishing layer impedance"):
+        stack_fresnel(stk, theta_c, K0, "s")
