@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (RydsheError, DomainError, SingularityError,
                      PropagationError, SearchError, WindowError, ConfigError)
 from .quantum import (AtomParams, DriveParams, SusceptibilityBreakdown,
-                      derive_dipole_moment, blockade_radius,
+                      derive_dipole_moment,
                       first_order_coherences, second_order_onebody,
                       nonlocal_integral, third_order_coherence,
                       susceptibility)

@@ -14,7 +14,8 @@ import hashlib
 import io
 import math
 import re
-from dataclasses import dataclass, replace, fields as dc_fields
+import typing
+from dataclasses import dataclass, field, replace, fields as dc_fields
 
 import numpy as np
 
@@ -42,51 +43,55 @@ AXES = {
 QUANTITIES = ("chi", "fresnel", "shift", "map", "profile")
 
 
+def _setting(section: str, default, key: str | None = None):
+    """A RunConfig field read from `key` (default: the field's name) in
+    [section] of a config file; the fields are in file order."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters in config-file units (MHz, um, deg, mm^-3)."""
 
-    # [atom]
-    gamma21_mhz: float = 6.0
-    gamma32_mhz: float = 3e-3
-    c6_ghz_um6: float = 140.0
-    density_mm3: float = 4e7
-    lambda_um: float = 0.78
-    coh21_mhz: float | None = None   # coherence-rate overrides (None = default rule)
-    coh31_mhz: float | None = None
-    coh32_mhz: float | None = None
-    # [drive]
-    omega_p_mhz: float = 0.75
-    omega_c_mhz: float = 4.0
-    delta2_mhz: float = 0.0
-    delta_c_mhz: float = -0.1
-    # [geometry]
-    n1: float = 1.49
-    n3: float = 1.49
-    d2_um: float = 100.0
-    # [beam]
-    w0_um: float = 50.0
-    theta_deg: float = 33.87
-    # [sweep]
-    quantity: str = "shift"
-    variable: str = "Delta2"
-    sweep_min: float = -5.0
-    sweep_max: float = 5.0
-    steps: int = 101
-    variable2: str | None = None
-    sweep_min2: float = 0.0
-    sweep_max2: float = 0.0
-    steps2: int = 2
-    # [output]
-    out_path: str = "sweep.csv"
-    out_format: str = "csv"
-    precision: int = 12
+    gamma21_mhz: float = _setting("atom", 6.0)
+    gamma32_mhz: float = _setting("atom", 3e-3)
+    c6_ghz_um6: float = _setting("atom", 140.0)
+    density_mm3: float = _setting("atom", 4e7)
+    lambda_um: float = _setting("atom", 0.78)
+    # coherence-rate overrides (None = the half-sum rule of AtomParams)
+    coh21_mhz: float | None = _setting("atom", None)
+    coh31_mhz: float | None = _setting("atom", None)
+    coh32_mhz: float | None = _setting("atom", None)
+    omega_p_mhz: float = _setting("drive", 0.75)
+    omega_c_mhz: float = _setting("drive", 4.0)
+    delta2_mhz: float = _setting("drive", 0.0)
+    delta_c_mhz: float = _setting("drive", -0.1)
+    n1: float = _setting("geometry", 1.49)
+    n3: float = _setting("geometry", 1.49)
+    d2_um: float = _setting("geometry", 100.0)
+    w0_um: float = _setting("beam", 50.0)
+    theta_deg: float = _setting("beam", 33.87)
+    quantity: str = _setting("sweep", "shift")
+    variable: str = _setting("sweep", "Delta2")
+    sweep_min: float = _setting("sweep", -5.0, "min")
+    sweep_max: float = _setting("sweep", 5.0, "max")
+    steps: int = _setting("sweep", 101)
+    variable2: str | None = _setting("sweep", None)
+    sweep_min2: float = _setting("sweep", 0.0, "min2")
+    sweep_max2: float = _setting("sweep", 0.0, "max2")
+    steps2: int = _setting("sweep", 2)
+    out_path: str = _setting("output", "sweep.csv", "path")
+    out_format: str = _setting("output", "csv", "format")
+    precision: int = _setting("output", 12)
 
     def __post_init__(self):
         if self.density_mm3 < 0:
             raise ConfigError("density_mm3 must be >= 0")
         if self.gamma21_mhz <= 0 or self.gamma32_mhz < 0:
             raise ConfigError("gamma21_mhz must be > 0 and gamma32_mhz >= 0")
+        if ((self.coh21_mhz is not None and self.coh21_mhz <= 0)
+                or min(self.coh31_mhz or 0.0, self.coh32_mhz or 0.0) < 0):
+            raise ConfigError("coh21_mhz must be > 0, coh31_mhz/coh32_mhz >= 0")
         if self.omega_p_mhz < 0 or self.omega_c_mhz < 0:
             raise ConfigError("Rabi frequencies must be >= 0")
         if self.lambda_um <= 0 or self.w0_um <= 0 or self.d2_um < 0:
@@ -109,21 +114,23 @@ class RunConfig:
                 raise ConfigError(f"steps{lbl} must be >= 2")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
+        if not re.fullmatch(r"(?!.*\s[#;])[^\s#;](.*\S)?", self.out_path):
+            raise ConfigError("path must be one line, unpadded, uncommented")
         if not (1 <= self.precision <= 17):
             raise ConfigError("precision must lie in [1, 17]")
 
     # ---- conversions into physics objects (rad/us, um, rad) ----
 
     def atom_params(self) -> AtomParams:
-        return AtomParams.from_decay_rates(
+        return AtomParams(
             Gamma21=self.gamma21_mhz * MHZ,
             Gamma32=self.gamma32_mhz * MHZ,
             C6=self.c6_ghz_um6 * GHZ_UM6,
             Na=self.density_mm3 * MM3,
             lambda_p=self.lambda_um,
-            gamma21=None if self.coh21_mhz is None else self.coh21_mhz * MHZ,
-            gamma31=None if self.coh31_mhz is None else self.coh31_mhz * MHZ,
-            gamma32=None if self.coh32_mhz is None else self.coh32_mhz * MHZ,
+            coh21=None if self.coh21_mhz is None else self.coh21_mhz * MHZ,
+            coh31=None if self.coh31_mhz is None else self.coh31_mhz * MHZ,
+            coh32=None if self.coh32_mhz is None else self.coh32_mhz * MHZ,
         )
 
     def drive_params(self, delta2_mhz=None) -> DriveParams:
@@ -150,26 +157,20 @@ class RunConfig:
                         lambda_p=self.lambda_um, n_in=self.n1)
 
 
-_SCHEMA = {
-    "atom": {"gamma21_mhz": float, "gamma32_mhz": float, "c6_ghz_um6": float,
-             "density_mm3": float, "lambda_um": float, "coh21_mhz": float,
-             "coh31_mhz": float, "coh32_mhz": float},
-    "drive": {"omega_p_mhz": float, "omega_c_mhz": float, "delta2_mhz": float,
-              "delta_c_mhz": float},
-    "geometry": {"n1": float, "n3": float, "d2_um": float},
-    "beam": {"w0_um": float, "theta_deg": float},
-    "sweep": {"quantity": str, "variable": str, "min": float, "max": float,
-              "steps": int, "variable2": str, "min2": float, "max2": float,
-              "steps2": int},
-    "output": {"path": str, "format": str, "precision": int},
-}
+def _schema() -> dict:
+    """[section] -> {file key: (RunConfig field, caster)}, in file order;
+    the caster is the field's annotation, `X | None` unwrapped."""
+    hints, schema = typing.get_type_hints(RunConfig), {}
+    for f in dc_fields(RunConfig):
+        types = typing.get_args(hints[f.name]) or (hints[f.name],)
+        caster = next(t for t in types if t is not type(None))
+        key = f.metadata["key"] or f.name
+        schema.setdefault(f.metadata["section"], {})[key] = (f.name, caster)
+    return schema
 
-# config keys that do not match the RunConfig field name one-to-one
-_FIELD_RENAMES = {
-    ("sweep", "min"): "sweep_min", ("sweep", "max"): "sweep_max",
-    ("sweep", "min2"): "sweep_min2", ("sweep", "max2"): "sweep_max2",
-    ("output", "path"): "out_path", ("output", "format"): "out_format",
-}
+
+_SCHEMA = _schema()
+
 
 def _line_of(text: str, section: str, key: str | None = None) -> int:
     """The line of `key` in [section], or of the section's header when key
@@ -191,7 +192,9 @@ def _line_of(text: str, section: str, key: str | None = None) -> int:
 
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key-value config, filling canonical defaults."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # '%' is literal, and [DEFAULT] is an unknown section like any other
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -207,11 +210,10 @@ def parse_config(text: str) -> RunConfig:
                                   f"(line {_line_of(text, section, key)})")
             if raw.strip() == "":
                 continue
-            caster = _SCHEMA[section][key]
-            field = _FIELD_RENAMES.get((section, key), key)
+            name, caster = _SCHEMA[section][key]
             try:
-                values[field] = caster(raw) if caster is not str else raw.strip()
-                if caster is float and not math.isfinite(values[field]):
+                values[name] = caster(raw) if caster is not str else raw.strip()
+                if caster is float and not math.isfinite(values[name]):
                     raise ValueError(f"{raw.strip()!r} is not finite")
             except ValueError as exc:
                 raise ConfigError(
@@ -225,9 +227,8 @@ def serialize_config(cfg: RunConfig) -> str:
     out = io.StringIO()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key in keys:
-            field = _FIELD_RENAMES.get((section, key), key)
-            val = getattr(cfg, field)
+        for key, (name, _) in keys.items():
+            val = getattr(cfg, name)
             if val is None:
                 continue
             out.write(f"{key} = {val!r}\n" if isinstance(val, float)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def perturbative_rho21_local(drive: DriveParams, atom: AtomParams) -> complex:
     """Omega_p rho21^(1) + Omega_p^3 rho21^(3,local)."""
     r21_1, _ = first_order_coherences(drive, atom)
     # Na = 0 skips the shell integral; the local coefficient is Na-free
-    loc, _ = third_order_coherence(drive, atom.with_density(0.0))
+    loc, _ = third_order_coherence(drive, replace(atom, Na=0.0))
     return drive.Omega_p * r21_1 + drive.Omega_p**3 * loc
 
 
@@ -150,7 +150,8 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
     batch = quantum._batch(drive)
     r21, r31, first = quantum._first_order(
         ComplexDenominators.from_params(batch, atom), Oc)
-    A, MA, MB0, Q0 = quantum._systems(batch.detuned(batch.Delta2[0]), atom)
+    A, MA, MB0, Q0 = quantum._systems(
+        replace(batch, Delta2=batch.Delta2[0]), atom)
     onebody, second = quantum._onebody(A, r21, r31)
     zA, mixed = quantum._mixed_correlators(MA, r21, r31)
     # the V-free parts raise as a scalar call at this detuning would
@@ -361,7 +362,7 @@ def canonical_atom() -> AtomParams:
 
 def canonical_drive(Delta2: float = 0.0) -> DriveParams:
     """The default `RunConfig` drive at probe detuning Delta2 (rad/us)."""
-    return RunConfig().drive_params().detuned(Delta2)
+    return replace(RunConfig().drive_params(), Delta2=Delta2)
 
 
 def canonical_stack(chi: complex = 0.0) -> LayerStack:
@@ -451,7 +452,7 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
     def chk_na_scaling():
         drv = canonical_drive(TWO_PI * 1.0)
         c1 = susceptibility(drv, atom)
-        c2 = susceptibility(drv, atom.with_density(2 * atom.Na))
+        c2 = susceptibility(drv, replace(atom, Na=2 * atom.Na))
         return abs(c2.chi3_nonlocal_contrib / c1.chi3_nonlocal_contrib - 4.0) / 4.0
     _run_check("nonlocal_na_squared_scaling", chk_na_scaling, 1e-10, results)
 

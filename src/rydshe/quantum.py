@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,35 +91,27 @@ def derive_dipole_moment(Gamma21_si: float, lambda_si: float) -> float:
                      * Gamma21_si / omega**3)
 
 
-def blockade_radius(Omega_c: float, gamma12: float, C6: float) -> float:
-    """Blockade radius R_b (um) where |C6|/R_b^6 equals Omega_c^2/gamma12."""
-    if Omega_c == 0:
-        raise DomainError("Omega_c = 0 gives a divergent blockade radius")
-    if gamma12 <= 0 or C6 == 0:
-        raise DomainError("need gamma12 > 0 and C6 != 0")
-    return (abs(C6) * gamma12 / abs(Omega_c) ** 2) ** (1.0 / 6.0)
-
-
 @dataclass(frozen=True)
 class AtomParams:
     """Atomic constants of the medium (rad/us, um units).
 
-    gamma21/gamma32/gamma31 are the coherence decay rates entering the
-    complex denominators d_ab.  `chi_prefactor` is
-    K = Na |p21|^2 / (eps0 hbar), expressed in rad/us, so that
-    chi = K * rho21 / Omega_p.
+    Only inputs are stored, so `dataclasses.replace` gives a consistent
+    atom.  The coherence decay rates gamma21/gamma32/gamma31 of the
+    denominators d_ab are coh21/coh32/coh31 when given, else the
+    half-sum-of-level-widths rule gamma_ab = (Gamma_a + Gamma_b)/2 with
+    Gamma_1 = 0, Gamma_2 = Gamma21, Gamma_3 = Gamma32 (no extra
+    dephasing).  `p21` is the dipole moment (C m) and `chi_prefactor` is
+    K = Na |p21|^2 / (eps0 hbar) in rad/us, so that chi = K rho21 / Omega_p.
     """
 
     Gamma21: float          # population decay 2 -> 1
     Gamma32: float          # population decay 3 -> 2
-    gamma21: float
-    gamma32: float
-    gamma31: float
     C6: float               # vdW coefficient, sign included (rad/us um^6)
     Na: float               # number density (um^-3)
     lambda_p: float         # probe wavelength (um)
-    p21: float              # dipole moment (C m)
-    chi_prefactor: float    # K (rad/us)
+    coh21: float | None = None
+    coh32: float | None = None
+    coh31: float | None = None
 
     def __post_init__(self):
         if self.Gamma21 <= 0:
@@ -128,48 +120,40 @@ class AtomParams:
             raise DomainError("Gamma32 and Na must be non-negative")
         if self.lambda_p <= 0:
             raise DomainError("lambda_p must be positive")
+        if ((self.coh21 is not None and self.coh21 <= 0)
+                or min(self.coh31 or 0.0, self.coh32 or 0.0) < 0):
+            raise DomainError("need coh21 > 0 and coh31, coh32 >= 0")
 
-    @classmethod
-    def from_decay_rates(cls, Gamma21: float, Gamma32: float, C6: float,
-                         Na: float, lambda_p: float,
-                         gamma21: float | None = None,
-                         gamma32: float | None = None,
-                         gamma31: float | None = None) -> "AtomParams":
-        """Build the parameter set from population decay rates.
+    @property
+    def gamma21(self) -> float:
+        return self.Gamma21 / 2 if self.coh21 is None else self.coh21
 
-        Coherence decay defaults follow the half-sum-of-level-widths
-        rule gamma_ab = (Gamma_a + Gamma_b)/2 with level widths
-        Gamma_1 = 0, Gamma_2 = Gamma21, Gamma_3 = Gamma32:
+    @property
+    def gamma31(self) -> float:
+        return self.Gamma32 / 2 if self.coh31 is None else self.coh31
 
-            gamma21 = Gamma21 / 2
-            gamma31 = Gamma32 / 2           (no extra dephasing)
-            gamma32 = (Gamma21 + Gamma32) / 2
+    @property
+    def gamma32(self) -> float:
+        return ((self.Gamma21 + self.Gamma32) / 2 if self.coh32 is None
+                else self.coh32)
 
-        All three accept explicit overrides.
-        """
-        if Gamma21 <= 0:
-            raise DomainError("Gamma21 must be positive")
-        g21 = Gamma21 / 2 if gamma21 is None else gamma21
-        g31 = Gamma32 / 2 if gamma31 is None else gamma31
-        g32 = (Gamma21 + Gamma32) / 2 if gamma32 is None else gamma32
-        p21 = derive_dipole_moment(Gamma21 * 1e6, lambda_p * 1e-6)
+    @property
+    def p21(self) -> float:
+        return derive_dipole_moment(self.Gamma21 * 1e6, self.lambda_p * 1e-6)
+
+    @property
+    def chi_prefactor(self) -> float:
         # K = Na p^2/(eps0 hbar): um^-3 -> m^-3 is 1e18, 1/s -> rad/us is 1e-6
-        K = Na * 1e18 * p21**2 / (EPSILON_0 * HBAR) * 1e-6
-        return cls(Gamma21=Gamma21, Gamma32=Gamma32, gamma21=g21, gamma32=g32,
-                   gamma31=g31, C6=C6, Na=Na, lambda_p=lambda_p, p21=p21,
-                   chi_prefactor=K)
-
-    def with_density(self, Na: float) -> "AtomParams":
-        """Same atom at a different number density."""
-        if Na < 0:
-            raise DomainError("Na must be non-negative")
-        return AtomParams.from_decay_rates(
-            self.Gamma21, self.Gamma32, self.C6, Na, self.lambda_p,
-            gamma21=self.gamma21, gamma32=self.gamma32, gamma31=self.gamma31)
+        return self.Na * 1e18 * self.p21**2 / (EPSILON_0 * HBAR) * 1e-6
 
     def blockade_radius(self, Omega_c: float) -> float:
-        # the EIT linewidth uses gamma12 = gamma21 (the only symmetric reading)
-        return blockade_radius(Omega_c, self.gamma21, self.C6)
+        """Blockade radius R_b (um) where |C6|/R_b^6 equals Omega_c^2/gamma12,
+        with gamma12 = gamma21 (the only symmetric reading)."""
+        if Omega_c == 0:
+            raise DomainError("Omega_c = 0 gives a divergent blockade radius")
+        if self.C6 == 0:
+            raise DomainError("need C6 != 0")
+        return (abs(self.C6) * self.gamma21 / abs(Omega_c) ** 2) ** (1.0 / 6.0)
 
 
 @dataclass(frozen=True)
@@ -194,31 +178,22 @@ class DriveParams:
     def Delta3(self) -> float:
         return self.Delta2 + self.Delta_c
 
-    def detuned(self, Delta2: float) -> "DriveParams":
-        return DriveParams(self.Omega_p, self.Omega_c, Delta2, self.Delta_c)
-
 
 @dataclass(frozen=True)
 class ComplexDenominators:
     """d_ab = Delta_a - Delta_b + i gamma_ab with Delta_1 = 0 (arrays when
-    Delta2 is an array)."""
+    Delta2 is an array); the reverse d_ba = -conj(d_ab) exactly."""
 
     d21: complex
     d31: complex
     d32: complex
-    d13: complex
-    d12: complex
-    d23: complex
 
     @classmethod
     def from_params(cls, drive: DriveParams, atom: AtomParams) -> "ComplexDenominators":
         D2, D3 = drive.Delta2, drive.Delta3
         return cls(d21=D2 + 1j * atom.gamma21,
                    d31=D3 + 1j * atom.gamma31,
-                   d32=D3 - D2 + 1j * atom.gamma32,
-                   d13=-D3 + 1j * atom.gamma31,
-                   d12=-D2 + 1j * atom.gamma21,
-                   d23=D2 - D3 + 1j * atom.gamma32)
+                   d32=D3 - D2 + 1j * atom.gamma32)
 
 
 def _batch(drive: DriveParams) -> DriveParams:
@@ -226,7 +201,7 @@ def _batch(drive: DriveParams) -> DriveParams:
     Delta2 = np.atleast_1d(np.asarray(drive.Delta2, dtype=float))
     if Delta2.ndim != 1:
         raise DomainError("Delta2 must be a scalar or a 1-D array")
-    return drive.detuned(Delta2)
+    return replace(drive, Delta2=Delta2)
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -338,26 +313,27 @@ def _systems(drive: DriveParams, atom: AtomParams) -> tuple:
     and Q + s I.  The pair energy enters as MB - V e0 e0^T and
     Q - V (e0 e0^T + e2 e2^T)."""
     d, Oc = ComplexDenominators.from_params(drive, atom), drive.Omega_c
+    d12, d13, d23 = -np.conj(d.d21), -np.conj(d.d31), -np.conj(d.d32)
     G12, G23 = atom.Gamma21, atom.Gamma32
     A = [[1, 1, 1, 0, 0],
          [0, 0, -1j * G23, Oc, -Oc],
          [0, -1j * G12, 1j * G23, -Oc, Oc],
          [0, -Oc, Oc, -d.d32, 0],
-         [0, Oc, -Oc, 0, -d.d23]]
-    MA = [[d.d13 + d.d31, -Oc, 0, Oc],
-          [-Oc, d.d12 + d.d31, Oc, 0],
-          [0, Oc, d.d12 + d.d21, -Oc],
-          [Oc, 0, -Oc, d.d13 + d.d21]]
+         [0, Oc, -Oc, 0, -d23]]
+    MA = [[d13 + d.d31, -Oc, 0, Oc],
+          [-Oc, d12 + d.d31, Oc, 0],
+          [0, Oc, d12 + d.d21, -Oc],
+          [Oc, 0, -Oc, d13 + d.d21]]
     MB = [[2 * d.d31, Oc, 0, Oc],
           [Oc, d.d21 + d.d31, Oc, 0],
           [0, Oc, 2 * d.d21, Oc],
           [Oc, 0, Oc, d.d21 + d.d31]]
     Q = [[d.d31 + 1j * G23, Oc, -Oc, Oc, 0, 0, 0, 0],
-         [Oc, d.d23 + d.d31, 0, 0, -Oc, Oc, 0, 0],
+         [Oc, d23 + d.d31, 0, 0, -Oc, Oc, 0, 0],
          [-Oc, 0, d.d31 + d.d32, 0, Oc, 0, Oc, 0],
          [Oc, 0, 0, d.d21 + 1j * G23, 0, Oc, -Oc, 0],
          [-1j * G23, -Oc, Oc, 0, d.d31 + 1j * G12, 0, 0, Oc],
-         [0, Oc, 0, Oc, 0, d.d21 + d.d23, 0, -Oc],
+         [0, Oc, 0, Oc, 0, d.d21 + d23, 0, -Oc],
          [0, 0, Oc, -Oc, 0, 0, d.d21 + d.d32, Oc],
          [0, 0, 0, -1j * G23, Oc, -Oc, Oc, d.d21 + 1j * G12]]
     return tuple(np.array(s, dtype=complex) for s in (A, MA, MB, Q))
@@ -397,7 +373,7 @@ def second_order_onebody(drive: DriveParams, atom: AtomParams
     batch, Oc = _batch(drive), drive.Omega_c
     r21, r31, first = _first_order(
         ComplexDenominators.from_params(batch, atom), Oc)
-    onebody, errors = _onebody(_systems(drive.detuned(0.0), atom)[0],
+    onebody, errors = _onebody(_systems(replace(drive, Delta2=0.0), atom)[0],
                                r21, r31)
     return _one(onebody, _first_errors(first, errors), batch)
 
@@ -547,7 +523,7 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
     built once, at Delta2 = 0, and shifted to the detunings.
     """
     Oc, d = drive.Omega_c, ComplexDenominators.from_params(drive, atom)
-    systems = _systems(drive.detuned(0.0), atom)
+    systems = _systems(replace(drive, Delta2=0.0), atom)
     r21, r31, first = _first_order(d, Oc)
     onebody, second = _onebody(systems[0], r21, r31)
     stages = [first, second]

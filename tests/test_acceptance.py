@@ -15,6 +15,7 @@ values; the analysis lives in the project notes outside the package.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def beam_at(theta_deg: float) -> BeamSpec:
 
 
 def chi_breakdown(d2_mhz: float, density_mm3: float = 4e7, oc_mhz: float = 4.0):
-    atom = canonical_atom().with_density(density_mm3 * 1e-9)
+    atom = replace(canonical_atom(), Na=density_mm3 * 1e-9)
     drv = DriveParams(TWO_PI * 0.75, TWO_PI * oc_mhz, TWO_PI * d2_mhz,
                       -TWO_PI * 0.1)
     return susceptibility(drv, atom)

@@ -6,11 +6,11 @@ import stat
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import rydshe.sweeps
 
@@ -18,7 +18,7 @@ from rydshe import (ConfigError, DomainError, PropagationError, RunConfig,
                     SingularityError, parse_config, serialize_config,
                     shifts_from_coefficients, stack_fresnel, susceptibility)
 from rydshe import quantum
-from rydshe.config import AXES, with_overrides
+from rydshe.config import AXES, QUANTITIES, with_overrides
 from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
 from rydshe.cli import main as cli_main
 
@@ -77,6 +77,13 @@ def test_config_unknown_key_reports_line():
     # the spectral grid is an oracle argument, not a run setting
     with pytest.raises(ConfigError, match=r"unknown key 'grid_n'.*line 3"):
         parse_config("[beam]\nw0_um = 50\ngrid_n = 2048\n")
+    # [DEFAULT] is a section like any other, not keys shared by all
+    for text, line in (("[DEFAULT]\ndensity_mm3 = 1e9\n", 1),
+                       ("[DEFAULT]\nfoo = 1\n[atom]\n", 1),
+                       ("[atom]\nc6_ghz_um6 = 1\n[DEFAULT]\nfoo = 1\n", 3)):
+        with pytest.raises(ConfigError, match=rf"unknown section \[DEFAULT\] "
+                                              rf"\(line {line}\)$"):
+            parse_config(text)
     # an unknown section reports its header's line, whatever its case;
     # inline comments and the ':' delimiter do not hide a line
     for text, line in (("[foo]\na = 1\n\n[atom]\n", 1),
@@ -133,6 +140,73 @@ def test_coherence_overrides():
     cfg = parse_config("[atom]\ncoh32_mhz = 0.0015\n")
     atom = cfg.atom_params()
     assert atom.gamma32 == pytest.approx(TWO_PI * 0.0015, rel=1e-15)
+
+
+# a valid value other than the default, for every RunConfig field
+_NON_DEFAULT = {
+    "gamma21_mhz": st.floats(0.1, 50), "gamma32_mhz": st.floats(0, 1),
+    "c6_ghz_um6": st.floats(-500, 500), "density_mm3": st.floats(0, 1e9),
+    "lambda_um": st.floats(0.3, 2), "coh21_mhz": st.floats(0.01, 10),
+    "coh31_mhz": st.floats(0, 10), "coh32_mhz": st.floats(0, 10),
+    "omega_p_mhz": st.floats(0, 5), "omega_c_mhz": st.floats(0, 10),
+    "delta2_mhz": st.floats(-20, 20), "delta_c_mhz": st.floats(-5, 5),
+    "n1": st.floats(1, 2), "n3": st.floats(1, 2), "d2_um": st.floats(0, 500),
+    "w0_um": st.floats(1, 500), "theta_deg": st.floats(5, 85),
+    "quantity": st.sampled_from(QUANTITIES),
+    "variable": st.sampled_from(list(AXES)),
+    "sweep_min": st.floats(-1e9, 1e9), "sweep_max": st.floats(-1e9, 1e9),
+    "steps": st.integers(2, 10**6), "variable2": st.sampled_from(list(AXES)),
+    "sweep_min2": st.floats(-1e9, 1e9), "sweep_max2": st.floats(-1e9, 1e9),
+    "steps2": st.integers(2, 10**6),
+    # '%', '#', ';', spaces and newlines: what a file cannot hold is refused
+    "out_path": st.text("ab.%#;/ \né", min_size=1, max_size=12),
+    "out_format": st.sampled_from(["csv", "json"]),
+    "precision": st.integers(1, 17),
+}
+
+
+# no explain phase: over 29 fields it takes minutes to report a failure
+@settings(max_examples=200, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(st.fixed_dictionaries({
+    f.name: _NON_DEFAULT[f.name].filter(lambda v, d=f.default: v != d)
+    for f in fields(RunConfig)}))
+@example({**{f.name: f.default for f in fields(RunConfig)},
+          "out_path": "run%1.csv", "coh21_mhz": 2.5})
+def test_config_roundtrip_every_field(values):
+    try:
+        cfg = RunConfig(**values)
+    except ConfigError as exc:
+        # a config file strips the ends of a value and splits it at a
+        # newline, and a '#' or ';' first or after a space starts a comment
+        assert re.search(r"^\s|\s$|\n|(^|\s)[#;]", values["out_path"]), exc
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_percent_is_read_literally(tmp_path, monkeypatch, capsys):
+    # no interpolation: '%' is a plain character, and '%%' stays two
+    assert parse_config("[output]\npath = a%%b.csv\n").out_path == "a%%b.csv"
+    ini = tmp_path / "pct.ini"
+    ini.write_text("[output]\npath = out%.csv\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("chi", "--config", str(ini), "--steps", "2") == 0
+    assert (tmp_path / "out%.csv").exists()
+
+
+@pytest.mark.parametrize("key, raw", [("coh21_mhz", "0"), ("coh21_mhz", "-1"),
+                                      ("coh31_mhz", "-0.5"),
+                                      ("coh32_mhz", "-3")])
+@pytest.mark.parametrize("command", ["chi", "profile"])
+def test_cli_refuses_bad_coherence_rate(tmp_path, capsys, key, raw, command):
+    # a negative rate (a medium with gain) or gamma21 <= 0 is a config
+    # error naming the key, not rows of gain or of DomainError
+    ini = tmp_path / "coh.ini"
+    ini.write_text(f"[atom]\n{key} = {raw}\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(command, "--config", str(ini), "--out", str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- sweeps

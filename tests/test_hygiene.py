@@ -1,11 +1,17 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module,
+and the README's examples run."""
 
 import ast
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from rydshe.cli import main
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "rydshe"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,3 +95,27 @@ def test_every_private_module_name_is_used():
     unused = [f"{module}: {name}" for module, name in defined
               if name not in used]
     assert not unused, f"private names nothing in src/ refers to: {unused}"
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced block after `heading` in the README."""
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"```\w*\n(.*?)```", text[text.index(heading):],
+                     re.S).group(1)
+
+
+def test_readme_library_snippet_runs(capsys):
+    exec(_readme_block("## Library entry points"), {})
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    shlex.split(line, comments=True)[1:]
+    for line in _readme_block("## CLI").splitlines()
+    if line.startswith("rydshe ")], ids=" ".join)
+def test_readme_cli_line_runs(argv, tmp_path):
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        argv[i] = str(tmp_path / argv[i])
+    assert main(argv) == 0
