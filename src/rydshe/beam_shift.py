@@ -56,7 +56,7 @@ class BeamSpec:
     n_in: float = 1.0
 
     def __post_init__(self):
-        if self.w0 <= 0 or self.lambda_p <= 0 or self.n_in <= 0:
+        if not (self.w0 > 0 and self.lambda_p > 0 and self.n_in > 0):
             raise DomainError("w0, lambda_p and n_in must be positive")
         if not np.all((self.theta_i >= _THETA_MIN)
                       & (self.theta_i <= _THETA_MAX)):

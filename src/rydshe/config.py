@@ -85,6 +85,11 @@ class RunConfig:
     precision: int = _setting("output", 12)
 
     def __post_init__(self):
+        # nan passes every range check below, so it is refused first
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} = {value} is not finite")
         if self.density_mm3 < 0:
             raise ConfigError("density_mm3 must be >= 0")
         if self.gamma21_mhz <= 0 or self.gamma32_mhz < 0:
@@ -106,10 +111,7 @@ class RunConfig:
             raise ConfigError(f"sweep variable must be one of {tuple(AXES)}")
         if self.variable2 is not None and self.variable2 not in AXES:
             raise ConfigError(f"sweep variable2 must be one of {tuple(AXES)}")
-        for lo, hi, n, lbl in ((self.sweep_min, self.sweep_max, self.steps, ""),
-                               (self.sweep_min2, self.sweep_max2, self.steps2, "2")):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"sweep range{lbl} must be finite")
+        for n, lbl in ((self.steps, ""), (self.steps2, "2")):
             if n < 2:
                 raise ConfigError(f"steps{lbl} must be >= 2")
         if self.out_format not in ("csv", "json"):
@@ -248,7 +250,4 @@ def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
     unknown = set(updates) - known
     if unknown:
         raise ConfigError(f"unknown override(s): {sorted(unknown)}")
-    for k, v in updates.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ConfigError(f"override {k} = {v} is not finite")
     return replace(cfg, **updates)

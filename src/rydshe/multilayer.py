@@ -1,20 +1,21 @@
-"""Transfer-matrix optics of the planar stack (2x2 characteristic matrices).
+"""Closed-form optics of the planar slab (Born & Wolf, Principles of
+Optics, sec. 1.6).
 
-The stack is semi-infinite entry medium | finite layers | semi-infinite
-exit medium.  For each polarization the layer matrix is
+The stack is semi-infinite entry medium | one finite slab |
+semi-infinite exit medium; a stack with no layers is the bare interface
+between the two media, which is the slab formula at d = 0.  For each
+polarization the media have impedances p_j = n_j / cos(theta_j) (p-pol)
+or n_j cos(theta_j) (s-pol), entry 1, slab 2, exit 3, and the slab has
+phase thickness delta = k0 n_2 d cos(theta_2).  Then
 
-    M_j = [[cos d_j, -i sin d_j / p_j], [-i p_j sin d_j, cos d_j]]
+    D = cos(delta) (p1 + p3) - i sin(delta) (p1 p3 / p2 + p2)
+    r = [cos(delta) (p1 - p3) - i sin(delta) (p1 p3 / p2 - p2)] / D
+    t = 2 p1 / D
 
-with phase thickness d_j = k0 n_j d_j cos(theta_j) and impedance
-p_j = n_j / cos(theta_j) (p-pol) or n_j cos(theta_j) (s-pol).  The
-amplitude coefficients of the whole stack follow from the ordered
-product M = M_1 M_2 ... :
-
-    r = [(M11 + M12 p_out) p_in - (M21 + M22 p_out)] / D
-    t = 2 p_in / D,   D = (M11 + M12 p_out) p_in + (M21 + M22 p_out)
+which is the slab's characteristic-matrix result multiplied out.
 
 `stack_fresnel` accepts a scalar or a numpy array of incidence angles,
-and a layer's index may be an array too: indices and angles broadcast
+and the slab's index may be an array too: indices and angles broadcast
 elementwise, so one call evaluates a whole sweep grid.
 A call raises its first failure; `stack_fresnel(..., masked=True)`
 instead reports each element's failure as a fault code (`fault_error`
@@ -23,13 +24,13 @@ names it), so one bad element cannot fail its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RydsheError, SingularityError
 
-# cap on Im(delta): beyond this the layer is opaque and cosh/sinh overflow
+# cap on Im(delta): beyond this the slab is opaque and cosh/sinh overflow
 _MAX_IM_DELTA = 35.0
 # Im(n) floor.  Physically the layer is passive (Im n >= 0), but the
 # truncated third-order susceptibility produces weak gain pockets
@@ -70,22 +71,24 @@ class Layer:
     d: float
 
     def __post_init__(self):
-        if self.d < 0:
+        if not (self.d >= 0):
             raise DomainError("layer thickness must be >= 0")
 
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Semi-infinite entry/exit media around an ordered list of layers."""
+    """Semi-infinite entry/exit media around at most one layer, the slab."""
 
     n_in: float
-    layers: tuple[Layer, ...] = field(default_factory=tuple)
+    layers: tuple[Layer, ...] = ()
     n_out: float = 1.0
 
     def __post_init__(self):
-        if self.n_in <= 0 or self.n_out <= 0:
+        if not (self.n_in > 0 and self.n_out > 0):
             raise DomainError("semi-infinite media need real positive indices")
         object.__setattr__(self, "layers", tuple(self.layers))
+        if len(self.layers) > 1:
+            raise DomainError("a stack holds at most one layer")
 
 
 def refraction_cosine(n_in: float, theta_i, n_j) -> np.ndarray | complex:
@@ -108,33 +111,10 @@ def _impedance(n, cos_t, polarization: str):
     raise DomainError("polarization must be 'p' or 's'")
 
 
-def _layer_matrix(layer: Layer, theta_i, k0: float, n_in: float,
-                  polarization: str) -> tuple[np.ndarray, np.ndarray]:
-    """(M, singular): the characteristic 2x2 matrices of one layer, shape
-    (..., 2, 2) and unimodular by construction, and where the impedance
-    vanishes (M is then computed with unit impedance and means nothing)."""
-    cos_t = refraction_cosine(n_in, theta_i, layer.n)
-    p = _impedance(layer.n, cos_t, polarization)
-    singular = p == 0
-    if singular.any():
-        p = np.where(singular, 1.0, p)
-    delta = np.asarray(k0 * layer.n * layer.d * cos_t, dtype=complex)
-    # opaque-layer guard: clamp the decay exponent, the phase is then moot
-    im = np.clip(delta.imag, None, _MAX_IM_DELTA)
-    delta = delta.real + 1j * im
-    cd, sd = np.cos(delta), np.sin(delta)
-    M = np.empty(np.shape(delta) + (2, 2), dtype=complex)
-    M[..., 0, 0] = cd
-    M[..., 0, 1] = -1j * sd / p
-    M[..., 1, 0] = -1j * p * sd
-    M[..., 1, 1] = cd
-    return M, singular
-
-
 def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
                   masked: bool = False):
     """(r, t) of the stack for one polarization; broadcasts over theta_i
-    and the layer indices.
+    and the slab index.
 
     A failing element raises the error of `fault_error`.  With
     masked=True the call returns (r, t, fault) instead: fault holds each
@@ -142,40 +122,38 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
     not.
     """
     theta_i = np.asarray(theta_i, dtype=float)
-    shape = np.broadcast_shapes(np.shape(theta_i),
-                                *(np.shape(layer.n) for layer in stack.layers))
+    # no layers: the bare interface, the slab formula at d = 0
+    (slab,) = stack.layers or (Layer(n=stack.n_in + 0j, d=0.0),)
+    shape = np.broadcast_shapes(np.shape(theta_i), np.shape(slab.n))
     if not shape:
         # one element through the array loops: numpy's scalar arithmetic
         # rounds differently, and a scalar call must equal an array call
         theta_i = theta_i.reshape(1)
-    grid = shape or (1,)
-    # the ordered product of the layer matrices, and where any layer's
-    # index is strongly active or its impedance vanishes
-    M = np.broadcast_to(np.eye(2, dtype=complex), grid + (2, 2)).copy()
-    active = np.zeros(grid, dtype=bool)
-    singular = np.zeros(grid, dtype=bool)
-    for layer in stack.layers:
-        L, bad = _layer_matrix(layer, theta_i, k0, stack.n_in, polarization)
-        M = M @ L
-        active |= np.imag(layer.n) < -_PASSIVITY_TOL
-        singular |= bad
     # entry cosine through the same branch formula so that identical
     # entry/exit media give p1 == p3 exactly (trivial-stack reciprocity)
     cos_in = refraction_cosine(stack.n_in, theta_i, stack.n_in + 0j)
     cos_out = refraction_cosine(stack.n_in, theta_i, stack.n_out + 0j)
+    cos_t = refraction_cosine(stack.n_in, theta_i, slab.n)
     p1 = _impedance(stack.n_in, cos_in, polarization)
+    p2 = _impedance(slab.n, cos_t, polarization)
     p3 = _impedance(stack.n_out, cos_out, polarization)
-    top = (M[..., 0, 0] + M[..., 0, 1] * p3) * p1
-    bot = M[..., 1, 0] + M[..., 1, 1] * p3
-    den = top + bot
-    fault = np.select([active, singular, den == 0],
+    # the bare interface has no layer impedance to vanish
+    singular = (p2 == 0) & bool(stack.layers)
+    p2 = np.where(p2 == 0, 1.0, p2)
+    delta = k0 * slab.n * slab.d * cos_t
+    # opaque-slab guard: clamp the decay exponent, the phase is then moot
+    delta = delta.real + 1j * np.clip(delta.imag, None, _MAX_IM_DELTA)
+    cd, sd = np.cos(delta), np.sin(delta)
+    q = p1 * p3 / p2
+    den = cd * (p1 + p3) - 1j * sd * (q + p2)
+    fault = np.select([np.imag(slab.n) < -_PASSIVITY_TOL, singular, den == 0],
                       [_ACTIVE, _IMPEDANCE, _DENOMINATOR], 0)
     failed = fault > 0
     if failed.any():
         if not masked:
             raise fault_error(fault)
         den = np.where(failed, 1.0, den)
-    r = (top - bot) / den
+    r = (cd * (p1 - p3) - 1j * sd * (q - p2)) / den
     t = 2 * p1 / den
     if masked:
         return (np.where(failed, np.nan, r).reshape(shape),
@@ -183,4 +161,3 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
     if not shape:
         return complex(r[0]), complex(t[0])
     return r, t
-

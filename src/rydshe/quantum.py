@@ -114,14 +114,16 @@ class AtomParams:
     coh31: float | None = None
 
     def __post_init__(self):
-        if self.Gamma21 <= 0:
+        # written so that nan fails each check
+        if not self.Gamma21 > 0:
             raise DomainError("Gamma21 must be positive")
-        if self.Gamma32 < 0 or self.Na < 0:
+        if not (self.Gamma32 >= 0 and self.Na >= 0):
             raise DomainError("Gamma32 and Na must be non-negative")
-        if self.lambda_p <= 0:
+        if not self.lambda_p > 0:
             raise DomainError("lambda_p must be positive")
-        if ((self.coh21 is not None and self.coh21 <= 0)
-                or min(self.coh31 or 0.0, self.coh32 or 0.0) < 0):
+        if not ((self.coh21 is None or self.coh21 > 0)
+                and (self.coh31 is None or self.coh31 >= 0)
+                and (self.coh32 is None or self.coh32 >= 0)):
             raise DomainError("need coh21 > 0 and coh31, coh32 >= 0")
 
     @property
@@ -171,7 +173,7 @@ class DriveParams:
     Delta_c: float
 
     def __post_init__(self):
-        if self.Omega_p < 0 or self.Omega_c < 0:
+        if not (self.Omega_p >= 0 and self.Omega_c >= 0):
             raise DomainError("Rabi frequencies are taken real and >= 0")
 
     @property

@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import time
+import typing
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,9 +15,11 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 import rydshe.sweeps
 
-from rydshe import (ConfigError, DomainError, PropagationError, RunConfig,
-                    SingularityError, parse_config, serialize_config,
-                    shifts_from_coefficients, stack_fresnel, susceptibility)
+from rydshe import (AtomParams, BeamSpec, ConfigError, DomainError,
+                    DriveParams, Layer, LayerStack, PropagationError,
+                    RunConfig, SingularityError, parse_config,
+                    serialize_config, shifts_from_coefficients, stack_fresnel,
+                    susceptibility)
 from rydshe import quantum
 from rydshe.config import AXES, QUANTITIES, with_overrides
 from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
@@ -128,6 +131,43 @@ def test_non_finite_setting_rejected(tmp_path, capsys, path, section, key,
                        "--delta2-max", "1", "--out", str(out)) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+_FLOAT_FIELDS = [name for name, hint in
+                 typing.get_type_hints(RunConfig).items()
+                 if float in (typing.get_args(hint) or (hint,))]
+
+
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_run_config_refuses_nan(name):
+    # library callers and dataclasses.replace pass no parser
+    with pytest.raises(ConfigError, match=rf"^{name} = nan is not finite$"):
+        RunConfig(**{name: math.nan})
+    with pytest.raises(ConfigError, match=rf"^{name} = inf is not finite$"):
+        replace(RunConfig(), **{name: math.inf})
+
+
+_PHYSICS_INPUTS = {
+    AtomParams: ("Gamma21", "Gamma32", "Na", "lambda_p", "coh21", "coh31",
+                 "coh32"),
+    DriveParams: ("Omega_p", "Omega_c"),
+    Layer: ("d",),
+    LayerStack: ("n_in", "n_out"),
+    BeamSpec: ("w0", "theta_i", "lambda_p", "n_in"),
+}
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls, names
+                                       in _PHYSICS_INPUTS.items()
+                                       for name in names])
+def test_physics_inputs_refuse_nan(cls, name):
+    # each range check fails on nan, where `x < 0` would pass it
+    cfg = RunConfig()
+    valid = {AtomParams: cfg.atom_params(), DriveParams: cfg.drive_params(),
+             Layer: cfg.layer_stack().layers[0], LayerStack: cfg.layer_stack(),
+             BeamSpec: cfg.beam_spec()}[cls]
+    with pytest.raises(DomainError):
+        replace(valid, **{name: math.nan})
 
 
 def test_config_roundtrip_idempotent():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rydshe import DomainError, Layer, LayerStack, SearchError, stack_fresnel
-from rydshe.multilayer import _layer_matrix, refraction_cosine
+from rydshe.multilayer import refraction_cosine
 from rydshe.oracle import (_airy_two_interface, brewster_angle, canonical_atom,
                            canonical_drive, canonical_stack)
 from rydshe import susceptibility
@@ -49,40 +49,47 @@ def test_refraction_cosine_branch_decaying():
         assert (nj * c).imag >= 0
 
 
-# ------------------------------------------------------------ layer matrix
+# ------------------------------------------------- closed-form limit cases
 
-def test_layer_matrix_zero_thickness_identity():
-    M, _ = _layer_matrix(Layer(n=1.3 + 0.01j, d=0.0), math.radians(20), K0,
-                         GLASS, "p")
-    assert np.allclose(M, np.eye(2), atol=1e-15)
-
-
-def test_layer_matrix_quarter_wave():
-    # n = 1, theta = 0 (allowed here; only the beam module restricts theta),
-    # d = lambda/4: delta = pi/2 and p = 1 for both polarizations
-    lam = 0.78
-    M, _ = _layer_matrix(Layer(n=1.0 + 0j, d=lam / 4), 0.0, TWO_PI / lam,
-                         1.0, "s")
-    assert np.allclose(M, np.array([[0, -1j], [-1j, 0]]), atol=1e-12)
+def _impedances(pol, theta, *indices):
+    """p_j of each medium at incidence theta in the first one."""
+    cos = [refraction_cosine(indices[0], theta, n + 0j) for n in indices]
+    return [complex(n / c if pol == "p" else n * c)
+            for n, c in zip(indices, cos)]
 
 
 @pytest.mark.parametrize("pol", ["p", "s"])
-def test_layer_matrix_unimodular(pol):
-    M, _ = _layer_matrix(Layer(n=1.0004 + 2e-4j, d=100.0),
-                         math.radians(33.8), K0, GLASS, pol)
-    assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-12)
+def test_zero_thickness_is_the_bare_interface(pol):
+    th = math.radians(20.0)
+    p1, p3 = _impedances(pol, th, GLASS, 1.2)
+    for layers in ((), (Layer(n=1.3 + 0.01j, d=0.0),)):
+        stk = LayerStack(n_in=GLASS, layers=layers, n_out=1.2)
+        r, t = stack_fresnel(stk, th, K0, pol)
+        assert r == pytest.approx((p1 - p3) / (p1 + p3), rel=1e-15)
+        assert t == pytest.approx(2 * p1 / (p1 + p3), rel=1e-15)
 
 
-def test_stack_matrix_unimodular_product(rng):
-    layers = tuple(Layer(n=rng.uniform(1.0, 2.0) + 1j * rng.uniform(0, 0.01),
-                         d=rng.uniform(0.1, 5.0)) for _ in range(4))
-    stk = LayerStack(n_in=1.5, layers=layers, n_out=1.2)
-    for pol in ("p", "s"):
-        M = np.eye(2)
-        for layer in stk.layers:
-            M = M @ _layer_matrix(layer, math.radians(25.0), K0, stk.n_in,
-                                  pol)[0]
-        assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-10)
+@pytest.mark.parametrize("pol", ["p", "s"])
+def test_quarter_wave_film_at_normal_incidence(pol):
+    # delta = pi/2, and p_j = n_j for both polarizations at theta = 0
+    n1, n2, n3 = GLASS, 2.1, 1.2
+    stk = LayerStack(n_in=n1, layers=(Layer(n=n2 + 0j, d=0.78 / (4 * n2)),),
+                     n_out=n3)
+    r, _ = stack_fresnel(stk, 0.0, K0, pol)
+    assert r == pytest.approx((n1 * n3 - n2**2) / (n1 * n3 + n2**2),
+                              abs=1e-15)
+
+
+@pytest.mark.parametrize("pol", ["p", "s"])
+def test_opaque_film_reflects_as_its_front_interface(pol):
+    # Im delta ~ 1600 is past the clamp; unclamped, cos and sin of delta
+    # overflow and r is nan
+    th, n2, d = math.radians(30.0), 1.5 + 2j, 100.0
+    assert (K0 * n2 * d * refraction_cosine(GLASS, th, n2)).imag > 710
+    stk = LayerStack(n_in=GLASS, layers=(Layer(n=n2, d=d),), n_out=1.2)
+    r, _ = stack_fresnel(stk, th, K0, pol)
+    p1, p2 = _impedances(pol, th, GLASS, n2)
+    assert r == pytest.approx((p1 - p2) / (p1 + p2), rel=1e-14)
 
 
 # ------------------------------------------------------------ stack fresnel
@@ -122,12 +129,11 @@ def test_energy_conservation_real_stacks(rng):
     worst = 0.0
     for _ in range(100):
         stk = LayerStack(n_in=rng.uniform(1.0, 2.0),
-                         layers=tuple(Layer(n=rng.uniform(1.0, 2.5) + 0j,
-                                            d=rng.uniform(0.1, 5.0))
-                                      for _ in range(int(rng.integers(1, 4)))),
+                         layers=(Layer(n=rng.uniform(1.0, 2.5) + 0j,
+                                       d=rng.uniform(0.1, 5.0)),),
                          n_out=rng.uniform(1.0, 2.0))
         th = rng.uniform(math.radians(5), math.radians(60))
-        n_min = min(min(l.n.real for l in stk.layers), stk.n_out)
+        n_min = min(stk.layers[0].n.real, stk.n_out)
         if stk.n_in * math.sin(th) >= 0.98 * n_min:
             continue
         cos_out = math.sqrt(1 - (stk.n_in * math.sin(th) / stk.n_out) ** 2)
@@ -212,6 +218,12 @@ def test_layer_validation():
         Layer(n=1.0 + 0j, d=-1.0)
     with pytest.raises(DomainError):
         LayerStack(n_in=0.0, layers=(), n_out=1.0)
+
+
+def test_stack_holds_at_most_one_layer():
+    film = Layer(n=1.3 + 0j, d=1.0)
+    with pytest.raises(DomainError, match="at most one layer"):
+        LayerStack(n_in=GLASS, layers=(film, film), n_out=GLASS)
 
 
 def test_grazing_impedance_singularity():
