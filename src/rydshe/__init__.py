@@ -20,10 +20,8 @@ from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, analytic_gaussian_shift,
                          shifts_from_coefficients, medium_index,
                          intensity_profiles, intensity_maps_2d)
-from .oracle import (DensityMatrix3, full_local_bloch_steady_state,
-                     verify_suite, canonical_atom, canonical_drive,
-                     canonical_stack)
-from .config import RunConfig, parse_config, serialize_config
+from .config import (RunConfig, parse_config, serialize_config,
+                     canonical_atom, canonical_drive, canonical_stack)
 from .sweeps import SweepResult, run_sweep, emit
 
 __all__ = [name for name in dir() if not name.startswith("_")]

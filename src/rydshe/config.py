@@ -9,7 +9,6 @@ canonical-run default, so the empty file is a valid configuration.
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import io
 import math
@@ -159,6 +158,21 @@ class RunConfig:
                         lambda_p=self.lambda_um, n_in=self.n1)
 
 
+def canonical_atom() -> AtomParams:
+    """The medium of the default `RunConfig`."""
+    return RunConfig().atom_params()
+
+
+def canonical_drive(Delta2: float = 0.0) -> DriveParams:
+    """The default `RunConfig` drive at probe detuning Delta2 (rad/us)."""
+    return replace(RunConfig().drive_params(), Delta2=Delta2)
+
+
+def canonical_stack(chi: complex = 0.0) -> LayerStack:
+    """The default `RunConfig` stack, its slab dressed with chi."""
+    return RunConfig().layer_stack(chi)
+
+
 def _schema() -> dict:
     """[section] -> {file key: (RunConfig field, caster)}, in file order;
     the caster is the field's annotation, `X | None` unwrapped."""
@@ -194,6 +208,7 @@ def _line_of(text: str, section: str, key: str | None = None) -> int:
 
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key-value config, filling canonical defaults."""
+    import configparser  # only a --config run pays for loading it
     # '%' is literal, and [DEFAULT] is an unknown section like any other
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None, default_section="")

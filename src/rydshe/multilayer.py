@@ -134,12 +134,15 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
     cos_in = refraction_cosine(stack.n_in, theta_i, stack.n_in + 0j)
     cos_out = refraction_cosine(stack.n_in, theta_i, stack.n_out + 0j)
     cos_t = refraction_cosine(stack.n_in, theta_i, slab.n)
+    # a grazing slab wave (cos_t = 0) has a zero (s) or infinite (p)
+    # impedance: a fault, computed with a stand-in cosine 1 so that
+    # nothing divides by 0.  The bare interface has no layer to fault,
+    # and there sin(delta) = 0 drops the stand-in.
+    grazing = cos_t == 0
+    singular = grazing & bool(stack.layers)
     p1 = _impedance(stack.n_in, cos_in, polarization)
-    p2 = _impedance(slab.n, cos_t, polarization)
+    p2 = _impedance(slab.n, np.where(grazing, 1.0, cos_t), polarization)
     p3 = _impedance(stack.n_out, cos_out, polarization)
-    # the bare interface has no layer impedance to vanish
-    singular = (p2 == 0) & bool(stack.layers)
-    p2 = np.where(p2 == 0, 1.0, p2)
     delta = k0 * slab.n * slab.d * cos_t
     # opaque-slab guard: clamp the decay exponent, the phase is then moot
     delta = delta.real + 1j * np.clip(delta.imag, None, _MAX_IM_DELTA)

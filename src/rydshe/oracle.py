@@ -40,7 +40,7 @@ from .quantum import (AtomParams, ComplexDenominators, DriveParams,
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, shifts_from_coefficients,
                          spin_mixing_amplitude)
-from .config import RunConfig
+from .config import canonical_atom, canonical_drive
 
 TWO_PI = 2.0 * math.pi
 
@@ -353,21 +353,6 @@ def spectral_shifts(beam: BeamSpec, rp, rs, *, grid_n: int = 2048,
         power_plus=pp / p_in_spin,
         power_minus=pm / p_in_spin,
     )
-
-
-def canonical_atom() -> AtomParams:
-    """The medium of the default `RunConfig`."""
-    return RunConfig().atom_params()
-
-
-def canonical_drive(Delta2: float = 0.0) -> DriveParams:
-    """The default `RunConfig` drive at probe detuning Delta2 (rad/us)."""
-    return replace(RunConfig().drive_params(), Delta2=Delta2)
-
-
-def canonical_stack(chi: complex = 0.0) -> LayerStack:
-    """The default `RunConfig` stack, its slab dressed with chi."""
-    return RunConfig().layer_stack(chi)
 
 
 @dataclass

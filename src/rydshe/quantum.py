@@ -121,6 +121,8 @@ class AtomParams:
             raise DomainError("Gamma32 and Na must be non-negative")
         if not self.lambda_p > 0:
             raise DomainError("lambda_p must be positive")
+        if not math.isfinite(self.C6):
+            raise DomainError("C6 must be finite")
         if not ((self.coh21 is None or self.coh21 > 0)
                 and (self.coh31 is None or self.coh31 >= 0)
                 and (self.coh32 is None or self.coh32 >= 0)):
@@ -175,6 +177,9 @@ class DriveParams:
     def __post_init__(self):
         if not (self.Omega_p >= 0 and self.Omega_c >= 0):
             raise DomainError("Rabi frequencies are taken real and >= 0")
+        # Delta2 is not checked: a nan in an array fails only its detuning
+        if not math.isfinite(self.Delta_c):
+            raise DomainError("Delta_c must be finite")
 
     @property
     def Delta3(self) -> float:

@@ -148,9 +148,9 @@ def test_run_config_refuses_nan(name):
 
 
 _PHYSICS_INPUTS = {
-    AtomParams: ("Gamma21", "Gamma32", "Na", "lambda_p", "coh21", "coh31",
-                 "coh32"),
-    DriveParams: ("Omega_p", "Omega_c"),
+    AtomParams: ("Gamma21", "Gamma32", "C6", "Na", "lambda_p", "coh21",
+                 "coh31", "coh32"),
+    DriveParams: ("Omega_p", "Omega_c", "Delta_c"),
     Layer: ("d",),
     LayerStack: ("n_in", "n_out"),
     BeamSpec: ("w0", "theta_i", "lambda_p", "n_in"),
@@ -862,6 +862,22 @@ for argv in runs:
         f"{name} {fmt} []" for name in ("chi", "fresnel", "shift-angle",
                                         "shift-detuning", "map", "profile")
         for fmt in ("csv", "json")]
+
+
+def test_cli_sweep_leaves_oracle_and_configparser_unloaded(tmp_path):
+    # a sweep calls neither, so a fresh process neither compiles the
+    # references nor imports the config-file parser
+    code = f"""
+import contextlib, io, sys
+from rydshe.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["chi", "--out", {str(tmp_path / "chi.csv")!r}]) == 0
+print(sorted(m for m in ("rydshe.oracle", "configparser") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_shift_detuning_strong_coupling(tmp_path):

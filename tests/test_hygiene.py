@@ -54,7 +54,7 @@ def test_only_the_front_ends_import_the_oracle():
     # production paths never lean on the brute-force references
     importers = sorted(name for name, tree in _trees().items()
                        if "rydshe.oracle" in _imported_modules(tree))
-    assert set(importers) <= {"oracle.py", "cli.py", "__init__.py"}, importers
+    assert set(importers) <= {"oracle.py", "cli.py"}, importers
 
 
 @pytest.mark.parametrize("stage", ["quantum.py", "multilayer.py",

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rydshe import DomainError, Layer, LayerStack, SearchError, stack_fresnel
-from rydshe.multilayer import refraction_cosine
-from rydshe.oracle import (_airy_two_interface, brewster_angle, canonical_atom,
-                           canonical_drive, canonical_stack)
-from rydshe import susceptibility
+from rydshe.multilayer import fault_error, refraction_cosine
+from rydshe.oracle import _airy_two_interface, brewster_angle
+from rydshe import (susceptibility, canonical_atom, canonical_drive,
+                    canonical_stack)
 
 TWO_PI = 2.0 * math.pi
 K0 = TWO_PI / 0.78
@@ -235,3 +235,21 @@ def test_grazing_impedance_singularity():
     with pytest.raises(SingularityError,
                        match="vanishing layer impedance"):
         stack_fresnel(stk, theta_c, K0, "s")
+
+
+@pytest.mark.parametrize("pol", ["p", "s"])
+def test_critical_angle_faults_both_polarizations(pol):
+    # at the slab's critical angle cos(theta_2) is exactly 0: the s
+    # impedance n cos vanishes and the p impedance n / cos diverges, and
+    # both are faulted before anything divides by that zero
+    from rydshe import SingularityError
+    stk = LayerStack(1.5, (Layer(1 + 0j, 10.0),), 1.49)
+    theta_c = np.radians(41.810314895778596)
+    assert refraction_cosine(1.5, theta_c, 1 + 0j) == 0
+    with np.errstate(all="raise"):
+        r, t, fault = stack_fresnel(stk, theta_c, K0, pol, masked=True)
+        assert np.isnan([r, t]).all()
+        assert isinstance(fault_error(fault), SingularityError)
+        with pytest.raises(SingularityError,
+                           match="vanishing layer impedance"):
+            stack_fresnel(stk, theta_c, K0, pol)

@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydshe import (DriveParams, full_local_bloch_steady_state,
-                    first_order_coherences, nonlocal_integral, verify_suite,
+from rydshe import (DriveParams, first_order_coherences, nonlocal_integral,
                     canonical_atom, canonical_drive)
-from rydshe.oracle import (oracle_rho21, perturbative_rho21_local,
-                           trapezoid_nonlocal_integral)
+from rydshe.oracle import (full_local_bloch_steady_state, oracle_rho21,
+                           perturbative_rho21_local,
+                           trapezoid_nonlocal_integral, verify_suite)
 
 TWO_PI = 2.0 * math.pi
 
