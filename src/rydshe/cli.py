@@ -23,7 +23,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields as dc_fields, replace
 
 from . import __version__
 from .errors import ConfigError, RydsheError
@@ -126,17 +126,27 @@ def _load_config(args) -> RunConfig:
 
 
 def _sweep_config(cfg: RunConfig, args) -> RunConfig:
+    """The subcommand's run of `cfg`; names on stderr each [sweep] key
+    that the config file sets and the subcommand replaces."""
     if args.command == "profile":
-        return replace(cfg, quantity="profile")
-    _, quantity, axes = _SWEEP_COMMANDS[args.command]
-    # a 1-D subcommand sweeps one axis whatever the config file says
-    fields = {"quantity": quantity, "variable2": None}
-    for sfx, (stem, _, _, steps_flag, _) in zip(("", "2"), axes):
-        fields.update({"variable" + sfx: _AXIS_FLAGS[stem][0],
-                       "sweep_min" + sfx: getattr(args, f"{stem}_min"),
-                       "sweep_max" + sfx: getattr(args, f"{stem}_max"),
-                       "steps" + sfx: getattr(args, steps_flag.replace("-", "_"))})
-    return replace(cfg, **fields)
+        fields = {"quantity": "profile"}
+    else:
+        _, quantity, axes = _SWEEP_COMMANDS[args.command]
+        # a 1-D subcommand sweeps one axis whatever the config file says
+        fields = {"quantity": quantity, "variable2": None}
+        for sfx, (stem, _, _, flag, _) in zip(("", "2"), axes):
+            fields.update({"variable" + sfx: _AXIS_FLAGS[stem][0],
+                           "sweep_min" + sfx: getattr(args, f"{stem}_min"),
+                           "sweep_max" + sfx: getattr(args, f"{stem}_max"),
+                           "steps" + sfx: getattr(args, flag.replace("-", "_"))})
+    run = replace(cfg, **fields)
+    replaced = [f.metadata["key"] or f.name for f in dc_fields(RunConfig)
+                if f.metadata["section"] == "sweep" and getattr(cfg, f.name)
+                not in (f.default, getattr(run, f.name))]
+    if replaced:
+        print(f"rydshe {args.command}: the subcommand replaces [sweep] "
+              f"{', '.join(replaced)} of {args.config}", file=sys.stderr)
+    return run
 
 
 def _cmd_verify(args) -> int:

@@ -12,14 +12,17 @@ phase thickness delta = k0 n_2 d cos(theta_2).  Then
     r = [cos(delta) (p1 - p3) - i sin(delta) (p1 p3 / p2 - p2)] / D
     t = 2 p1 / D
 
-which is the slab's characteristic-matrix result multiplied out.
+which is the slab's characteristic-matrix result multiplied out.  For p
+both are evaluated times y1 y2 y3, in the admittances y_j = 1 / p_j,
+which keeps them finite at the exit medium's critical angle (y3 = 0).
 
 `stack_fresnel` accepts a scalar or a numpy array of incidence angles,
 and the slab's index may be an array too: indices and angles broadcast
-elementwise, so one call evaluates a whole sweep grid.
-A call raises its first failure; `stack_fresnel(..., masked=True)`
-instead reports each element's failure as a fault code (`fault_error`
-names it), so one bad element cannot fail its batch.
+elementwise, so one call evaluates a whole sweep grid.  Each element is
+checked for an active slab index, then a slab wave grazing at its
+critical angle, then a vanishing denominator.  A masked call reports
+each element's error in an `errors` tuple, as the quantum and beam
+stages do, so one bad element cannot fail its batch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RydsheError, SingularityError
+from .errors import DomainError, SingularityError
 
 # cap on Im(delta): beyond this the slab is opaque and cosh/sinh overflow
 _MAX_IM_DELTA = 35.0
@@ -37,27 +40,6 @@ _MAX_IM_DELTA = 35.0
 # (Im chi ~ -1e-2) at some detunings; those are admitted, while a grossly
 # active index -- the signature of a conjugated chi -- is rejected.
 _PASSIVITY_TOL = 0.1
-
-# fault codes, in the order the checks run (0: the element is fine)
-_ACTIVE, _IMPEDANCE, _DENOMINATOR = 1, 2, 3
-_FAULTS = {
-    _ACTIVE: (DomainError, "layer index is strongly active (Im n << 0)"),
-    _IMPEDANCE: (SingularityError,
-                 "vanishing layer impedance (grazing pathology)"),
-    _DENOMINATOR: (SingularityError,
-                   "vanishing denominator in stack Fresnel formula"),
-}
-
-
-def fault_error(fault) -> RydsheError | None:
-    """The error a raising call gives for the fault codes `fault`: that
-    of the earliest check any element fails, or None when none fails."""
-    fault = np.asarray(fault)
-    if not fault.any():
-        return None
-    kind, message = _FAULTS[int(fault[fault > 0].min())]
-    return kind(message)
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -103,24 +85,18 @@ def refraction_cosine(n_in: float, theta_i, n_j) -> np.ndarray | complex:
     return np.where(flip, -c, c)
 
 
-def _impedance(n, cos_t, polarization: str):
-    if polarization == "p":
-        return n / cos_t
-    if polarization == "s":
-        return n * cos_t
-    raise DomainError("polarization must be 'p' or 's'")
-
-
 def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
                   masked: bool = False):
     """(r, t) of the stack for one polarization; broadcasts over theta_i
     and the slab index.
 
-    A failing element raises the error of `fault_error`.  With
-    masked=True the call returns (r, t, fault) instead: fault holds each
-    element's code (0 when it is fine), and r and t are nan where it is
-    not.
+    A call raises the error of the earliest check that any element
+    fails.  With masked=True it returns (r, t, errors) instead: errors
+    holds per element (flattened) None or the error a call on that
+    element alone raises, and r and t are nan where it is set.
     """
+    if polarization not in ("p", "s"):
+        raise DomainError("polarization must be 'p' or 's'")
     theta_i = np.asarray(theta_i, dtype=float)
     # no layers: the bare interface, the slab formula at d = 0
     (slab,) = stack.layers or (Layer(n=stack.n_in + 0j, d=0.0),)
@@ -139,28 +115,43 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
     # nothing divides by 0.  The bare interface has no layer to fault,
     # and there sin(delta) = 0 drops the stand-in.
     grazing = cos_t == 0
-    singular = grazing & bool(stack.layers)
-    p1 = _impedance(stack.n_in, cos_in, polarization)
-    p2 = _impedance(slab.n, np.where(grazing, 1.0, cos_t), polarization)
-    p3 = _impedance(stack.n_out, cos_out, polarization)
+    cos_2 = np.where(grazing, 1.0, cos_t)
     delta = k0 * slab.n * slab.d * cos_t
     # opaque-slab guard: clamp the decay exponent, the phase is then moot
     delta = delta.real + 1j * np.clip(delta.imag, None, _MAX_IM_DELTA)
     cd, sd = np.cos(delta), np.sin(delta)
-    q = p1 * p3 / p2
-    den = cd * (p1 + p3) - 1j * sd * (q + p2)
-    fault = np.select([np.imag(slab.n) < -_PASSIVITY_TOL, singular, den == 0],
-                      [_ACTIVE, _IMPEDANCE, _DENOMINATOR], 0)
-    failed = fault > 0
-    if failed.any():
-        if not masked:
-            raise fault_error(fault)
-        den = np.where(failed, 1.0, den)
-    r = (cd * (p1 - p3) - 1j * sd * (q - p2)) / den
-    t = 2 * p1 / den
+    if polarization == "s":
+        p1, p2, p3 = stack.n_in * cos_in, slab.n * cos_2, stack.n_out * cos_out
+        q = p1 * p3 / p2
+        den = cd * (p1 + p3) - 1j * sd * (q + p2)
+        r_num, t_num = cd * (p1 - p3) - 1j * sd * (q - p2), 2 * p1
+    else:
+        # admittance form: finite where the exit wave grazes (y3 = 0)
+        y1, y2, y3 = cos_in / stack.n_in, cos_2 / slab.n, cos_out / stack.n_out
+        den = cd * y2 * (y1 + y3) - 1j * sd * (y2 * y2 + y1 * y3)
+        r_num = cd * y2 * (y3 - y1) - 1j * sd * (y2 * y2 - y1 * y3)
+        t_num = 2 * y2 * y3
+    checks = ((np.imag(slab.n) < -_PASSIVITY_TOL, DomainError,
+               "layer index is strongly active (Im n << 0)"),
+              (grazing & bool(stack.layers), SingularityError,
+               "vanishing layer impedance (grazing pathology)"),
+              (den == 0, SingularityError,
+               "vanishing denominator in stack Fresnel formula"))
+    errors = [None] * den.size
+    failed = np.zeros(den.shape, dtype=bool)
+    for bad, kind, message in checks:         # the earliest check wins
+        bad = np.broadcast_to(bad, den.shape) & ~failed
+        if bad.any():
+            if not masked:
+                raise kind(message)
+            failed |= bad
+            for i in np.flatnonzero(bad).tolist():
+                errors[i] = kind(message)
+    den = np.where(failed, 1.0, den)
+    r, t = r_num / den, t_num / den
     if masked:
         return (np.where(failed, np.nan, r).reshape(shape),
-                np.where(failed, np.nan, t).reshape(shape), fault.reshape(shape))
+                np.where(failed, np.nan, t).reshape(shape), tuple(errors))
     if not shape:
         return complex(r[0]), complex(t[0])
     return r, t

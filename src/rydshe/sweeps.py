@@ -10,11 +10,13 @@ through the optics and the beam as flat arrays of their detuning's
 index and their incidence angle: one `stack_fresnel` call per
 polarization and one `shifts_from_coefficients` call for the whole
 group, and the rows are sliced out of the result arrays with
-`.tolist()`.  Failures are recorded in the row's `error` column
-instead of aborting the sweep: a point's own config or shift failure on
-its row (the first axis's config error when both axes fail), a chi or
-layer failure on every row of its detuning, and a failure of the group
-as a whole on every row of the group.
+`.tolist()`.  Each stage reports its failures per element, and they
+are recorded in the row's `error` column instead of aborting the sweep:
+a config error of a point's own axis value on its row (the first axis's
+when both axes fail), a chi error on every row of its detuning, a layer
+(p, then s) or shift error on its own row, and a failure of the group
+as a whole on every row of the group.  An active slab index fails every
+row of its detuning, because they share it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import __version__
 from .errors import RydsheError, ConfigError
 from .config import RunConfig, AXES, config_hash
 from .quantum import susceptibility
-from .multilayer import fault_error, stack_fresnel
+from .multilayer import stack_fresnel
 from .beam_shift import shifts_from_coefficients, intensity_profiles
 
 _CHI_COLUMNS = ["re_chi1", "im_chi1", "re_chi3_local", "im_chi3_local",
@@ -62,51 +64,47 @@ def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
     call per polarization and one shift call over the rows.  A row's
     values mean nothing where its error cell is set."""
     b = susceptibility(cfg.drive_params(detunings), cfg.atom_params())
-    errors = list(b.errors)                    # per detuning
     if quantity == "chi":
         chi = np.array([b.chi1, b.chi3_local_contrib,
                         b.chi3_nonlocal_contrib]).T
         values = np.stack([chi.real, chi.imag], axis=-1).reshape(-1, 6)[det]
-        row_errors = {}
+        stages = ()
     else:
-        values, row_errors = _optics_values(quantity, cfg, b.total, errors,
-                                            det, theta)
-    cells = np.array([_error_cell(e) if e else "" for e in errors],
+        # a failed detuning's rows carry its error; chi = 0 keeps nan out
+        chi = np.where([e is not None for e in b.errors], 0, b.total)
+        values, stages = _optics_values(quantity, cfg, chi[det], theta)
+    cells = np.array([_error_cell(e) if e else "" for e in b.errors],
                      dtype=object)[det]
-    for i, e in row_errors.items():            # a detuning's error wins
-        cells[i] = cells[i] or _error_cell(e)
+    # a detuning's error wins, then the row's own errors in stage order
+    for i in np.flatnonzero((cells == "") & np.isnan(values).any(axis=1)
+                            ).tolist():
+        cells[i] = next((_error_cell(e[i]) for e in stages if e[i]), "")
     return values, cells
 
 
 def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
-                   errors: list, det: np.ndarray, theta: np.ndarray) -> tuple:
-    """(values, {row: error}) of the Fresnel or shift columns, for rows
-    at the detunings `det` of `chi` and the angles `theta` (deg).  A
-    layer failure is recorded in `errors` against its detuning."""
-    failed = np.array([e is not None for e in errors])
-    # a failed detuning's rows carry its error; chi = 0 keeps nan out
-    stack = cfg.layer_stack(np.where(failed, 0, chi)[det])
+                   theta: np.ndarray) -> tuple:
+    """(values, errors) of the Fresnel or shift columns, for rows with
+    the slab susceptibility `chi` at the angles `theta` (deg).  errors
+    holds the per-row error tuples of the stages in the order they run:
+    p, s, then the shift."""
+    stack = cfg.layer_stack(chi)
     beam = cfg.beam_spec(theta)
-    rp, _, fault_p = stack_fresnel(stack, beam.theta_i, beam.k0, "p",
-                                   masked=True)
-    rs, _, fault_s = stack_fresnel(stack, beam.theta_i, beam.k0, "s",
-                                   masked=True)
-    for d in set(det[(fault_p > 0) | (fault_s > 0)].tolist()):
-        at = det == d
-        errors[d] = errors[d] or fault_error(fault_p[at]) or fault_error(
-            fault_s[at])
+    rp, _, errors_p = stack_fresnel(stack, beam.theta_i, beam.k0, "p",
+                                    masked=True)
+    rs, _, errors_s = stack_fresnel(stack, beam.theta_i, beam.k0, "s",
+                                    masked=True)
     if quantity == "fresnel":
         # hypot rounds as the scalar abs() does; np.abs does not
         abs_rp, abs_rs = np.hypot(rp.real, rp.imag), np.hypot(rs.real, rs.imag)
         ratio = np.divide(abs_rs, abs_rp, out=np.full_like(abs_rp, math.inf),
                           where=abs_rp > 0)
-        return np.stack([rp.real, rp.imag, rs.real, rs.imag,
-                         abs_rp, abs_rs, ratio], axis=-1), {}
+        return (np.stack([rp.real, rp.imag, rs.real, rs.imag,
+                          abs_rp, abs_rs, ratio], axis=-1),
+                (errors_p, errors_s))
     s = shifts_from_coefficients(beam, rp, rs)
     return (np.stack([s.delta_plus, s.delta_minus, s.power_plus,
-                      s.power_minus], axis=-1),
-            {i: s.errors[i] for i in np.flatnonzero(np.isnan(s.power_plus))
-             .tolist()})
+                      s.power_minus], axis=-1), (errors_p, errors_s, s.errors))
 
 
 def _axis_errors(cfg: RunConfig, field: str, values) -> list:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import typing
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -586,6 +587,34 @@ def test_active_index_fails_its_detuning_rows_only(monkeypatch):
     assert lines == clean
 
 
+def test_layer_error_stays_on_its_row(monkeypatch):
+    # errors injected into the Fresnel calls' errors tuples at single rows
+    # of a map fail those rows alone; p's error wins over s's on a row
+    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
+                         sweep_min=33.5, sweep_max=34.2, steps=8,
+                         variable2="Delta2", sweep_min2=-2.0, sweep_max2=2.0,
+                         steps2=5)
+    clean = format_csv(run_sweep(cfg)).splitlines()
+    real = rydshe.sweeps.stack_fresnel
+    at = {"p": [3 + 8 * 2], "s": [3 + 8 * 2, 6 + 8 * 4]}   # row indices
+
+    def patched(stack, theta, k0, pol, masked=False):
+        r, t, errors = real(stack, theta, k0, pol, masked=masked)
+        errors = list(errors)
+        for i in at[pol]:
+            r[i] = t[i] = complex(math.nan, math.nan)
+            errors[i] = SingularityError(f"injected into {pol}")
+        return r, t, tuple(errors)
+    monkeypatch.setattr(rydshe.sweeps, "stack_fresnel", patched)
+    lines = format_csv(run_sweep(cfg)).splitlines()
+    assert lines[3 + 3 + 8 * 2].endswith(",SingularityError: injected into p")
+    assert lines[3 + 6 + 8 * 4].endswith(",SingularityError: injected into s")
+    for i in (3 + 6 + 8 * 4, 3 + 3 + 8 * 2):
+        assert lines[i].split(",")[2:6] == ["nan"] * 4
+        del lines[i], clean[i]
+    assert lines == clean
+
+
 def test_fresnel_sweep_rows_match_scalar_calls(monkeypatch):
     # every fresnel column against per-angle scalar calls; ratio_s_over_p
     # is inf where |r_p| = 0
@@ -950,6 +979,46 @@ def test_cli_overrides_reach_config(monkeypatch, tmp_path, flag, field, value):
     assert cfg == replace(_cli_sweep_config(
         monkeypatch, "fresnel", "--out", str(tmp_path / "x.csv")),
         **{field: value})
+
+
+def test_cli_fresnel_row_at_the_exit_critical_angle(tmp_path, capsys):
+    # an exit medium thinner than the entry one: at its critical angle
+    # p3 = n3 / cos is infinite, and the row is still finite and unfailed
+    ini = tmp_path / "thin_exit.ini"
+    ini.write_text("[geometry]\nn1 = 1.5\nn3 = 1.49\n")
+    out = tmp_path / "fresnel.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fresnel", "--config", str(ini), "--theta-min",
+                       "83.3803722047161", "--theta-max", "84", "--steps",
+                       "3", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    row = out.read_text().splitlines()[3].split(",")
+    assert float(row[0]) == pytest.approx(83.3803722047161)
+    assert row[-1] == ""
+    assert all(math.isfinite(float(v)) for v in row[:-1])
+
+
+def test_cli_names_the_sweep_keys_it_replaces(tmp_path, capsys):
+    # the file's [sweep] keys that differ from the default and from the
+    # subcommand's own run are named on stderr; the data file is as
+    # without the config file
+    ini = tmp_path / "na.ini"
+    ini.write_text("[sweep]\nvariable = Na\nmin = 1e7\nmax = 8e7\n"
+                   "steps = 5\n")
+    out, plain = tmp_path / "chi.csv", tmp_path / "plain.csv"
+    assert run_cli("chi", "--out", str(plain)) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli("chi", "--config", str(ini), "--out", str(out)) == 0
+    assert capsys.readouterr().err == (
+        f"rydshe chi: the subcommand replaces [sweep] variable, min, max, "
+        f"steps of {ini}\n")
+    assert out.read_bytes() == plain.read_bytes()
+    # a file of defaults, as `rydshe defaults` writes it, names nothing
+    assert run_cli("defaults") == 0
+    ini.write_text(capsys.readouterr().out)
+    assert run_cli("map", "--config", str(ini), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_one_axis_drops_config_variable2(tmp_path):

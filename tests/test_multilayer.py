@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rydshe import DomainError, Layer, LayerStack, SearchError, stack_fresnel
-from rydshe.multilayer import fault_error, refraction_cosine
+from rydshe import (DomainError, Layer, LayerStack, SearchError,
+                    SingularityError, medium_index, stack_fresnel)
+from rydshe.multilayer import refraction_cosine
 from rydshe.oracle import _airy_two_interface, brewster_angle
 from rydshe import (susceptibility, canonical_atom, canonical_drive,
                     canonical_stack)
@@ -227,7 +228,6 @@ def test_stack_holds_at_most_one_layer():
 
 
 def test_grazing_impedance_singularity():
-    from rydshe import SingularityError
     # exactly at the critical angle the s impedance n cos(theta_j) vanishes
     theta_c = math.asin(1.0 / 1.49)
     stk = LayerStack(n_in=1.49, layers=(Layer(n=1.0 + 0j, d=5.0),),
@@ -242,14 +242,53 @@ def test_critical_angle_faults_both_polarizations(pol):
     # at the slab's critical angle cos(theta_2) is exactly 0: the s
     # impedance n cos vanishes and the p impedance n / cos diverges, and
     # both are faulted before anything divides by that zero
-    from rydshe import SingularityError
     stk = LayerStack(1.5, (Layer(1 + 0j, 10.0),), 1.49)
     theta_c = np.radians(41.810314895778596)
     assert refraction_cosine(1.5, theta_c, 1 + 0j) == 0
     with np.errstate(all="raise"):
-        r, t, fault = stack_fresnel(stk, theta_c, K0, pol, masked=True)
+        r, t, errors = stack_fresnel(stk, theta_c, K0, pol, masked=True)
         assert np.isnan([r, t]).all()
-        assert isinstance(fault_error(fault), SingularityError)
         with pytest.raises(SingularityError,
-                           match="vanishing layer impedance"):
+                           match="vanishing layer impedance") as exc:
             stack_fresnel(stk, theta_c, K0, pol)
+    assert len(errors) == 1
+    assert (type(errors[0]), str(errors[0])) == (type(exc.value),
+                                                 str(exc.value))
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_raising_call_gives_the_earliest_check_any_element_fails(order):
+    # an active index and a grazing slab wave in one array call, in either
+    # order: the call raises the active-index check, which runs first,
+    # and the masked call gives each element its own error
+    n = np.array([medium_index(-0.5j), 1 + 0j])[list(order)]
+    theta = np.radians([30.0, 41.810314895778596])[list(order)]
+    stk = LayerStack(1.5, (Layer(n, 10.0),), 1.49)
+    with pytest.raises(DomainError,
+                       match=r"layer index is strongly active \(Im n << 0\)"):
+        stack_fresnel(stk, theta, K0, "p")
+    _, _, errors = stack_fresnel(stk, theta, K0, "p", masked=True)
+    kinds = [type(errors[i]) for i in order]
+    assert kinds == [DomainError, SingularityError]
+    assert str(errors[order[1]]) == ("vanishing layer impedance "
+                                     "(grazing pathology)")
+
+
+def test_exit_critical_angle_is_the_infinite_impedance_limit():
+    # where the exit wave grazes, p3 = n3 / cos(theta_3) is infinite; the
+    # impedance formula divided through by p3 gives the finite limit
+    #   r = [-cos(delta) - i sin(delta) p1 / p2]
+    #       / [cos(delta) - i sin(delta) p1 / p2],   t = 0
+    n2 = medium_index(0.02 + 0.01j)
+    stk = LayerStack(1.5, (Layer(n2, 10.0),), 1.49)
+    theta = np.radians(83.3803722047161)
+    assert refraction_cosine(1.5, theta, 1.49 + 0j) == 0
+    with np.errstate(all="raise"):
+        r, t = stack_fresnel(stk, theta, K0, "p")
+    cos_in = refraction_cosine(1.5, theta, 1.5 + 0j)
+    cos_2 = refraction_cosine(1.5, theta, n2)
+    ratio = (1.5 / cos_in) / (n2 / cos_2)
+    delta = K0 * n2 * 10.0 * cos_2
+    cd, sd = np.cos(delta), np.sin(delta)
+    want = (-cd - 1j * sd * ratio) / (cd - 1j * sd * ratio)
+    assert abs(r - want) < 1e-13 and t == 0
