@@ -27,7 +27,8 @@ from dataclasses import asdict, fields as dc_fields, replace
 
 from . import __version__
 from .errors import ConfigError, RydsheError
-from .config import RunConfig, parse_config, serialize_config, with_overrides
+from .config import (AXES, RunConfig, parse_config, serialize_config,
+                     with_overrides)
 from .sweeps import run_sweep, emit, profile_coefficients
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3, 4
@@ -40,35 +41,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# override flag -> (RunConfig field, metavar, help)
+# RunConfig field -> (flag, metavar, help); an axis's range flags add -min/-max
 _OVERRIDES = {
-    "--density": ("density_mm3", "MM3", "atom density in mm^-3"),
-    "--omega-c": ("omega_c_mhz", "MHZ", None),
-    "--omega-p": ("omega_p_mhz", "MHZ", None),
-    "--d2": ("d2_um", "UM", None),
-    "--w0": ("w0_um", "UM", None),
-    "--delta2": ("delta2_mhz", "MHZ",
-                 "fixed probe detuning (non-detuning sweeps)"),
-    "--theta": ("theta_deg", "DEG", "fixed incidence angle (non-angle sweeps)"),
+    "density_mm3": ("--density", "MM3", "atom density in mm^-3"),
+    "omega_c_mhz": ("--omega-c", "MHZ", None),
+    "omega_p_mhz": ("--omega-p", "MHZ", None),
+    "d2_um": ("--d2", "UM", None),
+    "w0_um": ("--w0", "UM", None),
+    "delta2_mhz": ("--delta2", "MHZ",
+                   "fixed probe detuning (non-detuning sweeps)"),
+    "theta_deg": ("--theta", "DEG", "fixed incidence angle (non-angle sweeps)"),
 }
 
-# flag stem -> (sweep variable, metavar)
-_AXIS_FLAGS = {"delta2": ("Delta2", "MHZ"), "theta": ("theta_i", "DEG")}
-
 # sweep subcommand -> (help, quantity, axes); each axis is
-# (flag stem, default min, default max, steps flag, default steps)
+# (AXES variable, default min, default max, steps flag, default steps)
 _SWEEP_COMMANDS = {
     "chi": ("susceptibility vs probe detuning", "chi",
-            [("delta2", -10.0, 10.0, "steps", 201)]),
+            [("Delta2", -10.0, 10.0, "steps", 201)]),
     "fresnel": ("Fresnel coefficients vs incidence angle", "fresnel",
-                [("theta", 20.0, 50.0, "steps", 601)]),
+                [("theta_i", 20.0, 50.0, "steps", 601)]),
     "shift-angle": ("spin shifts vs incidence angle", "shift",
-                    [("theta", 33.5, 34.2, "steps", 501)]),
+                    [("theta_i", 33.5, 34.2, "steps", 501)]),
     "shift-detuning": ("spin shifts vs probe detuning", "shift",
-                       [("delta2", -5.0, 5.0, "steps", 201)]),
+                       [("Delta2", -5.0, 5.0, "steps", 201)]),
     "map": ("2-D shift map over angle and detuning", "map",
-            [("theta", 33.5, 34.2, "theta-steps", 71),
-             ("delta2", -5.0, 5.0, "delta2-steps", 51)]),
+            [("theta_i", 33.5, 34.2, "theta-steps", 71),
+             ("Delta2", -5.0, 5.0, "delta2-steps", 51)]),
 }
 
 
@@ -77,7 +75,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", help="output file path")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    for flag, (field, metavar, help_) in _OVERRIDES.items():
+    for field, (flag, metavar, help_) in _OVERRIDES.items():
         p.add_argument(flag, type=float, dest=field, metavar=metavar,
                        help=help_)
 
@@ -93,10 +91,10 @@ def build_parser() -> _Parser:
     for name, (help_, _, axes) in _SWEEP_COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         _add_common(p)
-        for stem, lo, hi, steps_flag, steps in axes:
-            unit = _AXIS_FLAGS[stem][1]
-            p.add_argument(f"--{stem}-min", type=float, default=lo, metavar=unit)
-            p.add_argument(f"--{stem}-max", type=float, default=hi, metavar=unit)
+        for var, lo, hi, steps_flag, steps in axes:
+            flag, unit, _ = _OVERRIDES[AXES[var][0]]
+            p.add_argument(f"{flag}-min", type=float, default=lo, metavar=unit)
+            p.add_argument(f"{flag}-max", type=float, default=hi, metavar=unit)
             p.add_argument(f"--{steps_flag}", type=int, default=steps)
 
     p = sub.add_parser("profile", help="transverse intensity profiles")
@@ -111,41 +109,43 @@ def build_parser() -> _Parser:
     return ap
 
 
-def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+def _run_config(args) -> RunConfig:
+    """The run of `args`: the file or the defaults, validated with the
+    flags, then the subcommand's axes with each swept setting and other
+    [sweep] key at its default.  Names on stderr what that replaces."""
+    cfg = RunConfig()
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                cfg = parse_config(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        cfg = parse_config(text)
-    else:
-        cfg = RunConfig()
-    return with_overrides(cfg, **{field: getattr(args, field)
-                                  for field, _, _ in _OVERRIDES.values()})
-
-
-def _sweep_config(cfg: RunConfig, args) -> RunConfig:
-    """The subcommand's run of `cfg`; names on stderr each [sweep] key
-    that the config file sets and the subcommand replaces."""
-    if args.command == "profile":
-        fields = {"quantity": "profile"}
-    else:
-        _, quantity, axes = _SWEEP_COMMANDS[args.command]
-        # a 1-D subcommand sweeps one axis whatever the config file says
-        fields = {"quantity": quantity, "variable2": None}
-        for sfx, (stem, _, _, flag, _) in zip(("", "2"), axes):
-            fields.update({"variable" + sfx: _AXIS_FLAGS[stem][0],
-                           "sweep_min" + sfx: getattr(args, f"{stem}_min"),
-                           "sweep_max" + sfx: getattr(args, f"{stem}_max"),
-                           "steps" + sfx: getattr(args, flag.replace("-", "_"))})
+    cfg = with_overrides(cfg, **{f: getattr(args, f) for f in _OVERRIDES})
+    _, quantity, axes = _SWEEP_COMMANDS.get(args.command, ("", "profile", ()))
+    fields = {f.name: f.default for f in dc_fields(RunConfig)
+              if f.metadata["section"] == "sweep"} | {"quantity": quantity}
+    for sfx, (var, _, _, steps_flag, _) in zip(("", "2"), axes):
+        field = AXES[var][0]
+        stem = _OVERRIDES[field][0][2:].replace("-", "_")  # its argparse dest
+        fields.update({field: getattr(RunConfig, field), "variable" + sfx: var,
+                       "sweep_min" + sfx: getattr(args, stem + "_min"),
+                       "sweep_max" + sfx: getattr(args, stem + "_max"),
+                       "steps" + sfx: getattr(args, steps_flag.replace("-", "_"))})
     run = replace(cfg, **fields)
-    replaced = [f.metadata["key"] or f.name for f in dc_fields(RunConfig)
-                if f.metadata["section"] == "sweep" and getattr(cfg, f.name)
-                not in (f.default, getattr(run, f.name))]
-    if replaced:
-        print(f"rydshe {args.command}: the subcommand replaces [sweep] "
-              f"{', '.join(replaced)} of {args.config}", file=sys.stderr)
+    named, section = [], None
+    for f in dc_fields(RunConfig):
+        if getattr(cfg, f.name) in (f.default, getattr(run, f.name)):
+            continue
+        sec, key = f.metadata["section"], f.metadata["key"] or f.name
+        if f.name in _OVERRIDES and getattr(args, f.name) is not None:
+            named.append(_OVERRIDES[f.name][0])
+        else:  # a key of the file, its section named where that changes
+            named.append(key if sec == section else f"[{sec}] {key}")
+            section = sec
+    if named:
+        print(f"rydshe {args.command}: the subcommand replaces "
+              f"{', '.join(named)}{f' of {args.config}' if section else ''}",
+              file=sys.stderr)
     return run
 
 
@@ -153,12 +153,11 @@ def _cmd_verify(args) -> int:
     from .oracle import verify_suite  # the references load only here
     results = verify_suite()
     width = max(len(r.check_name) for r in results)
-    ok = True
     for r in results:
-        ok &= r.status == "pass"
         print(f"{r.check_name:<{width}}  {r.status.upper():4}  "
               f"measured={r.measured:.3e}  threshold={r.threshold:.0e}  "
               f"({r.runtime_ms:.0f} ms)")
+    ok = all(r.status == "pass" for r in results)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump([asdict(r) for r in results], fh, indent=1,
@@ -188,21 +187,21 @@ def main(argv=None) -> int:
     if args.command is None:
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
+    if args.command == "profile" and args.full_map and args.format == "csv":
+        ap.error("profile: --full-map writes JSON, not --format csv")
     try:
         if args.command == "defaults":
             print(serialize_config(RunConfig()), end="")
             return EXIT_OK
         if args.command == "verify":
             return _cmd_verify(args)
-        cfg = _load_config(args)
-        cfg = _sweep_config(cfg, args)
+        cfg = _run_config(args)
         out = args.out or cfg.out_path
-        fmt = args.format or cfg.out_format
         if args.command == "profile" and args.full_map:
             _cmd_profile_full_map(cfg, out)
             return EXIT_OK
         result = run_sweep(cfg)
-        emit(result, fmt, out, cfg.precision)
+        emit(result, args.format or cfg.out_format, out, cfg.precision)
         n_err = sum(1 for r in result.rows if r[-1] != "")
         print(f"{args.command}: {len(result.rows)} rows -> {out} "
               f"({result.wall_time_ms:.0f} ms"

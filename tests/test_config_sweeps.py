@@ -973,11 +973,13 @@ def test_cli_sweep_defaults(monkeypatch, tmp_path, command, fields):
     ("--theta", "theta_deg", 34.5),
 ])
 def test_cli_overrides_reach_config(monkeypatch, tmp_path, flag, field, value):
-    cfg = _cli_sweep_config(monkeypatch, "fresnel", flag, repr(value),
+    # fresnel sweeps the angle, which leaves --theta out of its run
+    command = "chi" if flag == "--theta" else "fresnel"
+    cfg = _cli_sweep_config(monkeypatch, command, flag, repr(value),
                             "--out", str(tmp_path / "x.csv"))
     assert getattr(cfg, field) == value
     assert cfg == replace(_cli_sweep_config(
-        monkeypatch, "fresnel", "--out", str(tmp_path / "x.csv")),
+        monkeypatch, command, "--out", str(tmp_path / "x.csv")),
         **{field: value})
 
 
@@ -1032,3 +1034,91 @@ def test_cli_one_axis_drops_config_variable2(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[2].startswith("delta2_MHz,re_chi1")
     assert len(lines) == 3 + 2
+
+
+@pytest.mark.parametrize("argv, flags, ini, named", [
+    (["chi"], [], "[sweep]\nmin2 = 33.5\nmax2 = 34.0\nsteps2 = 3\n",
+     "[sweep] min2, max2, steps2 of {ini}"),
+    (["shift-angle", "--steps", "3"], ["--theta", "40"], None, "--theta"),
+    (["chi", "--steps", "3"], ["--delta2", "3"], None, "--delta2"),
+    (["fresnel", "--steps", "3"], [], "[beam]\ntheta_deg = 40\n",
+     "[beam] theta_deg of {ini}"),
+    (["map", "--theta-steps", "2", "--delta2-steps", "2"], ["--delta2", "1"],
+     "[beam]\ntheta_deg = 40\n[sweep]\nsteps = 7\nsteps2 = 9\n",
+     "--delta2, [beam] theta_deg, [sweep] steps, steps2 of {ini}"),
+    (["profile"], [], "[sweep]\nvariable = Na\nsteps = 5\n",
+     "[sweep] variable, steps of {ini}"),
+], ids=["chi-min2-file", "shift-angle-theta-flag", "chi-delta2-flag",
+        "fresnel-theta-file", "map-flag-and-file", "profile-sweep-file"])
+def test_cli_names_the_settings_a_run_leaves_out(tmp_path, capsys, argv,
+                                                 flags, ini, named):
+    # a swept setting's fixed value, from a flag or the file, and the
+    # [sweep] keys the subcommand does not use are named on stderr; the
+    # output, header hash included, is byte for byte the run without them
+    plain, out = tmp_path / "plain.csv", tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(plain)) == 0
+    assert capsys.readouterr().err == ""
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        flags = flags + ["--config", str(path)]
+        named = named.format(ini=path)
+    assert run_cli(*argv, *flags, "--out", str(out)) == 0
+    assert capsys.readouterr().err == (
+        f"rydshe {argv[0]}: the subcommand replaces {named}\n")
+    assert out.read_bytes() == plain.read_bytes()
+
+
+def test_cli_full_map_refuses_format_csv(tmp_path, capsys):
+    # the 2-D map is JSON only: an explicit --format csv is a usage error
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("profile", "--full-map", "--format", "csv", "--out", str(out))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--full-map" in err and "--format csv" in err
+    assert not out.exists()
+    assert run_cli("profile", "--full-map", "--format", "json",
+                   "--out", str(out)) == 0
+    assert set(json.loads(out.read_text())) == {
+        "x_um", "y_um", "i_incident", "i_plus", "i_minus"}
+
+
+_COMMON_FLAGS = [
+    ("--config", "PATH", None), ("--out", "PATH", None),
+    ("--format", None, None), ("--threads", None, None),
+    ("--density", "MM3", None), ("--omega-c", "MHZ", None),
+    ("--omega-p", "MHZ", None), ("--d2", "UM", None), ("--w0", "UM", None),
+    ("--delta2", "MHZ", None), ("--theta", "DEG", None)]
+
+
+@pytest.mark.parametrize("command, own_flags", [
+    ("chi", [("--delta2-min", "MHZ", -10.0), ("--delta2-max", "MHZ", 10.0),
+             ("--steps", None, 201)]),
+    ("fresnel", [("--theta-min", "DEG", 20.0), ("--theta-max", "DEG", 50.0),
+                 ("--steps", None, 601)]),
+    ("shift-angle", [("--theta-min", "DEG", 33.5),
+                     ("--theta-max", "DEG", 34.2), ("--steps", None, 501)]),
+    ("shift-detuning", [("--delta2-min", "MHZ", -5.0),
+                        ("--delta2-max", "MHZ", 5.0),
+                        ("--steps", None, 201)]),
+    ("map", [("--theta-min", "DEG", 33.5), ("--theta-max", "DEG", 34.2),
+             ("--theta-steps", None, 71), ("--delta2-min", "MHZ", -5.0),
+             ("--delta2-max", "MHZ", 5.0), ("--delta2-steps", None, 51)]),
+    ("profile", [("--full-map", None, False)]),
+])
+def test_cli_sweep_flags_metavars_and_defaults(command, own_flags):
+    import argparse
+    from rydshe.cli import build_parser
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = [(a.option_strings[-1], a.metavar, a.default)
+           for a in subparsers.choices[command]._actions
+           if a.option_strings != ["-h", "--help"]]
+    assert got == _COMMON_FLAGS + own_flags
+
+
+def test_every_axis_field_has_an_override_flag():
+    # an axis's range flags are its field's override flag with -min/-max
+    from rydshe.cli import _OVERRIDES
+    assert {field for field, _ in AXES.values()} <= set(_OVERRIDES)
