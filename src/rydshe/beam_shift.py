@@ -115,19 +115,25 @@ def _centroid_moments(rp, rs, theta_i, beam: BeamSpec) -> tuple:
     given = np.asarray(rp), np.asarray(rs)
     rp, rs = (np.asarray(c, dtype=complex) for c in given)
     a = spin_mixing_amplitude(rp, rs, theta_i, beam.k_medium)
-    # hypot rounds as the scalar abs() does; np.abs does not
-    power = (np.hypot(rp.real, rp.imag) ** 2
-             + np.hypot(a.real, a.imag) ** 2 / beam.w0**2)
-    nonfinite = ~np.isfinite(power)           # rp or rs is nan or inf
+    # hypot rounds as the scalar abs() does; np.abs does not.  numpy's **
+    # gives inf where Python's raises, and a w0 past the float range
+    # gives a non-finite power
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        power = (np.hypot(rp.real, rp.imag) ** 2
+                 + np.hypot(a.real, a.imag) ** 2 / np.float64(beam.w0) ** 2)
+    nonfinite = ~np.isfinite(power)
     dark = power == 0
     failed = nonfinite | dark
     errors = [None] * failed.size
     if failed.any():
         rp_, rs_ = (np.broadcast_to(c, power.shape) for c in given)
         for i in np.flatnonzero(nonfinite).tolist():
-            errors[i] = PropagationError(
-                f"non-finite Fresnel coefficients "
-                f"rp={rp_.flat[i].item()}, rs={rs_.flat[i].item()}")
+            rp_i, rs_i = rp_.flat[i].item(), rs_.flat[i].item()
+            errors[i] = (DomainError(f"beam power |rp|^2 + |a|^2 / w0^2 is "
+                                     f"not finite at w0 = {beam.w0:g} um")
+                         if np.isfinite([rp_i, rs_i]).all()
+                         else PropagationError(f"non-finite Fresnel "
+                                               f"coefficients rp={rp_i}, rs={rs_i}"))
         for i in np.flatnonzero(dark).tolist():
             errors[i] = DomainError("zero reflected power: shift undefined")
         # keep nan and inf out of the arithmetic below

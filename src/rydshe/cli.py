@@ -34,7 +34,25 @@ from .sweeps import run_sweep, emit, profile_coefficients
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3, 4
 
 
+class _FloatToken:
+    """argparse's negative-number test, widened to every float token."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse (Python 3.11) takes -1 and -1.5 as values but -1e1 as an
+        # option; no option here looks like a number, so any float is a value
+        self._negative_number_matcher = _FloatToken
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

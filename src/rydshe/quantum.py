@@ -21,30 +21,23 @@ rho21^(1) comes from a closed form, rho21^(3) splits into a local part
 correlator <sigma33(r') sigma31(r)> integrated against V over the shell
 [R_b, 3 R_b] outside the blockade radius.  The correlator hierarchy is
 closed at two atoms / third order: one 5x5, two 4x4 and one 8x8 complex
-linear system.  The pair energy enters them as a low-rank change, so the
-correlator is a rational function of V and the shell integral has a
-closed form.  `susceptibility` takes a scalar or a 1-D array of probe
-detunings through one pass.  The four matrices are built once, from
-scalar denominators (`_systems`): the 5x5 and the mixed 4x4 get one LU
-each, with every detuning's right-hand side as a column; the pair 4x4
-and the 8x8, C + 2 Delta2 I and C + Delta2 I, are batched LU solves.
-The 2x2 eigenvalues behind the poles come in closed form.  Every guard
-is applied per detuning, and a failure is reported against its own
-detuning; a scalar is the length-1 batch.  Nothing here solves at a
-given separation; `oracle.twobody_correlators` does, from each
-detuning's own denominators, and certifies the closed form.
+linear system, built once per call from two one-atom blocks, the
+two-body ones as Kronecker sums (`_systems`).  The pair energy enters
+them as a low-rank change, so the correlator is a rational function of
+V and the shell integral has a closed form.  `susceptibility` takes a
+scalar (the length-1 batch) or a 1-D array of probe detunings through
+one pass, and reports each failure against its own detuning; the
+oracle's `twobody_correlators` solves at given separations instead.
 
 Sign conventions are pinned by two independent checks exercised in the
 test suite: (a) the full nonperturbative local steady state (oracle
 module) must agree with the expansion order by order, and (b) at V = 0
 every two-body solution must factorize exactly into products of
-one-body solutions.  Both checks fix, in particular,
-
-    rho31^(1) = -Omega_c * rho21^(1) / d31 = +Omega_c / (d21*d31 - Omega_c^2)
-
-and the right-hand sides q2 = -rhorho13,31^(2) and q6 = -rho23^(2)
-- rhorho13,21^(2) of the third-order system; the alternative sign
-choices break both checks at O(1).
+one-body solutions.  Both checks fix, in particular, the sign of
+rho31^(1) = +Omega_c / (d21*d31 - Omega_c^2) and the right-hand sides
+q2 = -rhorho13,31^(2) and q6 = -rho23^(2) - rhorho13,21^(2) of the
+third-order system; the alternative sign choices break both checks at
+O(1).
 """
 
 from __future__ import annotations
@@ -75,6 +68,14 @@ DEFAULT_QUAD_NODES = 64
 # length (in u = 1/s^3), or two poles closer than this relative distance,
 # is a resonance the closed form refuses to integrate
 POLE_CLEARANCE = 1e-3
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where Python's float ** raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def derive_dipole_moment(Gamma21_si: float, lambda_si: float) -> float:
@@ -155,9 +156,10 @@ class AtomParams:
         with gamma12 = gamma21 (the only symmetric reading)."""
         if Omega_c == 0:
             raise DomainError("Omega_c = 0 gives a divergent blockade radius")
-        if self.C6 == 0:
-            raise DomainError("need C6 != 0")
-        return (abs(self.C6) * self.gamma21 / abs(Omega_c) ** 2) ** (1.0 / 6.0)
+        Rb = (abs(self.C6) * self.gamma21 / _square(abs(Omega_c))) ** (1 / 6)
+        if not 0 < Rb < math.inf:
+            raise DomainError(f"need C6 != 0 and R_b in float range: {Rb} um")
+        return Rb
 
 
 @dataclass(frozen=True)
@@ -219,17 +221,12 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 
 def _failures(bad: np.ndarray, error) -> dict:
     """{i: error(i)} for the batch members i where bad[i]."""
-    if not bad.any():
-        return {}
     return {i: error(i) for i in np.flatnonzero(bad).tolist()}
 
 
 def _first_errors(*stages: dict) -> dict:
     """Per failed batch member, the error of the earliest stage it failed."""
-    first: dict = {}
-    for errors in reversed(stages):
-        first.update(errors)
-    return first
+    return {i: e for errors in reversed(stages) for i, e in errors.items()}
 
 
 def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
@@ -304,46 +301,46 @@ def _one(parts, errors: dict, drive: DriveParams) -> tuple:
 def _first_order(d: ComplexDenominators, Oc: float
                  ) -> tuple[np.ndarray, np.ndarray, dict]:
     """(rho21^(1), rho31^(1), errors)."""
-    den = d.d21 * d.d31 - Oc**2
+    den = d.d21 * d.d31 - _square(Oc)
     with np.errstate(divide="ignore", invalid="ignore"):
         r21, r31 = -d.d31 / den, Oc / den
     return r21, r31, _failures(
         den == 0, lambda i: SingularityError("EIT denominator vanishes"))
 
 
+def _kron_sum(X: list, Y: list, unknowns: list) -> list:
+    """X (+) Y = X (x) I + I (x) Y over the unknowns (x, y) of X and Y."""
+    return [[X[x][u] + Y[y][v] if (x, y) == (u, v) else X[x][u] if y == v
+             else Y[y][v] if x == u else 0 for u, v in unknowns]
+            for x, y in unknowns]
+
+
 def _systems(drive: DriveParams, atom: AtomParams) -> tuple:
-    """(A, MA, MB, Q) at the scalar detuning of drive: the 5x5 of
-    `second_order_onebody` and the mixed 4x4, in whose entries Delta2
-    cancels; the pair 4x4 of (rr31_31, rr21_31, rr21_21, rr31_21)^(2) and
-    the 8x8 of (rr33_31, rr23_31, rr32_31, rr33_21, rr22_31, rr23_21,
-    rr32_21, rr22_21)^(3) at V = 0, which a detuning s away are MB + 2 s I
-    and Q + s I.  The pair energy enters as MB - V e0 e0^T and
-    Q - V (e0 e0^T + e2 e2^T)."""
+    """(A, MA, MB, Q) at the scalar detuning of drive, from the one-atom
+    blocks B over (rho31, rho21), det B being the EIT denominator of
+    rho^(1), and A4 over (rho33, rho23, rho32, rho22).  A, the 5x5 of
+    `_onebody`, is the trace row above -A4 in rows (33, 22, 32, 23) and
+    columns (22, 33, 32, 23).  At V = 0 the atoms evolve independently,
+    so the two-body matrices are Kronecker sums: the mixed 4x4
+    -conj(B) (+) B, the pair 4x4 B (+) B, and the 8x8 A4 (+) B of (rr33_31,
+    rr23_31, rr32_31, rr33_21, rr22_31, rr23_21, rr32_21, rr22_21)^(3).
+    Delta2 enters B alone, as B + Delta2 I: it cancels in MA and misses
+    A, and it moves MB by 2 Delta2 I and Q by Delta2 I.  The pair energy
+    enters as MB - V e0 e0^T and Q - V (e0 e0^T + e2 e2^T)."""
     d, Oc = ComplexDenominators.from_params(drive, atom), drive.Omega_c
-    d12, d13, d23 = -np.conj(d.d21), -np.conj(d.d31), -np.conj(d.d32)
-    G12, G23 = atom.Gamma21, atom.Gamma32
-    A = [[1, 1, 1, 0, 0],
-         [0, 0, -1j * G23, Oc, -Oc],
-         [0, -1j * G12, 1j * G23, -Oc, Oc],
-         [0, -Oc, Oc, -d.d32, 0],
-         [0, Oc, -Oc, 0, -d23]]
-    MA = [[d13 + d.d31, -Oc, 0, Oc],
-          [-Oc, d12 + d.d31, Oc, 0],
-          [0, Oc, d12 + d.d21, -Oc],
-          [Oc, 0, -Oc, d13 + d.d21]]
-    MB = [[2 * d.d31, Oc, 0, Oc],
-          [Oc, d.d21 + d.d31, Oc, 0],
-          [0, Oc, 2 * d.d21, Oc],
-          [Oc, 0, Oc, d.d21 + d.d31]]
-    Q = [[d.d31 + 1j * G23, Oc, -Oc, Oc, 0, 0, 0, 0],
-         [Oc, d23 + d.d31, 0, 0, -Oc, Oc, 0, 0],
-         [-Oc, 0, d.d31 + d.d32, 0, Oc, 0, Oc, 0],
-         [Oc, 0, 0, d.d21 + 1j * G23, 0, Oc, -Oc, 0],
-         [-1j * G23, -Oc, Oc, 0, d.d31 + 1j * G12, 0, 0, Oc],
-         [0, Oc, 0, Oc, 0, d.d21 + d23, 0, -Oc],
-         [0, 0, Oc, -Oc, 0, 0, d.d21 + d.d32, Oc],
-         [0, 0, 0, -1j * G23, Oc, -Oc, Oc, d.d21 + 1j * G12]]
-    return tuple(np.array(s, dtype=complex) for s in (A, MA, MB, Q))
+    B = [[d.d31, Oc], [Oc, d.d21]]
+    A4 = [[1j * atom.Gamma32, Oc, -Oc, 0],
+          [Oc, -np.conj(d.d32), 0, -Oc],
+          [-Oc, 0, d.d32, Oc],
+          [-1j * atom.Gamma32, -Oc, Oc, 1j * atom.Gamma21]]
+    A = [[1, 1, 1, 0, 0]] + [[0] + [-A4[r][c] for c in (3, 0, 2, 1)]
+                             for r in (0, 3, 2, 1)]
+    pair = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    MA = _kron_sum([[-np.conj(z) for z in row] for row in B], B, pair)
+    Q = _kron_sum(A4, B, [(0, 0), (1, 0), (2, 0), (0, 1),
+                          (3, 0), (1, 1), (2, 1), (3, 1)])
+    return tuple(np.array(s, dtype=complex)
+                 for s in (A, MA, _kron_sum(B, B, pair), Q))
 
 
 def _onebody(A: np.ndarray, r21: np.ndarray, r31: np.ndarray
@@ -526,16 +523,16 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
 
     Returns (parts, errors): parts is (4, n), the rows rho21^(1),
     rho21^(3,local), I and rho21^(3,nonlocal); errors maps each failed
-    detuning to its first error, and its parts are nan.  The systems are
-    built once, at Delta2 = 0, and shifted to the detunings.
+    detuning to its first error.  The systems are built once, at
+    Delta2 = 0, and shifted to the detunings.
     """
     Oc, d = drive.Omega_c, ComplexDenominators.from_params(drive, atom)
     systems = _systems(replace(drive, Delta2=0.0), atom)
     r21, r31, first = _first_order(d, Oc)
     onebody, second = _onebody(systems[0], r21, r31)
-    stages = [first, second]
+    third = shell = {}
     r11, r22, _, r32 = onebody
-    den = Oc**2 - d.d21 * d.d31
+    den = _square(Oc) - d.d21 * d.d31
     with np.errstate(divide="ignore", invalid="ignore"):
         local = -(d.d31 * (r22 - r11) - Oc * r32) / den
     # exact zeros: Oc * 0 / den could carry a signed zero into the CSV
@@ -546,15 +543,11 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
                                                    r21, r31, onebody)
         total, shell = _shell_pole_sum(poles, residues, atom.C6,
                                        (upper_factor * Rb) ** -3, Rb ** -3)
-        stages += [third, shell]
-        I = atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            I = atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total
             nl = Oc * I / den
-    errors = _first_errors(*stages)
-    parts = np.array([r21, local, I, nl])
-    if errors:
-        parts[:, list(errors)] = np.nan
-    return parts, errors
+    return np.array([r21, local, I, nl]), _first_errors(first, second,
+                                                        third, shell)
 
 
 def nonlocal_integral(drive: DriveParams, atom: AtomParams,
@@ -622,8 +615,14 @@ def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakd
     """
     batch = _batch(drive)
     parts, errors = _response(batch, atom)
-    K, Op2 = atom.chi_prefactor, drive.Omega_p**2
-    chi = (K * parts[0], K * Op2 * parts[1], K * Op2 * parts[3])
+    K, Op2 = atom.chi_prefactor, _square(drive.Omega_p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = np.array([K * parts[0], K * Op2 * parts[1], K * Op2 * parts[3]])
+    bad = ~np.isfinite(chi)         # K, Omega_p^2 or I past the float range
+    names = np.array(["chi1", "chi3_local_contrib", "chi3_nonlocal_contrib"])
+    errors = _first_errors(errors, _failures(bad.any(axis=0), lambda i: (
+        PropagationError(f"non-finite {' and '.join(names[bad[:, i]])}"))))
+    chi[:, list(errors)] = np.nan   # a failed detuning's parts are nan
     if np.ndim(drive.Delta2) == 0:
         chi = _one(chi, errors, batch)
     return SusceptibilityBreakdown(*chi, errors=_named(errors, batch))

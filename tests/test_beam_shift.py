@@ -242,6 +242,21 @@ def test_array_shift_errors_per_row(beam):
                                 "rp=(nan+0j), rs=(0.2-0.1j)")
 
 
+@pytest.mark.parametrize("w0", [1e300, 1e-300])
+def test_beam_width_past_the_float_range(w0):
+    # w0^2 overflows (|a|^2 / w0^2 -> 0: a finite shift) or underflows
+    # (a non-finite beam power, named as such): no OverflowError, no warning
+    beam = BeamSpec(w0=w0, theta_i=math.radians(33.87), lambda_p=0.78)
+    rp, rs = np.array([0.01 + 0.003j]), np.array([0.49 + 0.12j])
+    s = shifts_from_coefficients(beam, rp, rs)
+    if w0 > 1:
+        assert s.errors == (None,) and np.isfinite(s.delta_plus).all()
+        return
+    assert type(s.errors[0]) is DomainError
+    assert str(s.errors[0]) == ("beam power |rp|^2 + |a|^2 / w0^2 is not "
+                                "finite at w0 = 1e-300 um")
+
+
 def test_pipeline_matches_analytic(beam, rng):
     # the closed-form pipeline against the spectral-synthesis oracle
     worst = 0.0

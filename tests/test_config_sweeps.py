@@ -1122,3 +1122,82 @@ def test_every_axis_field_has_an_override_flag():
     # an axis's range flags are its field's override flag with -min/-max
     from rydshe.cli import _OVERRIDES
     assert {field for field, _ in AXES.values()} <= set(_OVERRIDES)
+
+
+@pytest.mark.parametrize("argv, code, cell", [
+    (["chi", "--density", "1e300"], 0, "PropagationError: non-finite chi1"),
+    (["fresnel", "--density", "1e300"], 0, "PropagationError: non-finite chi1"),
+    (["shift-detuning", "--density", "1e300"], 0,
+     "PropagationError: non-finite chi1"),
+    (["profile", "--density", "1e300"], 3, None),
+    (["profile", "--full-map", "--density", "1e300"], 3, None),
+    (["chi", "--omega-c", "1e160"], 0, "DomainError: need C6 != 0 and R_b"),
+    (["chi", "--omega-p", "1e300"], 0,
+     "PropagationError: non-finite chi3_local_contrib and "
+     "chi3_nonlocal_contrib"),
+    (["shift-angle", "--w0", "1e300"], 0, ""),
+    (["shift-angle", "--w0", "1e-300"], 0, "DomainError: beam power"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_settings_past_the_float_range(tmp_path, capsys, argv, code, cell):
+    # a setting whose chi, blockade radius or beam power leaves the float
+    # range fails its rows by name, or a profile run with exit 3; no nan
+    # or inf is written silently, and no warning or traceback is raised
+    out = tmp_path / "out.txt"
+    assert run_cli(*argv, "--out", str(out)) == code
+    if code == 3:
+        assert capsys.readouterr().err.startswith("numerical error: ")
+        assert not out.exists()
+        return
+    lines = out.read_text().splitlines()
+    n = lines[2].count(",")              # error cells may hold commas
+    rows = [r.split(",", n) for r in lines[3:]]
+    assert rows and all(r[-1].startswith(cell) for r in rows)
+    for r in rows:
+        assert r[-1] or all(math.isfinite(float(v)) for v in r[:-1])
+
+
+def test_cli_reads_negative_values_in_exponent_form(tmp_path, capsys):
+    # -1e1 is a value, as -10 is; a token that is not a number is not
+    short, plain = tmp_path / "e.csv", tmp_path / "p.csv"
+    assert run_cli("chi", "--delta2-min", "-1e1", "--delta2-max", "1e1",
+                   "--steps", "3", "--out", str(short)) == 0
+    assert run_cli("chi", "--delta2-min", "-10", "--delta2-max", "10",
+                   "--steps", "3", "--out", str(plain)) == 0
+    assert short.read_bytes() == plain.read_bytes()
+    assert run_cli("shift-angle", "--delta2", "-5e-1", "--steps", "2",
+                   "--out", str(short)) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("chi", "--delta2", "-x", "--out", str(short))
+    assert exc.value.code == 1
+    assert "--delta2: expected one argument" in capsys.readouterr().err
+
+
+def test_cli_missing_config_file_exit(tmp_path, capsys):
+    missing = tmp_path / "no_such.ini"
+    assert run_cli("chi", "--config", str(missing), "--steps", "3",
+                   "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config {missing}")
+
+
+def test_cli_verify_writes_its_report(tmp_path, capsys):
+    from rydshe.oracle import CheckResult
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--out", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert isinstance(report, list) and report
+    assert all(set(r) == {f.name for f in fields(CheckResult)}
+               and r["status"] == "pass" for r in report)
+    assert f"report written to {out}" in capsys.readouterr().out
+
+
+def test_cli_verify_report_io_error_exit(tmp_path, capsys, monkeypatch):
+    # the suite's result is not under test here: one canned check
+    import rydshe.oracle
+    from rydshe.oracle import CheckResult
+    monkeypatch.setattr(rydshe.oracle, "verify_suite", lambda: [
+        CheckResult("canned", "pass", 0.0, 1.0, 0.0)])
+    missing = tmp_path / "no" / "such" / "report.json"
+    assert run_cli("verify", "--out", str(missing)) == 4
+    assert capsys.readouterr().err.startswith("io error: ")

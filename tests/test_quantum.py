@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydshe import (AtomParams, DriveParams, DomainError,
-                    SingularityError, derive_dipole_moment,
+                    PropagationError, SingularityError, derive_dipole_moment,
                     first_order_coherences, nonlocal_integral,
                     second_order_onebody, susceptibility,
                     third_order_coherence, canonical_atom, canonical_drive)
@@ -710,6 +710,32 @@ def test_susceptibility_zero_density(drive0, atom):
     b = susceptibility(drive0, replace(atom, Na=0.0))
     assert b.chi1 == 0 and b.chi3_local_contrib == 0
     assert b.chi3_nonlocal_contrib == 0 and b.total == 0
+
+
+def test_susceptibility_past_the_float_range_fails_by_name(atom):
+    # K (the density) or Omega_p^2 past the float range gives a typed
+    # error naming the non-finite parts; their total stays nan, unwarned
+    D2 = TWO_PI * np.array([-1.0, 0.5])
+    dense = replace(atom, Na=1e300)
+    b = susceptibility(canonical_drive(D2), dense)
+    assert [str(e) for e in b.errors] == [
+        "non-finite chi1 and chi3_local_contrib and chi3_nonlocal_contrib"] * 2
+    assert np.isnan(b.total).all()
+    with pytest.raises(PropagationError, match="non-finite chi1 "):
+        susceptibility(canonical_drive(0.0), dense)
+    strong = replace(canonical_drive(D2), Omega_p=1e300)
+    assert all(str(e) == "non-finite chi3_local_contrib and "
+               "chi3_nonlocal_contrib"
+               for e in susceptibility(strong, atom).errors)
+
+
+def test_coupling_past_the_float_range_is_a_domain_error(atom):
+    # Omega_c^2 overflows: no OverflowError, a zero blockade radius refused
+    drv = replace(canonical_drive(0.0), Omega_c=1e160)
+    with pytest.raises(DomainError, match="R_b in float range"):
+        susceptibility(drv, atom)
+    with pytest.raises(DomainError, match="R_b in float range"):
+        atom.blockade_radius(1e160)
 
 
 def test_susceptibility_weak_probe_limit(atom):
