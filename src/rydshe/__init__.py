@@ -24,4 +24,17 @@ from .config import (RunConfig, parse_config, serialize_config,
                      canonical_atom, canonical_drive, canonical_stack)
 from .sweeps import SweepResult, run_sweep, emit
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "RydsheError", "DomainError", "SingularityError", "PropagationError",
+    "SearchError", "WindowError", "ConfigError",
+    "AtomParams", "DriveParams", "SusceptibilityBreakdown",
+    "derive_dipole_moment", "first_order_coherences", "second_order_onebody",
+    "nonlocal_integral", "third_order_coherence", "susceptibility",
+    "Layer", "LayerStack", "stack_fresnel",
+    "BeamSpec", "ShiftResult", "analytic_gaussian_shift",
+    "shifts_from_coefficients", "medium_index", "intensity_profiles",
+    "intensity_maps_2d",
+    "RunConfig", "parse_config", "serialize_config", "canonical_atom",
+    "canonical_drive", "canonical_stack",
+    "SweepResult", "run_sweep", "emit",
+]

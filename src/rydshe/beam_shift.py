@@ -189,23 +189,37 @@ def _peak_normalized(v: np.ndarray) -> np.ndarray:
     return v / v.max() if v.max() > 0 else v
 
 
+def _check_finite(beam: BeamSpec, *profiles: np.ndarray) -> None:
+    """A DomainError unless every profile is finite: a w0 far from the
+    scale of the transverse grid takes y^2 / w0^2 out of the float range."""
+    if not all(np.isfinite(p).all() for p in profiles):
+        raise DomainError(f"intensity profile is not finite at "
+                          f"w0 = {beam.w0:g} um")
+
+
 def intensity_profiles(beam: BeamSpec, rp: complex, rs: complex,
                        y: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(y, I_incident, I+, I-) 1-D transverse profiles, each peak-normalized.
 
     I+/- = |rp -/+ 2 a y / w0^2|^2 exp(-2 y^2/w0^2); the default y grid
-    spans +/- 8 w0 with 2049 samples.
+    spans +/- 8 w0 with 2049 samples.  A profile that is not finite is a
+    DomainError naming w0.
     """
     if y is None:
         y = np.linspace(-8.0 * beam.w0, 8.0 * beam.w0, 2049)
     y = np.asarray(y, dtype=float)
     a = spin_mixing_amplitude(rp, rs, beam.theta_i, beam.k_medium)
-    i_in = np.exp(-2.0 * y**2 / beam.w0**2)
-    slope = 2.0 * a * y / beam.w0**2
-    return (y, _peak_normalized(i_in),
-            _peak_normalized(np.abs(rp - slope) ** 2 * i_in),
-            _peak_normalized(np.abs(rp + slope) ** 2 * i_in))
+    # numpy's ** gives inf where Python's raises, and _check_finite names it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w0_sq = np.float64(beam.w0) ** 2
+        i_in = np.exp(-2.0 * y**2 / w0_sq)
+        slope = 2.0 * a * y / w0_sq
+        profiles = (_peak_normalized(i_in),
+                    _peak_normalized(np.abs(rp - slope) ** 2 * i_in),
+                    _peak_normalized(np.abs(rp + slope) ** 2 * i_in))
+    _check_finite(beam, *profiles)
+    return (y, *profiles)
 
 
 def intensity_maps_2d(beam: BeamSpec, rp: complex, rs: complex,
@@ -221,5 +235,7 @@ def intensity_maps_2d(beam: BeamSpec, rp: complex, rs: complex,
     if y is None:
         y = np.linspace(-2 * beam.w0, 2 * beam.w0, 257)
     _, i_in, i_p, i_m = intensity_profiles(beam, rp, rs, y)
-    ix = _peak_normalized(np.exp(-2.0 * x**2 / beam.w0**2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ix = _peak_normalized(np.exp(-2.0 * x**2 / np.float64(beam.w0) ** 2))
+    _check_finite(beam, ix)
     return x, y, np.outer(ix, i_in), np.outer(ix, i_p), np.outer(ix, i_m)

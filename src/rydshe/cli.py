@@ -27,8 +27,7 @@ from dataclasses import asdict, fields as dc_fields, replace
 
 from . import __version__
 from .errors import ConfigError, RydsheError
-from .config import (AXES, RunConfig, parse_config, serialize_config,
-                     with_overrides)
+from .config import AXES, RunConfig, parse_config, serialize_config
 from .sweeps import run_sweep, emit, profile_coefficients
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3, 4
@@ -138,7 +137,8 @@ def _run_config(args) -> RunConfig:
                 cfg = parse_config(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    cfg = with_overrides(cfg, **{f: getattr(args, f) for f in _OVERRIDES})
+    cfg = replace(cfg, **{f: v for f in _OVERRIDES
+                          if (v := getattr(args, f)) is not None})
     _, quantity, axes = _SWEEP_COMMANDS.get(args.command, ("", "profile", ()))
     fields = {f.name: f.default for f in dc_fields(RunConfig)
               if f.metadata["section"] == "sweep"} | {"quantity": quantity}

@@ -257,12 +257,3 @@ def serialize_config(cfg: RunConfig) -> str:
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
 
-
-def with_overrides(cfg: RunConfig, **kwargs) -> RunConfig:
-    """Apply CLI overrides (None values are skipped)."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    known = {f.name for f in dc_fields(RunConfig)}
-    unknown = set(updates) - known
-    if unknown:
-        raise ConfigError(f"unknown override(s): {sorted(unknown)}")
-    return replace(cfg, **updates)

@@ -33,10 +33,9 @@ import numpy as np
 
 from .errors import DomainError, SearchError, SingularityError, WindowError
 from . import quantum
-from .quantum import (AtomParams, ComplexDenominators, DriveParams,
-                      first_order_coherences, second_order_onebody,
-                      nonlocal_integral, third_order_coherence,
-                      susceptibility)
+from .quantum import (AtomParams, DriveParams, first_order_coherences,
+                      second_order_onebody, nonlocal_integral,
+                      third_order_coherence, susceptibility)
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, shifts_from_coefficients,
                          spin_mixing_amplitude)
@@ -52,27 +51,19 @@ _ALIAS_POWER_TOL = 1e-6
 _ALIAS_EDGE_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class DensityMatrix3:
-    """3x3 density matrix with its defining invariants checked on demand."""
-
-    rho: np.ndarray
-
-    def validate(self, tol: float = 1e-12, eig_tol: float = 1e-10) -> None:
-        r = self.rho
-        if np.max(np.abs(r - r.conj().T)) > tol:
-            raise SingularityError("steady state is not Hermitian")
-        if abs(np.trace(r) - 1.0) > tol:
-            raise SingularityError("steady state trace != 1")
-        if np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))) < -eig_tol:
-            raise SingularityError("steady state has a negative population")
-
-    def __getitem__(self, idx):
-        return self.rho[idx]
+def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
+    """How far rho is from a density matrix: (max |rho - rho^H|,
+    |tr rho - 1|, minus the least eigenvalue of the Hermitian part).  The
+    last is the most negative population where it is positive."""
+    rho_h = rho.conj().T
+    return (float(np.max(np.abs(rho - rho_h))), float(abs(np.trace(rho) - 1)),
+            -float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho_h)))))
 
 
-def full_local_bloch_steady_state(drive: DriveParams, atom: AtomParams) -> DensityMatrix3:
-    """Nonperturbative steady state of the local (C6 = 0) Bloch equations.
+def full_local_bloch_steady_state(drive: DriveParams, atom: AtomParams
+                                  ) -> np.ndarray:
+    """Nonperturbative 3x3 steady state of the local (C6 = 0) Bloch
+    equations.
 
     Hamiltonian (rotating frame, hbar = 1):
         h = -Delta2 |2><2| - Delta3 |3><3|
@@ -114,10 +105,9 @@ def full_local_bloch_steady_state(drive: DriveParams, atom: AtomParams) -> Densi
     b = np.zeros(9, dtype=complex)
     b[0] = 1.0
     try:
-        rho = np.linalg.solve(L, b).reshape(3, 3)
+        return np.linalg.solve(L, b).reshape(3, 3)
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"singular Bloch steady state: {exc}") from exc
-    return DensityMatrix3(rho=rho)
 
 
 def oracle_rho21(drive: DriveParams, atom: AtomParams) -> complex:
@@ -149,7 +139,7 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
     n, Oc = len(V), drive.Omega_c
     batch = quantum._batch(drive)
     r21, r31, first = quantum._first_order(
-        ComplexDenominators.from_params(batch, atom), Oc)
+        *quantum._denominators(batch, atom)[:2], Oc)
     A, MA, MB0, Q0 = quantum._systems(
         replace(batch, Delta2=batch.Delta2[0]), atom)
     onebody, second = quantum._onebody(A, r21, r31)
@@ -528,13 +518,9 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
                               Omega_c=TWO_PI * rng.uniform(0, 8),
                               Delta2=TWO_PI * rng.uniform(-10, 10),
                               Delta_c=TWO_PI * rng.uniform(-1, 1))
-            dm = full_local_bloch_steady_state(drv, atom)
-            r = dm.rho
-            worst = max(worst,
-                        float(np.max(np.abs(r - r.conj().T))),
-                        abs(float(np.trace(r).real) - 1.0),
-                        max(0.0, -float(np.min(np.linalg.eigvalsh(
-                            0.5 * (r + r.conj().T)))) - 1e-10))
+            herm, trace, neg = density_matrix_defects(
+                full_local_bloch_steady_state(drv, atom))
+            worst = max(worst, herm, trace, max(0.0, neg - 1e-10))
         return worst
     _run_check("oracle_density_matrix_invariants", chk_density_matrix_invariants,
                1e-10, results)

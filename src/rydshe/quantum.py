@@ -188,21 +188,13 @@ class DriveParams:
         return self.Delta2 + self.Delta_c
 
 
-@dataclass(frozen=True)
-class ComplexDenominators:
-    """d_ab = Delta_a - Delta_b + i gamma_ab with Delta_1 = 0 (arrays when
-    Delta2 is an array); the reverse d_ba = -conj(d_ab) exactly."""
-
-    d21: complex
-    d31: complex
-    d32: complex
-
-    @classmethod
-    def from_params(cls, drive: DriveParams, atom: AtomParams) -> "ComplexDenominators":
-        D2, D3 = drive.Delta2, drive.Delta3
-        return cls(d21=D2 + 1j * atom.gamma21,
-                   d31=D3 + 1j * atom.gamma31,
-                   d32=D3 - D2 + 1j * atom.gamma32)
+def _denominators(drive: DriveParams, atom: AtomParams) -> tuple:
+    """(d21, d31, d32): d_ab = Delta_a - Delta_b + i gamma_ab with
+    Delta_1 = 0 (arrays when Delta2 is an array); the reverse
+    d_ba = -conj(d_ab) exactly."""
+    D2, D3 = drive.Delta2, drive.Delta3
+    return (D2 + 1j * atom.gamma21, D3 + 1j * atom.gamma31,
+            D3 - D2 + 1j * atom.gamma32)
 
 
 def _batch(drive: DriveParams) -> DriveParams:
@@ -298,12 +290,12 @@ def _one(parts, errors: dict, drive: DriveParams) -> tuple:
     return tuple(complex(p.item()) for p in parts)
 
 
-def _first_order(d: ComplexDenominators, Oc: float
+def _first_order(d21, d31, Oc: float
                  ) -> tuple[np.ndarray, np.ndarray, dict]:
     """(rho21^(1), rho31^(1), errors)."""
-    den = d.d21 * d.d31 - _square(Oc)
+    den = d21 * d31 - _square(Oc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r21, r31 = -d.d31 / den, Oc / den
+        r21, r31 = -d31 / den, Oc / den
     return r21, r31, _failures(
         den == 0, lambda i: SingularityError("EIT denominator vanishes"))
 
@@ -327,11 +319,11 @@ def _systems(drive: DriveParams, atom: AtomParams) -> tuple:
     Delta2 enters B alone, as B + Delta2 I: it cancels in MA and misses
     A, and it moves MB by 2 Delta2 I and Q by Delta2 I.  The pair energy
     enters as MB - V e0 e0^T and Q - V (e0 e0^T + e2 e2^T)."""
-    d, Oc = ComplexDenominators.from_params(drive, atom), drive.Omega_c
-    B = [[d.d31, Oc], [Oc, d.d21]]
+    (d21, d31, d32), Oc = _denominators(drive, atom), drive.Omega_c
+    B = [[d31, Oc], [Oc, d21]]
     A4 = [[1j * atom.Gamma32, Oc, -Oc, 0],
-          [Oc, -np.conj(d.d32), 0, -Oc],
-          [-Oc, 0, d.d32, Oc],
+          [Oc, -np.conj(d32), 0, -Oc],
+          [-Oc, 0, d32, Oc],
           [-1j * atom.Gamma32, -Oc, Oc, 1j * atom.Gamma21]]
     A = [[1, 1, 1, 0, 0]] + [[0] + [-A4[r][c] for c in (3, 0, 2, 1)]
                              for r in (0, 3, 2, 1)]
@@ -360,8 +352,8 @@ def first_order_coherences(drive: DriveParams, atom: AtomParams) -> tuple[comple
     rho31^(1) = -Omega_c rho21^(1) / d31 = Omega_c / (d21 d31 - Omega_c^2).
     """
     batch = _batch(drive)
-    r21, r31, errors = _first_order(
-        ComplexDenominators.from_params(batch, atom), drive.Omega_c)
+    r21, r31, errors = _first_order(*_denominators(batch, atom)[:2],
+                                    drive.Omega_c)
     return _one((r21, r31), errors, batch)
 
 
@@ -375,8 +367,7 @@ def second_order_onebody(drive: DriveParams, atom: AtomParams
     to equal conj(rho32^(2)) by the tests (real drives).
     """
     batch, Oc = _batch(drive), drive.Omega_c
-    r21, r31, first = _first_order(
-        ComplexDenominators.from_params(batch, atom), Oc)
+    r21, r31, first = _first_order(*_denominators(batch, atom)[:2], Oc)
     onebody, errors = _onebody(_systems(replace(drive, Delta2=0.0), atom)[0],
                                r21, r31)
     return _one(onebody, _first_errors(first, errors), batch)
@@ -526,15 +517,15 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
     detuning to its first error.  The systems are built once, at
     Delta2 = 0, and shifted to the detunings.
     """
-    Oc, d = drive.Omega_c, ComplexDenominators.from_params(drive, atom)
+    Oc, (d21, d31, _) = drive.Omega_c, _denominators(drive, atom)
     systems = _systems(replace(drive, Delta2=0.0), atom)
-    r21, r31, first = _first_order(d, Oc)
+    r21, r31, first = _first_order(d21, d31, Oc)
     onebody, second = _onebody(systems[0], r21, r31)
     third = shell = {}
     r11, r22, _, r32 = onebody
-    den = _square(Oc) - d.d21 * d.d31
+    den = _square(Oc) - d21 * d31
     with np.errstate(divide="ignore", invalid="ignore"):
-        local = -(d.d31 * (r22 - r11) - Oc * r32) / den
+        local = -(d31 * (r22 - r11) - Oc * r32) / den
     # exact zeros: Oc * 0 / den could carry a signed zero into the CSV
     I = nl = np.zeros_like(local)
     if atom.C6 != 0 and atom.Na != 0 and Oc != 0:

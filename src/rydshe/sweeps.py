@@ -221,13 +221,22 @@ def emit(result: SweepResult, fmt: str, path: str, precision: int = 12) -> None:
         raise IOError(f"cannot write {path}: {exc}") from exc
 
 
+def _csv_cell(cell: str) -> str:
+    """The error cell as csv.QUOTE_MINIMAL writes it (RFC 4180): quoted,
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def format_csv(result: SweepResult, precision: int = 12) -> str:
     lines = [f"# rydshe {result.version} config={result.config_hash}",
              "# frequencies in MHz, angles in deg, lengths in um, densities in mm^-3",
              ",".join(result.columns)]
     row_format = ",".join([f"%.{precision}g"] * (len(result.columns) - 1)
                           + ["%s"])
-    lines.extend(row_format % tuple(row) for row in result.rows)
+    lines.extend(row_format % (*row[:-1], _csv_cell(row[-1])) if row[-1]
+                 else row_format % tuple(row) for row in result.rows)
     return "\n".join(lines) + "\n"
 
 

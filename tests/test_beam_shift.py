@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -369,6 +370,25 @@ def test_intensity_maps_2d_separable(beam):
     cut = ip[i0, :] / ip[i0, :].max()
     assert np.allclose(cut, ip1d / ip1d.max(), atol=1e-9)
     assert i_in.shape == (len(x), len(y))
+
+
+@pytest.mark.parametrize("w0", [1e300, 1e-300])
+def test_profiles_past_the_float_range_name_w0(w0):
+    # y^2 / w0^2 leaves the float range: a DomainError naming w0, not an
+    # OverflowError from w0^2 or profiles of nan under warnings
+    beam = BeamSpec(w0=w0, theta_i=math.radians(33.87), lambda_p=0.78)
+    rp, rs = 0.01 + 0.002j, 0.4
+    message = re.escape(f"intensity profile is not finite at w0 = {w0:g} um")
+    with pytest.raises(DomainError, match=message):
+        intensity_profiles(beam, rp, rs)
+    with pytest.raises(DomainError, match=message):
+        intensity_maps_2d(beam, rp, rs)
+    if w0 > 1:
+        # a y grid near 0 keeps the y profile finite, not the x one
+        y = np.linspace(-1.0, 1.0, 5)
+        assert np.isfinite(intensity_profiles(beam, rp, rs, y)).all()
+        with pytest.raises(DomainError, match=message):
+            intensity_maps_2d(beam, rp, rs, y=y)
 
 
 def test_mutated_cross_term_sign_flips_orientation(beam):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -22,7 +24,7 @@ from rydshe import (AtomParams, BeamSpec, ConfigError, DomainError,
                     serialize_config, shifts_from_coefficients, stack_fresnel,
                     susceptibility)
 from rydshe import quantum
-from rydshe.config import AXES, QUANTITIES, with_overrides
+from rydshe.config import AXES, QUANTITIES
 from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
 from rydshe.cli import main as cli_main
 
@@ -68,6 +70,30 @@ def test_config_rejects_bad_values():
         parse_config("[sweep]\nvariable = bogus\n")
     with pytest.raises(ConfigError):
         parse_config("[sweep]\nsteps = 1\n")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"gamma21_mhz": 0.0}, "gamma21_mhz must be > 0"),
+    ({"n3": -1.49}, "window indices must be positive"),
+    ({"quantity": "spectrum"}, "quantity must be one of"),
+    ({"variable2": "w0"}, "variable2 must be one of"),
+    ({"precision": 0}, r"precision must lie in \[1, 17\]"),
+])
+def test_run_config_refuses_out_of_range_setting(setting, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**setting)
+
+
+@pytest.mark.parametrize("text", ["density_mm3 = 1\n", "[atom]\n[atom]\n"],
+                         ids=["key before a section", "repeated section"])
+def test_config_malformed_text(text):
+    with pytest.raises(ConfigError, match="malformed config"):
+        parse_config(text)
+
+
+def test_config_empty_value_keeps_the_default():
+    text = "[atom]\ndensity_mm3 =\n[sweep]\nvariable2 =\n"
+    assert parse_config(text) == RunConfig()
 
 
 def test_config_unknown_key_reports_line():
@@ -121,7 +147,7 @@ def test_non_finite_setting_rejected(tmp_path, capsys, path, section, key,
         argv = ["--config", str(ini)]
     else:
         with pytest.raises(ConfigError, match=key):
-            with_overrides(RunConfig(), **{key: float(raw)})
+            RunConfig(**{key: float(raw)})
         flag = {"density_mm3": "--density", "omega_p_mhz": "--omega-p",
                 "delta2_mhz": "--delta2", "w0_um": "--w0",
                 "d2_um": "--d2"}.get(key)
@@ -253,8 +279,8 @@ def test_cli_refuses_bad_coherence_rate(tmp_path, capsys, key, raw, command):
 # ------------------------------------------------------------------- sweeps
 
 def test_chi_sweep_schema_contract():
-    cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
-                         sweep_min=-1.0, sweep_max=1.0, steps=3)
+    cfg = RunConfig(quantity="chi", variable="Delta2",
+                    sweep_min=-1.0, sweep_max=1.0, steps=3)
     res = run_sweep(cfg)
     assert res.columns == ["delta2_MHz", "re_chi1", "im_chi1",
                            "re_chi3_local", "im_chi3_local",
@@ -266,10 +292,10 @@ def test_chi_sweep_schema_contract():
 
 
 def test_degenerate_sweep_constant_rows():
-    cfg = with_overrides(RunConfig(), quantity="shift", variable="Delta2",
-                         sweep_min=1.0, sweep_max=1.0, steps=2,
-                         variable2="theta_i", sweep_min2=33.9,
-                         sweep_max2=33.9, steps2=2)
+    cfg = RunConfig(quantity="shift", variable="Delta2",
+                    sweep_min=1.0, sweep_max=1.0, steps=2,
+                    variable2="theta_i", sweep_min2=33.9,
+                    sweep_max2=33.9, steps2=2)
     res = run_sweep(cfg)
     assert len(res.rows) == 4
     vals = {tuple(r[2:]) for r in res.rows}
@@ -277,8 +303,8 @@ def test_degenerate_sweep_constant_rows():
 
 
 def test_sweep_deterministic_bytes(tmp_path):
-    cfg = with_overrides(RunConfig(), quantity="fresnel", variable="theta_i",
-                         sweep_min=33.0, sweep_max=34.0, steps=5)
+    cfg = RunConfig(quantity="fresnel", variable="theta_i",
+                    sweep_min=33.0, sweep_max=34.0, steps=5)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit(run_sweep(cfg), "csv", str(a))
     emit(run_sweep(cfg), "csv", str(b))
@@ -286,8 +312,8 @@ def test_sweep_deterministic_bytes(tmp_path):
 
 
 def test_sweep_json_roundtrip():
-    cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
-                         sweep_min=-2.0, sweep_max=2.0, steps=4)
+    cfg = RunConfig(quantity="chi", variable="Delta2",
+                    sweep_min=-2.0, sweep_max=2.0, steps=4)
     res = run_sweep(cfg)
     back = json.loads(format_json(res, precision=17))
     assert back["columns"] == res.columns
@@ -347,19 +373,22 @@ def test_sweep_json_matches_the_encoder_byte_for_byte(precision):
 
 
 def test_sweep_json_of_a_map_matches_the_encoder():
-    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
-                         sweep_min=33.5, sweep_max=34.2, steps=8,
-                         variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
-                         steps2=11)
+    cfg = RunConfig(quantity="map", variable="theta_i",
+                    sweep_min=33.5, sweep_max=34.2, steps=8,
+                    variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
+                    steps2=11)
     res = run_sweep(cfg)
     assert format_json(res) == _old_json(res, 12)
 
 
 def _old_cell(v, precision: int) -> str:
     """The per-cell CSV formatter format_csv used before it formatted
-    each row with one call."""
+    each row with one call, with a string cell quoted as the csv module
+    quotes a cell after another one."""
     if isinstance(v, str):
-        return v
+        buf = io.StringIO()
+        csv.writer(buf).writerow(["", v])
+        return buf.getvalue()[1:-2]
     if isinstance(v, float) and math.isnan(v):
         return "nan"
     return f"{v:.{precision}g}"
@@ -382,7 +411,8 @@ def test_csv_row_format_matches_per_cell_format(precision, n_cols, data):
                 blacklist_categories=("Cs",), blacklist_characters="\n"),
                 max_size=40)
                 | st.sampled_from(["", "ConfigError: a, b: c",
-                                   "DomainError: 100% at 5,6"]))]
+                                   "DomainError: 100% at 5,6",
+                                   'E: "x", y', 'E: ""']))]
             for _ in range(data.draw(st.integers(0, 4)))]
     res = SweepResult(columns=[f"c{i}" for i in range(n_cols)] + ["error"],
                       rows=rows, config_hash="0" * 16, version="0",
@@ -392,9 +422,34 @@ def test_csv_row_format_matches_per_cell_format(precision, n_cols, data):
                     for row in rows]
 
 
+def test_csv_error_cells_read_back_at_header_width(tmp_path):
+    # an error message may hold a comma, so its cell is quoted: a CSV
+    # reader sees one cell per column and the whole message
+    res = run_sweep(RunConfig(quantity="shift", variable="d2",
+                              sweep_min=-1.0, sweep_max=1.0, steps=3))
+    assert "," in res.rows[0][-1]
+    path = tmp_path / "d2.csv"
+    emit(res, "csv", str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+    assert rows[0] == res.columns
+    assert all(len(r) == len(res.columns) for r in rows)
+    assert [r[-1] for r in rows[1:]] == [r[-1] for r in res.rows]
+
+
+def test_sweep_refuses_a_map_without_variable2_and_an_unknown_format(
+        tmp_path):
+    with pytest.raises(ConfigError, match="map sweeps need variable2"):
+        run_sweep(RunConfig(quantity="map"))
+    out = tmp_path / "chi.xml"
+    with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+        emit(run_sweep(RunConfig(quantity="chi", steps=2)), "xml", str(out))
+    assert not out.exists()
+
+
 def test_sweep_isolates_failing_points():
-    cfg = with_overrides(RunConfig(), quantity="chi", variable="Na",
-                         sweep_min=-1e7, sweep_max=4e7, steps=3)
+    cfg = RunConfig(quantity="chi", variable="Na",
+                    sweep_min=-1e7, sweep_max=4e7, steps=3)
     res = run_sweep(cfg)
     errors = [r[-1] for r in res.rows]
     assert errors[0] != "" and "ConfigError" in errors[0]
@@ -403,10 +458,10 @@ def test_sweep_isolates_failing_points():
 
 
 def test_map_row_major_grid():
-    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
-                         sweep_min=33.8, sweep_max=33.9, steps=2,
-                         variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
-                         steps2=3)
+    cfg = RunConfig(quantity="map", variable="theta_i",
+                    sweep_min=33.8, sweep_max=33.9, steps=2,
+                    variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
+                    steps2=3)
     res = run_sweep(cfg)
     assert len(res.rows) == 6
     assert res.columns[:2] == ["theta_deg", "delta2_MHz"]
@@ -441,10 +496,10 @@ def test_map_chi_failure_lands_on_its_detuning(monkeypatch):
         return real(drive, atom)
     monkeypatch.setattr(rydshe.sweeps, "susceptibility", counting)
     _fail_8x8_at(monkeypatch, 0.0)
-    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
-                         sweep_min=33.8, sweep_max=33.9, steps=3,
-                         variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
-                         steps2=3)
+    cfg = RunConfig(quantity="map", variable="theta_i",
+                    sweep_min=33.8, sweep_max=33.9, steps=3,
+                    variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
+                    steps2=3)
     res = run_sweep(cfg)
     assert len(seen) == 1
     assert np.array_equal(seen[0], TWO_PI * np.array([-1.0, 0.0, 1.0]))
@@ -461,8 +516,8 @@ def test_chi_failure_cell_is_the_scalar_error(monkeypatch):
     # a 201-point chi sweep with one failing detuning: its error cell is
     # the text a scalar call raises there, and the other 200 rows are
     # byte-identical to a clean run
-    cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
-                         sweep_min=-10.0, sweep_max=10.0, steps=201)
+    cfg = RunConfig(quantity="chi", variable="Delta2",
+                    sweep_min=-10.0, sweep_max=10.0, steps=201)
     clean = format_csv(run_sweep(cfg)).splitlines()
     bad = np.linspace(-10.0, 10.0, 201)[57]
     _fail_8x8_at(monkeypatch, bad)
@@ -485,16 +540,16 @@ def test_chi_sweep_makes_one_susceptibility_call(monkeypatch):
         calls.append(np.size(drive.Delta2))
         return real(drive, atom)
     monkeypatch.setattr(rydshe.sweeps, "susceptibility", counting)
-    cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
-                         sweep_min=-10.0, sweep_max=10.0, steps=201)
+    cfg = RunConfig(quantity="chi", variable="Delta2",
+                    sweep_min=-10.0, sweep_max=10.0, steps=201)
     res = run_sweep(cfg)
     assert calls == [201]
     assert all(r[-1] == "" for r in res.rows)
 
 
 def test_fresnel_config_error_stays_on_its_row():
-    cfg = with_overrides(RunConfig(), quantity="fresnel", variable="theta_i",
-                         sweep_min=4.0, sweep_max=6.0, steps=3)
+    cfg = RunConfig(quantity="fresnel", variable="theta_i",
+                    sweep_min=4.0, sweep_max=6.0, steps=3)
     res = run_sweep(cfg)
     assert [r[0] for r in res.rows] == [4.0, 5.0, 6.0]
     assert res.rows[0][-1].startswith("ConfigError")
@@ -518,8 +573,8 @@ def _set_fresnel_at(monkeypatch, theta_deg, **r):
     return calls
 
 
-_SHIFT_21 = with_overrides(RunConfig(), quantity="shift", variable="theta_i",
-                           sweep_min=33.0, sweep_max=35.0, steps=21)
+_SHIFT_21 = RunConfig(quantity="shift", variable="theta_i",
+                      sweep_min=33.0, sweep_max=35.0, steps=21)
 
 
 def test_shift_error_stays_on_its_row(monkeypatch):
@@ -538,7 +593,8 @@ def test_shift_error_stays_on_its_row(monkeypatch):
         shifts_from_coefficients(cfg.beam_spec(), complex(math.nan, 0.0), rs)
     assert str(exc.value).startswith(
         "non-finite Fresnel coefficients rp=(nan+0j), rs=(")
-    assert lines[bad].endswith(f",PropagationError: {exc.value}")
+    # the message holds a comma, so its CSV cell is quoted
+    assert lines[bad].endswith(f',"PropagationError: {exc.value}"')
     assert lines[bad].split(",")[:5] == ["34"] + ["nan"] * 4
     del lines[bad], clean[bad]
     assert lines == clean
@@ -558,10 +614,10 @@ def test_zero_power_error_stays_on_its_row(monkeypatch):
 def test_active_index_fails_its_detuning_rows_only(monkeypatch):
     # a conjugated-looking chi (Im n < -0.1) at one detuning of a map
     # fails every row of that detuning with a scalar stack call's error
-    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
-                         sweep_min=33.5, sweep_max=34.2, steps=8,
-                         variable2="Delta2", sweep_min2=-2.0, sweep_max2=2.0,
-                         steps2=5)
+    cfg = RunConfig(quantity="map", variable="theta_i",
+                    sweep_min=33.5, sweep_max=34.2, steps=8,
+                    variable2="Delta2", sweep_min2=-2.0, sweep_max2=2.0,
+                    steps2=5)
     clean = format_csv(run_sweep(cfg)).splitlines()
     real = rydshe.sweeps.susceptibility
     active_chi = -0.5j
@@ -590,10 +646,10 @@ def test_active_index_fails_its_detuning_rows_only(monkeypatch):
 def test_layer_error_stays_on_its_row(monkeypatch):
     # errors injected into the Fresnel calls' errors tuples at single rows
     # of a map fail those rows alone; p's error wins over s's on a row
-    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
-                         sweep_min=33.5, sweep_max=34.2, steps=8,
-                         variable2="Delta2", sweep_min2=-2.0, sweep_max2=2.0,
-                         steps2=5)
+    cfg = RunConfig(quantity="map", variable="theta_i",
+                    sweep_min=33.5, sweep_max=34.2, steps=8,
+                    variable2="Delta2", sweep_min2=-2.0, sweep_max2=2.0,
+                    steps2=5)
     clean = format_csv(run_sweep(cfg)).splitlines()
     real = rydshe.sweeps.stack_fresnel
     at = {"p": [3 + 8 * 2], "s": [3 + 8 * 2, 6 + 8 * 4]}   # row indices
@@ -618,8 +674,8 @@ def test_layer_error_stays_on_its_row(monkeypatch):
 def test_fresnel_sweep_rows_match_scalar_calls(monkeypatch):
     # every fresnel column against per-angle scalar calls; ratio_s_over_p
     # is inf where |r_p| = 0
-    cfg = with_overrides(RunConfig(), quantity="fresnel", variable="theta_i",
-                         sweep_min=20.0, sweep_max=50.0, steps=7)
+    cfg = RunConfig(quantity="fresnel", variable="theta_i",
+                    sweep_min=20.0, sweep_max=50.0, steps=7)
     _set_fresnel_at(monkeypatch, 35.0, p=0j)
     res = run_sweep(cfg)
     stack = cfg.layer_stack(susceptibility(cfg.drive_params(),
@@ -637,22 +693,22 @@ def test_fresnel_sweep_rows_match_scalar_calls(monkeypatch):
 
 def test_map_makes_one_fresnel_call_per_polarization(monkeypatch):
     calls = _set_fresnel_at(monkeypatch, 0.0)
-    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
-                         sweep_min=33.5, sweep_max=34.2, steps=71,
-                         variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
-                         steps2=51)
+    cfg = RunConfig(quantity="map", variable="theta_i",
+                    sweep_min=33.5, sweep_max=34.2, steps=71,
+                    variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
+                    steps2=51)
     res = run_sweep(cfg)
     assert calls == [("p", 71 * 51), ("s", 71 * 51)]
     assert all(r[-1] == "" for r in res.rows)
 
 
 def test_shift_sweep_over_thickness_builds_each_stack():
-    cfg = with_overrides(RunConfig(), quantity="shift", variable="d2",
-                         sweep_min=50.0, sweep_max=150.0, steps=3)
+    cfg = RunConfig(quantity="shift", variable="d2",
+                    sweep_min=50.0, sweep_max=150.0, steps=3)
     res = run_sweep(cfg)
     assert [r[0] for r in res.rows] == [50.0, 100.0, 150.0]
     for row in res.rows:
-        pcfg = with_overrides(cfg, d2_um=row[0])
+        pcfg = replace(cfg, d2_um=row[0])
         chi = susceptibility(pcfg.drive_params(), pcfg.atom_params()).total
         stack, beam = pcfg.layer_stack(chi), pcfg.beam_spec()
         rp, rs = (stack_fresnel(stack, beam.theta_i, beam.k0, pol)[0]
@@ -698,8 +754,8 @@ def test_crossing_ranges_cover_every_bounded_axis():
 
 @pytest.mark.parametrize("variable, lo, hi", _CROSSING_RANGES)
 def test_axis_crossing_its_bound_errors_per_value(variable, lo, hi):
-    cfg = with_overrides(RunConfig(), quantity="fresnel", variable=variable,
-                         sweep_min=lo, sweep_max=hi, steps=9)
+    cfg = RunConfig(quantity="fresnel", variable=variable,
+                    sweep_min=lo, sweep_max=hi, steps=9)
     res = run_sweep(cfg)
     field = AXES[variable][0]
     want = [_config_error_cell(cfg, **{field: r[0]}) for r in res.rows]
@@ -715,9 +771,9 @@ def test_axis_crossing_its_bound_errors_per_value(variable, lo, hi):
 ])
 def test_first_axis_error_wins(axes):
     (v1, lo1, hi1, n1), (v2, lo2, hi2, n2) = axes
-    cfg = with_overrides(RunConfig(), quantity="fresnel", variable=v1,
-                         sweep_min=lo1, sweep_max=hi1, steps=n1, variable2=v2,
-                         sweep_min2=lo2, sweep_max2=hi2, steps2=n2)
+    cfg = RunConfig(quantity="fresnel", variable=v1,
+                    sweep_min=lo1, sweep_max=hi1, steps=n1, variable2=v2,
+                    sweep_min2=lo2, sweep_max2=hi2, steps2=n2)
     res = run_sweep(cfg)
     f1, f2 = AXES[v1][0], AXES[v2][0]
     n_both = 0
@@ -740,18 +796,18 @@ def test_map_builds_one_config_per_group(monkeypatch):
         calls.append(changes)
         return replace(obj, **changes)
     monkeypatch.setattr(rydshe.sweeps, "replace", counting_replace)
-    cfg = with_overrides(RunConfig(), quantity="map", variable="theta_i",
-                         sweep_min=33.5, sweep_max=34.2, steps=71,
-                         variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
-                         steps2=51)
+    cfg = RunConfig(quantity="map", variable="theta_i",
+                    sweep_min=33.5, sweep_max=34.2, steps=71,
+                    variable2="Delta2", sweep_min2=-5.0, sweep_max2=5.0,
+                    steps2=51)
     res = run_sweep(cfg)
     assert len(res.rows) == 71 * 51 and all(r[-1] == "" for r in res.rows)
     assert len(calls) <= 1 + 2 * 2
 
 
 def test_chi_sweep_throughput():
-    cfg = with_overrides(RunConfig(), quantity="chi", variable="Delta2",
-                         sweep_min=-10.0, sweep_max=10.0, steps=200)
+    cfg = RunConfig(quantity="chi", variable="Delta2",
+                    sweep_min=-10.0, sweep_max=10.0, steps=200)
     t0 = time.perf_counter()
     res = run_sweep(cfg)
     assert time.perf_counter() - t0 < 10.0
@@ -1137,15 +1193,21 @@ def test_every_axis_field_has_an_override_flag():
      "chi3_nonlocal_contrib"),
     (["shift-angle", "--w0", "1e300"], 0, ""),
     (["shift-angle", "--w0", "1e-300"], 0, "DomainError: beam power"),
+    (["profile", "--w0", "1e300"], 3, "w0 = 1e+300 um"),
+    (["profile", "--w0", "1e-300"], 3, "w0 = 1e-300 um"),
+    (["profile", "--full-map", "--w0", "1e300"], 3, "w0 = 1e+300 um"),
+    (["profile", "--full-map", "--w0", "1e-300"], 3, "w0 = 1e-300 um"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_settings_past_the_float_range(tmp_path, capsys, argv, code, cell):
-    # a setting whose chi, blockade radius or beam power leaves the float
-    # range fails its rows by name, or a profile run with exit 3; no nan
-    # or inf is written silently, and no warning or traceback is raised
+    # a setting whose chi, blockade radius, beam power or beam profile
+    # leaves the float range fails its rows by name, or a profile run
+    # with exit 3; no nan or inf is written silently, and no warning or
+    # traceback is raised
     out = tmp_path / "out.txt"
     assert run_cli(*argv, "--out", str(out)) == code
     if code == 3:
-        assert capsys.readouterr().err.startswith("numerical error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and (cell or "") in err
         assert not out.exists()
         return
     lines = out.read_text().splitlines()

@@ -1,14 +1,18 @@
 """Source hygiene: every name a module imports is used in that module,
-and the README's examples run."""
+the package exports exactly its public names, and the README's examples
+run."""
 
 import ast
 import re
 import shlex
+import types
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from rydshe.cli import main
+import rydshe
+from rydshe.cli import _OVERRIDES, main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rydshe"
 README = SRC.parent.parent / "README.md"
@@ -48,6 +52,20 @@ def _imported_modules(tree):
                                           node.module]))
             out |= {base} | {f"{base}.{alias.name}" for alias in node.names}
     return out
+
+
+def test_package_exports_are_its_public_names():
+    # the written-out __all__ lists each public name once; a name that
+    # does not resolve or names a submodule is not among them
+    names = [n for n in dir(rydshe) if not n.startswith("_")
+             and not isinstance(getattr(rydshe, n), types.ModuleType)]
+    assert sorted(rydshe.__all__) == names
+
+
+def test_every_cli_override_is_a_run_config_field():
+    # the CLI applies each override flag that is set with
+    # dataclasses.replace, so each key must name a RunConfig field
+    assert set(_OVERRIDES) <= {f.name for f in fields(rydshe.RunConfig)}
 
 
 def test_only_the_front_ends_import_the_oracle():

@@ -215,6 +215,8 @@ def test_layer_validation():
                        match=r"strongly active \(Im n << 0\)"):
         stack_fresnel(slab(1.0 - 0.2j), 0.5, K0, "p")
     stack_fresnel(slab(1.0 - 1e-3j), 0.5, K0, "p")
+    with pytest.raises(DomainError, match="polarization must be 'p' or 's'"):
+        stack_fresnel(slab(1.0 + 0j), 0.5, K0, "x")
     with pytest.raises(DomainError):
         Layer(n=1.0 + 0j, d=-1.0)
     with pytest.raises(DomainError):

@@ -15,8 +15,7 @@ from rydshe import quantum
 from rydshe.oracle import (full_local_bloch_steady_state,
                            gauss_legendre_nonlocal_integral,
                            twobody_correlators)
-from rydshe.quantum import (ComplexDenominators, _correlator_poles,
-                            _shell_pole_sum)
+from rydshe.quantum import _correlator_poles, _denominators, _shell_pole_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,6 +88,11 @@ def test_blockade_radius_power_laws(atom, drive0):
         rb * 8 ** (-1 / 3), rel=1e-12)
     big = replace(atom, C6=64 * atom.C6)
     assert big.blockade_radius(drive0.Omega_c) == pytest.approx(2 * rb, rel=1e-12)
+
+
+def test_two_dimensional_detunings_refused(atom):
+    with pytest.raises(DomainError, match="Delta2 must be a scalar or a 1-D"):
+        susceptibility(canonical_drive(np.zeros((2, 2))), atom)
 
 
 def test_blockade_radius_errors(atom):
@@ -517,7 +521,7 @@ def test_susceptibility_solve_count(atom, monkeypatch):
     shapes, factorized, made = [], [], []
     solve = quantum._solve_checked
     lu = np.linalg.solve
-    from_params = quantum.ComplexDenominators.from_params
+    denominators = quantum._denominators
 
     def record(A, b, what):
         shapes.append((A.shape, b.shape[0]))
@@ -527,13 +531,12 @@ def test_susceptibility_solve_count(atom, monkeypatch):
         factorized.append(A.shape)
         return lu(A, b)
 
-    def denominators(cls, drive, atom):
+    def record_denominators(drive, atom):
         made.append(drive.Delta2)
-        return from_params(drive, atom)
+        return denominators(drive, atom)
     monkeypatch.setattr(quantum, "_solve_checked", record)
     monkeypatch.setattr(np.linalg, "solve", record_lu)
-    monkeypatch.setattr(quantum.ComplexDenominators, "from_params",
-                        classmethod(denominators))
+    monkeypatch.setattr(quantum, "_denominators", record_denominators)
     for n, D2 in [(1, TWO_PI * 0.4), (1, TWO_PI * np.array([0.4])),
                   (7, TWO_PI * np.linspace(-10, 10, 7)),
                   (201, TWO_PI * np.linspace(-10, 10, 201))]:
@@ -604,9 +607,9 @@ def test_batch_matches_gauss_legendre(atom, medium):
     for i, d2 in enumerate(D2):
         drv = canonical_drive(d2)
         Op2, Oc = drv.Omega_p**2, drv.Omega_c
-        d = ComplexDenominators.from_params(drv, atom)
+        d21, d31, _ = _denominators(drv, atom)
         i_gl = gauss_legendre_nonlocal_integral(drv, atom, n_nodes=128)
-        want = K * Op2 * Oc * i_gl / (Oc**2 - d.d21 * d.d31)
+        want = K * Op2 * Oc * i_gl / (Oc**2 - d21 * d31)
         got = b.chi3_nonlocal_contrib[i]
         assert abs(got - want) / abs(want) < 1e-12
         r21, _ = first_order_coherences(drv, atom)
@@ -643,13 +646,13 @@ def test_chi_matches_per_detuning_assembly(atom, medium):
     for i, d2 in enumerate(D2):
         drv = canonical_drive(d2)
         Op2, Oc = drv.Omega_p**2, drv.Omega_c
-        d = ComplexDenominators.from_params(drv, atom)
+        d21, d31, _ = _denominators(drv, atom)
         r21, r31 = first_order_coherences(drv, atom)
         (r11, r22, _, r32), errors = quantum._onebody(
             quantum._systems(drv, atom)[0], np.array([r21]), np.array([r31]))
         assert not errors
-        den = Oc**2 - d.d21 * d.d31
-        local = -(d.d31 * (r22[0] - r11[0]) - Oc * r32[0]) / den
+        den = Oc**2 - d21 * d31
+        local = -(d31 * (r22[0] - r11[0]) - Oc * r32[0]) / den
         i_gl = gauss_legendre_nonlocal_integral(drv, atom, n_nodes=128)
         want = [K * r21, K * Op2 * local, K * Op2 * Oc * i_gl / den]
         got = _parts(b)[:, i]
@@ -782,9 +785,9 @@ def test_hermiticity_of_second_order_pair(atom):
     from rydshe.quantum import _solve_checked  # noqa: F401 (import guard)
     r11, r22, r33, r32 = second_order_onebody(drv, atom)
     # rebuild rho23 independently and compare against conj(rho32)
-    d = ComplexDenominators.from_params(drv, atom)
+    _, _, d32 = _denominators(drv, atom)
     r21, r31 = first_order_coherences(drv, atom)
-    lhs = np.conj(d.d32 * r32) - drv.Omega_c * (r33 - r22)
+    lhs = np.conj(d32 * r32) - drv.Omega_c * (r33 - r22)
     assert lhs == pytest.approx(np.conj(r31), rel=1e-10)
 
 
