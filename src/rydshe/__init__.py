@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 
 from .errors import (RydsheError, DomainError, SingularityError,
                      PropagationError, SearchError, WindowError, ConfigError)
-from .quantum import (AtomParams, DriveParams, SusceptibilityBreakdown,
-                      derive_dipole_moment,
-                      first_order_coherences, second_order_onebody,
-                      nonlocal_integral, third_order_coherence,
-                      susceptibility)
+from .quantum import (AtomParams, DriveParams, ResponseParts,
+                      SusceptibilityBreakdown, derive_dipole_moment,
+                      response_parts, susceptibility)
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, analytic_gaussian_shift,
                          shifts_from_coefficients, medium_index,
@@ -27,9 +25,8 @@ from .sweeps import SweepResult, run_sweep, emit
 __all__ = [
     "RydsheError", "DomainError", "SingularityError", "PropagationError",
     "SearchError", "WindowError", "ConfigError",
-    "AtomParams", "DriveParams", "SusceptibilityBreakdown",
-    "derive_dipole_moment", "first_order_coherences", "second_order_onebody",
-    "nonlocal_integral", "third_order_coherence", "susceptibility",
+    "AtomParams", "DriveParams", "ResponseParts", "SusceptibilityBreakdown",
+    "derive_dipole_moment", "response_parts", "susceptibility",
     "Layer", "LayerStack", "stack_fresnel",
     "BeamSpec", "ShiftResult", "analytic_gaussian_shift",
     "shifts_from_coefficients", "medium_index", "intensity_profiles",

@@ -190,7 +190,9 @@ def _cmd_profile_full_map(cfg: RunConfig, out: str) -> None:
     from .beam_shift import intensity_maps_2d
     x, y, i_in, i_p, i_m = intensity_maps_2d(cfg.beam_spec(),
                                              *profile_coefficients(cfg))
-    payload = {"x_um": list(np.round(x, 6)), "y_um": list(np.round(y, 6)),
+    # 12 significant digits keep every coordinate distinct at any w0
+    payload = {"x_um": [float(f"{c:.12g}") for c in x],
+               "y_um": [float(f"{c:.12g}") for c in y],
                "i_incident": np.round(i_in, 9).tolist(),
                "i_plus": np.round(i_p, 9).tolist(),
                "i_minus": np.round(i_m, 9).tolist()}

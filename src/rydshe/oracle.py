@@ -33,9 +33,8 @@ import numpy as np
 
 from .errors import DomainError, SearchError, SingularityError, WindowError
 from . import quantum
-from .quantum import (AtomParams, DriveParams, first_order_coherences,
-                      second_order_onebody, nonlocal_integral,
-                      third_order_coherence, susceptibility)
+from .quantum import (AtomParams, DriveParams, response_parts,
+                      susceptibility)
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, shifts_from_coefficients,
                          spin_mixing_amplitude)
@@ -116,10 +115,9 @@ def oracle_rho21(drive: DriveParams, atom: AtomParams) -> complex:
 
 def perturbative_rho21_local(drive: DriveParams, atom: AtomParams) -> complex:
     """Omega_p rho21^(1) + Omega_p^3 rho21^(3,local)."""
-    r21_1, _ = first_order_coherences(drive, atom)
-    # Na = 0 skips the shell integral; the local coefficient is Na-free
-    loc, _ = third_order_coherence(drive, replace(atom, Na=0.0))
-    return drive.Omega_p * r21_1 + drive.Omega_p**3 * loc
+    # Na = 0 skips the shell integral; both parts are Na-free
+    p = response_parts(drive, replace(atom, Na=0.0))
+    return drive.Omega_p * p.rho21_1 + drive.Omega_p**3 * p.rho21_3_local
 
 
 def twobody_correlators(drive: DriveParams, atom: AtomParams, V
@@ -144,8 +142,9 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
         replace(batch, Delta2=batch.Delta2[0]), atom)
     onebody, second = quantum._onebody(A, r21, r31)
     zA, mixed = quantum._mixed_correlators(MA, r21, r31)
-    # the V-free parts raise as a scalar call at this detuning would
-    quantum._one((), quantum._first_errors(first, second, mixed), batch)
+    errors = quantum._first_errors(first, second, mixed)
+    if errors:  # the V-free parts raise as a scalar call here would
+        raise quantum._named(errors, batch)[0]
     MB = MB0 - V[:, None, None] * np.diag([1, 0, 0, 0])
     qB = np.broadcast_to(quantum._pair_rhs(r21, r31)[..., :1], (n, 4, 1))
     zB = _checked(*quantum._solve_checked(
@@ -390,8 +389,8 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
             drv = DriveParams(Omega_p=0.0, Omega_c=TWO_PI * rng.uniform(0.5, 8),
                               Delta2=TWO_PI * rng.uniform(-10, 10),
                               Delta_c=TWO_PI * rng.uniform(-1, 1))
-            r11, r22, r33, _ = second_order_onebody(drv, atom)
-            worst = max(worst, abs(r11 + r22 + r33))
+            p = response_parts(drv, atom)
+            worst = max(worst, abs(p.rho11_2 + p.rho22_2 + p.rho33_2))
         return worst
     _run_check("second_order_trace", chk_trace, 1e-12, results)
 
@@ -399,7 +398,8 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
         drv = canonical_drive(TWO_PI * 1.3)
         Rb = atom.blockade_radius(drv.Omega_c)
         z = twobody_correlators(drv, atom, [atom.C6 / (100.0 * Rb) ** 6])[0][0]
-        r21, r31 = first_order_coherences(drv, atom)
+        p = response_parts(drv, atom)
+        r21, r31 = p.rho21_1, p.rho31_1
         r12, r13 = np.conj(r21), np.conj(r31)
         expect = np.array([r13 * r31, r12 * r31, r12 * r21, r13 * r21,
                            r31 * r31, r21 * r31, r21 * r21, r31 * r21])
@@ -411,17 +411,14 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
         Rb = atom.blockade_radius(drv.Omega_c)
         far = twobody_correlators(drv, atom,
                                   [atom.C6 / (100.0 * Rb) ** 6])[1][0, 0]
-        r21, r31 = first_order_coherences(drv, atom)
-        _, _, r33, _ = second_order_onebody(drv, atom)
-        return abs(far - r33 * r31) / abs(r33 * r31)
+        p = response_parts(drv, atom)
+        return abs(far - p.rho33_2 * p.rho31_1) / abs(p.rho33_2 * p.rho31_1)
     _run_check("third_order_far_field_limit", chk_blockade_continuity, 1e-6, results)
 
     def chk_passivity():
-        worst = 0.0
-        for d2 in TWO_PI * np.linspace(-20, 20, 201):
-            r21_1, _ = first_order_coherences(canonical_drive(d2), atom)
-            worst = max(worst, -(atom.chi_prefactor * r21_1).imag)
-        return worst
+        drv = canonical_drive(TWO_PI * np.linspace(-20, 20, 201))
+        r21_1 = response_parts(drv, atom).rho21_1
+        return np.max(-(atom.chi_prefactor * r21_1).imag, initial=0.0)
     _run_check("linear_passivity", chk_passivity, 1e-12, results)
 
     def chk_na_scaling():
@@ -433,7 +430,7 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
 
     def chk_quadrature():
         drv = canonical_drive(0.0)
-        i_cf = nonlocal_integral(drv, atom)
+        i_cf = response_parts(drv, atom).shell_integral
         i_gl = gauss_legendre_nonlocal_integral(drv, atom)
         return abs(i_cf - i_gl) / abs(i_gl)
     _run_check("shell_integral_vs_gauss_legendre", chk_quadrature, 1e-8,

@@ -24,10 +24,10 @@ closed at two atoms / third order: one 5x5, two 4x4 and one 8x8 complex
 linear system, built once per call from two one-atom blocks, the
 two-body ones as Kronecker sums (`_systems`).  The pair energy enters
 them as a low-rank change, so the correlator is a rational function of
-V and the shell integral has a closed form.  `susceptibility` takes a
-scalar (the length-1 batch) or a 1-D array of probe detunings through
-one pass, and reports each failure against its own detuning; the
-oracle's `twobody_correlators` solves at given separations instead.
+V and the shell integral has a closed form.  `susceptibility` and
+`response_parts` take a scalar or a 1-D array of probe detunings
+through one pass, and report each failure against its own detuning;
+the oracle's `twobody_correlators` solves at given separations instead.
 
 Sign conventions are pinned by two independent checks exercised in the
 test suite: (a) the full nonperturbative local steady state (oracle
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -283,16 +283,29 @@ def _named(errors: dict, drive: DriveParams) -> tuple:
     return tuple(named)
 
 
-def _one(parts, errors: dict, drive: DriveParams) -> tuple:
-    """The parts of a length-1 batch as complex numbers; raises its error."""
-    if errors:
-        raise _named(errors, drive)[0]
-    return tuple(complex(p.item()) for p in parts)
+def _result(cls, parts: np.ndarray, errors: dict, drive: DriveParams,
+            batch: DriveParams):
+    """cls of the rows of parts, over the detunings of batch (drive's,
+    from `_batch`); a part that is not finite (past the float range) is
+    a PropagationError naming it.  A failed detuning's parts are nan; a
+    scalar drive.Delta2 gives complex parts and raises its error."""
+    bad = ~np.isfinite(parts)
+    names = np.array([f.name for f in fields(cls) if f.name != "errors"])
+    errors = _first_errors(errors, _failures(bad.any(axis=0), lambda i: (
+        PropagationError(f"non-finite {' and '.join(names[bad[:, i]])}"))))
+    named = _named(errors, batch)
+    parts[:, list(errors)] = np.nan
+    if np.ndim(drive.Delta2) == 0:
+        if errors:
+            raise named[0]
+        parts = [complex(p.item()) for p in parts]
+    return cls(*parts, errors=named)
 
 
 def _first_order(d21, d31, Oc: float
                  ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(rho21^(1), rho31^(1), errors)."""
+    """(rho21^(1), rho31^(1), errors): rho21^(1) = -d31 / (d21 d31 -
+    Omega_c^2) and rho31^(1) = Omega_c / (d21 d31 - Omega_c^2)."""
     den = d21 * d31 - _square(Oc)
     with np.errstate(divide="ignore", invalid="ignore"):
         r21, r31 = -d31 / den, Oc / den
@@ -338,39 +351,12 @@ def _systems(drive: DriveParams, atom: AtomParams) -> tuple:
 def _onebody(A: np.ndarray, r21: np.ndarray, r31: np.ndarray
              ) -> tuple[tuple, dict]:
     """(rho11, rho22, rho33, rho32)^(2) from the 5x5 A of `_systems`; the
-    unknowns are (rho11, rho22, rho33, rho32, rho23)^(2)."""
+    unknowns are (rho11, rho22, rho33, rho32, rho23)^(2), and the trace
+    rho11 + rho22 + rho33 = 0 replaces the redundant ground-state row."""
     r12, r13, z = np.conj(r21), np.conj(r31), np.zeros_like(r21)
     b = np.array([z, z, r12 - r21, -r31, r13]).T[..., None]
     u, errors = _solve_checked(A, b, "second-order one-body (5x5)")
     return tuple(u[:, :4, 0].T), errors
-
-
-def first_order_coherences(drive: DriveParams, atom: AtomParams) -> tuple[complex, complex]:
-    """(rho21^(1), rho31^(1)) from the linear-response closed form.
-
-    rho21^(1) = -d31 / (d21 d31 - Omega_c^2),
-    rho31^(1) = -Omega_c rho21^(1) / d31 = Omega_c / (d21 d31 - Omega_c^2).
-    """
-    batch = _batch(drive)
-    r21, r31, errors = _first_order(*_denominators(batch, atom)[:2],
-                                    drive.Omega_c)
-    return _one((r21, r31), errors, batch)
-
-
-def second_order_onebody(drive: DriveParams, atom: AtomParams
-                         ) -> tuple[complex, complex, complex, complex]:
-    """(rho11^(2), rho22^(2), rho33^(2), rho32^(2)) populations/coherence.
-
-    Collects the O(Omega_p^2) steady-state equations, with the trace
-    condition rho11+rho22+rho33 = 0 replacing the redundant ground-state
-    equation.  rho23^(2) is carried as an independent unknown and checked
-    to equal conj(rho32^(2)) by the tests (real drives).
-    """
-    batch, Oc = _batch(drive), drive.Omega_c
-    r21, r31, first = _first_order(*_denominators(batch, atom)[:2], Oc)
-    onebody, errors = _onebody(_systems(replace(drive, Delta2=0.0), atom)[0],
-                               r21, r31)
-    return _one(onebody, _first_errors(first, errors), batch)
 
 
 def _mixed_correlators(MA: np.ndarray, r21: np.ndarray, r31: np.ndarray
@@ -512,10 +498,9 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
               ) -> tuple[np.ndarray, dict]:
     """The one pass over a batch of detunings (drive from `_batch`).
 
-    Returns (parts, errors): parts is (4, n), the rows rho21^(1),
-    rho21^(3,local), I and rho21^(3,nonlocal); errors maps each failed
-    detuning to its first error.  The systems are built once, at
-    Delta2 = 0, and shifted to the detunings.
+    Returns (parts, errors): parts is (9, n), the `ResponseParts` fields
+    as rows; errors maps each failed detuning to its first error.  The
+    systems are built once, at Delta2 = 0, and shifted to the detunings.
     """
     Oc, (d21, d31, _) = drive.Omega_c, _denominators(drive, atom)
     systems = _systems(replace(drive, Delta2=0.0), atom)
@@ -537,38 +522,40 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             I = atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total
             nl = Oc * I / den
-    return np.array([r21, local, I, nl]), _first_errors(first, second,
-                                                        third, shell)
+    return (np.array([r21, r31, *onebody, local, I, nl]),
+            _first_errors(first, second, third, shell))
 
 
-def nonlocal_integral(drive: DriveParams, atom: AtomParams,
-                      upper_factor: float = 3.0) -> complex:
-    """I = Na * 4 pi * int_{R_b}^{u.f.*R_b} s^2 V(s) rr33_31^(3)(s) ds.
+@dataclass(frozen=True)
+class ResponseParts:
+    """rho^(1), rho^(2) and the parts of rho21^(3), from one pass:
+    local = -[d31 (rho22 - rho11)^(2) - Omega_c rho32^(2)] / D and
+    nonlocal = Omega_c I / D, D = Omega_c^2 - d21 d31, with the shell
+    integral I = Na 4 pi int s^2 V(s) rr33_31^(3)(s) ds from R_b to
+    upper_factor R_b.  In u = 1/s^3, s^2 V ds = (C6/3) du and the
+    integrand is rational in V = C6 u^2 with three simple poles, so I is
+    a sum of logarithms; I = 0 when C6, Na or Omega_c is 0.  Parts and
+    `errors` are as in `SusceptibilityBreakdown`."""
 
-    The substitution u = 1/s^3 flattens the s^-6 kernel exactly
-    (s^2 V ds -> (C6/3) du).  The integrand is a rational function of
-    V = C6 u^2 with three simple poles (`_correlator_poles`), so the
-    integral is a sum of logarithms (`_shell_pole_sum`), with no
-    quadrature.  I = 0 when C6, Na or Omega_c is 0.
-    """
+    rho21_1: complex
+    rho31_1: complex
+    rho11_2: complex
+    rho22_2: complex
+    rho33_2: complex
+    rho32_2: complex
+    rho21_3_local: complex
+    shell_integral: complex
+    rho21_3_nonlocal: complex
+    errors: tuple = ()
+
+
+def response_parts(drive: DriveParams, atom: AtomParams,
+                   upper_factor: float = 3.0) -> ResponseParts:
+    """The named parts of `susceptibility`'s pass, for a scalar or 1-D
+    array Delta2 alike; the shell ends at upper_factor R_b."""
     batch = _batch(drive)
-    parts, errors = _response(batch, atom, upper_factor)
-    return _one(parts[2:3], errors, batch)[0]
-
-
-def third_order_coherence(drive: DriveParams, atom: AtomParams
-                          ) -> tuple[complex, complex]:
-    """(rho21^(3,local), rho21^(3,nonlocal)).
-
-    local    = -[d31 (rho22^(2) - rho11^(2)) - Omega_c rho32^(2)]
-               / (Omega_c^2 - d21 d31)
-    nonlocal = Omega_c * I / (Omega_c^2 - d21 d31)
-
-    with I from `nonlocal_integral` (the density prefactor lives in I).
-    """
-    batch = _batch(drive)
-    parts, errors = _response(batch, atom)
-    return _one(parts[[1, 3]], errors, batch)
+    return _result(ResponseParts, *_response(batch, atom, upper_factor),
+                   drive, batch)
 
 
 @dataclass(frozen=True)
@@ -606,14 +593,8 @@ def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakd
     """
     batch = _batch(drive)
     parts, errors = _response(batch, atom)
+    r21, local, nl = parts[[0, 6, 8]]
     K, Op2 = atom.chi_prefactor, _square(drive.Omega_p)
     with np.errstate(over="ignore", invalid="ignore"):
-        chi = np.array([K * parts[0], K * Op2 * parts[1], K * Op2 * parts[3]])
-    bad = ~np.isfinite(chi)         # K, Omega_p^2 or I past the float range
-    names = np.array(["chi1", "chi3_local_contrib", "chi3_nonlocal_contrib"])
-    errors = _first_errors(errors, _failures(bad.any(axis=0), lambda i: (
-        PropagationError(f"non-finite {' and '.join(names[bad[:, i]])}"))))
-    chi[:, list(errors)] = np.nan   # a failed detuning's parts are nan
-    if np.ndim(drive.Delta2) == 0:
-        chi = _one(chi, errors, batch)
-    return SusceptibilityBreakdown(*chi, errors=_named(errors, batch))
+        chi = np.array([K * r21, K * Op2 * local, K * Op2 * nl])
+    return _result(SusceptibilityBreakdown, chi, errors, drive, batch)

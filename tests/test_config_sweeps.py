@@ -900,12 +900,19 @@ def test_cli_profile(tmp_path):
 
 
 def test_cli_profile_full_map(tmp_path):
-    out = tmp_path / "prof2d.json"
-    code = run_cli("profile", "--full-map", "--out", str(out))
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert set(doc) == {"x_um", "y_um", "i_incident", "i_plus", "i_minus"}
-    assert len(doc["i_plus"]) == len(doc["x_um"])
+    # at the default w0 and at narrow beams alike, each axis is written
+    # in full and strictly increasing
+    for w0 in ([], ["--w0", "1e-5"], ["--w0", "1e-7"]):
+        out = tmp_path / "prof2d.json"
+        code = run_cli("profile", "--full-map", *w0, "--out", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"x_um", "y_um", "i_incident", "i_plus", "i_minus"}
+        assert len(doc["i_plus"]) == len(doc["x_um"])
+        for axis, n in (("x_um", 129), ("y_um", 257)):
+            v = doc[axis]
+            assert len(v) == n, (w0, axis)
+            assert all(a < b for a, b in zip(v, v[1:])), (w0, axis)
 
 
 def test_cli_entry_point_installed():

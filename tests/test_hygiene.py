@@ -16,6 +16,7 @@ from rydshe.cli import _OVERRIDES, main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rydshe"
 README = SRC.parent.parent / "README.md"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -60,6 +61,19 @@ def test_package_exports_are_its_public_names():
     names = [n for n in dir(rydshe) if not n.startswith("_")
              and not isinstance(getattr(rydshe, n), types.ModuleType)]
     assert sorted(rydshe.__all__) == names
+
+
+def test_names_the_benchmark_reads_resolve():
+    # bench/check.py imports these from rydshe without a guard, so a
+    # removed name would fail every benchmark run, not a test
+    tree = ast.parse((BENCH / "check.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "rydshe"
+             for alias in node.names]
+    assert names
+    assert [n for n in names if not hasattr(rydshe, n)] == []
+    # bench/child.py's trace reads it without a guard too
+    assert isinstance(rydshe.quantum.DEFAULT_QUAD_NODES, int)
 
 
 def test_every_cli_override_is_a_run_config_field():

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydshe import (DriveParams, first_order_coherences, nonlocal_integral,
-                    canonical_atom, canonical_drive)
+from rydshe import (DriveParams, response_parts, canonical_atom,
+                    canonical_drive)
 from rydshe.oracle import (density_matrix_defects,
                            full_local_bloch_steady_state, oracle_rho21,
                            perturbative_rho21_local,
@@ -59,8 +59,8 @@ def test_perturbative_certification(atom):
 
 def test_shell_cutoff_3_to_5_rb_is_bounded(atom, drive0):
     # truncating at 3 R_b instead of 5 R_b is a small, bounded change
-    i3 = nonlocal_integral(drive0, atom, upper_factor=3.0)
-    i5 = nonlocal_integral(drive0, atom, upper_factor=5.0)
+    i3 = response_parts(drive0, atom, upper_factor=3.0).shell_integral
+    i5 = response_parts(drive0, atom, upper_factor=5.0).shell_integral
     assert abs(i5 - i3) / abs(i3) < 0.2
 
 
@@ -97,7 +97,7 @@ def test_references_agree_with_production_at_zero(atom, drive0, limit):
     else:
         drive = DriveParams(drive0.Omega_p, 0.0, drive0.Delta2,
                             drive0.Delta_c)
-    values = [nonlocal_integral(drive, atom),
+    values = [response_parts(drive, atom).shell_integral,
               gauss_legendre_nonlocal_integral(drive, atom),
               trapezoid_nonlocal_integral(drive, atom)]
     for v in values:

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from rydshe import (AtomParams, DriveParams, DomainError,
                     PropagationError, SingularityError, derive_dipole_moment,
-                    first_order_coherences, nonlocal_integral,
-                    second_order_onebody, susceptibility,
-                    third_order_coherence, canonical_atom, canonical_drive)
+                    response_parts, susceptibility, canonical_atom,
+                    canonical_drive)
 from rydshe import quantum
 from rydshe.oracle import (full_local_bloch_steady_state,
                            gauss_legendre_nonlocal_integral,
@@ -153,7 +152,8 @@ def test_chi_prefactor_linear_in_density(atom):
 def test_first_order_two_level_limit(atom):
     drv = DriveParams(Omega_p=0.0, Omega_c=0.0, Delta2=TWO_PI * 2.0,
                       Delta_c=-TWO_PI * 0.1)
-    r21, r31 = first_order_coherences(drv, atom)
+    p = response_parts(drv, atom)
+    r21, r31 = p.rho21_1, p.rho31_1
     d21 = drv.Delta2 + 1j * atom.gamma21
     assert r21 == pytest.approx(-1 / d21, rel=1e-14)
     assert r31 == 0
@@ -165,7 +165,7 @@ def test_first_order_dark_state():
     assert atom.gamma31 == 0.0
     drv = DriveParams(Omega_p=0.0, Omega_c=TWO_PI * 4.0, Delta2=TWO_PI * 0.1,
                       Delta_c=-TWO_PI * 0.1)   # Delta3 = 0 exactly
-    r21, _ = first_order_coherences(drv, atom)
+    r21 = response_parts(drv, atom).rho21_1
     assert r21 == 0
 
 
@@ -174,7 +174,8 @@ def test_first_order_matches_oracle_weak_probe(atom):
     drv = canonical_drive(0.0)
     weak = DriveParams(TWO_PI * 3e-5, drv.Omega_c, drv.Delta2, drv.Delta_c)
     rho = full_local_bloch_steady_state(weak, atom)
-    r21_1, r31_1 = first_order_coherences(weak, atom)
+    p = response_parts(weak, atom)
+    r21_1, r31_1 = p.rho21_1, p.rho31_1
     assert abs(rho[1, 0] / weak.Omega_p - r21_1) / abs(r21_1) < 1e-6
     assert abs(rho[2, 0] / weak.Omega_p - r31_1) / abs(r31_1) < 1e-6
 
@@ -184,7 +185,8 @@ def test_first_order_matches_oracle_weak_probe(atom):
 def test_second_order_decoupled_rydberg(atom):
     drv = DriveParams(Omega_p=0.0, Omega_c=0.0, Delta2=TWO_PI * 1.0,
                       Delta_c=-TWO_PI * 0.1)
-    r11, r22, r33, r32 = second_order_onebody(drv, atom)
+    p = response_parts(drv, atom)
+    r11, r22, r33, r32 = p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2
     assert abs(r33) < 1e-14 and abs(r32) < 1e-14
     # two-level population correction is 1/|d21|^2
     d21 = drv.Delta2 + 1j * atom.gamma21
@@ -197,13 +199,15 @@ def test_second_order_trace_property(d2, dc, oc):
     atom = canonical_atom()
     drv = DriveParams(Omega_p=0.0, Omega_c=TWO_PI * oc, Delta2=TWO_PI * d2,
                       Delta_c=TWO_PI * dc)
-    r11, r22, r33, _ = second_order_onebody(drv, atom)
+    p = response_parts(drv, atom)
+    r11, r22, r33 = p.rho11_2, p.rho22_2, p.rho33_2
     assert abs(r11 + r22 + r33) < 1e-12
 
 
 def test_second_order_population_reality(atom):
     drv = canonical_drive(TWO_PI * 1.3)
-    r11, r22, r33, _ = second_order_onebody(drv, atom)
+    p = response_parts(drv, atom)
+    r22, r33 = p.rho22_2, p.rho33_2
     assert r22.real > 0 and r33.real > 0
     assert abs(r22.imag) < 1e-12 * abs(r22)
     assert abs(r33.imag) < 1e-12 * abs(r33)
@@ -212,7 +216,8 @@ def test_second_order_population_reality(atom):
 def test_second_order_matches_oracle_scaling(atom):
     # populations converge to Omega_p^2 * rho^(2) with an O(Omega_p^4) error
     drv = canonical_drive(TWO_PI * 1.3)
-    _, r22, r33, r32 = second_order_onebody(drv, atom)
+    p = response_parts(drv, atom)
+    r33, r32 = p.rho33_2, p.rho32_2
     residual = []
     omegas = TWO_PI * np.array([0.05, 0.1, 0.2])
     for op in omegas:
@@ -235,7 +240,8 @@ def test_twobody_factorizes_far_outside_blockade(atom):
     drv = canonical_drive(TWO_PI * 1.3)
     rb = atom.blockade_radius(drv.Omega_c)
     z = second_order_twobody(drv, atom, 100.0 * rb)
-    r21, r31 = first_order_coherences(drv, atom)
+    p = response_parts(drv, atom)
+    r21, r31 = p.rho21_1, p.rho31_1
     r12, r13 = np.conj(r21), np.conj(r31)
     expected = np.array([r13 * r31, r12 * r31, r12 * r21, r13 * r21,
                          r31 * r31, r21 * r31, r21 * r21, r31 * r21])
@@ -274,8 +280,9 @@ def test_twobody_decoupled_without_coupling(atom):
 def test_third_order_factorizes_at_zero_interaction(atom):
     drv = canonical_drive(TWO_PI * 1.3)
     x = twobody_correlators(drv, atom, np.array([0.0]))[1][0]
-    r21, r31 = first_order_coherences(drv, atom)
-    _, r22, r33, r32 = second_order_onebody(drv, atom)
+    p = response_parts(drv, atom)
+    r21, r31 = p.rho21_1, p.rho31_1
+    r22, r33, r32 = p.rho22_2, p.rho33_2, p.rho32_2
     r23 = np.conj(r32)
     expected = np.array([r33 * r31, r23 * r31, r32 * r31, r33 * r21,
                          r22 * r31, r23 * r21, r32 * r21, r22 * r21])
@@ -294,8 +301,8 @@ def test_third_order_far_field_continuity(atom):
     drv = canonical_drive(TWO_PI * 1.3)
     rb = atom.blockade_radius(drv.Omega_c)
     far = third_order_twobody(drv, atom, 100.0 * rb)[0]
-    _, r31 = first_order_coherences(drv, atom)
-    _, _, r33, _ = second_order_onebody(drv, atom)
+    p = response_parts(drv, atom)
+    r31, r33 = p.rho31_1, p.rho33_2
     assert abs(far - r33 * r31) / abs(r33 * r31) < 1e-6
 
 
@@ -328,22 +335,22 @@ def test_third_order_residual(atom):
 # ---------------------------------------------------------- shell integral
 
 def test_nonlocal_integral_zero_cases(atom, drive0):
-    assert nonlocal_integral(drive0, replace(atom, C6=0.0)) == 0
-    assert nonlocal_integral(drive0, replace(atom, Na=0.0)) == 0
+    assert response_parts(drive0, replace(atom, C6=0.0)).shell_integral == 0
+    assert response_parts(drive0, replace(atom, Na=0.0)).shell_integral == 0
     no_coupling = DriveParams(drive0.Omega_p, 0.0, drive0.Delta2,
                               drive0.Delta_c)
-    assert nonlocal_integral(no_coupling, atom) == 0
+    assert response_parts(no_coupling, atom).shell_integral == 0
 
 
 def test_nonlocal_integral_linear_density_prefactor(atom, drive0):
-    i1 = nonlocal_integral(drive0, atom)
-    i2 = nonlocal_integral(drive0, replace(atom, Na=2 * atom.Na))
+    i1 = response_parts(drive0, atom).shell_integral
+    i2 = response_parts(drive0, replace(atom, Na=2 * atom.Na)).shell_integral
     assert i2 == pytest.approx(2 * i1, rel=1e-12)
 
 
 def test_nonlocal_integral_vs_trapezoid_reference(atom, drive0):
     from rydshe.oracle import trapezoid_nonlocal_integral
-    i_gl = nonlocal_integral(drive0, atom)
+    i_gl = response_parts(drive0, atom).shell_integral
     i_tr = trapezoid_nonlocal_integral(drive0, atom, panels=10_000)
     assert abs(i_gl - i_tr) / abs(i_tr) < 1e-6
 
@@ -353,7 +360,7 @@ def test_nonlocal_integral_node_doubling(atom, drive0):
     i64 = gauss_legendre_nonlocal_integral(drive0, atom, n_nodes=64)
     i128 = gauss_legendre_nonlocal_integral(drive0, atom, n_nodes=128)
     assert abs(i128 - i64) / abs(i128) < 1e-8
-    i_cf = nonlocal_integral(drive0, atom)
+    i_cf = response_parts(drive0, atom).shell_integral
     assert abs(i_cf - i128) / abs(i128) < 1e-12
 
 
@@ -362,10 +369,11 @@ def test_partial_fractions_reproduce_correlator(atom):
     # the detuning; the oracle assembles them at the detuning itself
     drv = canonical_drive(TWO_PI * 1.3)
     systems = quantum._systems(replace(drv, Delta2=0.0), atom)
-    r21, r31 = first_order_coherences(drv, atom)
+    p = response_parts(drv, atom)
     poles, res, errors = _correlator_poles(
-        systems, np.array([drv.Delta2]), np.array([r21]), np.array([r31]),
-        tuple(np.array([p]) for p in second_order_onebody(drv, atom)))
+        systems, np.array([drv.Delta2]), np.array([p.rho21_1]),
+        np.array([p.rho31_1]), tuple(np.array([r]) for r in (
+            p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2)))
     assert not errors
     poles, res = poles[0], res[0]
     V = np.concatenate([
@@ -385,10 +393,21 @@ def test_closed_form_matches_gauss_legendre(d2, dc, oc, c6_sign, na, upper):
     atom = replace(base, C6=c6_sign * base.C6, Na=na)
     drv = DriveParams(Omega_p=TWO_PI * 0.75, Omega_c=TWO_PI * oc,
                       Delta2=TWO_PI * d2, Delta_c=TWO_PI * dc)
-    i_cf = nonlocal_integral(drv, atom, upper_factor=upper)
+    i_cf = response_parts(drv, atom, upper_factor=upper).shell_integral
     i_gl = gauss_legendre_nonlocal_integral(drv, atom, n_nodes=128,
                                             upper_factor=upper)
     assert abs(i_cf - i_gl) / abs(i_gl) < 1e-12
+
+
+def test_infinite_shell_limit(atom):
+    # upper_factor = inf integrates out to u = 0: far shells converge on
+    # it, and the default 3 R_b cutoff leaves out a few percent of it
+    drv = canonical_drive(TWO_PI * np.array([-3.0, 0.0, 3.0]))
+    inf, far, cut = (response_parts(drv, atom, upper_factor=f).shell_integral
+                     for f in (math.inf, 300.0, 3.0))
+    assert np.all(np.abs(inf - far) / np.abs(inf) < 1e-7)
+    cutoff = np.abs(inf - cut) / np.abs(inf)
+    assert np.all((0.03 < cutoff) & (cutoff < 0.05)), cutoff
 
 
 def test_shell_pole_sum_single_pole():
@@ -473,7 +492,7 @@ def test_pole_error_names_the_detuning(atom, monkeypatch):
     drv = canonical_drive(TWO_PI * 1.3)
     with pytest.raises(SingularityError,
                        match=re.escape(f"at Delta2 = {drv.Delta2:g} rad/us")):
-        nonlocal_integral(drv, atom)
+        response_parts(drv, atom)
 
 
 @pytest.mark.parametrize("label", ["second-order one-body (5x5)",
@@ -554,37 +573,41 @@ def test_susceptibility_solve_count(atom, monkeypatch):
 
 
 def _parts(b):
-    return np.array([b.chi1, b.chi3_local_contrib, b.chi3_nonlocal_contrib])
+    """The parts of a SusceptibilityBreakdown or ResponseParts, as rows."""
+    return np.array([getattr(b, f.name) for f in fields(b)
+                     if f.name != "errors"])
 
 
 def test_array_call_reports_each_failure_at_its_detuning(atom, monkeypatch):
     # a wider pole clearance fails some detunings and not others, and one
-    # detuning is poisoned; each failure is the error a scalar call at
-    # that detuning raises, its parts are nan, and the rest are the
-    # scalar values
+    # detuning is poisoned; for susceptibility and for the reader of the
+    # named parts alike, each failure is the error a scalar call at that
+    # detuning raises, its parts are nan, and the rest are the scalar
+    # values
     from rydshe import RydsheError
     monkeypatch.setattr(quantum, "POLE_CLEARANCE", 0.25)
     D2 = TWO_PI * np.linspace(-10, 10, 41)
     D2[7] = math.nan
-    b = susceptibility(canonical_drive(D2), atom)
-    parts = _parts(b)
-    assert len(b.errors) == len(D2)
-    n_failed = 0
-    for i, d2 in enumerate(D2):
-        try:
-            one = _parts(susceptibility(canonical_drive(d2), atom))
-        except RydsheError as exc:
-            n_failed += 1
-            assert type(b.errors[i]) is type(exc)
-            assert str(b.errors[i]) == str(exc)
-            assert np.all(np.isnan(parts[:, i]))
-        else:
-            assert b.errors[i] is None
-            assert np.array_equal(parts[:, i], one)
-    assert "non-finite entries" in str(b.errors[7])
-    assert 1 < n_failed < len(D2) - 1
-    assert any(re.search(r"at Delta2 = \S+ rad/us$", str(e))
-               for e in b.errors if e)
+    for reader in (susceptibility, response_parts):
+        b = reader(canonical_drive(D2), atom)
+        parts = _parts(b)
+        assert len(b.errors) == len(D2)
+        n_failed = 0
+        for i, d2 in enumerate(D2):
+            try:
+                one = _parts(reader(canonical_drive(d2), atom))
+            except RydsheError as exc:
+                n_failed += 1
+                assert type(b.errors[i]) is type(exc)
+                assert str(b.errors[i]) == str(exc)
+                assert np.all(np.isnan(parts[:, i]))
+            else:
+                assert b.errors[i] is None
+                assert np.array_equal(parts[:, i], one)
+        assert "non-finite entries" in str(b.errors[7])
+        assert 1 < n_failed < len(D2) - 1
+        assert any(re.search(r"at Delta2 = \S+ rad/us$", str(e))
+                   for e in b.errors if e)
 
 
 def _medium(atom, medium):
@@ -612,8 +635,8 @@ def test_batch_matches_gauss_legendre(atom, medium):
         want = K * Op2 * Oc * i_gl / (Oc**2 - d21 * d31)
         got = b.chi3_nonlocal_contrib[i]
         assert abs(got - want) / abs(want) < 1e-12
-        r21, _ = first_order_coherences(drv, atom)
-        local, _ = third_order_coherence(drv, atom)
+        p = response_parts(drv, atom)
+        r21, local = p.rho21_1, p.rho21_3_local
         assert b.chi1[i] == pytest.approx(K * r21, rel=1e-14)
         assert b.chi3_local_contrib[i] == pytest.approx(K * Op2 * local,
                                                        rel=1e-14)
@@ -647,7 +670,8 @@ def test_chi_matches_per_detuning_assembly(atom, medium):
         drv = canonical_drive(d2)
         Op2, Oc = drv.Omega_p**2, drv.Omega_c
         d21, d31, _ = _denominators(drv, atom)
-        r21, r31 = first_order_coherences(drv, atom)
+        p = response_parts(drv, atom)
+        r21, r31 = p.rho21_1, p.rho31_1
         (r11, r22, _, r32), errors = quantum._onebody(
             quantum._systems(drv, atom)[0], np.array([r21]), np.array([r31]))
         assert not errors
@@ -682,12 +706,14 @@ def test_batch_members_are_independent(d2, data):
 # ------------------------------------------------------ third-order parts
 
 def test_third_order_coherence_limits(atom, drive0):
-    loc0, nl0 = third_order_coherence(drive0, atom)
-    loc1, nl1 = third_order_coherence(drive0, replace(atom, C6=0.0))
+    p0 = response_parts(drive0, atom)
+    p1 = response_parts(drive0, replace(atom, C6=0.0))
+    loc0, nl0 = p0.rho21_3_local, p0.rho21_3_nonlocal
+    loc1, nl1 = p1.rho21_3_local, p1.rho21_3_nonlocal
     assert nl1 == 0 and nl0 != 0
     assert loc1 == pytest.approx(loc0, rel=1e-12)
     drv = DriveParams(drive0.Omega_p, 0.0, drive0.Delta2, drive0.Delta_c)
-    _, nl2 = third_order_coherence(drv, atom)
+    nl2 = response_parts(drv, atom).rho21_3_nonlocal
     assert nl2 == 0
 
 
@@ -695,8 +721,8 @@ def test_local_kerr_matches_oracle_cubic_coefficient(atom):
     # Richardson extraction of the oracle's Omega_p^3 coefficient
     for d2_mhz in np.linspace(-10, 10, 11):
         drv = canonical_drive(TWO_PI * d2_mhz)
-        loc, _ = third_order_coherence(drv, replace(atom, Na=0.0))
-        r21_1, _ = first_order_coherences(drv, atom)
+        p = response_parts(drv, replace(atom, Na=0.0))
+        loc, r21_1 = p.rho21_3_local, p.rho21_1
         op_a, op_b = TWO_PI * 0.02, TWO_PI * 0.01
         def cubic(op):
             rho = full_local_bloch_steady_state(
@@ -730,6 +756,10 @@ def test_susceptibility_past_the_float_range_fails_by_name(atom):
     assert all(str(e) == "non-finite chi3_local_contrib and "
                "chi3_nonlocal_contrib"
                for e in susceptibility(strong, atom).errors)
+    # the named parts hold no K: a denser gas takes I past the range
+    denser = replace(atom, Na=1e306)
+    assert [str(e) for e in response_parts(canonical_drive(D2), denser).errors
+            ] == ["non-finite shell_integral and rho21_3_nonlocal"] * 2
 
 
 def test_coupling_past_the_float_range_is_a_domain_error(atom):
@@ -752,7 +782,7 @@ def test_susceptibility_weak_probe_limit(atom):
 def test_two_level_resonant_absorption_identity(atom):
     # Im chi_peak = K / gamma21 = 3 Na lambda^3 / (4 pi^2) exactly
     drv = DriveParams(Omega_p=0.0, Omega_c=0.0, Delta2=0.0, Delta_c=0.0)
-    r21_1, _ = first_order_coherences(drv, atom)
+    r21_1 = response_parts(drv, atom).rho21_1
     peak = (atom.chi_prefactor * r21_1).imag
     assert peak == pytest.approx(3 * atom.Na * atom.lambda_p**3
                                  / (4 * math.pi**2), rel=1e-12)
@@ -760,7 +790,7 @@ def test_two_level_resonant_absorption_identity(atom):
 
 def test_linear_passivity(atom):
     for d2 in TWO_PI * np.linspace(-20, 20, 201):
-        r21_1, _ = first_order_coherences(canonical_drive(d2), atom)
+        r21_1 = response_parts(canonical_drive(d2), atom).rho21_1
         assert (atom.chi_prefactor * r21_1).imag >= -1e-12
 
 
@@ -783,10 +813,11 @@ def test_breakdown_total_is_sum(atom, drive0):
 def test_hermiticity_of_second_order_pair(atom):
     drv = canonical_drive(TWO_PI * 2.4)
     from rydshe.quantum import _solve_checked  # noqa: F401 (import guard)
-    r11, r22, r33, r32 = second_order_onebody(drv, atom)
+    p = response_parts(drv, atom)
+    r11, r22, r33, r32 = p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2
     # rebuild rho23 independently and compare against conj(rho32)
     _, _, d32 = _denominators(drv, atom)
-    r21, r31 = first_order_coherences(drv, atom)
+    r31 = p.rho31_1
     lhs = np.conj(d32 * r32) - drv.Omega_c * (r33 - r22)
     assert lhs == pytest.approx(np.conj(r31), rel=1e-10)
 
