@@ -29,11 +29,11 @@ the Brewster-like reflectivity minimum and positive above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PropagationError
+from .errors import DomainError, PropagationError, failures, first_errors
 
 _THETA_MIN = math.radians(5.0)
 _THETA_MAX = math.radians(85.0)
@@ -103,53 +103,6 @@ def spin_mixing_amplitude(rp, rs, theta_i, k_medium: float):
     return a
 
 
-def _centroid_moments(rp, rs, theta_i, beam: BeamSpec) -> tuple:
-    """(Re(rp conj(a)), P, errors) with P = |rp|^2 + |a|^2 / w0^2, as
-    arrays broadcast over rp, rs and theta_i.
-
-    P is the power of each spin component relative to its half of the
-    incident power, and delta+/- = -/+ Re(rp conj(a)) / P.  errors holds
-    per element (flattened) None or its typed error; both moments are nan
-    there.
-    """
-    given = np.asarray(rp), np.asarray(rs)
-    rp, rs = (np.asarray(c, dtype=complex) for c in given)
-    a = spin_mixing_amplitude(rp, rs, theta_i, beam.k_medium)
-    # hypot rounds as the scalar abs() does; np.abs does not.  numpy's **
-    # gives inf where Python's raises, and a w0 past the float range
-    # gives a non-finite power
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        power = (np.hypot(rp.real, rp.imag) ** 2
-                 + np.hypot(a.real, a.imag) ** 2 / np.float64(beam.w0) ** 2)
-    nonfinite = ~np.isfinite(power)
-    dark = power == 0
-    failed = nonfinite | dark
-    errors = [None] * failed.size
-    if failed.any():
-        rp_, rs_ = (np.broadcast_to(c, power.shape) for c in given)
-        for i in np.flatnonzero(nonfinite).tolist():
-            rp_i, rs_i = rp_.flat[i].item(), rs_.flat[i].item()
-            errors[i] = (DomainError(f"beam power |rp|^2 + |a|^2 / w0^2 is "
-                                     f"not finite at w0 = {beam.w0:g} um")
-                         if np.isfinite([rp_i, rs_i]).all()
-                         else PropagationError(f"non-finite Fresnel "
-                                               f"coefficients rp={rp_i}, rs={rs_i}"))
-        for i in np.flatnonzero(dark).tolist():
-            errors[i] = DomainError("zero reflected power: shift undefined")
-        # keep nan and inf out of the arithmetic below
-        rp, a = np.where(failed, 0, rp), np.where(failed, 0, a)
-        power = np.where(failed, np.nan, power)
-    num = rp.real * a.real + rp.imag * a.imag
-    return np.where(failed, np.nan, num), power, tuple(errors)
-
-
-def _one(num, power, errors: tuple) -> tuple[float, float]:
-    """The moments of a one-point call as floats; raises its error."""
-    if errors[0] is not None:
-        raise errors[0]
-    return float(num), float(power)
-
-
 def analytic_gaussian_shift(rp: complex, rs: complex, theta_i: float,
                             beam: BeamSpec) -> tuple[float, float]:
     """Closed-form centroids of |rp G(y) -/+ (2 a y / w0^2) G(y)|^2.
@@ -159,23 +112,59 @@ def analytic_gaussian_shift(rp: complex, rs: complex, theta_i: float,
 
         delta+/- = -/+ Re(rp conj(a)) / (|rp|^2 + |a|^2 / w0^2).
     """
-    num, power = _one(*_centroid_moments(rp, rs, theta_i, beam))
-    return -num / power, num / power
+    s = shifts_from_coefficients(replace(beam, theta_i=theta_i), rp, rs)
+    return s.delta_plus, s.delta_minus
 
 
 def shifts_from_coefficients(beam: BeamSpec, rp, rs) -> ShiftResult:
     """Spin-resolved centroids and powers (relative to the incident
     power per spin) for the Fresnel coefficients rp, rs.
 
-    rp, rs and beam.theta_i broadcast: a scalar call returns floats and
-    raises its error, an array call returns arrays and reports each
-    row's error in `errors`.
+    The power of each spin component relative to its half of the
+    incident power is P = |rp|^2 + |a|^2 / w0^2, and delta+/- =
+    -/+ Re(rp conj(a)) / P (`analytic_gaussian_shift`).  rp, rs and
+    beam.theta_i broadcast: a scalar call returns floats and raises its
+    error, an array call returns arrays and reports each row's error in
+    `errors`, with nan fields there.
     """
-    num, power, errors = _centroid_moments(rp, rs, beam.theta_i, beam)
-    if np.ndim(num) == 0:
-        num, power = _one(num, power, errors)
+    scalar = np.ndim(rp) == np.ndim(rs) == np.ndim(beam.theta_i) == 0
+    # scalars as one-element arrays: numpy's scalar arithmetic rounds
+    # differently, and a scalar call must equal an array call
+    given = np.atleast_1d(rp), np.atleast_1d(rs)
+    rp, rs = (np.asarray(c, dtype=complex) for c in given)
+    a = spin_mixing_amplitude(rp, rs, beam.theta_i, beam.k_medium)
+    # hypot rounds as the scalar abs() does; np.abs does not.  numpy's **
+    # gives inf where Python's raises, and a w0 past the float range
+    # gives a non-finite power
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        power = (np.hypot(rp.real, rp.imag) ** 2
+                 + np.hypot(a.real, a.imag) ** 2 / np.float64(beam.w0) ** 2)
+    rp_, rs_ = (np.broadcast_to(c, power.shape) for c in given)
+    nonfinite, dark = ~np.isfinite(power), power == 0
+    # the earliest check an element fails gives its error
+    errors = first_errors(
+        failures(~(np.isfinite(rp_) & np.isfinite(rs_)), lambda i: (
+            PropagationError(f"non-finite Fresnel coefficients rp="
+                             f"{rp_.flat[i].item()}, rs={rs_.flat[i].item()}"))),
+        failures(nonfinite, lambda i: DomainError(
+            f"beam power |rp|^2 + |a|^2 / w0^2 is not finite at "
+            f"w0 = {beam.w0:g} um")),
+        failures(dark, lambda i: DomainError(
+            "zero reflected power: shift undefined")))
+    failed = nonfinite | dark
+    if errors:
+        # keep nan and inf out of the arithmetic below
+        rp, a = np.where(failed, 0, rp), np.where(failed, 0, a)
+        power = np.where(failed, np.nan, power)
+    num = np.where(failed, np.nan, rp.real * a.real + rp.imag * a.imag)
+    if scalar:
+        if errors:
+            raise errors[0]
+        num, power = float(num[0]), float(power[0])
+    n = np.size(power)
     return ShiftResult(delta_plus=-num / power, delta_minus=num / power,
-                       power_plus=power, power_minus=power, errors=errors)
+                       power_plus=power, power_minus=power, errors=tuple(
+                           map(errors.get, range(n))) if errors else (None,) * n)
 
 
 def medium_index(chi):

@@ -139,9 +139,11 @@ class RunConfig:
         a sequence, default: the configured detuning)."""
         delta2 = (self.delta2_mhz if delta2_mhz is None
                   else np.asarray(delta2_mhz, dtype=float))
+        with np.errstate(over="ignore"):      # inf: refused by susceptibility
+            delta2 = delta2 * MHZ
         return DriveParams(Omega_p=self.omega_p_mhz * MHZ,
                            Omega_c=self.omega_c_mhz * MHZ,
-                           Delta2=delta2 * MHZ,
+                           Delta2=delta2,
                            Delta_c=self.delta_c_mhz * MHZ)
 
     def layer_stack(self, chi=0.0) -> LayerStack:

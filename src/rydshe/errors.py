@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the earliest-error rule."""
 
 
 class RydsheError(Exception):
@@ -27,3 +27,18 @@ class WindowError(RydsheError):
 
 class ConfigError(RydsheError):
     """A run configuration file is malformed or inconsistent."""
+
+
+def failures(bad, error) -> dict:
+    """{i: error(i)} for the flat indices i where the boolean array `bad`
+    is set."""
+    return {i: error(i) for i in bad.ravel().nonzero()[0].tolist()}
+
+
+def first_errors(*stages) -> dict:
+    """{i: error} of each failed element, from the earliest stage that
+    failed it; a stage is a `failures` dict or a sequence holding None or
+    the error per element, as an `errors` tuple does."""
+    return {i: e for errors in reversed(stages) for i, e in (
+        errors.items() if isinstance(errors, dict) else enumerate(errors))
+        if e is not None}

@@ -20,9 +20,9 @@ which keeps them finite at the exit medium's critical angle (y3 = 0).
 and the slab's index may be an array too: indices and angles broadcast
 elementwise, so one call evaluates a whole sweep grid.  Each element is
 checked for an active slab index, then a slab wave grazing at its
-critical angle, then a vanishing denominator.  A masked call reports
-each element's error in an `errors` tuple, as the quantum and beam
-stages do, so one bad element cannot fail its batch.
+critical angle, then a vanishing denominator.  As in the other stages,
+a scalar call raises its earliest failing check, and an array call
+reports each element's in `errors`, so one cannot fail its batch.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, failures, first_errors
 
 # cap on Im(delta): beyond this the slab is opaque and cosh/sinh overflow
 _MAX_IM_DELTA = 35.0
@@ -85,15 +85,14 @@ def refraction_cosine(n_in: float, theta_i, n_j) -> np.ndarray | complex:
     return np.where(flip, -c, c)
 
 
-def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
-                  masked: bool = False):
+def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     """(r, t) of the stack for one polarization; broadcasts over theta_i
     and the slab index.
 
-    A call raises the error of the earliest check that any element
-    fails.  With masked=True it returns (r, t, errors) instead: errors
-    holds per element (flattened) None or the error a call on that
-    element alone raises, and r and t are nan where it is set.
+    A scalar angle and index give complex (r, t) and raise the error of
+    the earliest check that fails.  An array call returns (r, t, errors):
+    errors holds per element (flattened) None or the error a call on
+    that element alone raises, and r and t are nan where it is set.
     """
     if polarization not in ("p", "s"):
         raise DomainError("polarization must be 'p' or 's'")
@@ -131,27 +130,23 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str,
         den = cd * y2 * (y1 + y3) - 1j * sd * (y2 * y2 + y1 * y3)
         r_num = cd * y2 * (y3 - y1) - 1j * sd * (y2 * y2 - y1 * y3)
         t_num = 2 * y2 * y3
-    checks = ((np.imag(slab.n) < -_PASSIVITY_TOL, DomainError,
-               "layer index is strongly active (Im n << 0)"),
-              (grazing & bool(stack.layers), SingularityError,
-               "vanishing layer impedance (grazing pathology)"),
-              (den == 0, SingularityError,
-               "vanishing denominator in stack Fresnel formula"))
-    errors = [None] * den.size
-    failed = np.zeros(den.shape, dtype=bool)
-    for bad, kind, message in checks:         # the earliest check wins
-        bad = np.broadcast_to(bad, den.shape) & ~failed
-        if bad.any():
-            if not masked:
-                raise kind(message)
-            failed |= bad
-            for i in np.flatnonzero(bad).tolist():
-                errors[i] = kind(message)
-    den = np.where(failed, 1.0, den)
+    # the earliest check an element fails gives its error
+    errors = first_errors(*(
+        failures(np.broadcast_to(bad, den.shape), lambda i: kind(message))
+        for bad, kind, message in (
+            (np.imag(slab.n) < -_PASSIVITY_TOL, DomainError,
+             "layer index is strongly active (Im n << 0)"),
+            (grazing & bool(stack.layers), SingularityError,
+             "vanishing layer impedance (grazing pathology)"),
+            (den == 0, SingularityError,
+             "vanishing denominator in stack Fresnel formula"))))
+    failed = list(errors)
+    den.flat[failed] = 1.0
     r, t = r_num / den, t_num / den
-    if masked:
-        return (np.where(failed, np.nan, r).reshape(shape),
-                np.where(failed, np.nan, t).reshape(shape), tuple(errors))
-    if not shape:
-        return complex(r[0]), complex(t[0])
-    return r, t
+    r.flat[failed] = t.flat[failed] = np.nan
+    if shape:
+        return r, t, (tuple(map(errors.get, range(den.size))) if errors
+                      else (None,) * den.size)
+    if errors:
+        raise errors[0]
+    return complex(r[0]), complex(t[0])

@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, SearchError, SingularityError, WindowError
+from .errors import (DomainError, SearchError, SingularityError, WindowError,
+                     first_errors)
 from . import quantum
 from .quantum import (AtomParams, DriveParams, response_parts,
                       susceptibility)
@@ -142,7 +143,7 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
         replace(batch, Delta2=batch.Delta2[0]), atom)
     onebody, second = quantum._onebody(A, r21, r31)
     zA, mixed = quantum._mixed_correlators(MA, r21, r31)
-    errors = quantum._first_errors(first, second, mixed)
+    errors = first_errors(first, second, mixed)
     if errors:  # the V-free parts raise as a scalar call here would
         raise quantum._named(errors, batch)[0]
     MB = MB0 - V[:, None, None] * np.diag([1, 0, 0, 0])
@@ -158,8 +159,8 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
 
 
 def _checked(value, errors: dict):
-    """value, unless a system of its batch over V failed: then the first
-    failure's error, naming its batch index."""
+    """value, unless an element of its batch (over V, or angles) failed:
+    then the first failure's error, naming its batch index."""
     if errors:
         i = min(errors)
         raise type(errors[i])(f"{errors[i]} at batch index {i}") from errors[i]
@@ -208,16 +209,19 @@ def brewster_angle(stack: LayerStack, k0: float,
     Coarse scan (fine enough to resolve slab interference fringes), then
     three 101-point scans, each over the two steps of the previous scan
     around its minimum.  Raises SearchError when the coarse minimum sits
-    on the scan edge.
+    on the scan edge, and the error of the first scanned angle that fails.
     """
+    def argmin_rp(thetas):
+        r, _, errors = stack_fresnel(stack, thetas, k0, "p")
+        return int(np.argmin(np.abs(_checked(r, first_errors(errors)))))
     thetas = np.linspace(theta_min, theta_max, coarse)
-    i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
+    i = argmin_rp(thetas)
     if i == 0 or i == coarse - 1:
         raise SearchError("no interior |r_p| minimum in the scan range")
     for _ in range(3):
         i = min(max(i, 1), len(thetas) - 2)
         thetas = np.linspace(thetas[i - 1], thetas[i + 1], 101)
-        i = int(np.argmin(np.abs(stack_fresnel(stack, thetas, k0, "p")[0])))
+        i = argmin_rp(thetas)
     return float(thetas[i])
 
 

@@ -48,7 +48,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, PropagationError, SingularityError
+from .errors import (DomainError, PropagationError, SingularityError,
+                     failures, first_errors)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +61,9 @@ HBAR = 1.0545718176461565e-34
 
 # relative residual allowed for any dense solve in this module
 SOLVE_RESIDUAL_TOL = 1e-10
+
+# |Delta2| or |Delta_c| (rad/us) past which the solves leave the float range
+_MAX_DETUNING = 1e150
 
 # default order of the oracle's Gauss-Legendre rule for the shell integral
 DEFAULT_QUAD_NODES = 64
@@ -179,9 +183,10 @@ class DriveParams:
     def __post_init__(self):
         if not (self.Omega_p >= 0 and self.Omega_c >= 0):
             raise DomainError("Rabi frequencies are taken real and >= 0")
-        # Delta2 is not checked: a nan in an array fails only its detuning
-        if not math.isfinite(self.Delta_c):
-            raise DomainError("Delta_c must be finite")
+        # Delta2 is checked per detuning, so that a bad one fails alone
+        if not abs(self.Delta_c) <= _MAX_DETUNING:
+            raise DomainError(f"Delta_c = {self.Delta_c:g} rad/us is outside "
+                              f"the float range (|Delta_c| <= {_MAX_DETUNING:g})")
 
     @property
     def Delta3(self) -> float:
@@ -209,16 +214,6 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix in m (over the last two axes)."""
     f = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (-1,))
     return np.sqrt(np.vecdot(f, f))
-
-
-def _failures(bad: np.ndarray, error) -> dict:
-    """{i: error(i)} for the batch members i where bad[i]."""
-    return {i: error(i) for i in np.flatnonzero(bad).tolist()}
-
-
-def _first_errors(*stages: dict) -> dict:
-    """Per failed batch member, the error of the earliest stage it failed."""
-    return {i: e for errors in reversed(stages) for i, e in errors.items()}
 
 
 def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
@@ -267,7 +262,7 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
             return SingularityError(f"singular matrix in {what}: {reason}")
         return SingularityError(f"{what} solve residual {rel[i]:.2e} "
                                 f"exceeds {SOLVE_RESIDUAL_TOL:.0e}")
-    return x, _failures(bad, error)
+    return x, failures(bad, error)
 
 
 def _named(errors: dict, drive: DriveParams) -> tuple:
@@ -291,7 +286,7 @@ def _result(cls, parts: np.ndarray, errors: dict, drive: DriveParams,
     scalar drive.Delta2 gives complex parts and raises its error."""
     bad = ~np.isfinite(parts)
     names = np.array([f.name for f in fields(cls) if f.name != "errors"])
-    errors = _first_errors(errors, _failures(bad.any(axis=0), lambda i: (
+    errors = first_errors(errors, failures(bad.any(axis=0), lambda i: (
         PropagationError(f"non-finite {' and '.join(names[bad[:, i]])}"))))
     named = _named(errors, batch)
     parts[:, list(errors)] = np.nan
@@ -309,7 +304,7 @@ def _first_order(d21, d31, Oc: float
     den = d21 * d31 - _square(Oc)
     with np.errstate(divide="ignore", invalid="ignore"):
         r21, r31 = -d31 / den, Oc / den
-    return r21, r31, _failures(
+    return r21, r31, failures(
         den == 0, lambda i: SingularityError("EIT denominator vanishes"))
 
 
@@ -445,7 +440,7 @@ def _correlator_poles(systems: tuple, shift: np.ndarray, r21: np.ndarray,
                     / (lam[:, ::-1] - lam))
         c[:, 2] = (-V[:, 2] ** 2 * adj0_b[:, 2]
                    / np.prod(1 - V[:, 2:] * lam, axis=1))
-    return V, c, _first_errors(mixed, pair, third)
+    return V, c, first_errors(mixed, pair, third)
 
 
 def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
@@ -491,7 +486,7 @@ def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
             f"pole V = {p[k]:.6g} rad/us of rr33_31^(3) lies "
             f"{dist[i, k]:.2g} shell lengths from the shell")
     bad = ~finite | coincide.any(axis=1) | ~(dist.min(axis=1) > POLE_CLEARANCE)
-    return total, _failures(bad, error)
+    return total, failures(bad, error)
 
 
 def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
@@ -502,6 +497,11 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
     as rows; errors maps each failed detuning to its first error.  The
     systems are built once, at Delta2 = 0, and shifted to the detunings.
     """
+    far = np.abs(drive.Delta2) > _MAX_DETUNING    # nan fails in the solves
+    past = failures(far, lambda i: DomainError(
+        f"Delta2 = {drive.Delta2[i]:g} rad/us is outside the float range "
+        f"(|Delta2| <= {_MAX_DETUNING:g})"))
+    drive = replace(drive, Delta2=np.where(far, 0.0, drive.Delta2))
     Oc, (d21, d31, _) = drive.Omega_c, _denominators(drive, atom)
     systems = _systems(replace(drive, Delta2=0.0), atom)
     r21, r31, first = _first_order(d21, d31, Oc)
@@ -523,7 +523,7 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
             I = atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total
             nl = Oc * I / den
     return (np.array([r21, r31, *onebody, local, I, nl]),
-            _first_errors(first, second, third, shell))
+            first_errors(past, first, second, third, shell))
 
 
 @dataclass(frozen=True)
@@ -596,5 +596,6 @@ def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakd
     r21, local, nl = parts[[0, 6, 8]]
     K, Op2 = atom.chi_prefactor, _square(drive.Omega_p)
     with np.errstate(over="ignore", invalid="ignore"):
-        chi = np.array([K * r21, K * Op2 * local, K * Op2 * nl])
+        # + 0: a zero K or Omega_p times a negative part is 0, not -0
+        chi = np.array([K * r21, K * Op2 * local, K * Op2 * nl]) + 0.0
     return _result(SusceptibilityBreakdown, chi, errors, drive, batch)

@@ -10,13 +10,13 @@ through the optics and the beam as flat arrays of their detuning's
 index and their incidence angle: one `stack_fresnel` call per
 polarization and one `shifts_from_coefficients` call for the whole
 group, and the rows are sliced out of the result arrays with
-`.tolist()`.  Each stage reports its failures per element, and they
-are recorded in the row's `error` column instead of aborting the sweep:
-a config error of a point's own axis value on its row (the first axis's
-when both axes fail), a chi error on every row of its detuning, a layer
-(p, then s) or shift error on its own row, and a failure of the group
-as a whole on every row of the group.  An active slab index fails every
-row of its detuning, because they share it.
+`.tolist()`.  Each stage reports its failures per element, and a
+row's `error` column holds the earliest failure that reaches it
+(`errors.first_errors`) instead of aborting the sweep: a config error of
+its own axis value (the first axis's when both fail), a failure of its
+group as a whole, a chi error of its detuning, then its own layer (p,
+then s) or shift error.  An active slab index fails every row of its
+detuning, because they share it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .errors import RydsheError, ConfigError
+from .errors import RydsheError, ConfigError, first_errors
 from .config import RunConfig, AXES, config_hash
 from .quantum import susceptibility
 from .multilayer import stack_fresnel
@@ -57,12 +57,12 @@ def _error_cell(exc: RydsheError) -> str:
 
 def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
                   det: np.ndarray, theta: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, error cells) of the rows of one group, each at the probe
+                  ) -> tuple[np.ndarray, dict]:
+    """(values, errors) of the rows of one group, each at the probe
     detuning detunings[det] (MHz) and the incidence angle `theta` (deg):
     one `susceptibility` call over `detunings`, then one `stack_fresnel`
-    call per polarization and one shift call over the rows.  A row's
-    values mean nothing where its error cell is set."""
+    call per polarization and one shift call over the rows.  errors maps
+    each failed row to its error; its values mean nothing."""
     b = susceptibility(cfg.drive_params(detunings), cfg.atom_params())
     if quantity == "chi":
         chi = np.array([b.chi1, b.chi3_local_contrib,
@@ -73,13 +73,8 @@ def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
         # a failed detuning's rows carry its error; chi = 0 keeps nan out
         chi = np.where([e is not None for e in b.errors], 0, b.total)
         values, stages = _optics_values(quantity, cfg, chi[det], theta)
-    cells = np.array([_error_cell(e) if e else "" for e in b.errors],
-                     dtype=object)[det]
     # a detuning's error wins, then the row's own errors in stage order
-    for i in np.flatnonzero((cells == "") & np.isnan(values).any(axis=1)
-                            ).tolist():
-        cells[i] = next((_error_cell(e[i]) for e in stages if e[i]), "")
-    return values, cells
+    return values, first_errors(np.array(b.errors, dtype=object)[det], *stages)
 
 
 def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
@@ -90,10 +85,8 @@ def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
     p, s, then the shift."""
     stack = cfg.layer_stack(chi)
     beam = cfg.beam_spec(theta)
-    rp, _, errors_p = stack_fresnel(stack, beam.theta_i, beam.k0, "p",
-                                    masked=True)
-    rs, _, errors_s = stack_fresnel(stack, beam.theta_i, beam.k0, "s",
-                                    masked=True)
+    rp, _, errors_p = stack_fresnel(stack, beam.theta_i, beam.k0, "p")
+    rs, _, errors_s = stack_fresnel(stack, beam.theta_i, beam.k0, "s")
     if quantity == "fresnel":
         # hypot rounds as the scalar abs() does; np.abs does not
         abs_rp, abs_rs = np.hypot(rp.real, rp.imag), np.hypot(rs.real, rs.imag)
@@ -108,7 +101,7 @@ def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
 
 
 def _axis_errors(cfg: RunConfig, field: str, values) -> list:
-    """Error cell (or None) per value of one axis.
+    """Per value of one axis, None or its error.
 
     Every `RunConfig` check on a sweep field is an interval in that field
     alone: when both endpoints pass, every value between them passes.
@@ -117,7 +110,7 @@ def _axis_errors(cfg: RunConfig, field: str, values) -> list:
         try:
             replace(cfg, **{field: value})
         except RydsheError as exc:
-            return _error_cell(exc)
+            return exc
         return None
     if error(values[0]) is None and error(values[-1]) is None:
         return [None] * len(values)
@@ -143,11 +136,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     # row-major grid (axis 1 outer): the index and value on each axis
     index = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
     grid = np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
-    cells = np.full(len(grid), "", dtype=object)          # the error column
-    for k in reversed(range(len(axes))):       # the first axis's error wins
-        errs = np.array([e or "" for e in _axis_errors(cfg, fields[k], axes[k])],
-                        dtype=object)[index[k]]
-        cells = np.where(errs != "", errs, cells)
+    # per failed row its error: the first axis's, then its group's or its own
+    errors = first_errors(*(np.array(_axis_errors(cfg, f, a), dtype=object)[i]
+                            for f, a, i in zip(fields, axes, index)))
     # per field, its axis (a later axis on the same field overrides)
     column = {f: k for k, f in enumerate(fields)}
     theta = (grid[:, column["theta_deg"]] if "theta_deg" in column
@@ -161,22 +152,23 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     group = np.zeros(len(grid), dtype=int)
     for k in keys:
         group = group * len(axes[k]) + index[k]
-    group[cells != ""] = -1
+    group[list(errors)] = -1
     table = np.full((len(grid), len(value_cols)), math.nan)
     # every group that keeps a row after the axis checks
     for g in np.flatnonzero(np.bincount(group + 1)[1:]).tolist():
         rows = np.flatnonzero(group == g)
         setting = {fields[k]: grid[rows[0], k].item() for k in keys}
         try:
-            table[rows], cells[rows] = _group_values(
+            table[rows], failed = _group_values(
                 cfg.quantity, replace(cfg, **setting), detunings, det[rows],
                 theta[rows])
         except RydsheError as exc:
-            cells[rows] = _error_cell(exc)
-    table[cells != ""] = math.nan
+            failed = dict.fromkeys(range(len(rows)), exc)
+        errors.update(zip(rows[list(failed)].tolist(), failed.values()))
+    table[list(errors)] = math.nan
     rows = np.concatenate([grid, table], axis=1).tolist()
-    for row, cell in zip(rows, cells.tolist()):
-        row.append(cell)
+    for i, row in enumerate(rows):
+        row.append(_error_cell(errors[i]) if i in errors else "")
     columns = [AXES[v][1] for v in variables] + value_cols + ["error"]
     return SweepResult(columns=columns, rows=rows,
                        config_hash=config_hash(cfg), version=__version__,

@@ -563,9 +563,9 @@ def _set_fresnel_at(monkeypatch, theta_deg, **r):
     real = rydshe.sweeps.stack_fresnel
     calls = []
 
-    def patched(stack, theta, k0, pol, masked=False):
+    def patched(stack, theta, k0, pol):
         calls.append((pol, np.size(theta)))
-        out = real(stack, theta, k0, pol, masked=masked)
+        out = real(stack, theta, k0, pol)
         if pol in r:
             out[0][np.asarray(theta) == math.radians(theta_deg)] = r[pol]
         return out
@@ -654,8 +654,8 @@ def test_layer_error_stays_on_its_row(monkeypatch):
     real = rydshe.sweeps.stack_fresnel
     at = {"p": [3 + 8 * 2], "s": [3 + 8 * 2, 6 + 8 * 4]}   # row indices
 
-    def patched(stack, theta, k0, pol, masked=False):
-        r, t, errors = real(stack, theta, k0, pol, masked=masked)
+    def patched(stack, theta, k0, pol):
+        r, t, errors = real(stack, theta, k0, pol)
         errors = list(errors)
         for i in at[pol]:
             r[i] = t[i] = complex(math.nan, math.nan)
@@ -864,6 +864,34 @@ def test_cli_chi_and_overrides(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[2].startswith("delta2_MHz,re_chi1")
     assert len(lines) == 3 + 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_detuning_past_the_float_range(tmp_path):
+    # a probe detuning past the float range of the solves, or of rad/us,
+    # fails its rows by name without a numpy warning; the sweep exits 0
+    for argv in (["chi", "--delta2-min", "-1e300", "--delta2-max", "1e300"],
+                 ["chi", "--delta2-min", "1e308", "--delta2-max", "1.5e308"],
+                 ["shift-angle", "--delta2", "1e307"]):
+        out = tmp_path / "far.csv"
+        assert run_cli(*argv, "--steps", "2", "--out", str(out)) == 0
+        rows = out.read_text().splitlines()[3:]
+        assert len(rows) == 2
+        for row in rows:
+            assert re.search(r",nan,DomainError: Delta2 = \S+ rad/us is "
+                             r"outside the float range "
+                             r"\(\|Delta2\| <= 1e\+150\)$", row), row
+
+
+def test_cli_chi_writes_no_negative_zero(tmp_path):
+    # a zero density makes every chi column 0 and a zero probe the
+    # third-order ones: written as 0 at every detuning, never as -0
+    for flag in ("--density", "--omega-p"):
+        out = tmp_path / "chi.csv"
+        assert run_cli("chi", flag, "0", "--out", str(out)) == 0
+        cells = [c for line in out.read_text().splitlines()[3:]
+                 for c in line.split(",")[1:-1]]
+        assert "0" in cells and "-0" not in cells
 
 
 def test_cli_shift_detuning_and_json(tmp_path):

@@ -3,8 +3,11 @@ the package exports exactly its public names, and the README's examples
 run."""
 
 import ast
+import importlib.util
+import json
 import re
 import shlex
+import sys
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -74,6 +77,28 @@ def test_names_the_benchmark_reads_resolve():
     assert [n for n in names if not hasattr(rydshe, n)] == []
     # bench/child.py's trace reads it without a guard too
     assert isinstance(rydshe.quantum.DEFAULT_QUAD_NODES, int)
+
+
+def _load_bench_module(name: str, monkeypatch):
+    """bench/<name>.py, imported by path under its own module name."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+def test_benchmark_output_check_passes(workload, tmp_path, monkeypatch):
+    # each benchmark workload at seed 0, through the CLI and the
+    # benchmark's own off-the-clock output check: no problem, no failed row
+    workloads = _load_bench_module("workloads", monkeypatch)
+    check = _load_bench_module("check", monkeypatch)
+    plan = workloads.plan(workload, 0)
+    out = tmp_path / "sweep.csv"
+    assert main(plan.argv(str(out))) == 0
+    assert check.check_output(plan, out) == (0, [])
 
 
 def test_every_cli_override_is_a_run_config_field():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rydshe import (DomainError, Layer, LayerStack, SearchError,
-                    SingularityError, medium_index, stack_fresnel)
+from rydshe import (DomainError, Layer, LayerStack, RydsheError, SearchError,
+                    SingularityError, medium_index, multilayer, stack_fresnel)
 from rydshe.multilayer import refraction_cosine
 from rydshe.oracle import _airy_two_interface, brewster_angle
 from rydshe import (susceptibility, canonical_atom, canonical_drive,
@@ -159,11 +159,10 @@ def test_normal_incidence_polarization_degeneracy():
 def test_stack_fresnel_vectorized_matches_scalar():
     stk = canonical_stack(chi=1e-3 + 2e-4j)
     thetas = np.radians(np.linspace(25, 45, 7))
-    rp_vec, tp_vec = stack_fresnel(stk, thetas, K0, "p")
+    rp_vec, tp_vec, _ = stack_fresnel(stk, thetas, K0, "p")
     for i, th in enumerate(thetas):
         rp, tp = stack_fresnel(stk, float(th), K0, "p")
-        assert rp == pytest.approx(rp_vec[i], rel=1e-14)
-        assert tp == pytest.approx(tp_vec[i], rel=1e-14)
+        assert rp == rp_vec[i] and tp == tp_vec[i]       # bit for bit
 
 
 # ---------------------------------------------------------------- brewster
@@ -248,7 +247,7 @@ def test_critical_angle_faults_both_polarizations(pol):
     theta_c = np.radians(41.810314895778596)
     assert refraction_cosine(1.5, theta_c, 1 + 0j) == 0
     with np.errstate(all="raise"):
-        r, t, errors = stack_fresnel(stk, theta_c, K0, pol, masked=True)
+        r, t, errors = stack_fresnel(stk, [theta_c], K0, pol)
         assert np.isnan([r, t]).all()
         with pytest.raises(SingularityError,
                            match="vanishing layer impedance") as exc:
@@ -259,21 +258,33 @@ def test_critical_angle_faults_both_polarizations(pol):
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-def test_raising_call_gives_the_earliest_check_any_element_fails(order):
+def test_raising_call_gives_the_earliest_check_any_element_fails(order,
+                                                                 monkeypatch):
     # an active index and a grazing slab wave in one array call, in either
-    # order: the call raises the active-index check, which runs first,
-    # and the masked call gives each element its own error
+    # order: each element reports the error a scalar call on it raises
     n = np.array([medium_index(-0.5j), 1 + 0j])[list(order)]
     theta = np.radians([30.0, 41.810314895778596])[list(order)]
     stk = LayerStack(1.5, (Layer(n, 10.0),), 1.49)
-    with pytest.raises(DomainError,
-                       match=r"layer index is strongly active \(Im n << 0\)"):
-        stack_fresnel(stk, theta, K0, "p")
-    _, _, errors = stack_fresnel(stk, theta, K0, "p", masked=True)
+    _, _, errors = stack_fresnel(stk, theta, K0, "p")
     kinds = [type(errors[i]) for i in order]
     assert kinds == [DomainError, SingularityError]
     assert str(errors[order[1]]) == ("vanishing layer impedance "
                                      "(grazing pathology)")
+    for i in range(2):
+        with pytest.raises(RydsheError) as exc:
+            stack_fresnel(LayerStack(1.5, (Layer(n[i], 10.0),), 1.49),
+                          theta[i], K0, "p")
+        assert (type(exc.value), str(exc.value)) == (type(errors[i]),
+                                                     str(errors[i]))
+    # with every Im n < 1 taken as active, the grazing element fails the
+    # active-index check as well: the earlier check's error is reported,
+    # by the array call and by a scalar call alike
+    monkeypatch.setattr(multilayer, "_PASSIVITY_TOL", -1.0)
+    _, _, errors = stack_fresnel(stk, theta, K0, "p")
+    assert [type(e) for e in errors] == [DomainError] * 2
+    with pytest.raises(DomainError, match=r"strongly active \(Im n << 0\)"):
+        stack_fresnel(LayerStack(1.5, (Layer(n[order[1]], 10.0),), 1.49),
+                      theta[order[1]], K0, "p")
 
 
 def test_exit_critical_angle_is_the_infinite_impedance_limit():

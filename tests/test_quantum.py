@@ -334,7 +334,7 @@ def test_third_order_residual(atom):
 
 # ---------------------------------------------------------- shell integral
 
-def test_nonlocal_integral_zero_cases(atom, drive0):
+def test_shell_integral_zero_cases(atom, drive0):
     assert response_parts(drive0, replace(atom, C6=0.0)).shell_integral == 0
     assert response_parts(drive0, replace(atom, Na=0.0)).shell_integral == 0
     no_coupling = DriveParams(drive0.Omega_p, 0.0, drive0.Delta2,
@@ -342,20 +342,20 @@ def test_nonlocal_integral_zero_cases(atom, drive0):
     assert response_parts(no_coupling, atom).shell_integral == 0
 
 
-def test_nonlocal_integral_linear_density_prefactor(atom, drive0):
+def test_shell_integral_linear_density_prefactor(atom, drive0):
     i1 = response_parts(drive0, atom).shell_integral
     i2 = response_parts(drive0, replace(atom, Na=2 * atom.Na)).shell_integral
     assert i2 == pytest.approx(2 * i1, rel=1e-12)
 
 
-def test_nonlocal_integral_vs_trapezoid_reference(atom, drive0):
+def test_shell_integral_vs_trapezoid_reference(atom, drive0):
     from rydshe.oracle import trapezoid_nonlocal_integral
     i_gl = response_parts(drive0, atom).shell_integral
     i_tr = trapezoid_nonlocal_integral(drive0, atom, panels=10_000)
     assert abs(i_gl - i_tr) / abs(i_tr) < 1e-6
 
 
-def test_nonlocal_integral_node_doubling(atom, drive0):
+def test_shell_integral_node_doubling(atom, drive0):
     # the oracle rule is converged, and the closed form sits on it
     i64 = gauss_legendre_nonlocal_integral(drive0, atom, n_nodes=64)
     i128 = gauss_legendre_nonlocal_integral(drive0, atom, n_nodes=128)
@@ -579,15 +579,15 @@ def _parts(b):
 
 
 def test_array_call_reports_each_failure_at_its_detuning(atom, monkeypatch):
-    # a wider pole clearance fails some detunings and not others, and one
-    # detuning is poisoned; for susceptibility and for the reader of the
-    # named parts alike, each failure is the error a scalar call at that
-    # detuning raises, its parts are nan, and the rest are the scalar
-    # values
+    # a wider pole clearance fails some detunings and not others, one
+    # detuning is poisoned and one is past the float range; for
+    # susceptibility and for the reader of the named parts alike, each
+    # failure is the error a scalar call at that detuning raises, its
+    # parts are nan, and the rest are the scalar values bit for bit
     from rydshe import RydsheError
     monkeypatch.setattr(quantum, "POLE_CLEARANCE", 0.25)
     D2 = TWO_PI * np.linspace(-10, 10, 41)
-    D2[7] = math.nan
+    D2[7], D2[30] = math.nan, 1e155
     for reader in (susceptibility, response_parts):
         b = reader(canonical_drive(D2), atom)
         parts = _parts(b)
@@ -604,7 +604,11 @@ def test_array_call_reports_each_failure_at_its_detuning(atom, monkeypatch):
             else:
                 assert b.errors[i] is None
                 assert np.array_equal(parts[:, i], one)
-        assert "non-finite entries" in str(b.errors[7])
+        # nan fails the 5x5, both 4x4 and the 8x8 solves, the pole check
+        # and the finite-part check: the earliest check's error is reported
+        assert str(b.errors[7]) == ("non-finite entries entering the "
+                                    "second-order one-body (5x5) solve")
+        assert type(b.errors[30]) is DomainError
         assert 1 < n_failed < len(D2) - 1
         assert any(re.search(r"at Delta2 = \S+ rad/us$", str(e))
                    for e in b.errors if e)
@@ -705,7 +709,7 @@ def test_batch_members_are_independent(d2, data):
 
 # ------------------------------------------------------ third-order parts
 
-def test_third_order_coherence_limits(atom, drive0):
+def test_third_order_parts_limits(atom, drive0):
     p0 = response_parts(drive0, atom)
     p1 = response_parts(drive0, replace(atom, C6=0.0))
     loc0, nl0 = p0.rho21_3_local, p0.rho21_3_nonlocal
@@ -739,6 +743,40 @@ def test_susceptibility_zero_density(drive0, atom):
     b = susceptibility(drive0, replace(atom, Na=0.0))
     assert b.chi1 == 0 and b.chi3_local_contrib == 0
     assert b.chi3_nonlocal_contrib == 0 and b.total == 0
+    # a zero density (every part) or probe (the third-order parts) times
+    # a negative part is 0, not -0
+    D2 = TWO_PI * np.linspace(-10, 10, 21)
+    dilute = _parts(susceptibility(canonical_drive(D2), replace(atom, Na=0.0)))
+    dark = _parts(susceptibility(replace(canonical_drive(D2), Omega_p=0.0),
+                                 atom))[1:]
+    for parts in (dilute, dark):
+        assert (parts == 0).all() and not np.signbit(parts.view(float)).any()
+
+
+@pytest.mark.filterwarnings("error")
+def test_detuning_past_the_float_range_fails_by_name(atom):
+    # a probe or coupling detuning past 1e150 rad/us would take the pair
+    # energies' squares out of the float range: a DomainError naming it,
+    # and no numpy warning
+    for d2 in (1e155, -1e300, math.inf):
+        with pytest.raises(DomainError, match=re.escape(
+                f"Delta2 = {d2:g} rad/us is outside the float "
+                f"range (|Delta2| <= 1e+150)")):
+            susceptibility(canonical_drive(d2), atom)
+    b = response_parts(canonical_drive(np.array([0.0, 1e155, -math.inf])),
+                       atom)
+    assert b.errors[0] is None
+    assert [type(e) for e in b.errors[1:]] == [DomainError] * 2
+    assert np.isnan(_parts(b)[:, 1:]).all()
+    with pytest.raises(DomainError, match=re.escape(
+            "Delta_c = 1e+153 rad/us is outside the float range "
+            "(|Delta_c| <= 1e+150)")):
+        replace(canonical_drive(0.0), Delta_c=1e153)
+    # at the limit the solves still run, unwarned
+    edge = replace(canonical_drive(np.array([1e150, -1e150, 0.0])),
+                   Delta_c=1e150)
+    assert not any(isinstance(e, DomainError)
+                   for e in susceptibility(edge, atom).errors)
 
 
 def test_susceptibility_past_the_float_range_fails_by_name(atom):
