@@ -12,26 +12,25 @@ __version__ = "0.1.0"
 from .errors import (RydsheError, DomainError, SingularityError,
                      PropagationError, SearchError, WindowError, ConfigError)
 from .quantum import (AtomParams, DriveParams, ResponseParts,
-                      SusceptibilityBreakdown, derive_dipole_moment,
-                      response_parts, susceptibility)
+                      SusceptibilityBreakdown, response_parts, susceptibility)
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, analytic_gaussian_shift,
                          shifts_from_coefficients, medium_index,
                          intensity_profiles, intensity_maps_2d)
 from .config import (RunConfig, parse_config, serialize_config,
-                     canonical_atom, canonical_drive, canonical_stack)
+                     canonical_atom, canonical_drive)
 from .sweeps import SweepResult, run_sweep, emit
 
 __all__ = [
     "RydsheError", "DomainError", "SingularityError", "PropagationError",
     "SearchError", "WindowError", "ConfigError",
     "AtomParams", "DriveParams", "ResponseParts", "SusceptibilityBreakdown",
-    "derive_dipole_moment", "response_parts", "susceptibility",
+    "response_parts", "susceptibility",
     "Layer", "LayerStack", "stack_fresnel",
     "BeamSpec", "ShiftResult", "analytic_gaussian_shift",
     "shifts_from_coefficients", "medium_index", "intensity_profiles",
     "intensity_maps_2d",
     "RunConfig", "parse_config", "serialize_config", "canonical_atom",
-    "canonical_drive", "canonical_stack",
+    "canonical_drive",
     "SweepResult", "run_sweep", "emit",
 ]

@@ -170,11 +170,6 @@ def canonical_drive(Delta2: float = 0.0) -> DriveParams:
     return replace(RunConfig().drive_params(), Delta2=Delta2)
 
 
-def canonical_stack(chi: complex = 0.0) -> LayerStack:
-    """The default `RunConfig` stack, its slab dressed with chi."""
-    return RunConfig().layer_stack(chi)
-
-
 def _schema() -> dict:
     """[section] -> {file key: (RunConfig field, caster)}, in file order;
     the caster is the field's annotation, `X | None` unwrapped."""

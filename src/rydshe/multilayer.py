@@ -20,9 +20,10 @@ which keeps them finite at the exit medium's critical angle (y3 = 0).
 and the slab's index may be an array too: indices and angles broadcast
 elementwise, so one call evaluates a whole sweep grid.  Each element is
 checked for an active slab index, then a slab wave grazing at its
-critical angle, then a vanishing denominator.  As in the other stages,
-a scalar call raises its earliest failing check, and an array call
-reports each element's in `errors`, so one cannot fail its batch.
+critical angle, then a vanishing denominator, then a non-finite r or t.
+As in the other stages, a scalar call raises its earliest failing
+check, and an array call reports each element's in `errors`, so one
+cannot fail its batch.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, failures, first_errors
+from .errors import (DomainError, PropagationError, SingularityError,
+                     failures, first_errors)
 
 # cap on Im(delta): beyond this the slab is opaque and cosh/sinh overflow
 _MAX_IM_DELTA = 35.0
@@ -85,6 +87,9 @@ def refraction_cosine(n_in: float, theta_i, n_j) -> np.ndarray | complex:
     return np.where(flip, -c, c)
 
 
+# an input past the float range gives a non-finite r or t, which the
+# last check reports in place of a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     """(r, t) of the stack for one polarization; broadcasts over theta_i
     and the slab index.
@@ -130,6 +135,9 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
         den = cd * y2 * (y1 + y3) - 1j * sd * (y2 * y2 + y1 * y3)
         r_num = cd * y2 * (y3 - y1) - 1j * sd * (y2 * y2 - y1 * y3)
         t_num = 2 * y2 * y3
+    zero = den == 0
+    den[zero] = 1.0                     # a fault below: no division by 0
+    r, t = r_num / den, t_num / den
     # the earliest check an element fails gives its error
     errors = first_errors(*(
         failures(np.broadcast_to(bad, den.shape), lambda i: kind(message))
@@ -138,11 +146,11 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
              "layer index is strongly active (Im n << 0)"),
             (grazing & bool(stack.layers), SingularityError,
              "vanishing layer impedance (grazing pathology)"),
-            (den == 0, SingularityError,
-             "vanishing denominator in stack Fresnel formula"))))
+            (zero, SingularityError,
+             "vanishing denominator in stack Fresnel formula"),
+            (~(np.isfinite(r) & np.isfinite(t)), PropagationError,
+             "non-finite r or t"))))
     failed = list(errors)
-    den.flat[failed] = 1.0
-    r, t = r_num / den, t_num / den
     r.flat[failed] = t.flat[failed] = np.nan
     if shape:
         return r, t, (tuple(map(errors.get, range(den.size))) if errors

@@ -6,8 +6,8 @@ The main physics modules are validated against four kinds of oracle:
   Bloch equations, solved as a 9x9 linear system with the trace row --
   this pins every sign convention of the perturbative expansion;
 * the two-body correlators solved directly at given pair energies
-  (`twobody_correlators`: every matrix built at the detuning itself, the
-  pair 4x4 and the 8x8 with V on their diagonals, batched over V), and
+  (`twobody_correlators`: the two-body matrices built at the detuning,
+  the pair 4x4 and the 8x8 with V on their diagonals, batched over V), and
   Gauss-Legendre and dense-trapezoid quadrature of the nonlocal shell
   integral over them, checking its closed form;
 * closed-form optics identities (two-interface Airy summation, energy
@@ -123,29 +123,28 @@ def perturbative_rho21_local(drive: DriveParams, atom: AtomParams) -> complex:
 
 def twobody_correlators(drive: DriveParams, atom: AtomParams, V
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(z2, x3), each (n, 8): the two-body correlators solved directly at
-    each of the n pair energies V (rad/us); a separation r is V = C6/r^6.
+    """(z2, x3), each (n, 8): the two-body correlators at the scalar
+    detuning of drive, solved directly at each of the n pair energies V
+    (rad/us); a separation r is V = C6/r^6.
 
     z2 holds the O(Omega_p^2) (rr13_31, rr12_31, rr12_21, rr13_21, rr31_31,
     rr21_31, rr21_21, rr31_21), of which only the last four see V; x3 the
     O(Omega_p^3) unknowns of the 8x8 of `quantum._systems`, x3[:, 0] being
-    rr33_31, the source of the nonlocal susceptibility.  Every matrix is
-    built at this detuning, not shifted from another; the pair 4x4 and
-    the 8x8 take V on their diagonals and are solved as batches, not
-    through the poles the closed form uses.
+    rr33_31, the source of the nonlocal susceptibility.  rho^(1) and
+    rho^(2) come from `response_parts`, which raises a bad detuning's
+    error.  The two-body matrices are built at this detuning, not
+    shifted from another; the pair 4x4 and the 8x8 take V on their
+    diagonals and are solved as batches, not through the poles the
+    closed form uses.
     """
     V = np.asarray(V)
-    n, Oc = len(V), drive.Omega_c
-    batch = quantum._batch(drive)
-    r21, r31, first = quantum._first_order(
-        *quantum._denominators(batch, atom)[:2], Oc)
-    A, MA, MB0, Q0 = quantum._systems(
-        replace(batch, Delta2=batch.Delta2[0]), atom)
-    onebody, second = quantum._onebody(A, r21, r31)
-    zA, mixed = quantum._mixed_correlators(MA, r21, r31)
-    errors = first_errors(first, second, mixed)
-    if errors:  # the V-free parts raise as a scalar call here would
-        raise quantum._named(errors, batch)[0]
+    n = len(V)
+    # rho^(1) and rho^(2) hold no Na, and Na = 0 skips the shell
+    p = response_parts(drive, replace(atom, Na=0.0))
+    r21, r31, *onebody = (np.array([z]) for z in (
+        p.rho21_1, p.rho31_1, p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2))
+    _, MA, MB0, Q0 = quantum._systems(drive, atom)
+    zA = _checked(*quantum._mixed_correlators(MA, r21, r31))
     MB = MB0 - V[:, None, None] * np.diag([1, 0, 0, 0])
     qB = np.broadcast_to(quantum._pair_rhs(r21, r31)[..., :1], (n, 4, 1))
     zB = _checked(*quantum._solve_checked(

@@ -51,14 +51,6 @@ import numpy as np
 from .errors import (DomainError, PropagationError, SingularityError,
                      failures, first_errors)
 
-TWO_PI = 2.0 * math.pi
-
-# SI constants, CODATA 2022: speed of light (m/s), vacuum permittivity
-# (F/m), reduced Planck constant (J s)
-C_LIGHT = 299792458.0
-EPSILON_0 = 8.8541878188e-12
-HBAR = 1.0545718176461565e-34
-
 # relative residual allowed for any dense solve in this module
 SOLVE_RESIDUAL_TOL = 1e-10
 
@@ -82,20 +74,6 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def derive_dipole_moment(Gamma21_si: float, lambda_si: float) -> float:
-    """Dipole matrix element (C*m) from the spontaneous decay rate.
-
-    Inverts the free-space emission formula Gamma = omega^3 p^2 /
-    (3 pi eps0 hbar c^3) for p.  Inputs are SI: Gamma21 in rad/s,
-    wavelength in m.
-    """
-    if Gamma21_si < 0 or lambda_si <= 0:
-        raise DomainError("decay rate must be >= 0 and wavelength > 0")
-    omega = TWO_PI * C_LIGHT / lambda_si
-    return math.sqrt(3 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3
-                     * Gamma21_si / omega**3)
-
-
 @dataclass(frozen=True)
 class AtomParams:
     """Atomic constants of the medium (rad/us, um units).
@@ -105,8 +83,11 @@ class AtomParams:
     denominators d_ab are coh21/coh32/coh31 when given, else the
     half-sum-of-level-widths rule gamma_ab = (Gamma_a + Gamma_b)/2 with
     Gamma_1 = 0, Gamma_2 = Gamma21, Gamma_3 = Gamma32 (no extra
-    dephasing).  `p21` is the dipole moment (C m) and `chi_prefactor` is
-    K = Na |p21|^2 / (eps0 hbar) in rad/us, so that chi = K rho21 / Omega_p.
+    dephasing).  `chi_prefactor` is K in chi = K rho21 / Omega_p:
+    K = Na |d|^2 / (eps0 hbar), the dipole moment from the decay rate,
+    |d|^2 = 3 pi eps0 hbar c^3 Gamma21 / omega^3 with omega = 2 pi c /
+    lambda_p.  eps0, hbar and c cancel: K = 3 Na lambda_p^3 Gamma21 /
+    (8 pi^2), and um^-3 * um^3 * rad/us is rad/us.
     """
 
     Gamma21: float          # population decay 2 -> 1
@@ -147,20 +128,19 @@ class AtomParams:
                 else self.coh32)
 
     @property
-    def p21(self) -> float:
-        return derive_dipole_moment(self.Gamma21 * 1e6, self.lambda_p * 1e-6)
-
-    @property
     def chi_prefactor(self) -> float:
-        # K = Na p^2/(eps0 hbar): um^-3 -> m^-3 is 1e18, 1/s -> rad/us is 1e-6
-        return self.Na * 1e18 * self.p21**2 / (EPSILON_0 * HBAR) * 1e-6
+        # products, not ** 3: past the float range inf, not OverflowError
+        lam = self.lambda_p
+        return 3 / (8 * math.pi**2) * self.Na * lam * lam * lam * self.Gamma21
 
     def blockade_radius(self, Omega_c: float) -> float:
         """Blockade radius R_b (um) where |C6|/R_b^6 equals Omega_c^2/gamma12,
         with gamma12 = gamma21 (the only symmetric reading)."""
         if Omega_c == 0:
             raise DomainError("Omega_c = 0 gives a divergent blockade radius")
-        Rb = (abs(self.C6) * self.gamma21 / _square(abs(Omega_c))) ** (1 / 6)
+        # an Omega_c^2 that underflows to 0 gives R_b = inf, refused below
+        Oc2 = _square(abs(Omega_c))
+        Rb = (abs(self.C6) * self.gamma21 / Oc2) ** (1 / 6) if Oc2 else math.inf
         if not 0 < Rb < math.inf:
             raise DomainError(f"need C6 != 0 and R_b in float range: {Rb} um")
         return Rb
@@ -427,8 +407,9 @@ def _correlator_poles(systems: tuple, shift: np.ndarray, r21: np.ndarray,
     rhs[:, _PAIR_ROWS, 3] = w * zB0[:, :1]
     X, third = _solve_checked(Q0, rhs, "third-order two-body (8x8)")
     X = X[:, 0:3:2]                     # rows 0 and 2: [S, a, b]
-    # coincident poles give non-finite residues; _shell_pole_sum refuses them
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # coincident poles, or poles past the float range, give non-finite
+    # residues; _shell_pole_sum refuses them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam = _eig2(X[..., :2])
         V = 1.0 / np.concatenate([lam, beta], axis=1)
         # row 0 of adj(I - V_k S), so that (I - V S)^-1 = adj / det

@@ -23,7 +23,7 @@ import pytest
 from rydshe import (BeamSpec, DriveParams, intensity_profiles,
                     response_parts, shifts_from_coefficients,
                     stack_fresnel, susceptibility, canonical_atom, canonical_drive,
-                    canonical_stack)
+                    RunConfig)
 from rydshe.oracle import (oracle_rho21, perturbative_rho21_local,
                            _airy_two_interface, brewster_angle, spectral_shifts,
                            gauss_legendre_nonlocal_integral)
@@ -47,7 +47,7 @@ def chi_breakdown(d2_mhz: float, density_mm3: float = 4e7, oc_mhz: float = 4.0):
 
 
 def rp_rs(theta_deg: float, chi: complex):
-    stk = canonical_stack(chi)
+    stk = RunConfig().layer_stack(chi)
     th = math.radians(theta_deg)
     return (stack_fresnel(stk, th, K0, "p")[0],
             stack_fresnel(stk, th, K0, "s")[0])
@@ -99,7 +99,7 @@ def test_criterion_2_brewster_and_rs_trend():
     runtime < 5 s."""
     t0 = time.perf_counter()
     chi0 = chi_breakdown(0.0).total
-    stk = canonical_stack(chi0)
+    stk = RunConfig().layer_stack(chi0)
     th_b = math.degrees(brewster_angle(stk, K0))
     # |r_s| carries a ~0.24 deg interference ripple from the 100 um slab;
     # the monotone content is its envelope: crest and trough sequences of

@@ -10,7 +10,7 @@ from rydshe import (BeamSpec, DomainError, Layer, LayerStack,
                     analytic_gaussian_shift, intensity_maps_2d,
                     intensity_profiles, medium_index, shifts_from_coefficients,
                     canonical_atom, canonical_drive,
-                    canonical_stack, stack_fresnel, susceptibility)
+                    RunConfig, stack_fresnel, susceptibility)
 from rydshe.oracle import (centroid, incident_spectrum, reflected_field,
                            reflected_spin_spectra, spectral_shifts)
 
@@ -336,7 +336,7 @@ def test_shifts_far_from_brewster_subwavelength():
     chi = susceptibility(drive, atom).total
     beam20 = BeamSpec(w0=50.0, theta_i=math.radians(20.0), lambda_p=0.78,
                       n_in=1.49)
-    stack = canonical_stack(chi)
+    stack = RunConfig().layer_stack(chi)
     rp, rs = (stack_fresnel(stack, beam20.theta_i, beam20.k0, pol)[0]
               for pol in "ps")
     s = shifts_from_coefficients(beam20, rp, rs)

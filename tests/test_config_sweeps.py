@@ -1215,14 +1215,26 @@ def test_every_axis_field_has_an_override_flag():
     assert {field for field, _ in AXES.values()} <= set(_OVERRIDES)
 
 
+_DENSE = "PropagationError: non-finite chi3_nonlocal_contrib"
+_FAR_RB = "DomainError: need C6 != 0 and R_b in float range: inf um"
+_FAR_POLE = "SingularityError: non-finite pole or residue of rr33_31^(3)"
+_FAR_R = "PropagationError: non-finite r or t"
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, code, cell", [
-    (["chi", "--density", "1e300"], 0, "PropagationError: non-finite chi1"),
-    (["fresnel", "--density", "1e300"], 0, "PropagationError: non-finite chi1"),
-    (["shift-detuning", "--density", "1e300"], 0,
-     "PropagationError: non-finite chi1"),
+    # K scales as Na and stays finite; the nonlocal part, as Na^2, does not
+    (["chi", "--density", "1e300"], 0, _DENSE),
+    (["fresnel", "--density", "1e300"], 0, _DENSE),
+    (["shift-detuning", "--density", "1e300"], 0, _DENSE),
     (["profile", "--density", "1e300"], 3, None),
     (["profile", "--full-map", "--density", "1e300"], 3, None),
     (["chi", "--omega-c", "1e160"], 0, "DomainError: need C6 != 0 and R_b"),
+    # Omega_c^2 underflows to 0: the same error as an overflowing one
+    (["chi", "--omega-c", "1e-300"], 0, _FAR_RB),
+    (["shift-angle", "--omega-c", "1e-170"], 0, _FAR_RB),
+    (["profile", "--omega-c", "1e-300"], 3, "R_b in float range: inf um"),
+    (["chi", "--omega-c", "1e150"], 0, _FAR_POLE),
     (["chi", "--omega-p", "1e300"], 0,
      "PropagationError: non-finite chi3_local_contrib and "
      "chi3_nonlocal_contrib"),
@@ -1232,12 +1244,30 @@ def test_every_axis_field_has_an_override_flag():
     (["profile", "--w0", "1e-300"], 3, "w0 = 1e-300 um"),
     (["profile", "--full-map", "--w0", "1e300"], 3, "w0 = 1e+300 um"),
     (["profile", "--full-map", "--w0", "1e-300"], 3, "w0 = 1e-300 um"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    # settings only a config file sets, given here as the file's text
+    (["chi", "--config", "[atom]\nlambda_um = 1e125"], 0,
+     "PropagationError: non-finite chi1 "),
+    (["chi", "--config", "[atom]\nlambda_um = 1e300"], 0,
+     "PropagationError: non-finite chi1 "),
+    (["chi", "--config", "[atom]\ngamma32_mhz = 1e300"], 0, _FAR_POLE),
+    (["chi", "--config", "[atom]\ncoh31_mhz = 1e300"], 0, _FAR_POLE),
+    (["fresnel", "--config", "[geometry]\nn1 = 1e160"], 0, _FAR_R),
+    (["fresnel", "--config", "[geometry]\nn1 = 1e300"], 0, _FAR_R),
+    (["shift-angle", "--config", "[geometry]\nn1 = 1e160"], 0, _FAR_R),
+    (["shift-angle", "--config", "[geometry]\nn1 = 1e300"], 0, _FAR_R),
+], ids=lambda v: " ".join(v).replace("\n", " ") if isinstance(v, list)
+    else None)
 def test_cli_settings_past_the_float_range(tmp_path, capsys, argv, code, cell):
-    # a setting whose chi, blockade radius, beam power or beam profile
-    # leaves the float range fails its rows by name, or a profile run
-    # with exit 3; no nan or inf is written silently, and no warning or
-    # traceback is raised
+    # a setting whose chi, blockade radius, poles, Fresnel coefficients,
+    # beam power or beam profile leaves the float range fails its rows by
+    # name, or a profile run with exit 3; no nan or inf is written
+    # silently, and no warning or traceback is raised
+    argv = list(argv)
+    if "--config" in argv:
+        i = argv.index("--config") + 1
+        ini = tmp_path / "far.ini"
+        ini.write_text(argv[i] + "\n")
+        argv[i] = str(ini)
     out = tmp_path / "out.txt"
     assert run_cli(*argv, "--out", str(out)) == code
     if code == 3:
@@ -1245,9 +1275,8 @@ def test_cli_settings_past_the_float_range(tmp_path, capsys, argv, code, cell):
         assert err.startswith("numerical error: ") and (cell or "") in err
         assert not out.exists()
         return
-    lines = out.read_text().splitlines()
-    n = lines[2].count(",")              # error cells may hold commas
-    rows = [r.split(",", n) for r in lines[3:]]
+    # csv reads quoted error cells, which may hold commas or line breaks
+    rows = list(csv.reader(io.StringIO(out.read_text())))[3:]
     assert rows and all(r[-1].startswith(cell) for r in rows)
     for r in rows:
         assert r[-1] or all(math.isfinite(float(v)) for v in r[:-1])

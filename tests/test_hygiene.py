@@ -126,32 +126,64 @@ def test_stage_modules_import_no_other_stage(stage):
     assert not imported, f"{stage} imports {imported}"
 
 
+def _top_level_names(tree):
+    """Names a module defines at its top level: functions, classes and
+    assigned constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            yield node.target.id
+
+
+def _referred_names(tree, own=()):
+    """Names the tree refers to: the attributes it reads, and the names
+    it loads that it imports or that are among `own`, its own top-level
+    names.  An import alone refers to nothing."""
+    loads = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    imported = {a.asname or a.name: a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    return ({n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {imported[x] for x in loads & imported.keys()}
+            | (loads & set(own)))
+
+
+def _unused_names(trees, modules, public):
+    """'module: name' of each public (or private) top-level name of
+    `modules` that no tree refers to."""
+    refers = {m: _referred_names(tree) for m, tree in trees.items()}
+    unused = []
+    for module in modules:
+        names = set(_top_level_names(trees[module]))
+        used = _referred_names(trees[module], names).union(
+            *(r for m, r in refers.items() if m != module))
+        unused += [f"{module}: {name}" for name in sorted(names - used)
+                   if name.startswith("_") != public
+                   and not name.startswith("__")]
+    return unused
+
+
 def test_every_private_module_name_is_used():
     trees = _trees()
-    defined = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                                ast.Name):
-                names = [node.target.id]
-            else:
-                continue
-            defined += [(module, n) for n in names
-                        if n.startswith("_") and not n.startswith("__")]
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    unused = [f"{module}: {name}" for module, name in defined
-              if name not in used]
+    unused = _unused_names(trees, trees, public=False)
     assert not unused, f"private names nothing in src/ refers to: {unused}"
+
+
+def test_no_public_name_exists_only_for_tests():
+    # every public name of a production module is used by the package
+    # (the oracle included) or the benchmark, not only by the tests; the
+    # oracle's own names are references the tests call, and a re-export
+    # from the package root counts for nothing
+    trees = {m: t for m, t in _trees().items() if m != "__init__.py"}
+    modules = [m for m in trees if m != "oracle.py"]
+    trees |= {f"bench/{p.name}": ast.parse(p.read_text(encoding="utf-8"))
+              for p in sorted(BENCH.glob("*.py"))}
+    unused = _unused_names(trees, modules, public=True)
+    assert not unused, f"public names only tests refer to: {unused}"
 
 
 def _readme_block(heading: str) -> str:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rydshe import (DomainError, Layer, LayerStack, RydsheError, SearchError,
-                    SingularityError, medium_index, multilayer, stack_fresnel)
+from rydshe import (DomainError, Layer, LayerStack, PropagationError,
+                    RydsheError, SearchError, SingularityError, medium_index,
+                    multilayer, stack_fresnel)
 from rydshe.multilayer import refraction_cosine
 from rydshe.oracle import _airy_two_interface, brewster_angle
 from rydshe import (susceptibility, canonical_atom, canonical_drive,
-                    canonical_stack)
+                    RunConfig)
 
 TWO_PI = 2.0 * math.pi
 K0 = TWO_PI / 0.78
@@ -106,7 +107,7 @@ def test_trivial_stack_no_contrast():
 def test_brewster_zero_of_vacuum_interior():
     # at arctan(1/n_glass) both glass|vac interfaces are simultaneously
     # reflectionless for p polarization, so the full stack r_p vanishes
-    stk = canonical_stack(chi=0.0)
+    stk = RunConfig().layer_stack(chi=0.0)
     r, _ = stack_fresnel(stk, BREWSTER_GLASS_VAC, K0, "p")
     assert abs(r) < 1e-6
 
@@ -157,7 +158,7 @@ def test_normal_incidence_polarization_degeneracy():
 
 
 def test_stack_fresnel_vectorized_matches_scalar():
-    stk = canonical_stack(chi=1e-3 + 2e-4j)
+    stk = RunConfig().layer_stack(chi=1e-3 + 2e-4j)
     thetas = np.radians(np.linspace(25, 45, 7))
     rp_vec, tp_vec, _ = stack_fresnel(stk, thetas, K0, "p")
     for i, th in enumerate(thetas):
@@ -188,7 +189,7 @@ def test_brewster_small_absorption_perturbation():
 def test_brewster_canonical_stack_at_resonance():
     atom, drive = canonical_atom(), canonical_drive(0.0)
     chi = susceptibility(drive, atom).total
-    th = brewster_angle(canonical_stack(chi), K0)
+    th = brewster_angle(RunConfig().layer_stack(chi), K0)
     assert math.degrees(th) == pytest.approx(33.8, abs=0.15)
 
 
@@ -305,3 +306,19 @@ def test_exit_critical_angle_is_the_infinite_impedance_limit():
     cd, sd = np.cos(delta), np.sin(delta)
     want = (-cd - 1j * sd * ratio) / (cd - 1j * sd * ratio)
     assert abs(r - want) < 1e-13 and t == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_in", [1e160, 1e300])
+@pytest.mark.parametrize("pol", ["p", "s"])
+def test_entry_index_past_the_float_range_fails_by_name(n_in, pol):
+    # n_in sin(theta) squared overflows: a non-finite r or t is the last
+    # check, reported per element by an array call and raised by a
+    # scalar one, with no numpy warning
+    stk = LayerStack(n_in, (Layer(medium_index(1e-3 + 2e-4j), 100.0),), 1.49)
+    theta = np.radians([20.0, 33.87, 50.0])
+    r, t, errors = stack_fresnel(stk, theta, K0, pol)
+    assert np.isnan([r, t]).all()
+    assert [str(e) for e in errors] == ["non-finite r or t"] * 3
+    with pytest.raises(PropagationError, match="^non-finite r or t$"):
+        stack_fresnel(stk, theta[1], K0, pol)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydshe import (AtomParams, DriveParams, DomainError,
-                    PropagationError, SingularityError, derive_dipole_moment,
-                    response_parts, susceptibility, canonical_atom,
-                    canonical_drive)
+                    PropagationError, SingularityError, response_parts,
+                    susceptibility, canonical_atom, canonical_drive)
 from rydshe import quantum
 from rydshe.oracle import (full_local_bloch_steady_state,
                            gauss_legendre_nonlocal_integral,
@@ -29,46 +28,31 @@ def third_order_twobody(drv, atom, r):
     return twobody_correlators(drv, atom, [atom.C6 / r**6])[1][0]
 
 
-# ---------------------------------------------------------------- dipole
+# ------------------------------------------------------------ chi prefactor
 
-def test_dipole_moment_reference_value():
-    p = derive_dipole_moment(TWO_PI * 6.0e6, 780e-9)
-    # regression pin of the implementation
-    assert p == pytest.approx(2.5193335499544487e-29, rel=1e-12)
-    # independent 50-digit mpmath evaluation of
-    # sqrt(3 pi eps0 hbar c^3 Gamma / omega^3); tolerance covers the
-    # difference between CODATA revisions of eps0/hbar
+def _si_chi_prefactor(Na, Gamma21, lambda_p):
+    """K = Na |d|^2 / (eps0 hbar) in rad/us, with |d|^2 = 3 pi eps0 hbar
+    c^3 Gamma21 / omega^3, evaluated in SI at 50 digits (CODATA values)."""
     import mpmath as mp
-    mp.mp.dps = 50
-    eps0 = mp.mpf("8.8541878128e-12")
-    hbar = mp.mpf("1.054571817e-34")
-    c = mp.mpf("299792458")
-    omega = 2 * mp.pi * c / mp.mpf("780e-9")
-    ref = mp.sqrt(3 * mp.pi * eps0 * hbar * c**3
-                  * (2 * mp.pi * mp.mpf("6.0e6")) / omega**3)
-    assert p == pytest.approx(float(ref), rel=1e-8)
-
-
-def test_si_constants_match_scipy():
     import scipy.constants as const
-    for ours, theirs in ((quantum.C_LIGHT, const.c),
-                         (quantum.EPSILON_0, const.epsilon_0),
-                         (quantum.HBAR, const.hbar)):
-        assert ours == pytest.approx(theirs, rel=1e-9)
+    with mp.workdps(50):
+        eps0, hbar, c = map(mp.mpf, (const.epsilon_0, const.hbar, const.c))
+        omega = 2 * mp.pi * c / (mp.mpf(lambda_p) / 10**6)      # rad/s
+        d2 = (3 * mp.pi * eps0 * hbar * c**3 * mp.mpf(Gamma21) * 10**6
+              / omega**3)                                         # (C m)^2
+        return float(mp.mpf(Na) * 10**18 * d2 / (eps0 * hbar) / 10**6)
 
 
-def test_dipole_moment_sqrt_scaling():
-    p1 = derive_dipole_moment(TWO_PI * 6.0e6, 780e-9)
-    p4 = derive_dipole_moment(4 * TWO_PI * 6.0e6, 780e-9)
-    assert p4 == pytest.approx(2 * p1, rel=1e-14)
-
-
-def test_dipole_moment_zero_and_domain():
-    assert derive_dipole_moment(0.0, 780e-9) == 0.0
-    with pytest.raises(DomainError):
-        derive_dipole_moment(-1.0, 780e-9)
-    with pytest.raises(DomainError):
-        derive_dipole_moment(1.0, 0.0)
+def test_chi_prefactor_matches_the_si_formula(atom, rng):
+    # the closed form K = 3 Na lambda^3 Gamma21 / (8 pi^2) against the SI
+    # route through eps0, hbar and c, at the canonical atom and at random
+    atoms = [atom] + [
+        replace(atom, Na=10 ** rng.uniform(-6, 3),
+                Gamma21=TWO_PI * 10 ** rng.uniform(-2, 2),
+                lambda_p=10 ** rng.uniform(-1, 1)) for _ in range(50)]
+    for a in atoms:
+        assert a.chi_prefactor == pytest.approx(
+            _si_chi_prefactor(a.Na, a.Gamma21, a.lambda_p), rel=1e-14)
 
 
 # ---------------------------------------------------------- blockade radius
@@ -112,9 +96,11 @@ def test_coherence_rate_defaults(atom):
 
 
 def test_coherence_rate_overrides_validated(atom):
-    # a negative rate (a medium with gain) or gamma21 = 0 is refused
+    # a negative rate (a medium with gain) or gamma21 = 0 is refused, as
+    # is a decay rate Gamma21 or a wavelength that is not positive
     for bad in ({"coh21": 0.0}, {"coh21": -1.0}, {"coh31": -0.5},
-                {"coh32": -3.0}):
+                {"coh32": -3.0}, {"Gamma21": 0.0}, {"Gamma21": -1.0},
+                {"lambda_p": 0.0}, {"lambda_p": -0.78}):
         with pytest.raises(DomainError, match=next(iter(bad))):
             replace(atom, **bad)
     assert replace(atom, coh31=0.0, coh32=0.0).gamma32 == 0.0
@@ -125,7 +111,7 @@ def test_coherence_rate_overrides_validated(atom):
        d2=st.floats(-10, 10))
 def test_replace_matches_a_fresh_atom(na, gamma21, d2):
     # only inputs are stored, so a replaced input carries everything
-    # derived from it: K, p21 and the coherence rates
+    # derived from it: K and the coherence rates
     base = canonical_atom()
     inputs = {"Gamma21": base.Gamma21, "Gamma32": base.Gamma32,
               "C6": base.C6, "Na": base.Na, "lambda_p": base.lambda_p}
@@ -779,16 +765,27 @@ def test_detuning_past_the_float_range_fails_by_name(atom):
                    for e in susceptibility(edge, atom).errors)
 
 
+@pytest.mark.filterwarnings("error")
 def test_susceptibility_past_the_float_range_fails_by_name(atom):
-    # K (the density) or Omega_p^2 past the float range gives a typed
-    # error naming the non-finite parts; their total stays nan, unwarned
+    # K (the wavelength), Na^2 or Omega_p^2 past the float range gives a
+    # typed error naming the non-finite parts; their total stays nan,
+    # unwarned, and no OverflowError or ZeroDivisionError is raised
     D2 = TWO_PI * np.array([-1.0, 0.5])
+    for lam in (1e110, 1e125, 1e300):
+        far = replace(atom, lambda_p=lam)
+        b = susceptibility(canonical_drive(D2), far)
+        assert [str(e) for e in b.errors] == ["non-finite chi1 and "
+            "chi3_local_contrib and chi3_nonlocal_contrib"] * 2
+        assert np.isnan(b.total).all()
+        with pytest.raises(PropagationError, match="non-finite chi1 "):
+            susceptibility(canonical_drive(0.0), far)
+    # K scales as Na, the nonlocal part as Na^2: only that part leaves
     dense = replace(atom, Na=1e300)
     b = susceptibility(canonical_drive(D2), dense)
     assert [str(e) for e in b.errors] == [
-        "non-finite chi1 and chi3_local_contrib and chi3_nonlocal_contrib"] * 2
+        "non-finite chi3_nonlocal_contrib"] * 2
     assert np.isnan(b.total).all()
-    with pytest.raises(PropagationError, match="non-finite chi1 "):
+    with pytest.raises(PropagationError, match="non-finite chi3_nonlocal"):
         susceptibility(canonical_drive(0.0), dense)
     strong = replace(canonical_drive(D2), Omega_p=1e300)
     assert all(str(e) == "non-finite chi3_local_contrib and "
@@ -807,6 +804,14 @@ def test_coupling_past_the_float_range_is_a_domain_error(atom):
         susceptibility(drv, atom)
     with pytest.raises(DomainError, match="R_b in float range"):
         atom.blockade_radius(1e160)
+    # Omega_c^2 underflows, to a subnormal or to 0: no ZeroDivisionError,
+    # an infinite blockade radius refused alike
+    for oc in (1e-160, 1e-170, 1e-300):
+        with pytest.raises(DomainError, match=re.escape(
+                "need C6 != 0 and R_b in float range: inf um")):
+            susceptibility(replace(drv, Omega_c=oc), atom)
+        with pytest.raises(DomainError, match="R_b in float range: inf"):
+            atom.blockade_radius(oc)
 
 
 def test_susceptibility_weak_probe_limit(atom):
@@ -858,6 +863,16 @@ def test_hermiticity_of_second_order_pair(atom):
     r31 = p.rho31_1
     lhs = np.conj(d32 * r32) - drv.Omega_c * (r33 - r22)
     assert lhs == pytest.approx(np.conj(r31), rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_refuses_a_detuning_past_the_float_range(atom):
+    # the oracle's rho^(1) and rho^(2) come through the production range
+    # check: the error susceptibility raises, with no numpy warning
+    for d2 in (1e155, -math.inf):
+        with pytest.raises(DomainError, match=re.escape(
+                f"Delta2 = {d2:g} rad/us is outside the float range")):
+            twobody_correlators(canonical_drive(d2), atom, [1.0])
 
 
 def test_nan_input_names_failing_solve(atom, drive0):
