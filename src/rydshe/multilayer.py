@@ -19,11 +19,11 @@ which keeps them finite at the exit medium's critical angle (y3 = 0).
 `stack_fresnel` accepts a scalar or a numpy array of incidence angles,
 and the slab's index may be an array too: indices and angles broadcast
 elementwise, so one call evaluates a whole sweep grid.  Each element is
-checked for an active slab index, then a slab wave grazing at its
-critical angle, then a vanishing denominator, then a non-finite r or t.
-As in the other stages, a scalar call raises its earliest failing
-check, and an array call reports each element's in `errors`, so one
-cannot fail its batch.
+checked for a zero slab index, then an active one, then a slab wave
+grazing at its critical angle, then a vanishing denominator, then a
+non-finite r or t.  As in the other stages, a scalar call raises its
+earliest failing check, and an array call reports each element's in
+`errors`, so one cannot fail its batch.
 """
 
 from __future__ import annotations
@@ -113,25 +113,28 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     # entry/exit media give p1 == p3 exactly (trivial-stack reciprocity)
     cos_in = refraction_cosine(stack.n_in, theta_i, stack.n_in + 0j)
     cos_out = refraction_cosine(stack.n_in, theta_i, stack.n_out + 0j)
-    cos_t = refraction_cosine(stack.n_in, theta_i, slab.n)
+    # a zero slab index has no refraction cosine: a fault, computed with
+    # a stand-in index 1
+    n2 = np.where(slab.n == 0, 1.0, slab.n)
+    cos_t = refraction_cosine(stack.n_in, theta_i, n2)
     # a grazing slab wave (cos_t = 0) has a zero (s) or infinite (p)
     # impedance: a fault, computed with a stand-in cosine 1 so that
     # nothing divides by 0.  The bare interface has no layer to fault,
     # and there sin(delta) = 0 drops the stand-in.
     grazing = cos_t == 0
     cos_2 = np.where(grazing, 1.0, cos_t)
-    delta = k0 * slab.n * slab.d * cos_t
+    delta = k0 * n2 * slab.d * cos_t
     # opaque-slab guard: clamp the decay exponent, the phase is then moot
     delta = delta.real + 1j * np.clip(delta.imag, None, _MAX_IM_DELTA)
     cd, sd = np.cos(delta), np.sin(delta)
     if polarization == "s":
-        p1, p2, p3 = stack.n_in * cos_in, slab.n * cos_2, stack.n_out * cos_out
+        p1, p2, p3 = stack.n_in * cos_in, n2 * cos_2, stack.n_out * cos_out
         q = p1 * p3 / p2
         den = cd * (p1 + p3) - 1j * sd * (q + p2)
         r_num, t_num = cd * (p1 - p3) - 1j * sd * (q - p2), 2 * p1
     else:
         # admittance form: finite where the exit wave grazes (y3 = 0)
-        y1, y2, y3 = cos_in / stack.n_in, cos_2 / slab.n, cos_out / stack.n_out
+        y1, y2, y3 = cos_in / stack.n_in, cos_2 / n2, cos_out / stack.n_out
         den = cd * y2 * (y1 + y3) - 1j * sd * (y2 * y2 + y1 * y3)
         r_num = cd * y2 * (y3 - y1) - 1j * sd * (y2 * y2 - y1 * y3)
         t_num = 2 * y2 * y3
@@ -142,6 +145,7 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     errors = first_errors(*(
         failures(np.broadcast_to(bad, den.shape), lambda i: kind(message))
         for bad, kind, message in (
+            (slab.n == 0, DomainError, "layer index is zero"),
             (np.imag(slab.n) < -_PASSIVITY_TOL, DomainError,
              "layer index is strongly active (Im n << 0)"),
             (grazing & bool(stack.layers), SingularityError,

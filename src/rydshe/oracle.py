@@ -6,10 +6,11 @@ The main physics modules are validated against four kinds of oracle:
   Bloch equations, solved as a 9x9 linear system with the trace row --
   this pins every sign convention of the perturbative expansion;
 * the two-body correlators solved directly at given pair energies
-  (`twobody_correlators`: the two-body matrices built at the detuning,
-  the pair 4x4 and the 8x8 with V on their diagonals, batched over V), and
-  Gauss-Legendre and dense-trapezoid quadrature of the nonlocal shell
-  integral over them, checking its closed form;
+  (`twobody_correlators`: the two-body matrices built here, at the
+  detuning, with V on their diagonals, batched over V), checking the
+  closed forms of `quantum._hierarchy`, and Gauss-Legendre and
+  dense-trapezoid quadrature of the nonlocal shell integral over them,
+  checking its closed form;
 * closed-form optics identities (two-interface Airy summation, energy
   conservation) exercised in the tests, and the scan for the |r_p|
   minimum (`brewster_angle`) that the acceptance tests read;
@@ -121,6 +122,18 @@ def perturbative_rho21_local(drive: DriveParams, atom: AtomParams) -> complex:
     return drive.Omega_p * p.rho21_1 + drive.Omega_p**3 * p.rho21_3_local
 
 
+def _kron_sum(X, Y, unknowns: list) -> list:
+    """X (+) Y = X (x) I + I (x) Y over the unknowns (x, y) of X and Y."""
+    return [[X[x][u] + Y[y][v] if (x, y) == (u, v) else X[x][u] if y == v
+             else Y[y][v] if x == u else 0 for u, v in unknowns]
+            for x, y in unknowns]
+
+
+# rows of the 8x8 fed by the pair correlators (rr31_31, rr21_31, rr21_21,
+# rr31_21)^(2), in that order
+_PAIR_ROWS = [2, 4, 7, 6]
+
+
 def twobody_correlators(drive: DriveParams, atom: AtomParams, V
                         ) -> tuple[np.ndarray, np.ndarray]:
     """(z2, x3), each (n, 8): the two-body correlators at the scalar
@@ -129,29 +142,38 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
 
     z2 holds the O(Omega_p^2) (rr13_31, rr12_31, rr12_21, rr13_21, rr31_31,
     rr21_31, rr21_21, rr31_21), of which only the last four see V; x3 the
-    O(Omega_p^3) unknowns of the 8x8 of `quantum._systems`, x3[:, 0] being
-    rr33_31, the source of the nonlocal susceptibility.  rho^(1) and
-    rho^(2) come from `response_parts`, which raises a bad detuning's
-    error.  The two-body matrices are built at this detuning, not
-    shifted from another; the pair 4x4 and the 8x8 take V on their
-    diagonals and are solved as batches, not through the poles the
-    closed form uses.
+    O(Omega_p^3) (rr33_31, rr23_31, rr32_31, rr33_21, rr22_31, rr23_21,
+    rr32_21, rr22_21), x3[:, 0] being rr33_31.  The matrices are built at
+    this detuning from B = [[d31, Omega_c], [Omega_c, d21]] and A4 of
+    `quantum._systems`: the mixed 4x4 -conj(B) (+) B, the pair 4x4
+    B (+) B - V e0 e0^T and the 8x8 A4 (+) B - V (e0 e0^T + e2 e2^T),
+    solved as batches over V.  rho^(1) and rho^(2) come from
+    `response_parts`, which raises a bad detuning's error.
     """
-    V = np.asarray(V)
-    n = len(V)
+    n, V = len(V), np.asarray(V)
     # rho^(1) and rho^(2) hold no Na, and Na = 0 skips the shell
     p = response_parts(drive, replace(atom, Na=0.0))
-    r21, r31, *onebody = (np.array([z]) for z in (
-        p.rho21_1, p.rho31_1, p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2))
-    _, MA, MB0, Q0 = quantum._systems(drive, atom)
-    zA = _checked(*quantum._mixed_correlators(MA, r21, r31))
-    MB = MB0 - V[:, None, None] * np.diag([1, 0, 0, 0])
-    qB = np.broadcast_to(quantum._pair_rhs(r21, r31)[..., :1], (n, 4, 1))
+    r21, r31 = p.rho21_1, p.rho31_1
+    r12, r13 = np.conj(r21), np.conj(r31)
+    (d21, d31, _), Oc = quantum._denominators(drive, atom), drive.Omega_c
+    B, A4 = [[d31, Oc], [Oc, d21]], quantum._systems(drive, atom)[1]
+    pair = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    zA = _checked(*quantum._solve_checked(
+        np.array(_kron_sum(-np.conj(B), B, pair)),
+        np.array([[[0], [r31], [r21 - r12], [-r13]]]),
+        "second-order two-body (mixed 4x4)"))[0, :, 0]
     zB = _checked(*quantum._solve_checked(
-        MB, qB, "second-order two-body (pair 4x4)"))[..., 0]
-    Q = Q0 - V[:, None, None] * np.diag([1, 0, 1, 0, 0, 0, 0, 0])
-    q = quantum._third_order_rhs(zA, onebody).repeat(n, axis=0)
-    q[:, quantum._PAIR_ROWS] += zB
+        np.array(_kron_sum(B, B, pair)) - V[:, None, None] * np.diag(
+            [1, 0, 0, 0]),
+        np.broadcast_to([[0], [-r31], [-2 * r21], [-r31]], (n, 4, 1)),
+        "second-order two-body (pair 4x4)"))[..., 0]
+    Q = (np.array(_kron_sum(A4, B, [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0),
+                                    (1, 1), (2, 1), (3, 1)]))
+         - V[:, None, None] * np.diag([1, 0, 1, 0, 0, 0, 0, 0]))
+    q = np.array([0, -zA[0], 0, -p.rho33_2, -zA[1],
+                  -np.conj(p.rho32_2) - zA[3], -p.rho32_2,
+                  -p.rho22_2 - zA[2]]) * np.ones((n, 1))
+    q[:, _PAIR_ROWS] += zB
     x3 = _checked(*quantum._solve_checked(
         Q, q[..., None], "third-order two-body (8x8)"))[..., 0]
     return np.concatenate([np.broadcast_to(zA, (n, 4)), zB], axis=1), x3

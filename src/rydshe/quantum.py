@@ -20,11 +20,12 @@ rho21^(1) comes from a closed form, rho21^(3) splits into a local part
 (single-atom saturation) and a nonlocal part driven by the pair
 correlator <sigma33(r') sigma31(r)> integrated against V over the shell
 [R_b, 3 R_b] outside the blockade radius.  The correlator hierarchy is
-closed at two atoms / third order: one 5x5, two 4x4 and one 8x8 complex
-linear system, built once per call from two one-atom blocks, the
-two-body ones as Kronecker sums (`_systems`).  The pair energy enters
-them as a low-rank change, so the correlator is a rational function of
-V and the shell integral has a closed form.  `susceptibility` and
+closed at two atoms / third order; its two-body matrices are Kronecker
+sums of two one-atom blocks, and the pair energy enters them as a
+low-rank change, so the correlator is a rational function of V and the
+shell integral has a closed form.  At V = 0 the atoms are independent,
+so a call solves only one 5x5 and one batch of block 4x4s
+(`_hierarchy`).  `susceptibility` and
 `response_parts` take a scalar or a 1-D array of probe detunings
 through one pass, and report each failure against its own detuning;
 the oracle's `twobody_correlators` solves at given separations instead.
@@ -36,8 +37,8 @@ every two-body solution must factorize exactly into products of
 one-body solutions.  Both checks fix, in particular, the sign of
 rho31^(1) = +Omega_c / (d21*d31 - Omega_c^2) and the right-hand sides
 q2 = -rhorho13,31^(2) and q6 = -rho23^(2) - rhorho13,21^(2) of the
-third-order system; the alternative sign choices break both checks at
-O(1).
+oracle's third-order system; the alternative sign choices break both
+checks at O(1).
 """
 
 from __future__ import annotations
@@ -288,39 +289,19 @@ def _first_order(d21, d31, Oc: float
         den == 0, lambda i: SingularityError("EIT denominator vanishes"))
 
 
-def _kron_sum(X: list, Y: list, unknowns: list) -> list:
-    """X (+) Y = X (x) I + I (x) Y over the unknowns (x, y) of X and Y."""
-    return [[X[x][u] + Y[y][v] if (x, y) == (u, v) else X[x][u] if y == v
-             else Y[y][v] if x == u else 0 for u, v in unknowns]
-            for x, y in unknowns]
-
-
 def _systems(drive: DriveParams, atom: AtomParams) -> tuple:
-    """(A, MA, MB, Q) at the scalar detuning of drive, from the one-atom
-    blocks B over (rho31, rho21), det B being the EIT denominator of
-    rho^(1), and A4 over (rho33, rho23, rho32, rho22).  A, the 5x5 of
-    `_onebody`, is the trace row above -A4 in rows (33, 22, 32, 23) and
-    columns (22, 33, 32, 23).  At V = 0 the atoms evolve independently,
-    so the two-body matrices are Kronecker sums: the mixed 4x4
-    -conj(B) (+) B, the pair 4x4 B (+) B, and the 8x8 A4 (+) B of (rr33_31,
-    rr23_31, rr32_31, rr33_21, rr22_31, rr23_21, rr32_21, rr22_21)^(3).
-    Delta2 enters B alone, as B + Delta2 I: it cancels in MA and misses
-    A, and it moves MB by 2 Delta2 I and Q by Delta2 I.  The pair energy
-    enters as MB - V e0 e0^T and Q - V (e0 e0^T + e2 e2^T)."""
-    (d21, d31, d32), Oc = _denominators(drive, atom), drive.Omega_c
-    B = [[d31, Oc], [Oc, d21]]
+    """(A, A4): the one-atom 4x4 A4 over (rho33, rho23, rho32, rho22),
+    which holds d32 = Delta_c + i gamma32, and the 5x5 A of `_onebody`,
+    the trace row above -A4 in rows (33, 22, 32, 23) and columns (22, 33,
+    32, 23).  Neither depends on Delta2."""
+    Oc, d32 = drive.Omega_c, drive.Delta_c + 1j * atom.gamma32
     A4 = [[1j * atom.Gamma32, Oc, -Oc, 0],
           [Oc, -np.conj(d32), 0, -Oc],
           [-Oc, 0, d32, Oc],
           [-1j * atom.Gamma32, -Oc, Oc, 1j * atom.Gamma21]]
     A = [[1, 1, 1, 0, 0]] + [[0] + [-A4[r][c] for c in (3, 0, 2, 1)]
                              for r in (0, 3, 2, 1)]
-    pair = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    MA = _kron_sum([[-np.conj(z) for z in row] for row in B], B, pair)
-    Q = _kron_sum(A4, B, [(0, 0), (1, 0), (2, 0), (0, 1),
-                          (3, 0), (1, 1), (2, 1), (3, 1)])
-    return tuple(np.array(s, dtype=complex)
-                 for s in (A, MA, _kron_sum(B, B, pair), Q))
+    return np.array(A, dtype=complex), np.array(A4, dtype=complex)
 
 
 def _onebody(A: np.ndarray, r21: np.ndarray, r31: np.ndarray
@@ -334,37 +315,6 @@ def _onebody(A: np.ndarray, r21: np.ndarray, r31: np.ndarray
     return tuple(u[:, :4, 0].T), errors
 
 
-def _mixed_correlators(MA: np.ndarray, r21: np.ndarray, r31: np.ndarray
-                       ) -> tuple[np.ndarray, dict]:
-    """zA = (rr13_31, rr12_31, rr12_21, rr13_21)^(2), the two-body
-    correlators the pair energy does not reach (the mixed 4x4 MA)."""
-    r12, r13 = np.conj(r21), np.conj(r31)
-    qA = np.array([np.zeros_like(r21), r31, r21 - r12, -r13]).T[..., None]
-    zA, errors = _solve_checked(MA, qA, "second-order two-body (mixed 4x4)")
-    return zA[..., 0], errors
-
-
-def _pair_rhs(r21: np.ndarray, r31: np.ndarray) -> np.ndarray:
-    """[qB, e0]: the pair 4x4's right-hand side and its first unit vector."""
-    z = np.zeros_like(r21)
-    return np.array([[z, -r31, -2 * r21, -r31], [z + 1, z, z, z]]).T
-
-
-# rows of the third-order right-hand side fed by the pair correlators
-# (rr31_31, rr21_31, rr21_21, rr31_21)^(2), in that order
-_PAIR_ROWS = [2, 4, 7, 6]
-
-
-def _third_order_rhs(zA: np.ndarray, onebody: tuple) -> np.ndarray:
-    """q_c of the 8x8's right-hand side q(V) = q_c + P zB(V), where P
-    scatters the pair correlators zB onto `_PAIR_ROWS`."""
-    rr13_31, rr12_31, rr12_21, rr13_21 = zA.T
-    _, r22, r33, r32 = onebody
-    z = np.zeros_like(r22)
-    return np.array([z, -rr13_31, z, -r33, -rr12_31, -np.conj(r32) - rr13_21,
-                     -r32, -r22 - rr12_21]).T
-
-
 def _eig2(S: np.ndarray) -> np.ndarray:
     """Eigenvalues (n, 2) of S (n, 2, 2): lam1 = m +- sqrt(((a - d)/2)^2
     + bc), m = (a + d)/2, with the sign that adds to m, and det S / lam1."""
@@ -374,54 +324,88 @@ def _eig2(S: np.ndarray) -> np.ndarray:
     return np.stack([lam1, (a * d - b * c) / lam1], axis=1)
 
 
-def _correlator_poles(systems: tuple, shift: np.ndarray, r21: np.ndarray,
-                      r31: np.ndarray, onebody: tuple
+def _hierarchy(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray, Oc: float,
+               r31: np.ndarray, onebody: tuple) -> tuple:
+    """(w, a, S, b, errors) of the two-body hierarchy at the n detunings
+    of d21 and d31: w (n, 4), a and b (n, 2), S (n, 2, 2), and the errors
+    of the one solve, a batched block 4x4.
+
+    The pair 4x4 is MB0 - V e0 e0^T, MB0 = B (+) B, and the 8x8 is
+    Q0 - V U U^T, Q0 = A4 (+) B and U = [e0, e2]
+    (`oracle.twobody_correlators` solves them as they stand).  Here
+    MB0 [zB0, w] = [qB, e0], S = U^T Q0^-1 U, a = U^T Q0^-1 q0 and
+    b = U^T Q0^-1 P w zB0_0, with P scattering w onto the rows of
+    (rr32_31, rr22_31, rr22_21, rr32_21).  At V = 0 the atoms are
+    independent, so zB0 = rho^(1) (x) rho^(1) and a = (rho33, rho32)^(2)
+    rho31^(1).  Over the second atom's (rho31, rho21), MB0 and Q0 are
+    [[X + d31, Oc], [Oc, X + d21]], X = B or A4, whose blocks commute.
+    With t = d21 + d31 and D = det B = d21 d31 - Oc^2, Cayley-Hamilton
+    makes (B + d21)(B + d31) - Oc^2 = 2 t B, so
+
+        w = (d21^2 + D, -Oc d21, Oc^2, -Oc d21) / (2 t D),
+
+    and the rho31 half of Q0^-1 [r31; r21] is M^-1 [(A4 + d21) r31 -
+    Oc r21], M = A4^2 + t A4 + D.  Rows 0 and 2 of it are S for columns
+    0 and 2 of A4 + d21, and b for r31 = (0, 0, w0, w1) rho31^2 and
+    r21 = (0, 0, w3, w2) rho31^2.
+    """
+    (_, _, r33, r32), eye = onebody, np.eye(4)
+    t, D = d21 + d31, d21 * d31 - Oc * Oc
+    # past the float range these give inf or nan, for the solve's guards
+    # and _shell_pole_sum to refuse
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.array([d21 * d21 + D, -Oc * d21, Oc * Oc + 0 * t, -Oc * d21]
+                     ) / D / (2 * t)
+        A21, w31 = A4 + d21[:, None, None] * eye, w * r31 * r31
+        p = A21[..., 2] * w31[0, :, None] + A21[..., 3] * w31[1, :, None]
+        p[:, 2:] -= Oc * w31[[3, 2]].T
+        M = A4 @ A4 + t[:, None, None] * A4 + D[:, None, None] * eye
+        X, errors = _solve_checked(
+            M, np.concatenate([A21[..., [0, 2]], p[..., None]], axis=2),
+            "third-order two-body (block 4x4)")
+        a = np.stack([r33 * r31, r32 * r31], axis=1)
+    return w.T, a, X[:, 0:3:2, :2], X[:, 0:3:2, 2], errors
+
+
+def _correlator_poles(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray,
+                      Oc: float, r31: np.ndarray, onebody: tuple
                       ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Poles V_k and residues c_k, each (n, 3), of
-    rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solves,
-    at the n detunings `shift` away from the one `systems` was built at.
+    rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solve,
+    at the n detunings of d21 and d31.
 
-    Sherman-Morrison on the pair 4x4 MB0 = MB + 2 shift I: MB0 [zB0, w]
-    = [qB, e0] gives zB(V) = zB0 + w zB0_0 g(V), g(V) = V / (1 - V beta),
-    beta = w_0.  Woodbury on the 8x8 Q0 = Q + shift I with U = [e0, e2]:
-    Q0 X = [e0, e2, q0, p], with q0 = q_c + P zB0 and p = P w zB0_0, and
-    rows 0 and 2 of X give S = U^T Q0^-1 U, a and b, so that
+    With w, a, S and b of `_hierarchy` and beta = w_0, Sherman-Morrison
+    on the pair 4x4 gives zB(V) = zB0 + w zB0_0 g(V), g(V) = V / (1 -
+    V beta), and Woodbury on the 8x8
 
         rr33_31^(3)(V) = e0^T (I - V S)^-1 (a + g(V) b).
 
     The poles are 1/eig(S) and 1/beta; the numerator is of lower degree
     than the denominator, so there is no polynomial part.
     """
-    n, (_, MA, MB, Q) = len(shift), systems
-    MB0, Q0 = np.repeat(MB[None], n, axis=0), np.repeat(Q[None], n, axis=0)
-    MB0.reshape(n, -1)[:, ::len(MB) + 1] += 2 * shift[:, None]  # diagonal
-    Q0.reshape(n, -1)[:, ::len(Q) + 1] += shift[:, None]
-    zA, mixed = _mixed_correlators(MA, r21, r31)
-    zw, pair = _solve_checked(MB0, _pair_rhs(r21, r31),
-                              "second-order two-body (pair 4x4)")
-    zB0, w, beta = zw[..., 0], zw[..., 1], zw[:, :1, 1]
-    rhs = np.zeros((n, 8, 4), dtype=complex)
-    rhs[:, 0, 0] = rhs[:, 2, 1] = 1.0
-    rhs[..., 2] = _third_order_rhs(zA, onebody)
-    rhs[:, _PAIR_ROWS, 2] += zB0
-    rhs[:, _PAIR_ROWS, 3] = w * zB0[:, :1]
-    X, third = _solve_checked(Q0, rhs, "third-order two-body (8x8)")
-    X = X[:, 0:3:2]                     # rows 0 and 2: [S, a, b]
+    w, a, S, b, errors = _hierarchy(A4, d21, d31, Oc, r31, onebody)
+    beta = w[:, :1]
     # coincident poles, or poles past the float range, give non-finite
     # residues; _shell_pole_sum refuses them
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = _eig2(X[..., :2])
+        lam = _eig2(S)
         V = 1.0 / np.concatenate([lam, beta], axis=1)
         # row 0 of adj(I - V_k S), so that (I - V S)^-1 = adj / det
-        adj00, adj01 = 1 - V * X[:, 1, 1, None], V * X[:, 0, 1, None]
-        adj0_a = adj00 * X[:, 0, 2, None] + adj01 * X[:, 1, 2, None]
-        adj0_b = adj00 * X[:, 0, 3, None] + adj01 * X[:, 1, 3, None]
+        adj00, adj01 = 1 - V * S[:, 1, 1, None], V * S[:, 0, 1, None]
+        adj0_a = adj00 * a[:, 0, None] + adj01 * a[:, 1, None]
+        adj0_b = adj00 * b[:, 0, None] + adj01 * b[:, 1, None]
         c = np.empty_like(V)
         c[:, :2] = ((adj0_a[:, :2] + adj0_b[:, :2] / (lam - beta))
                     / (lam[:, ::-1] - lam))
         c[:, 2] = (-V[:, 2] ** 2 * adj0_b[:, 2]
                    / np.prod(1 - V[:, 2:] * lam, axis=1))
-    return V, c, first_errors(mixed, pair, third)
+        # the residues scale with a and, through b, with rr31_31 = rho31^2,
+        # neither 0 for Oc != 0: below the float range they are lost, and
+        # the row fails as a non-finite one, ahead of its solve
+        lost = ~(np.minimum(abs(a[:, 0]), abs(r31 * r31))
+                 >= np.finfo(float).tiny)
+    V[lost] = c[lost] = np.nan
+    return V, c, {i: e for i, e in errors.items() if not lost[i]}
 
 
 def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
@@ -484,9 +468,9 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
         f"(|Delta2| <= {_MAX_DETUNING:g})"))
     drive = replace(drive, Delta2=np.where(far, 0.0, drive.Delta2))
     Oc, (d21, d31, _) = drive.Omega_c, _denominators(drive, atom)
-    systems = _systems(replace(drive, Delta2=0.0), atom)
+    A, A4 = _systems(drive, atom)
     r21, r31, first = _first_order(d21, d31, Oc)
-    onebody, second = _onebody(systems[0], r21, r31)
+    onebody, second = _onebody(A, r21, r31)
     third = shell = {}
     r11, r22, _, r32 = onebody
     den = _square(Oc) - d21 * d31
@@ -496,8 +480,8 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
     I = nl = np.zeros_like(local)
     if atom.C6 != 0 and atom.Na != 0 and Oc != 0:
         Rb = atom.blockade_radius(Oc)
-        poles, residues, third = _correlator_poles(systems, drive.Delta2,
-                                                   r21, r31, onebody)
+        poles, residues, third = _correlator_poles(A4, d21, d31, Oc, r31,
+                                                   onebody)
         total, shell = _shell_pole_sum(poles, residues, atom.C6,
                                        (upper_factor * Rb) ** -3, Rb ** -3)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -470,15 +470,16 @@ def test_map_row_major_grid():
     assert [r[1] for r in res.rows[:3]] == [-1.0, 0.0, 1.0]
 
 
-def _fail_8x8_at(monkeypatch, delta2_mhz):
-    """Make the batched 8x8 solve fail at one probe detuning: the 8x8
-    carries d21 + i Gamma32 on its diagonal, whose real part is Delta2."""
+def _fail_block_at(monkeypatch, delta2_mhz):
+    """Make the batched block 4x4 solve fail at one probe detuning: the
+    first entry of its right-hand side is i Gamma32 + d21, whose real
+    part is Delta2, and the index of that entry is the detuning's."""
     solve = quantum._solve_checked
 
     def failing(A, b, what):
         x, errors = solve(A, b, what)
-        if what == "third-order two-body (8x8)":
-            at = A[:, 3, 3].real == delta2_mhz * TWO_PI
+        if what == "third-order two-body (block 4x4)":
+            at = b[:, 0, 0].real == delta2_mhz * TWO_PI
             errors.update({int(i): SingularityError("injected")
                            for i in np.flatnonzero(at)})
         return x, errors
@@ -495,7 +496,7 @@ def test_map_chi_failure_lands_on_its_detuning(monkeypatch):
         seen.append(drive.Delta2)
         return real(drive, atom)
     monkeypatch.setattr(rydshe.sweeps, "susceptibility", counting)
-    _fail_8x8_at(monkeypatch, 0.0)
+    _fail_block_at(monkeypatch, 0.0)
     cfg = RunConfig(quantity="map", variable="theta_i",
                     sweep_min=33.8, sweep_max=33.9, steps=3,
                     variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
@@ -520,7 +521,7 @@ def test_chi_failure_cell_is_the_scalar_error(monkeypatch):
                     sweep_min=-10.0, sweep_max=10.0, steps=201)
     clean = format_csv(run_sweep(cfg)).splitlines()
     bad = np.linspace(-10.0, 10.0, 201)[57]
-    _fail_8x8_at(monkeypatch, bad)
+    _fail_block_at(monkeypatch, bad)
     one = replace(cfg, delta2_mhz=bad)
     with pytest.raises(SingularityError) as exc:
         susceptibility(one.drive_params(), one.atom_params())

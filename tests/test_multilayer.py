@@ -239,6 +239,26 @@ def test_grazing_impedance_singularity():
         stack_fresnel(stk, theta_c, K0, "s")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pol", ["p", "s"])
+def test_zero_slab_index_is_refused_by_name(pol):
+    # a zero index has no refraction cosine: refused as the first check,
+    # before anything divides by it, with no numpy warning; an array call
+    # reports it per element and keeps the other elements' values
+    zero = LayerStack(GLASS, (Layer(0j, 100.0),), GLASS)
+    with pytest.raises(DomainError, match="^layer index is zero$"):
+        stack_fresnel(zero, 0.5, K0, pol)
+    n = np.array([0j, 1.2 + 0.01j, 0j])
+    r, t, errors = stack_fresnel(LayerStack(GLASS, (Layer(n, 100.0),), GLASS),
+                                 0.5, K0, pol)
+    assert [str(e) if e else None for e in errors] == [
+        "layer index is zero", None, "layer index is zero"]
+    assert all(type(e) is DomainError for e in errors[::2])
+    assert np.isnan([r[::2], t[::2]]).all()
+    one = LayerStack(GLASS, (Layer(n[1], 100.0),), GLASS)
+    assert (r[1], t[1]) == stack_fresnel(one, 0.5, K0, pol)
+
+
 @pytest.mark.parametrize("pol", ["p", "s"])
 def test_critical_angle_faults_both_polarizations(pol):
     # at the slab's critical angle cos(theta_2) is exactly 0: the s

@@ -341,6 +341,67 @@ def test_shell_integral_vs_trapezoid_reference(atom, drive0):
     assert abs(i_gl - i_tr) / abs(i_tr) < 1e-6
 
 
+def _mp_shell_integral(drv, atom, upper_factor=3.0):
+    """The shell integral I at 30 digits: mp.quad over u of rr33_31^(3)
+    from the pair 4x4 and the 8x8 solved directly at V = C6 u^2, with
+    rho^(1), rho^(2) and the mixed correlators zA in mpmath too."""
+    import mpmath as mp
+    from rydshe.oracle import _PAIR_ROWS, _kron_sum
+    with mp.workdps(30):
+        f, solve = mp.mpf, mp.lu_solve
+        Oc, C6, G21, G32 = map(f, (drv.Omega_c, atom.C6, atom.Gamma21,
+                                   atom.Gamma32))
+        d21 = mp.mpc(drv.Delta2, atom.gamma21)
+        d31 = mp.mpc(f(drv.Delta2) + f(drv.Delta_c), atom.gamma31)
+        d32 = mp.mpc(drv.Delta_c, atom.gamma32)
+        r21, r31 = -d31 / (d21 * d31 - Oc**2), Oc / (d21 * d31 - Oc**2)
+        B = [[d31, Oc], [Oc, d21]]
+        A4 = [[1j * G32, Oc, -Oc, 0], [Oc, -mp.conj(d32), 0, -Oc],
+              [-Oc, 0, d32, Oc], [-1j * G32, -Oc, Oc, 1j * G21]]
+        A = [[1, 1, 1, 0, 0]] + [[0] + [-A4[r][c] for c in (3, 0, 2, 1)]
+                                 for r in (0, 3, 2, 1)]
+        _, r22, r33, r32, _ = solve(mp.matrix(A), mp.matrix(
+            [0, 0, mp.conj(r21) - r21, -r31, mp.conj(r31)]))
+        pair = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        zA = solve(mp.matrix(_kron_sum([[-mp.conj(z) for z in row]
+                                        for row in B], B, pair)),
+                   mp.matrix([0, r31, r21 - mp.conj(r21), -mp.conj(r31)]))
+        MB = mp.matrix(_kron_sum(B, B, pair))
+        Q = mp.matrix(_kron_sum(A4, B, [(0, 0), (1, 0), (2, 0), (0, 1),
+                                        (3, 0), (1, 1), (2, 1), (3, 1)]))
+
+        def rr33_31(u):
+            V, MBV, QV = C6 * u**2, MB.copy(), Q.copy()
+            MBV[0, 0] -= V
+            QV[0, 0] -= V
+            QV[2, 2] -= V
+            zB = solve(MBV, mp.matrix([0, -r31, -2 * r21, -r31]))
+            q = [0, -zA[0], 0, -r33, -zA[1], -mp.conj(r32) - zA[3], -r32,
+                 -r22 - zA[2]]
+            for row, z in zip(_PAIR_ROWS, zB):
+                q[row] += z
+            return solve(QV, mp.matrix(q))[0]
+        Rb = (abs(C6) * f(atom.gamma21) / Oc**2) ** (f(1) / 6)
+        integral = mp.quad(rr33_31, [(upper_factor * Rb) ** -3, Rb**-3])
+        return complex(f(atom.Na) * 4 * mp.pi * C6 / 3 * integral)
+
+
+@pytest.mark.parametrize("mhz, medium, tol", [
+    (0.0, "canonical", 1e-14), (3.3, "canonical", 1e-14),
+    (3.3, "C6<0", 1e-14), (-3e3, "canonical", 5e-9),
+    (3e3, "canonical", 5e-9), (-7e3, "canonical", 5e-9),
+    (7e3, "canonical", 5e-9)])
+def test_shell_integral_matches_a_30_digit_reference(atom, mhz, medium, tol):
+    # near resonance the closed form is good to rounding; GHz away it and
+    # the Gauss-Legendre oracle both lose digits (7e-10 and 1.4e-9 at
+    # +7 GHz), so the bound there is 5e-9
+    atom = _medium(atom, medium)
+    drv = canonical_drive(TWO_PI * mhz)
+    want = _mp_shell_integral(drv, atom)
+    got = response_parts(drv, atom).shell_integral
+    assert abs(got - want) / abs(want) <= tol
+
+
 def test_shell_integral_node_doubling(atom, drive0):
     # the oracle rule is converged, and the closed form sits on it
     i64 = gauss_legendre_nonlocal_integral(drive0, atom, n_nodes=64)
@@ -350,16 +411,23 @@ def test_shell_integral_node_doubling(atom, drive0):
     assert abs(i_cf - i128) / abs(i128) < 1e-12
 
 
+def _hierarchy_args(drv, atom):
+    """The arguments production passes `_hierarchy` and
+    `_correlator_poles`, for the scalar detuning of drv."""
+    d21, d31, _ = _denominators(replace(drv, Delta2=np.array([drv.Delta2])),
+                                atom)
+    p = response_parts(drv, replace(atom, Na=0.0))
+    return (quantum._systems(drv, atom)[1], d21, d31, drv.Omega_c,
+            np.array([p.rho31_1]), tuple(np.array([r]) for r in (
+                p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2)))
+
+
 def test_partial_fractions_reproduce_correlator(atom):
-    # the systems as production builds them: at Delta2 = 0, shifted to
-    # the detuning; the oracle assembles them at the detuning itself
+    # the poles and residues as production finds them, from closed forms
+    # and the block 4x4; the oracle solves the pair 4x4 and the 8x8 with
+    # V on their diagonals
     drv = canonical_drive(TWO_PI * 1.3)
-    systems = quantum._systems(replace(drv, Delta2=0.0), atom)
-    p = response_parts(drv, atom)
-    poles, res, errors = _correlator_poles(
-        systems, np.array([drv.Delta2]), np.array([p.rho21_1]),
-        np.array([p.rho31_1]), tuple(np.array([r]) for r in (
-            p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2)))
+    poles, res, errors = _correlator_poles(*_hierarchy_args(drv, atom))
     assert not errors
     poles, res = poles[0], res[0]
     V = np.concatenate([
@@ -368,6 +436,65 @@ def test_partial_fractions_reproduce_correlator(atom):
     direct = twobody_correlators(drv, atom, V)[1][:, 0]
     pf = np.sum(res / (V[:, None] - poles), axis=1)
     assert np.max(np.abs(pf - direct) / np.abs(direct)) < 1e-12
+
+
+def _direct_hierarchy(drv, atom):
+    """zB0, w, S, a and b from the oracle's pair 4x4 and 8x8 at V = 0,
+    built at the detuning and solved as they stand."""
+    from rydshe.oracle import _PAIR_ROWS, _kron_sum
+    (d21, d31, _), Oc = _denominators(drv, atom), drv.Omega_c
+    B, A4 = [[d31, Oc], [Oc, d21]], quantum._systems(drv, atom)[1]
+    MB = np.array(_kron_sum(B, B, [(0, 0), (1, 0), (1, 1), (0, 1)]))
+    Q = np.array(_kron_sum(A4, B, [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0),
+                                   (1, 1), (2, 1), (3, 1)]))
+    zB0, x3 = (z[0] for z in twobody_correlators(drv, atom, [0.0]))
+    w = np.linalg.solve(MB, np.eye(4)[0])
+    rhs = np.zeros((8, 3), dtype=complex)
+    rhs[[0, 2], [0, 1]] = 1
+    rhs[_PAIR_ROWS, 2] = w * zB0[4]
+    X = np.linalg.solve(Q, rhs)[[0, 2]]
+    return zB0[4:], w, X[:, :2], x3[[0, 2]], X[:, 2]
+
+
+def _hierarchy_cases(rng):
+    """(drive, atom) over random drives and atoms: Gamma32 = 0, C6 < 0,
+    coherence overrides, and the Delta_c = 0 drive at which B is
+    defective at every Delta2, Omega_c = (gamma21 - gamma31)/2."""
+    base = canonical_atom()
+    yield canonical_drive(TWO_PI * 1.3), replace(base, Gamma32=0.0)
+    for d2 in TWO_PI * np.array([-4.0, 0.0, 0.7]):
+        yield (DriveParams(TWO_PI * 0.75, (base.gamma21 - base.gamma31) / 2,
+                           d2, 0.0), base)
+    for _ in range(60):
+        atom = replace(base, C6=rng.choice([-1, 1]) * base.C6,
+                       Gamma32=rng.choice([0.0, TWO_PI * rng.uniform(0, 1)]),
+                       coh21=rng.choice([None, TWO_PI * rng.uniform(0.1, 10)]),
+                       coh31=rng.choice([None, TWO_PI * rng.uniform(0, 1)]),
+                       coh32=rng.choice([None, TWO_PI * rng.uniform(0, 10)]))
+        yield DriveParams(TWO_PI * 0.75, TWO_PI * rng.uniform(0.5, 8),
+                          TWO_PI * rng.uniform(-10, 10),
+                          TWO_PI * rng.uniform(-1, 1)), atom
+
+
+def test_hierarchy_closed_forms_match_the_direct_solves(rng):
+    # zB0 = rho^(1) (x) rho^(1), w and beta = w_0 against the pair 4x4 at
+    # V = 0; S, a and b against rows 0 and 2 of the 8x8, each to 1e-13 of
+    # its largest entry
+    assert (canonical_atom().gamma21 - canonical_atom().gamma31) / 2 == (
+        pytest.approx(TWO_PI * 1.49925, rel=1e-15))
+    worst = 0.0
+    for drv, atom in _hierarchy_cases(rng):
+        w, a, S, b, errors = quantum._hierarchy(*_hierarchy_args(drv, atom))
+        assert not errors
+        p = response_parts(drv, replace(atom, Na=0.0))
+        r31, r21 = p.rho31_1, p.rho21_1
+        zB0 = np.array([r31 * r31, r21 * r31, r21 * r21, r31 * r21])
+        direct = _direct_hierarchy(drv, atom)
+        beta = abs(w[0, 0] - direct[1][0]) / abs(direct[1][0])
+        worst = max(worst, beta, *(
+            np.max(np.abs(got - want)) / np.max(np.abs(want))
+            for got, want in zip((zB0, w[0], S[0], a[0], b[0]), direct)))
+    assert worst < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
@@ -482,9 +609,7 @@ def test_pole_error_names_the_detuning(atom, monkeypatch):
 
 
 @pytest.mark.parametrize("label", ["second-order one-body (5x5)",
-                                   "second-order two-body (mixed 4x4)",
-                                   "second-order two-body (pair 4x4)",
-                                   "third-order two-body (8x8)"])
+                                   "third-order two-body (block 4x4)"])
 def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
     # a failure injected at one detuning of a system -- shared by every
     # detuning or batched over them -- names that detuning in a scalar
@@ -517,12 +642,11 @@ def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
 
 def test_susceptibility_solve_count(atom, monkeypatch):
     # one pass per call, whatever the number of detunings: the 5x5 (shared
-    # by the local and nonlocal terms) and the mixed 4x4 do not depend on
-    # the detuning and are factorized once, with the n detunings as
-    # right-hand-side columns; the pair 4x4 and the 8x8 are one batched
-    # solve each over the n detunings; no node axis.  The denominators
-    # are made once over the detunings and once, as scalars, for the
-    # matrices.
+    # by the local and nonlocal terms) does not depend on the detuning and
+    # is factorized once, with the n detunings as right-hand-side columns;
+    # the block 4x4 of the third-order hierarchy is one batched solve over
+    # the n detunings; the pair 4x4 and the 8x8 are not solved; no node
+    # axis.  The denominators are made once, over the detunings.
     shapes, factorized, made = [], [], []
     solve = quantum._solve_checked
     lu = np.linalg.solve
@@ -550,11 +674,10 @@ def test_susceptibility_solve_count(atom, monkeypatch):
         made.clear()
         susceptibility(canonical_drive(D2), atom)
         assert sorted(shapes, key=str) == sorted(
-            [((5, 5), n), ((4, 4), n), ((n, 4, 4), n), ((n, 8, 8), n)],
-            key=str)
-        assert sorted(factorized, key=str) == sorted(
-            [(5, 5), (4, 4), (n, 4, 4), (n, 8, 8)], key=str)
-        assert len(made) == 2 and made[1] == 0.0
+            [((5, 5), n), ((n, 4, 4), n)], key=str)
+        assert sorted(factorized, key=str) == sorted([(5, 5), (n, 4, 4)],
+                                                     key=str)
+        assert len(made) == 1
         assert np.array_equal(made[0], np.atleast_1d(D2))
 
 
@@ -632,15 +755,14 @@ def test_batch_matches_gauss_legendre(atom, medium):
                                                        rel=1e-14)
 
 
-def test_systems_shift_with_the_detuning(atom):
-    # built at two detunings, the 5x5 and the mixed 4x4 are the same, the
-    # pair 4x4 moves by 2 dDelta2 I and the 8x8 by dDelta2 I (to rounding)
-    at = [quantum._systems(canonical_drive(TWO_PI * f), atom)
-          for f in (-3.7, 6.1)]
-    step = TWO_PI * (6.1 - -3.7)
-    for moves, before, after in zip([0, 0, 2, 1], *at):
-        want = moves * step * np.eye(len(before))
-        assert np.max(np.abs(after - before - want)) < 1e-12
+def test_systems_do_not_depend_on_the_detuning(atom):
+    # A and A4 hold d32 = Delta_c + i gamma32 and no d21 or d31: built at
+    # two detunings, and at an array of them, they are the same bit for bit
+    at = [quantum._systems(canonical_drive(D2), atom)
+          for D2 in (TWO_PI * -3.7, TWO_PI * 6.1, TWO_PI * np.arange(3.0))]
+    assert [m.shape for m in at[0]] == [(5, 5), (4, 4)]
+    for other in at[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(at[0], other))
 
 
 @pytest.mark.parametrize("medium", ["canonical", "Gamma32=0", "C6<0"])
