@@ -28,7 +28,7 @@ from dataclasses import asdict, fields as dc_fields, replace
 from . import __version__
 from .errors import ConfigError, RydsheError
 from .config import AXES, RunConfig, parse_config, serialize_config
-from .sweeps import run_sweep, emit, profile_coefficients
+from .sweeps import run_sweep, emit, profile_coefficients, write_text
 
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO = 0, 1, 2, 3, 4
 
@@ -87,9 +87,17 @@ _SWEEP_COMMANDS = {
 }
 
 
+def _out_path(value: str) -> str:
+    """--out's value: a path; the empty string names no file."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="configuration file")
-    p.add_argument("--out", metavar="PATH", help="output file path")
+    p.add_argument("--out", type=_out_path, metavar="PATH",
+                   help="output file path")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     for field, (flag, metavar, help_) in _OVERRIDES.items():
@@ -120,7 +128,8 @@ def build_parser() -> _Parser:
                    help="emit the separable 2-D intensity map as JSON")
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--out", metavar="PATH", help="write the JSON report here")
+    p.add_argument("--out", type=_out_path, metavar="PATH",
+                   help="write the JSON report here")
 
     sub.add_parser("defaults", help="print the canonical configuration")
     return ap
@@ -177,9 +186,8 @@ def _cmd_verify(args) -> int:
               f"({r.runtime_ms:.0f} ms)")
     ok = all(r.status == "pass" for r in results)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([asdict(r) for r in results], fh, indent=1,
-                      sort_keys=True)
+        write_text(args.out, json.dumps([asdict(r) for r in results],
+                                        indent=1, sort_keys=True))
         print(f"report written to {args.out}")
     print("verify:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -196,8 +204,7 @@ def _cmd_profile_full_map(cfg: RunConfig, out: str) -> None:
                "i_incident": np.round(i_in, 9).tolist(),
                "i_plus": np.round(i_p, 9).tolist(),
                "i_minus": np.round(i_m, 9).tolist()}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_text(out, json.dumps(payload))
     print(f"2-D intensity map written to {out}")
 
 

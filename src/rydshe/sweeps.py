@@ -22,8 +22,11 @@ detuning, because they share it.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -206,11 +209,40 @@ def emit(result: SweepResult, fmt: str, path: str, precision: int = 12) -> None:
         text = format_json(result, precision)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
+    write_text(path, text)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8 in place of what it held.
+
+    An existing regular file is rewritten in place and cut to the new
+    length: unlike opening with O_TRUNC, its blocks are not freed and
+    allocated again, and its inode, hard links and mode stay.  A new
+    file gets mode 0o666 & ~umask.  Any other target (/dev/null, a pipe,
+    a FIFO) is written as a stream and never cut.  When a write fails,
+    a regular file is cut to zero length, so no tail of its old content
+    is left behind the new bytes.  Raises OSError("cannot write PATH:
+    ...") on any failure.
+    """
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                rest = memoryview(data)
+                while rest:
+                    rest = rest[os.write(fd, rest):]
+                if regular:
+                    os.ftruncate(fd, len(data))
+            except OSError:
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+        finally:
+            os.close(fd)
     except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_cell(cell: str) -> str:
@@ -222,14 +254,21 @@ def _csv_cell(cell: str) -> str:
 
 
 def format_csv(result: SweepResult, precision: int = 12) -> str:
-    lines = [f"# rydshe {result.version} config={result.config_hash}",
-             "# frequencies in MHz, angles in deg, lengths in um, densities in mm^-3",
-             ",".join(result.columns)]
-    row_format = ",".join([f"%.{precision}g"] * (len(result.columns) - 1)
-                          + ["%s"])
-    lines.extend(row_format % (*row[:-1], _csv_cell(row[-1])) if row[-1]
-                 else row_format % tuple(row) for row in result.rows)
-    return "\n".join(lines) + "\n"
+    """The sweep as CSV under two comment lines; the rows are formatted
+    by one `%` over one format string for all of them."""
+    width = len(result.columns)
+    head = (f"# rydshe {result.version} config={result.config_hash}\n"
+            "# frequencies in MHz, angles in deg, lengths in um, densities "
+            "in mm^-3\n" + ",".join(result.columns) + "\n")
+    if not result.rows:
+        return head
+    row_format = ",".join([f"%.{precision}g"] * (width - 1) + ["%s"])
+    cells = list(chain.from_iterable(result.rows))
+    errors = cells[width - 1::width]
+    if any(errors):
+        cells[width - 1::width] = [_csv_cell(e) for e in errors]
+    return head + "\n".join([row_format] * len(result.rows)) % tuple(
+        cells) + "\n"
 
 
 def format_json(result: SweepResult, precision: int = 12) -> str:

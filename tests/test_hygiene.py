@@ -126,6 +126,39 @@ def test_stage_modules_import_no_other_stage(stage):
     assert not imported, f"{stage} imports {imported}"
 
 
+def _file_writes(tree):
+    """Line of each call in `tree` that opens a file to write: os.open,
+    or open with a mode other than a literal read mode."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "open"
+                and isinstance(f.value, ast.Name) and f.value.id == "os"):
+            yield node.lineno
+        elif isinstance(f, ast.Name) and f.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt")):
+                yield node.lineno
+
+
+def test_files_are_written_by_the_one_writer():
+    # every output (a sweep, profile --full-map, the verify report) goes
+    # through sweeps.write_text, which rewrites a file in place
+    trees = _trees()
+    writer = next(node for node in trees["sweeps.py"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "write_text")
+    assert list(_file_writes(writer))
+    inside = {("sweeps.py", line) for line in _file_writes(writer)}
+    outside = sorted(f"{name}:{line}" for name, tree in trees.items()
+                     for line in _file_writes(tree)
+                     if (name, line) not in inside)
+    assert not outside, f"files opened to write outside the writer: {outside}"
+
+
 def _top_level_names(tree):
     """Names a module defines at its top level: functions, classes and
     assigned constants."""

@@ -1083,3 +1083,35 @@ def test_shared_matrix_guards_each_column():
         assert str(errors[i]) == str(
             _solve_checked(A, b[i:i + 1], "test shared")[1][0])
     assert np.all(x == 0)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["batched", "2-D"])
+def test_solve_verdict_holds_at_extreme_scales(shared, monkeypatch):
+    # the residual test squares the entries: at 1e200 the squares
+    # overflowed and at 1e-200 they underflowed, so the verdict turned on
+    # nan or 0.  A scaled system keeps the verdict it has at scale 1,
+    # with A scaled alone or with b: a well-conditioned and a nearly
+    # singular system pass, and a spoiled well-conditioned solve fails
+    # with the same residual
+    from rydshe.quantum import _solve_checked
+    rng = np.random.default_rng(13)
+    good = 4 * np.eye(4) + rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    near = good.copy()
+    near[:, 3] = near[:, 2] + 1e-9 * rng.normal(size=4)
+    assert np.linalg.cond(near) > 1e9
+    b = rng.normal(size=(3, 4, 1)) + 0j
+
+    def verdicts(A, b):
+        A = A if shared else np.repeat(A[None], len(b), axis=0)
+        x, errors = _solve_checked(A, b, "test scaled")
+        return {i: str(e) for i, e in errors.items()}
+    solve = np.linalg.solve
+    for A, spoil, failed in ((good, 1, []), (near, 1, []),
+                             (good, 1 + 1e-6, [0, 1, 2])):
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, rhs: solve(a, rhs) * spoil)
+        at_one = verdicts(A, b)
+        assert sorted(at_one) == failed
+        for s in (1e-200, 1.0, 1e200):
+            assert verdicts(A * s, b) == at_one, (spoil, s)
+            assert verdicts(A * s, b * s) == at_one, (spoil, s)
