@@ -192,16 +192,23 @@ def _batch(drive: DriveParams) -> DriveParams:
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in m (over the last two axes)."""
-    f = np.ascontiguousarray(m).view(float).reshape(m.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(f, f))
+    """Frobenius norm of each matrix in m (over the last two axes).
 
-
-def _frobenius_scaled(m: np.ndarray) -> np.ndarray:
-    """_frobenius(m) taken over each matrix divided by its largest |entry|
-    and multiplied back, so that no square overflows or underflows."""
-    big = np.abs(m).max(axis=(-2, -1))
-    return big * _frobenius(m / np.where(big > 0, big, 1)[..., None, None])
+    A sum of squares that overflows, or falls below 1e-290 where squares
+    may have underflowed, is taken again over its matrix divided by its
+    largest |entry| and multiplied back.  The squares lost below the
+    normal range add up to less than 1e-300, so a larger sum is kept."""
+    f = np.ascontiguousarray(m).view(float)
+    f = f.reshape(-1, f.shape[-2] * f.shape[-1])
+    ss = np.vecdot(f, f)
+    norm = np.sqrt(ss)
+    if not (ss.min() >= 1e-290 and ss.max() < np.inf):      # nan too
+        redo = ~((ss >= 1e-290) & (ss < np.inf))
+        big = np.abs(f[redo]).max(axis=-1)
+        big[~(big > 0)] = 1
+        g = f[redo] / big[:, None]
+        norm[redo] = big * np.sqrt(np.vecdot(g, g))
+    return norm.reshape(m.shape[:-2])
 
 
 def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
@@ -235,24 +242,9 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
         zero = np.linalg.slogdet(A1).sign == 0
         x = solve(np.where(zero[..., None, None], eye, A1))
         singular = np.broadcast_to(zero, (n,))
-    parts = (b, A, x, A @ x - b)
-
-    def residual(norm):
-        """(relative residual, scale) of each system under `norm`."""
-        norm_b, norm_A, norm_x, norm_r = (norm(p) for p in parts)
-        scale = np.maximum(norm_b, norm_A * norm_x)
-        return norm_r / np.maximum(scale, 1e-300), scale
     with np.errstate(invalid="ignore", over="ignore"):
-        rel, scale = residual(_frobenius)
-        # the squares in a norm overflow past about 1e154 and underflow
-        # below about 1e-154.  That makes rel nan or inf, or scale inf or
-        # too small, or the residual norm 0 where scale is below about
-        # 1e-150: such a system fails or has a scale outside [1e-140, inf),
-        # and is judged again by the norms taken over its largest entries
-        clean = (rel <= SOLVE_RESIDUAL_TOL) & (scale >= 1e-140) & (
-            scale < np.inf)
-        if not clean.all():
-            rel = np.where(clean, rel, residual(_frobenius_scaled)[0])
+        scale = np.maximum(_frobenius(b), _frobenius(A) * _frobenius(x))
+        rel = _frobenius(A @ x - b) / np.maximum(scale, 1e-300)
     bad = singular | ~(rel <= SOLVE_RESIDUAL_TOL)       # nan fails too
     x[bad] = 0
 

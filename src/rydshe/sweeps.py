@@ -26,7 +26,6 @@ import os
 import stat
 import time
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -219,10 +218,11 @@ def write_text(path: str, text: str) -> None:
     length: unlike opening with O_TRUNC, its blocks are not freed and
     allocated again, and its inode, hard links and mode stay.  A new
     file gets mode 0o666 & ~umask.  Any other target (/dev/null, a pipe,
-    a FIFO) is written as a stream and never cut.  When a write fails,
-    a regular file is cut to zero length, so no tail of its old content
-    is left behind the new bytes.  Raises OSError("cannot write PATH:
-    ...") on any failure.
+    a FIFO) is written as a stream and never cut.  When a write raises
+    (KeyboardInterrupt too), a regular file is cut to zero length, so no
+    tail of its old content is left behind the new bytes; a process
+    killed before the cut, or a crash, can leave that tail.  Raises
+    OSError("cannot write PATH: ...") on any failure.
     """
     data = text.encode("utf-8")
     try:
@@ -235,7 +235,7 @@ def write_text(path: str, text: str) -> None:
                     rest = rest[os.write(fd, rest):]
                 if regular:
                     os.ftruncate(fd, len(data))
-            except OSError:
+            except BaseException:
                 if regular:
                     os.ftruncate(fd, 0)
                 raise
@@ -254,21 +254,14 @@ def _csv_cell(cell: str) -> str:
 
 
 def format_csv(result: SweepResult, precision: int = 12) -> str:
-    """The sweep as CSV under two comment lines; the rows are formatted
-    by one `%` over one format string for all of them."""
-    width = len(result.columns)
-    head = (f"# rydshe {result.version} config={result.config_hash}\n"
-            "# frequencies in MHz, angles in deg, lengths in um, densities "
-            "in mm^-3\n" + ",".join(result.columns) + "\n")
-    if not result.rows:
-        return head
-    row_format = ",".join([f"%.{precision}g"] * (width - 1) + ["%s"])
-    cells = list(chain.from_iterable(result.rows))
-    errors = cells[width - 1::width]
-    if any(errors):
-        cells[width - 1::width] = [_csv_cell(e) for e in errors]
-    return head + "\n".join([row_format] * len(result.rows)) % tuple(
-        cells) + "\n"
+    lines = [f"# rydshe {result.version} config={result.config_hash}",
+             "# frequencies in MHz, angles in deg, lengths in um, densities in mm^-3",
+             ",".join(result.columns)]
+    row_format = ",".join([f"%.{precision}g"] * (len(result.columns) - 1)
+                          + ["%s"])
+    lines.extend(row_format % (*row[:-1], _csv_cell(row[-1])) if row[-1]
+                 else row_format % tuple(row) for row in result.rows)
+    return "\n".join(lines) + "\n"
 
 
 def format_json(result: SweepResult, precision: int = 12) -> str:

@@ -27,7 +27,8 @@ from rydshe import (AtomParams, BeamSpec, ConfigError, DomainError,
                     susceptibility)
 from rydshe import quantum
 from rydshe.config import AXES, QUANTITIES
-from rydshe.sweeps import SweepResult, run_sweep, emit, format_csv, format_json
+from rydshe.sweeps import (SweepResult, run_sweep, emit, format_csv, format_json,
+                           write_text)
 from rydshe.cli import main as cli_main
 
 TWO_PI = 2.0 * math.pi
@@ -1405,6 +1406,25 @@ def test_cli_failed_write_leaves_an_empty_file(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"io error: cannot write {out}: [Errno 28] "
         f"{os.strerror(errno.ENOSPC)}\n")
+
+
+def test_interrupted_write_leaves_an_empty_file(tmp_path, monkeypatch):
+    # Ctrl-C between two writes: the interrupt propagates, and the file
+    # holds neither the old content nor a head of the new one
+    out = tmp_path / "chi.csv"
+    out.write_bytes(b"x" * 100_000)
+    write, calls = os.write, []
+
+    def interrupted(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise KeyboardInterrupt
+        return write(fd, data[:10])
+    monkeypatch.setattr(os, "write", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_text(str(out), "new content\n" * 10)
+    assert len(calls) == 2
+    assert out.read_bytes() == b""
 
 
 @pytest.mark.parametrize("argv", [["chi", "--steps", "3"],
