@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         write_text(args.out, json.dumps([asdict(r) for r in results],
                                         indent=1, sort_keys=True))
-        print(f"report written to {args.out}")
+        print(f"report written to {args.out}", file=sys.stderr)
     print("verify:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -205,7 +205,7 @@ def _cmd_profile_full_map(cfg: RunConfig, out: str) -> None:
                "i_plus": np.round(i_p, 9).tolist(),
                "i_minus": np.round(i_m, 9).tolist()}
     write_text(out, json.dumps(payload))
-    print(f"2-D intensity map written to {out}")
+    print(f"2-D intensity map written to {out}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -232,7 +232,8 @@ def main(argv=None) -> int:
         n_err = sum(1 for r in result.rows if r[-1] != "")
         print(f"{args.command}: {len(result.rows)} rows -> {out} "
               f"({result.wall_time_ms:.0f} ms"
-              f"{f', {n_err} failed points' if n_err else ''})")
+              f"{f', {n_err} failed points' if n_err else ''})",
+              file=sys.stderr)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -156,10 +156,10 @@ def twobody_correlators(drive: DriveParams, atom: AtomParams, V
     r21, r31 = p.rho21_1, p.rho31_1
     r12, r13 = np.conj(r21), np.conj(r31)
     (d21, d31, _), Oc = quantum._denominators(drive, atom), drive.Omega_c
-    B, A4 = [[d31, Oc], [Oc, d21]], quantum._systems(drive, atom)[1]
+    B, A4 = [[d31, Oc], [Oc, d21]], quantum._systems(drive, atom)
     pair = [(0, 0), (1, 0), (1, 1), (0, 1)]
     zA = _checked(*quantum._solve_checked(
-        np.array(_kron_sum(-np.conj(B), B, pair)),
+        np.array([_kron_sum(-np.conj(B), B, pair)]),
         np.array([[[0], [r31], [r21 - r12], [-r13]]]),
         "second-order two-body (mixed 4x4)"))[0, :, 0]
     zB = _checked(*quantum._solve_checked(
@@ -408,16 +408,22 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
         return worst
     _run_check("perturbative_vs_oracle_rho21", chk_oracle, 0.01, results)
 
-    def chk_trace():
+    def chk_onebody():
+        # relative residual of A4 y = (0, -rho13, rho31, rho21 - rho12),
+        # y = (rho33, rho23, rho32, rho22)^(2) and rho23 = conj(rho32)
         worst = 0.0
         for _ in range(100):
             drv = DriveParams(Omega_p=0.0, Omega_c=TWO_PI * rng.uniform(0.5, 8),
                               Delta2=TWO_PI * rng.uniform(-10, 10),
                               Delta_c=TWO_PI * rng.uniform(-1, 1))
-            p = response_parts(drv, atom)
-            worst = max(worst, abs(p.rho11_2 + p.rho22_2 + p.rho33_2))
+            p, A4 = response_parts(drv, atom), quantum._systems(drv, atom)
+            y = [p.rho33_2, np.conj(p.rho32_2), p.rho32_2, p.rho22_2]
+            r = A4 @ y - [0, -np.conj(p.rho31_1), p.rho31_1,
+                          2j * p.rho21_1.imag]
+            worst = max(worst, np.linalg.norm(r) / np.linalg.norm(A4)
+                        / np.linalg.norm(y))
         return worst
-    _run_check("second_order_trace", chk_trace, 1e-12, results)
+    _run_check("second_order_onebody_residual", chk_onebody, 1e-12, results)
 
     def chk_factorization():
         drv = canonical_drive(TWO_PI * 1.3)

@@ -24,10 +24,10 @@ closed at two atoms / third order; its two-body matrices are Kronecker
 sums of two one-atom blocks, and the pair energy enters them as a
 low-rank change, so the correlator is a rational function of V and the
 shell integral has a closed form.  At V = 0 the atoms are independent,
-so a call solves only one 5x5 and one batch of block 4x4s
-(`_hierarchy`).  `susceptibility` and
-`response_parts` take a scalar or a 1-D array of probe detunings
-through one pass, and report each failure against its own detuning;
+so a call solves one 4x4 (`_onebody`) and one batch of block 4x4s
+(`_hierarchy`).  `susceptibility` and `response_parts` take a scalar or
+a 1-D array of probe detunings through one pass, and report each failure
+against its own detuning;
 the oracle's `twobody_correlators` solves at given separations instead.
 
 Sign conventions are pinned by two independent checks exercised in the
@@ -62,9 +62,11 @@ _MAX_DETUNING = 1e150
 DEFAULT_QUAD_NODES = 64
 
 # a pole of rr33_31^(3)(V) closer to the shell than this fraction of its
-# length (in u = 1/s^3), or two poles closer than this relative distance,
-# is a resonance the closed form refuses to integrate
-POLE_CLEARANCE = 1e-3
+# length (in u = 1/s^3) is a resonance the closed form refuses to
+# integrate; two poles closer than _POLE_SEPARATION, relative to their
+# size, coincide: the residues divide by their difference, whose rounding
+# that bound magnifies at most 1e8-fold, so they keep about 8 digits
+POLE_CLEARANCE, _POLE_SEPARATION = 1e-3, 1e-8
 
 
 def _square(x: float) -> float:
@@ -213,9 +215,8 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 
 def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
                    ) -> tuple[np.ndarray, dict]:
-    """Dense LU solves (partial pivoting) of A x = b for b (n, m, k), each
-    of the n systems guarded on its own.  A is a batch (n, m, m), or one
-    (m, m) matrix factorized once, with the n right-hand sides as columns.
+    """Dense LU solves (partial pivoting) of the batch A x = b, A (n, m, m)
+    and b (n, m, k), each of the n systems guarded on its own.
 
     Returns (x, errors): errors maps each failed system i to the typed
     error it gives alone -- non-finite entries, an exactly singular
@@ -224,24 +225,16 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
     the test; only the systems that fail it are classified.  A failed
     system's x is 0, so it cannot poison later arithmetic on the batch.
     """
-    n, m, k = b.shape
-
-    def solve(A):
-        if A.ndim == 3:
-            return np.linalg.solve(A, b)
-        x = np.linalg.solve(A, b.transpose(1, 0, 2).reshape(m, n * k))
-        return x.reshape(m, n, k).transpose(1, 0, 2)
-    singular = np.zeros(n, dtype=bool)
+    singular = np.zeros(len(b), dtype=bool)
     try:
-        x = solve(A)
+        x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         # LU finds the same zero pivot as the solve; the rest still solve
         reason = exc
-        eye, finite = np.eye(m), np.isfinite(A).all(axis=(-2, -1))
-        A1 = np.where(finite[..., None, None], A, eye)
-        zero = np.linalg.slogdet(A1).sign == 0
-        x = solve(np.where(zero[..., None, None], eye, A1))
-        singular = np.broadcast_to(zero, (n,))
+        eye, finite = np.eye(b.shape[1]), np.isfinite(A).all(axis=(-2, -1))
+        A1 = np.where(finite[:, None, None], A, eye)
+        singular = np.linalg.slogdet(A1).sign == 0
+        x = np.linalg.solve(np.where(singular[:, None, None], eye, A1), b)
     with np.errstate(invalid="ignore", over="ignore"):
         scale = np.maximum(_frobenius(b), _frobenius(A) * _frobenius(x))
         rel = _frobenius(A @ x - b) / np.maximum(scale, 1e-300)
@@ -249,8 +242,7 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
     x[bad] = 0
 
     def error(i):
-        if not (np.isfinite(A[i] if A.ndim == 3 else A).all()
-                and np.isfinite(b[i]).all()):
+        if not (np.isfinite(A[i]).all() and np.isfinite(b[i]).all()):
             return PropagationError(
                 f"non-finite entries entering the {what} solve")
         if singular[i]:
@@ -292,41 +284,40 @@ def _result(cls, parts: np.ndarray, errors: dict, drive: DriveParams,
     return cls(*parts, errors=named)
 
 
-def _first_order(d21, d31, Oc: float
-                 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(rho21^(1), rho31^(1), errors): rho21^(1) = -d31 / (d21 d31 -
-    Omega_c^2) and rho31^(1) = Omega_c / (d21 d31 - Omega_c^2)."""
-    den = d21 * d31 - _square(Oc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r21, r31 = -d31 / den, Oc / den
-    return r21, r31, failures(
-        den == 0, lambda i: SingularityError("EIT denominator vanishes"))
-
-
-def _systems(drive: DriveParams, atom: AtomParams) -> tuple:
-    """(A, A4): the one-atom 4x4 A4 over (rho33, rho23, rho32, rho22),
-    which holds d32 = Delta_c + i gamma32, and the 5x5 A of `_onebody`,
-    the trace row above -A4 in rows (33, 22, 32, 23) and columns (22, 33,
-    32, 23).  Neither depends on Delta2."""
+def _systems(drive: DriveParams, atom: AtomParams) -> np.ndarray:
+    """The one-atom 4x4 A4 over (rho33, rho23, rho32, rho22), which holds
+    d32 = Delta_c + i gamma32 and does not depend on Delta2."""
     Oc, d32 = drive.Omega_c, drive.Delta_c + 1j * atom.gamma32
-    A4 = [[1j * atom.Gamma32, Oc, -Oc, 0],
-          [Oc, -np.conj(d32), 0, -Oc],
-          [-Oc, 0, d32, Oc],
-          [-1j * atom.Gamma32, -Oc, Oc, 1j * atom.Gamma21]]
-    A = [[1, 1, 1, 0, 0]] + [[0] + [-A4[r][c] for c in (3, 0, 2, 1)]
-                             for r in (0, 3, 2, 1)]
-    return np.array(A, dtype=complex), np.array(A4, dtype=complex)
+    return np.array([[1j * atom.Gamma32, Oc, -Oc, 0],
+                     [Oc, -np.conj(d32), 0, -Oc],
+                     [-Oc, 0, d32, Oc],
+                     [-1j * atom.Gamma32, -Oc, Oc, 1j * atom.Gamma21]],
+                    dtype=complex)
 
 
-def _onebody(A: np.ndarray, r21: np.ndarray, r31: np.ndarray
-             ) -> tuple[tuple, dict]:
-    """(rho11, rho22, rho33, rho32)^(2) from the 5x5 A of `_systems`; the
-    unknowns are (rho11, rho22, rho33, rho32, rho23)^(2), and the trace
-    rho11 + rho22 + rho33 = 0 replaces the redundant ground-state row."""
-    r12, r13, z = np.conj(r21), np.conj(r31), np.zeros_like(r21)
-    b = np.array([z, z, r12 - r21, -r31, r13]).T[..., None]
-    u, errors = _solve_checked(A, b, "second-order one-body (5x5)")
-    return tuple(u[:, :4, 0].T), errors
+def _onebody(A4: np.ndarray, atom: AtomParams, r21: np.ndarray,
+             r31: np.ndarray) -> tuple[tuple, dict]:
+    """(rho11, rho22, rho33, rho32)^(2): y = (rho33, rho23, rho32, rho22)^(2)
+    solves A4 y = (0, -rho13, rho31, rho21 - rho12) and rho11 = -(rho22 +
+    rho33).  With P = (|rho31|^2, rho21 rho13, rho31 rho12, |rho21|^2)^(1),
+    the pure state the weak probe dresses, the first-order equations
+    d21 rho21 + Omega_c rho31 = -1 and Omega_c rho21 + d31 rho31 = 0 give
+    A4 (y - P) = R P, where R holds the rates that break purity (at the
+    half-sum rates only Gamma32).  So y = P + G P, G = A4^-1 R, one solve
+    for every detuning (its failure fails them all); y keeps the digits of
+    P far from resonance, where a solve for y loses them as Delta2^2.  P
+    may overflow: the caller sets np.errstate."""
+    kappa = atom.gamma32 - atom.gamma31 - atom.gamma21
+    R = 1j * np.diag([2 * atom.gamma31 - atom.Gamma32, -kappa, -kappa,
+                      2 * atom.gamma21 - atom.Gamma21])
+    R[3, 0] = 1j * atom.Gamma32
+    G, errors = _solve_checked(A4[None], R[None],
+                               "second-order one-body (4x4)")
+    r12, r13 = np.conj(r21), np.conj(r31)
+    P = np.array([r31 * r13, r21 * r13, r31 * r12, r21 * r12])
+    r33, _, r32, r22 = P + G[0] @ P
+    return ((-(r22 + r33), r22, r33, r32),
+            dict.fromkeys(range(len(r21)), errors[0]) if errors else {})
 
 
 def _eig2(S: np.ndarray) -> np.ndarray:
@@ -338,8 +329,9 @@ def _eig2(S: np.ndarray) -> np.ndarray:
     return np.stack([lam1, (a * d - b * c) / lam1], axis=1)
 
 
-def _hierarchy(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray, Oc: float,
-               r31: np.ndarray, onebody: tuple) -> tuple:
+def _hierarchy(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray,
+               D: np.ndarray, Oc: float, r31: np.ndarray, onebody: tuple
+               ) -> tuple:
     """(w, a, S, b, errors) of the two-body hierarchy at the n detunings
     of d21 and d31: w (n, 4), a and b (n, 2), S (n, 2, 2), and the errors
     of the one solve, a batched block 4x4.
@@ -363,8 +355,7 @@ def _hierarchy(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray, Oc: float,
     0 and 2 of A4 + d21, and b for r31 = (0, 0, w0, w1) rho31^2 and
     r21 = (0, 0, w3, w2) rho31^2.
     """
-    (_, _, r33, r32), eye = onebody, np.eye(4)
-    t, D = d21 + d31, d21 * d31 - Oc * Oc
+    (_, _, r33, r32), eye, t = onebody, np.eye(4), d21 + d31
     # past the float range these give inf or nan, for the solve's guards
     # and _shell_pole_sum to refuse
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -382,8 +373,8 @@ def _hierarchy(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray, Oc: float,
 
 
 def _correlator_poles(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray,
-                      Oc: float, r31: np.ndarray, onebody: tuple
-                      ) -> tuple[np.ndarray, np.ndarray, dict]:
+                      D: np.ndarray, Oc: float, r31: np.ndarray,
+                      onebody: tuple) -> tuple[np.ndarray, np.ndarray, dict]:
     """Poles V_k and residues c_k, each (n, 3), of
     rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solve,
     at the n detunings of d21 and d31.
@@ -397,7 +388,7 @@ def _correlator_poles(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray,
     The poles are 1/eig(S) and 1/beta; the numerator is of lower degree
     than the denominator, so there is no polynomial part.
     """
-    w, a, S, b, errors = _hierarchy(A4, d21, d31, Oc, r31, onebody)
+    w, a, S, b, errors = _hierarchy(A4, d21, d31, D, Oc, r31, onebody)
     beta = w[:, :1]
     # coincident poles, or poles past the float range, give non-finite
     # residues; _shell_pole_sum refuses them
@@ -416,8 +407,8 @@ def _correlator_poles(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray,
         # the residues scale with a and, through b, with rr31_31 = rho31^2,
         # neither 0 for Oc != 0: below the float range they are lost, and
         # the row fails as a non-finite one, ahead of its solve
-        lost = ~(np.minimum(abs(a[:, 0]), abs(r31 * r31))
-                 >= np.finfo(float).tiny)
+        lost = (np.minimum(abs(a[:, 0]), abs(r31 * r31))
+                < np.finfo(float).tiny)
     V[lost] = c[lost] = np.nan
     return V, c, {i: e for i, e in errors.items() if not lost[i]}
 
@@ -432,7 +423,7 @@ def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
     differences are taken as log1p of (u_hi -/+ a_k)/(u_lo -/+ a_k) - 1,
     which stays on the principal branch along the segment and keeps full
     precision for poles far from it.  Non-finite poles or residues, two
-    poles within POLE_CLEARANCE of each other (relative), or a pole
+    poles within _POLE_SEPARATION of each other (relative), or a pole
     within POLE_CLEARANCE segment lengths of [u_lo, u_hi] make that row's
     SingularityError, checked in that order.
     """
@@ -443,7 +434,7 @@ def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
         finite = (np.isfinite(poles).all(axis=1)
                   & np.isfinite(residues).all(axis=1))
         p_hi, p_lo = poles[:, hi], poles[:, lo]
-        coincide = (np.abs(p_hi - p_lo) <= POLE_CLEARANCE
+        coincide = (np.abs(p_hi - p_lo) <= _POLE_SEPARATION
                     * np.maximum(np.abs(p_hi), np.abs(p_lo)))
         a = np.sqrt(poles / C6)                # principal root, Re a >= 0
         dist = np.abs(a - np.clip(a.real, u_lo, u_hi)) / span
@@ -482,25 +473,26 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
         f"(|Delta2| <= {_MAX_DETUNING:g})"))
     drive = replace(drive, Delta2=np.where(far, 0.0, drive.Delta2))
     Oc, (d21, d31, _) = drive.Omega_c, _denominators(drive, atom)
-    A, A4 = _systems(drive, atom)
-    r21, r31, first = _first_order(d21, d31, Oc)
-    onebody, second = _onebody(A, r21, r31)
+    D, A4 = d21 * d31 - _square(Oc), _systems(drive, atom)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r21, r31 = -d31 / D, Oc / D
+        onebody, second = _onebody(A4, atom, r21, r31)
+        r11, r22, _, r32 = onebody
+        local = (d31 * (r22 - r11) - Oc * r32) / D
+    first = failures(D == 0, lambda i: SingularityError(
+        "EIT denominator vanishes"))
     third = shell = {}
-    r11, r22, _, r32 = onebody
-    den = _square(Oc) - d21 * d31
-    with np.errstate(divide="ignore", invalid="ignore"):
-        local = -(d31 * (r22 - r11) - Oc * r32) / den
-    # exact zeros: Oc * 0 / den could carry a signed zero into the CSV
+    # exact zeros: Oc * 0 / D could carry a signed zero into the CSV
     I = nl = np.zeros_like(local)
     if atom.C6 != 0 and atom.Na != 0 and Oc != 0:
         Rb = atom.blockade_radius(Oc)
-        poles, residues, third = _correlator_poles(A4, d21, d31, Oc, r31,
+        poles, residues, third = _correlator_poles(A4, d21, d31, D, Oc, r31,
                                                    onebody)
         total, shell = _shell_pole_sum(poles, residues, atom.C6,
                                        (upper_factor * Rb) ** -3, Rb ** -3)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             I = atom.Na * 4.0 * np.pi * (atom.C6 / 3.0) * total
-            nl = Oc * I / den
+            nl = -Oc * I / D
     return (np.array([r21, r31, *onebody, local, I, nl]),
             first_errors(past, first, second, third, shell))
 
@@ -508,8 +500,8 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
 @dataclass(frozen=True)
 class ResponseParts:
     """rho^(1), rho^(2) and the parts of rho21^(3), from one pass:
-    local = -[d31 (rho22 - rho11)^(2) - Omega_c rho32^(2)] / D and
-    nonlocal = Omega_c I / D, D = Omega_c^2 - d21 d31, with the shell
+    local = [d31 (rho22 - rho11)^(2) - Omega_c rho32^(2)] / D and
+    nonlocal = -Omega_c I / D, D = d21 d31 - Omega_c^2, with the shell
     integral I = Na 4 pi int s^2 V(s) rr33_31^(3)(s) ds from R_b to
     upper_factor R_b.  In u = 1/s^3, s^2 V ds = (C6/3) du and the
     integrand is rational in V = C6 u^2 with three simple poles, so I is

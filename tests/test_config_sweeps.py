@@ -824,6 +824,24 @@ def run_cli(*argv):
     return cli_main(list(argv))
 
 
+def _status(command, out):
+    """The pattern of the status line a sweep writes to stderr."""
+    return rf"{command}: \d+ rows -> {re.escape(str(out))} \(\d+ ms\)\n"
+
+
+def test_cli_chi_to_dev_stdout_is_the_csv_alone(capfd, monkeypatch):
+    # the status line goes to stderr: written to /dev/stdout (a file under
+    # capfd, as under `> f.csv`), the CSV is neither followed nor
+    # overwritten by it
+    argv = ["chi", "--steps", "5", "--delta2-min", "-1", "--delta2-max", "1",
+            "--out", "/dev/stdout"]
+    assert run_cli(*argv) == 0
+    out, err = capfd.readouterr()
+    cfg = _cli_sweep_config(monkeypatch, *argv)
+    assert out == format_csv(run_sweep(cfg), cfg.precision)
+    assert re.fullmatch(_status("chi", "/dev/stdout"), err)
+
+
 def test_cli_defaults_prints_canonical(capsys):
     assert run_cli("defaults") == 0
     out = capsys.readouterr().out
@@ -1089,7 +1107,7 @@ def test_cli_fresnel_row_at_the_exit_critical_angle(tmp_path, capsys):
         assert run_cli("fresnel", "--config", str(ini), "--theta-min",
                        "83.3803722047161", "--theta-max", "84", "--steps",
                        "3", "--out", str(out)) == 0
-    assert capsys.readouterr().err == ""
+    assert re.fullmatch(_status("fresnel", out), capsys.readouterr().err)
     row = out.read_text().splitlines()[3].split(",")
     assert float(row[0]) == pytest.approx(83.3803722047161)
     assert row[-1] == ""
@@ -1105,17 +1123,17 @@ def test_cli_names_the_sweep_keys_it_replaces(tmp_path, capsys):
                    "steps = 5\n")
     out, plain = tmp_path / "chi.csv", tmp_path / "plain.csv"
     assert run_cli("chi", "--out", str(plain)) == 0
-    assert capsys.readouterr().err == ""
+    assert re.fullmatch(_status("chi", plain), capsys.readouterr().err)
     assert run_cli("chi", "--config", str(ini), "--out", str(out)) == 0
-    assert capsys.readouterr().err == (
+    assert re.fullmatch(re.escape(
         f"rydshe chi: the subcommand replaces [sweep] variable, min, max, "
-        f"steps of {ini}\n")
+        f"steps of {ini}\n") + _status("chi", out), capsys.readouterr().err)
     assert out.read_bytes() == plain.read_bytes()
     # a file of defaults, as `rydshe defaults` writes it, names nothing
     assert run_cli("defaults") == 0
     ini.write_text(capsys.readouterr().out)
     assert run_cli("map", "--config", str(ini), "--out", str(out)) == 0
-    assert capsys.readouterr().err == ""
+    assert re.fullmatch(_status("map", out), capsys.readouterr().err)
 
 
 def test_cli_one_axis_drops_config_variable2(tmp_path):
@@ -1152,15 +1170,16 @@ def test_cli_names_the_settings_a_run_leaves_out(tmp_path, capsys, argv,
     # output, header hash included, is byte for byte the run without them
     plain, out = tmp_path / "plain.csv", tmp_path / "out.csv"
     assert run_cli(*argv, "--out", str(plain)) == 0
-    assert capsys.readouterr().err == ""
+    assert re.fullmatch(_status(argv[0], plain), capsys.readouterr().err)
     if ini is not None:
         path = tmp_path / "run.ini"
         path.write_text(ini)
         flags = flags + ["--config", str(path)]
         named = named.format(ini=path)
     assert run_cli(*argv, *flags, "--out", str(out)) == 0
-    assert capsys.readouterr().err == (
+    assert re.fullmatch(re.escape(
         f"rydshe {argv[0]}: the subcommand replaces {named}\n")
+        + _status(argv[0], out), capsys.readouterr().err)
     assert out.read_bytes() == plain.read_bytes()
 
 
@@ -1319,7 +1338,7 @@ def test_cli_verify_writes_its_report(tmp_path, capsys):
     assert isinstance(report, list) and report
     assert all(set(r) == {f.name for f in fields(CheckResult)}
                and r["status"] == "pass" for r in report)
-    assert f"report written to {out}" in capsys.readouterr().out
+    assert f"report written to {out}\n" in capsys.readouterr().err
 
 
 def test_cli_verify_report_io_error_exit(tmp_path, capsys, monkeypatch):

@@ -341,6 +341,51 @@ def test_shell_integral_vs_trapezoid_reference(atom, drive0):
     assert abs(i_gl - i_tr) / abs(i_tr) < 1e-6
 
 
+def _mp_onebody(drv, atom):
+    """(d21, d31, A4, rho21, rho31, u) in mpmath at its working precision:
+    the denominators, the one-atom 4x4 A4, rho^(1), and u = (rho11,
+    rho22, rho33, rho32, rho23)^(2) solved from the 5x5 with the trace
+    row above -A4 (rows 33, 22, 32, 23; columns 22, 33, 32, 23), a form
+    production does not use."""
+    import mpmath as mp
+    f = mp.mpf
+    Oc, G21, G32 = map(f, (drv.Omega_c, atom.Gamma21, atom.Gamma32))
+    d21 = mp.mpc(drv.Delta2, atom.gamma21)
+    d31 = mp.mpc(f(drv.Delta2) + f(drv.Delta_c), atom.gamma31)
+    d32 = mp.mpc(drv.Delta_c, atom.gamma32)
+    r21, r31 = -d31 / (d21 * d31 - Oc**2), Oc / (d21 * d31 - Oc**2)
+    A4 = [[1j * G32, Oc, -Oc, 0], [Oc, -mp.conj(d32), 0, -Oc],
+          [-Oc, 0, d32, Oc], [-1j * G32, -Oc, Oc, 1j * G21]]
+    A = [[1, 1, 1, 0, 0]] + [[0] + [-A4[r][c] for c in (3, 0, 2, 1)]
+                             for r in (0, 3, 2, 1)]
+    u = mp.lu_solve(mp.matrix(A), mp.matrix(
+        [0, 0, mp.conj(r21) - r21, -r31, mp.conj(r31)]))
+    return d21, d31, A4, r21, r31, u
+
+
+_FAR_ATOMS = {"canonical": {}, "Gamma32=0": {"Gamma32": 0.0},
+              "coherences": {"coh21": TWO_PI * 2.0, "coh31": TWO_PI * 0.3,
+                             "coh32": TWO_PI * 4.0}}
+
+
+@pytest.mark.parametrize("medium", list(_FAR_ATOMS))
+def test_second_order_matches_a_40_digit_solve(atom, medium):
+    # rho^(2) = P + G P keeps the digits of the pure state P far from
+    # resonance; a solve for rho^(2) itself lost them as Delta2^2 (rho33
+    # was off by 1.9e-7 at 100 GHz).  Worst here: about 4e-13, rho33 at
+    # 1 THz on the canonical atom
+    import mpmath as mp
+    atom = replace(atom, Na=0.0, **_FAR_ATOMS[medium])
+    for mhz in (0.0, 3.0, -3.0, 1e3, 1e5, 1e6):
+        drv = canonical_drive(TWO_PI * mhz)
+        p = response_parts(drv, atom)
+        with mp.workdps(40):
+            _, r22, r33, r32, _ = map(complex, _mp_onebody(drv, atom)[-1])
+        for got, want in ((p.rho22_2, r22), (p.rho33_2, r33),
+                          (p.rho32_2, r32)):
+            assert abs(got - want) <= 1e-12 * abs(want), (mhz, got, want)
+
+
 def _mp_shell_integral(drv, atom, upper_factor=3.0):
     """The shell integral I at 30 digits: mp.quad over u of rr33_31^(3)
     from the pair 4x4 and the 8x8 solved directly at V = C6 u^2, with
@@ -349,19 +394,10 @@ def _mp_shell_integral(drv, atom, upper_factor=3.0):
     from rydshe.oracle import _PAIR_ROWS, _kron_sum
     with mp.workdps(30):
         f, solve = mp.mpf, mp.lu_solve
-        Oc, C6, G21, G32 = map(f, (drv.Omega_c, atom.C6, atom.Gamma21,
-                                   atom.Gamma32))
-        d21 = mp.mpc(drv.Delta2, atom.gamma21)
-        d31 = mp.mpc(f(drv.Delta2) + f(drv.Delta_c), atom.gamma31)
-        d32 = mp.mpc(drv.Delta_c, atom.gamma32)
-        r21, r31 = -d31 / (d21 * d31 - Oc**2), Oc / (d21 * d31 - Oc**2)
+        Oc, C6 = f(drv.Omega_c), f(atom.C6)
+        d21, d31, A4, r21, r31, u = _mp_onebody(drv, atom)
+        _, r22, r33, r32, _ = u
         B = [[d31, Oc], [Oc, d21]]
-        A4 = [[1j * G32, Oc, -Oc, 0], [Oc, -mp.conj(d32), 0, -Oc],
-              [-Oc, 0, d32, Oc], [-1j * G32, -Oc, Oc, 1j * G21]]
-        A = [[1, 1, 1, 0, 0]] + [[0] + [-A4[r][c] for c in (3, 0, 2, 1)]
-                                 for r in (0, 3, 2, 1)]
-        _, r22, r33, r32, _ = solve(mp.matrix(A), mp.matrix(
-            [0, 0, mp.conj(r21) - r21, -r31, mp.conj(r31)]))
         pair = [(0, 0), (1, 0), (1, 1), (0, 1)]
         zA = solve(mp.matrix(_kron_sum([[-mp.conj(z) for z in row]
                                         for row in B], B, pair)),
@@ -390,11 +426,15 @@ def _mp_shell_integral(drv, atom, upper_factor=3.0):
     (0.0, "canonical", 1e-14), (3.3, "canonical", 1e-14),
     (3.3, "C6<0", 1e-14), (-3e3, "canonical", 5e-9),
     (3e3, "canonical", 5e-9), (-7e3, "canonical", 5e-9),
-    (7e3, "canonical", 5e-9)])
+    (7e3, "canonical", 5e-9), (-8e3, "canonical", 1e-12),
+    (8e3, "canonical", 1e-12), (3e4, "canonical", 1e-11),
+    (1e5, "canonical", 1e-11), (1e6, "canonical", 1e-10)])
 def test_shell_integral_matches_a_30_digit_reference(atom, mhz, medium, tol):
-    # near resonance the closed form is good to rounding; GHz away it and
-    # the Gauss-Legendre oracle both lose digits (7e-10 and 1.4e-9 at
-    # +7 GHz), so the bound there is 5e-9
+    # near resonance the closed form is good to rounding; far from it
+    # the two poles of S approach each other relative to their size
+    # (46.6 rad/us apart at |V| ~ Delta2), so the residues lose digits as
+    # Delta2: 2e-14 at 3 GHz, 3e-13 at 7 and 8 GHz, 2e-12 at 30 GHz and
+    # 2e-11 at 1 THz.  The 3 and 7 GHz cases keep their earlier bound
     atom = _medium(atom, medium)
     drv = canonical_drive(TWO_PI * mhz)
     want = _mp_shell_integral(drv, atom)
@@ -417,7 +457,8 @@ def _hierarchy_args(drv, atom):
     d21, d31, _ = _denominators(replace(drv, Delta2=np.array([drv.Delta2])),
                                 atom)
     p = response_parts(drv, replace(atom, Na=0.0))
-    return (quantum._systems(drv, atom)[1], d21, d31, drv.Omega_c,
+    D = d21 * d31 - drv.Omega_c**2
+    return (quantum._systems(drv, atom), d21, d31, D, drv.Omega_c,
             np.array([p.rho31_1]), tuple(np.array([r]) for r in (
                 p.rho11_2, p.rho22_2, p.rho33_2, p.rho32_2)))
 
@@ -443,7 +484,7 @@ def _direct_hierarchy(drv, atom):
     built at the detuning and solved as they stand."""
     from rydshe.oracle import _PAIR_ROWS, _kron_sum
     (d21, d31, _), Oc = _denominators(drv, atom), drv.Omega_c
-    B, A4 = [[d31, Oc], [Oc, d21]], quantum._systems(drv, atom)[1]
+    B, A4 = [[d31, Oc], [Oc, d21]], quantum._systems(drv, atom)
     MB = np.array(_kron_sum(B, B, [(0, 0), (1, 0), (1, 1), (0, 1)]))
     Q = np.array(_kron_sum(A4, B, [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0),
                                    (1, 1), (2, 1), (3, 1)]))
@@ -542,7 +583,7 @@ def test_shell_pole_sum_refuses_poles_on_the_shell():
     twin = 7.0 + 1j
     clear = [C6 * (hi + 0.01) ** 2, twin]     # a clear segment, poles apart
     poles = np.array([[on_shell, twin], [near_end, twin],
-                      [twin, twin * (1 + 1e-4)], clear])
+                      [twin, twin * (1 + 1e-9)], clear])
     total, errors = _shell_pole_sum(poles, np.ones((4, 2)), C6, lo, hi)
     assert sorted(errors) == [0, 1, 2]
     assert all(isinstance(e, SingularityError) for e in errors.values())
@@ -589,7 +630,7 @@ def test_closed_form_eigenvalues_keep_coincident_poles_refused():
     # poles 1/eig(S) of a near-degenerate S are refused as coincident,
     # with the text _shell_pole_sum gives for any coincident pair
     C6, lo, hi = 2.0, 1.0, 2.0
-    lam = np.array([[0.1 + 0.2j, (0.1 + 0.2j) * (1 + 1e-5)]])
+    lam = np.array([[0.1 + 0.2j, (0.1 + 0.2j) * (1 + 1e-9)]])
     P = np.array([[[1.0, 0.3j], [0.2, 1.0]]])
     S = P @ (lam[:, :, None] * np.linalg.inv(P))
     poles = 1.0 / quantum._eig2(S)
@@ -608,12 +649,13 @@ def test_pole_error_names_the_detuning(atom, monkeypatch):
         response_parts(drv, atom)
 
 
-@pytest.mark.parametrize("label", ["second-order one-body (5x5)",
+@pytest.mark.parametrize("label", ["second-order one-body (4x4)",
                                    "third-order two-body (block 4x4)"])
 def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
-    # a failure injected at one detuning of a system -- shared by every
-    # detuning or batched over them -- names that detuning in a scalar
-    # call and lands on that detuning alone in an array call
+    # a failure injected into a solve names the detuning in a scalar
+    # call; in an array call it lands on its own detuning for the block
+    # 4x4, batched over the detunings, and on every detuning for the
+    # one-body 4x4, one solve shared by them all
     solve = quantum._solve_checked
     at = []
 
@@ -630,23 +672,25 @@ def test_solve_failure_names_the_detuning(atom, monkeypatch, label):
             f"{label}: injected at Delta2 = {drv.Delta2:g} rad/us")):
         susceptibility(drv, atom)
     D2 = TWO_PI * np.linspace(-10, 10, 7)
-    at[:] = [4]
+    failed = range(7) if "one-body" in label else [4]
+    at[:] = [0] if "one-body" in label else [4]
     b = susceptibility(replace(drv, Delta2=D2), atom)
-    assert [i for i, e in enumerate(b.errors) if e] == [4]
-    assert str(b.errors[4]) == (f"singular matrix in {label}: injected at "
-                                f"Delta2 = {D2[4]:g} rad/us")
+    assert [i for i, e in enumerate(b.errors) if e] == list(failed)
+    for i in failed:
+        assert str(b.errors[i]) == (f"singular matrix in {label}: injected "
+                                    f"at Delta2 = {D2[i]:g} rad/us")
     parts = _parts(b)
-    assert np.all(np.isnan(parts[:, 4]))
-    assert np.all(np.isfinite(np.delete(parts, 4, axis=1)))
+    assert np.all(np.isnan(parts[:, failed]))
+    assert np.all(np.isfinite(np.delete(parts, failed, axis=1)))
 
 
 def test_susceptibility_solve_count(atom, monkeypatch):
-    # one pass per call, whatever the number of detunings: the 5x5 (shared
-    # by the local and nonlocal terms) does not depend on the detuning and
-    # is factorized once, with the n detunings as right-hand-side columns;
-    # the block 4x4 of the third-order hierarchy is one batched solve over
-    # the n detunings; the pair 4x4 and the 8x8 are not solved; no node
-    # axis.  The denominators are made once, over the detunings.
+    # one pass per call, whatever the number of detunings: the one-body
+    # 4x4 (shared by the local and nonlocal terms) does not depend on the
+    # detuning and is solved once, a batch of one; the block 4x4 of the
+    # third-order hierarchy is one batched solve over the n detunings; the
+    # pair 4x4 and the 8x8 are not solved; no node axis.  The
+    # denominators are made once, over the detunings.
     shapes, factorized, made = [], [], []
     solve = quantum._solve_checked
     lu = np.linalg.solve
@@ -674,8 +718,8 @@ def test_susceptibility_solve_count(atom, monkeypatch):
         made.clear()
         susceptibility(canonical_drive(D2), atom)
         assert sorted(shapes, key=str) == sorted(
-            [((5, 5), n), ((n, 4, 4), n)], key=str)
-        assert sorted(factorized, key=str) == sorted([(5, 5), (n, 4, 4)],
+            [((1, 4, 4), 1), ((n, 4, 4), n)], key=str)
+        assert sorted(factorized, key=str) == sorted([(1, 4, 4), (n, 4, 4)],
                                                      key=str)
         assert len(made) == 1
         assert np.array_equal(made[0], np.atleast_1d(D2))
@@ -713,10 +757,10 @@ def test_array_call_reports_each_failure_at_its_detuning(atom, monkeypatch):
             else:
                 assert b.errors[i] is None
                 assert np.array_equal(parts[:, i], one)
-        # nan fails the 5x5, both 4x4 and the 8x8 solves, the pole check
-        # and the finite-part check: the earliest check's error is reported
+        # nan fails the block 4x4 solve, the pole check and the
+        # finite-part check: the earliest check's error is reported
         assert str(b.errors[7]) == ("non-finite entries entering the "
-                                    "second-order one-body (5x5) solve")
+                                    "third-order two-body (block 4x4) solve")
         assert type(b.errors[30]) is DomainError
         assert 1 < n_failed < len(D2) - 1
         assert any(re.search(r"at Delta2 = \S+ rad/us$", str(e))
@@ -756,22 +800,24 @@ def test_batch_matches_gauss_legendre(atom, medium):
 
 
 def test_systems_do_not_depend_on_the_detuning(atom):
-    # A and A4 hold d32 = Delta_c + i gamma32 and no d21 or d31: built at
-    # two detunings, and at an array of them, they are the same bit for bit
+    # A4 holds d32 = Delta_c + i gamma32 and no d21 or d31: built at two
+    # detunings, and at an array of them, it is the same bit for bit
     at = [quantum._systems(canonical_drive(D2), atom)
           for D2 in (TWO_PI * -3.7, TWO_PI * 6.1, TWO_PI * np.arange(3.0))]
-    assert [m.shape for m in at[0]] == [(5, 5), (4, 4)]
+    assert at[0].shape == (4, 4)
     for other in at[1:]:
-        assert all(np.array_equal(x, y) for x, y in zip(at[0], other))
+        assert np.array_equal(at[0], other)
 
 
 @pytest.mark.parametrize("medium", ["canonical", "Gamma32=0", "C6<0"])
 def test_chi_matches_per_detuning_assembly(atom, medium):
     # production builds the systems once and shifts them to each of 201
     # detunings; the reference builds every matrix from each detuning's
-    # own denominators: the 5x5 for the local term, and the oracle's
-    # directly solved correlators, by 128-node quadrature, for the
-    # nonlocal one
+    # own denominators: the 5x5 for rho^(2), solved at 30 digits, for the
+    # local term, and the oracle's directly solved correlators, by
+    # 128-node quadrature, for the nonlocal one.  (A float 4x4 solve for
+    # rho^(2) misses the local term by 1.2e-13 at 0.1 MHz.)
+    import mpmath as mp
     atom = _medium(atom, medium)
     D2 = TWO_PI * np.linspace(-10, 10, 201)
     b = susceptibility(canonical_drive(D2), atom)
@@ -783,12 +829,11 @@ def test_chi_matches_per_detuning_assembly(atom, medium):
         Op2, Oc = drv.Omega_p**2, drv.Omega_c
         d21, d31, _ = _denominators(drv, atom)
         p = response_parts(drv, atom)
-        r21, r31 = p.rho21_1, p.rho31_1
-        (r11, r22, _, r32), errors = quantum._onebody(
-            quantum._systems(drv, atom)[0], np.array([r21]), np.array([r31]))
-        assert not errors
+        r21 = p.rho21_1
+        with mp.workdps(30):
+            r11, r22, _, r32, _ = map(complex, _mp_onebody(drv, atom)[-1])
         den = Oc**2 - d21 * d31
-        local = -(d31 * (r22[0] - r11[0]) - Oc * r32[0]) / den
+        local = -(d31 * (r22 - r11) - Oc * r32) / den
         i_gl = gauss_legendre_nonlocal_integral(drv, atom, n_nodes=128)
         want = [K * r21, K * Op2 * local, K * Op2 * Oc * i_gl / den]
         got = _parts(b)[:, i]
@@ -1057,42 +1102,15 @@ def test_solve_guards_each_system():
         assert np.allclose(A[i] @ x[i], b[i], rtol=1e-12, atol=1e-12)
 
 
-def test_shared_matrix_guards_each_column():
-    # one matrix for every system, factorized once: a non-finite
-    # right-hand side fails its own system alone, and a singular matrix
-    # fails every system; each with the text a batch of one gives
-    from rydshe import PropagationError
-    from rydshe.quantum import _solve_checked
-    rng = np.random.default_rng(7)
-    A = 4 * np.eye(5) + rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    b = rng.normal(size=(6, 5, 1)) + 0j
-    b[3, 1, 0] = math.inf
-    x, errors = _solve_checked(A, b, "test shared")
-    assert list(errors) == [3]
-    assert isinstance(errors[3], PropagationError)
-    assert str(errors[3]) == str(_solve_checked(A, b[3:4], "test shared")[1][0])
-    assert np.all(x[3] == 0)
-    for i in (0, 1, 2, 4, 5):
-        assert np.allclose(A @ x[i], b[i], rtol=1e-12, atol=1e-12)
-    A[:, 2] = 0.0
-    x, errors = _solve_checked(A, b, "test shared")
-    assert sorted(errors) == list(range(6))
-    assert isinstance(errors[3], PropagationError)
-    for i in (0, 1, 2, 4, 5):
-        assert isinstance(errors[i], SingularityError)
-        assert str(errors[i]) == str(
-            _solve_checked(A, b[i:i + 1], "test shared")[1][0])
-    assert np.all(x == 0)
-
-
-@pytest.mark.parametrize("shared", [False, True], ids=["batched", "2-D"])
-def test_solve_verdict_holds_at_extreme_scales(shared, monkeypatch):
+@pytest.mark.parametrize("one", [False, True], ids=["batched", "one"])
+def test_solve_verdict_holds_at_extreme_scales(one, monkeypatch):
     # the residual test squares the entries: at 1e200 the squares
     # overflowed and at 1e-200 they underflowed, so the verdict turned on
     # nan or 0.  A scaled system keeps the verdict it has at scale 1,
     # with A scaled alone or with b: a well-conditioned and a nearly
     # singular system pass, and a spoiled well-conditioned solve fails
-    # with the same residual
+    # with the same residual.  The right-hand sides are three systems of a
+    # batch, or the columns of a batch of one
     from rydshe.quantum import _solve_checked
     rng = np.random.default_rng(13)
     good = 4 * np.eye(4) + rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -1100,14 +1118,16 @@ def test_solve_verdict_holds_at_extreme_scales(shared, monkeypatch):
     near[:, 3] = near[:, 2] + 1e-9 * rng.normal(size=4)
     assert np.linalg.cond(near) > 1e9
     b = rng.normal(size=(3, 4, 1)) + 0j
+    if one:
+        b = b.transpose(2, 1, 0)
 
     def verdicts(A, b):
-        A = A if shared else np.repeat(A[None], len(b), axis=0)
-        x, errors = _solve_checked(A, b, "test scaled")
+        x, errors = _solve_checked(np.repeat(A[None], len(b), axis=0), b,
+                                   "test scaled")
         return {i: str(e) for i, e in errors.items()}
     solve = np.linalg.solve
     for A, spoil, failed in ((good, 1, []), (near, 1, []),
-                             (good, 1 + 1e-6, [0, 1, 2])):
+                             (good, 1 + 1e-6, list(range(len(b))))):
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, rhs: solve(a, rhs) * spoil)
         at_one = verdicts(A, b)
