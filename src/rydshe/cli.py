@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from dataclasses import asdict, fields as dc_fields, replace
 
 from . import __version__
@@ -179,17 +180,21 @@ def _run_config(args) -> RunConfig:
 def _cmd_verify(args) -> int:
     from .oracle import verify_suite  # the references load only here
     results = verify_suite()
-    width = max(len(r.check_name) for r in results)
-    for r in results:
-        print(f"{r.check_name:<{width}}  {r.status.upper():4}  "
-              f"measured={r.measured:.3e}  threshold={r.threshold:.0e}  "
-              f"({r.runtime_ms:.0f} ms)")
-    ok = all(r.status == "pass" for r in results)
+    # with a report, the table and verdict follow it on stderr, so that
+    # --out /dev/stdout holds the report alone
+    table = sys.stdout
     if args.out:
         write_text(args.out, json.dumps([asdict(r) for r in results],
                                         indent=1, sort_keys=True))
         print(f"report written to {args.out}", file=sys.stderr)
-    print("verify:", "PASS" if ok else "FAIL")
+        table = sys.stderr
+    width = max(len(r.check_name) for r in results)
+    for r in results:
+        print(f"{r.check_name:<{width}}  {r.status.upper():4}  "
+              f"measured={r.measured:.3e}  threshold={r.threshold:.0e}  "
+              f"({r.runtime_ms:.0f} ms)", file=table)
+    ok = all(r.status == "pass" for r in results)
+    print("verify:", "PASS" if ok else "FAIL", file=table)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
@@ -227,11 +232,13 @@ def main(argv=None) -> int:
         if args.command == "profile" and args.full_map:
             _cmd_profile_full_map(cfg, out)
             return EXIT_OK
+        t0 = time.perf_counter()
         result = run_sweep(cfg)
+        ms = (time.perf_counter() - t0) * 1e3
         emit(result, args.format or cfg.out_format, out, cfg.precision)
         n_err = sum(1 for r in result.rows if r[-1] != "")
         print(f"{args.command}: {len(result.rows)} rows -> {out} "
-              f"({result.wall_time_ms:.0f} ms"
+              f"({ms:.0f} ms"
               f"{f', {n_err} failed points' if n_err else ''})",
               file=sys.stderr)
         return EXIT_OK

@@ -3,18 +3,18 @@ Optics, sec. 1.6).
 
 The stack is semi-infinite entry medium | one finite slab |
 semi-infinite exit medium; a stack with no layers is the bare interface
-between the two media, which is the slab formula at d = 0.  For each
-polarization the media have impedances p_j = n_j / cos(theta_j) (p-pol)
-or n_j cos(theta_j) (s-pol), entry 1, slab 2, exit 3, and the slab has
-phase thickness delta = k0 n_2 d cos(theta_2).  Then
+between the two media, which is the slab formula at d = 0.  The media,
+entry 1, slab 2, exit 3, enter through z_j = n_j cos(theta_j) for s
+(their impedances) or cos(theta_j) / n_j for p (their admittances), and
+the slab has phase thickness delta = k0 n_2 d cos(theta_2).  Then
 
-    D = cos(delta) (p1 + p3) - i sin(delta) (p1 p3 / p2 + p2)
-    r = [cos(delta) (p1 - p3) - i sin(delta) (p1 p3 / p2 - p2)] / D
-    t = 2 p1 / D
+    D = cos(delta) z2 (z1 + z3) - i sin(delta) (z2^2 + z1 z3)
+    r = +-[cos(delta) z2 (z1 - z3) - i sin(delta) (z1 z3 - z2^2)] / D
+    t = 2 z1 z2 / D (s),  2 z2 z3 / D (p)
 
-which is the slab's characteristic-matrix result multiplied out.  For p
-both are evaluated times y1 y2 y3, in the admittances y_j = 1 / p_j,
-which keeps them finite at the exit medium's critical angle (y3 = 0).
+with + for s and - for p, the slab's characteristic-matrix result
+multiplied out.  No z_j is infinite, so r and t stay finite where any
+wave grazes (z_j = 0).
 
 `stack_fresnel` accepts a scalar or a numpy array of incidence angles,
 and the slab's index may be an array too: indices and angles broadcast
@@ -110,34 +110,26 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
         # rounds differently, and a scalar call must equal an array call
         theta_i = theta_i.reshape(1)
     # entry cosine through the same branch formula so that identical
-    # entry/exit media give p1 == p3 exactly (trivial-stack reciprocity)
+    # entry/exit media give z1 == z3 exactly (trivial-stack reciprocity)
     cos_in = refraction_cosine(stack.n_in, theta_i, stack.n_in + 0j)
     cos_out = refraction_cosine(stack.n_in, theta_i, stack.n_out + 0j)
     # a zero slab index has no refraction cosine: a fault, computed with
     # a stand-in index 1
     n2 = np.where(slab.n == 0, 1.0, slab.n)
     cos_t = refraction_cosine(stack.n_in, theta_i, n2)
-    # a grazing slab wave (cos_t = 0) has a zero (s) or infinite (p)
-    # impedance: a fault, computed with a stand-in cosine 1 so that
-    # nothing divides by 0.  The bare interface has no layer to fault,
-    # and there sin(delta) = 0 drops the stand-in.
-    grazing = cos_t == 0
-    cos_2 = np.where(grazing, 1.0, cos_t)
     delta = k0 * n2 * slab.d * cos_t
     # opaque-slab guard: clamp the decay exponent, the phase is then moot
     delta = delta.real + 1j * np.clip(delta.imag, None, _MAX_IM_DELTA)
     cd, sd = np.cos(delta), np.sin(delta)
     if polarization == "s":
-        p1, p2, p3 = stack.n_in * cos_in, n2 * cos_2, stack.n_out * cos_out
-        q = p1 * p3 / p2
-        den = cd * (p1 + p3) - 1j * sd * (q + p2)
-        r_num, t_num = cd * (p1 - p3) - 1j * sd * (q - p2), 2 * p1
+        z1, z2, z3 = stack.n_in * cos_in, n2 * cos_t, stack.n_out * cos_out
     else:
-        # admittance form: finite where the exit wave grazes (y3 = 0)
-        y1, y2, y3 = cos_in / stack.n_in, cos_2 / n2, cos_out / stack.n_out
-        den = cd * y2 * (y1 + y3) - 1j * sd * (y2 * y2 + y1 * y3)
-        r_num = cd * y2 * (y3 - y1) - 1j * sd * (y2 * y2 - y1 * y3)
-        t_num = 2 * y2 * y3
+        z1, z2, z3 = cos_in / stack.n_in, cos_t / n2, cos_out / stack.n_out
+    # r changes sign from s to p: p takes each difference the other way
+    sub = np.subtract if polarization == "s" else lambda x, y: y - x
+    den = cd * z2 * (z1 + z3) - 1j * sd * (z2 * z2 + z1 * z3)
+    r_num = cd * z2 * sub(z1, z3) - 1j * sd * sub(z1 * z3, z2 * z2)
+    t_num = 2 * z2 * (z1 if polarization == "s" else z3)
     zero = den == 0
     den[zero] = 1.0                     # a fault below: no division by 0
     r, t = r_num / den, t_num / den
@@ -148,7 +140,7 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
             (slab.n == 0, DomainError, "layer index is zero"),
             (np.imag(slab.n) < -_PASSIVITY_TOL, DomainError,
              "layer index is strongly active (Im n << 0)"),
-            (grazing & bool(stack.layers), SingularityError,
+            ((cos_t == 0) & bool(stack.layers), SingularityError,
              "vanishing layer impedance (grazing pathology)"),
             (zero, SingularityError,
              "vanishing denominator in stack Fresnel formula"),

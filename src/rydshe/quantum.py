@@ -177,12 +177,11 @@ class DriveParams:
 
 
 def _denominators(drive: DriveParams, atom: AtomParams) -> tuple:
-    """(d21, d31, d32): d_ab = Delta_a - Delta_b + i gamma_ab with
-    Delta_1 = 0 (arrays when Delta2 is an array); the reverse
-    d_ba = -conj(d_ab) exactly."""
-    D2, D3 = drive.Delta2, drive.Delta3
-    return (D2 + 1j * atom.gamma21, D3 + 1j * atom.gamma31,
-            D3 - D2 + 1j * atom.gamma32)
+    """(d21, d31): d_a1 = Delta_a + i gamma_a1 (arrays when Delta2 is an
+    array); the reverse d_1a = -conj(d_a1) exactly.  d32 = Delta_c +
+    i gamma32 holds no Delta2 and is written in `_systems`."""
+    return (drive.Delta2 + 1j * atom.gamma21,
+            drive.Delta3 + 1j * atom.gamma31)
 
 
 def _batch(drive: DriveParams) -> DriveParams:
@@ -472,7 +471,7 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
         f"Delta2 = {drive.Delta2[i]:g} rad/us is outside the float range "
         f"(|Delta2| <= {_MAX_DETUNING:g})"))
     drive = replace(drive, Delta2=np.where(far, 0.0, drive.Delta2))
-    Oc, (d21, d31, _) = drive.Omega_c, _denominators(drive, atom)
+    Oc, (d21, d31) = drive.Omega_c, _denominators(drive, atom)
     D, A4 = d21 * d31 - _square(Oc), _systems(drive, atom)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r21, r31 = -d31 / D, Oc / D
@@ -546,11 +545,6 @@ class SusceptibilityBreakdown:
     @property
     def total(self) -> complex:
         return self.chi1 + self.chi3_local_contrib + self.chi3_nonlocal_contrib
-
-    @property
-    def total_local(self) -> complex:
-        """Total with the interaction-induced part switched off."""
-        return self.chi1 + self.chi3_local_contrib
 
 
 def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakdown:

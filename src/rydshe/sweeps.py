@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import stat
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,7 +49,6 @@ class SweepResult:
     rows: list                    # list of lists, one per grid point
     config_hash: str
     version: str
-    wall_time_ms: float
 
 
 def _error_cell(exc: RydsheError) -> str:
@@ -121,9 +119,8 @@ def _axis_errors(cfg: RunConfig, field: str, values) -> list:
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Evaluate the configured quantity over the 1-D or 2-D grid."""
-    t0 = time.perf_counter()
     if cfg.quantity == "profile":
-        return _run_profile(cfg, t0)
+        return _run_profile(cfg)
     if cfg.quantity == "map" and cfg.variable2 is None:
         raise ConfigError("map sweeps need variable2/min2/max2/steps2")
 
@@ -173,8 +170,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         row.append(_error_cell(errors[i]) if i in errors else "")
     columns = [AXES[v][1] for v in variables] + value_cols + ["error"]
     return SweepResult(columns=columns, rows=rows,
-                       config_hash=config_hash(cfg), version=__version__,
-                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
+                       config_hash=config_hash(cfg), version=__version__)
 
 
 def profile_coefficients(cfg: RunConfig) -> tuple[complex, complex]:
@@ -185,7 +181,7 @@ def profile_coefficients(cfg: RunConfig) -> tuple[complex, complex]:
                  for pol in "ps")
 
 
-def _run_profile(cfg: RunConfig, t0: float) -> SweepResult:
+def _run_profile(cfg: RunConfig) -> SweepResult:
     """Transverse intensity profiles of incident and spin components."""
     beam = cfg.beam_spec()
     y = np.linspace(-1.6 * beam.w0, 1.6 * beam.w0, 1281)
@@ -193,15 +189,11 @@ def _run_profile(cfg: RunConfig, t0: float) -> SweepResult:
     rows = [[*map(float, r), ""] for r in zip(*profiles)]
     return SweepResult(columns=["y_um"] + _PROFILE_COLUMNS + ["error"],
                        rows=rows, config_hash=config_hash(cfg),
-                       version=__version__,
-                       wall_time_ms=(time.perf_counter() - t0) * 1e3)
+                       version=__version__)
 
 
 def emit(result: SweepResult, fmt: str, path: str, precision: int = 12) -> None:
-    """Write CSV or JSON; byte-deterministic for fixed config and version.
-
-    The wall time is intentionally not serialized.
-    """
+    """Write CSV or JSON; byte-deterministic for fixed config and version."""
     if fmt == "csv":
         text = format_csv(result, precision)
     elif fmt == "json":

@@ -334,7 +334,7 @@ def test_sweep_json_non_finite_cells_are_null():
     res = SweepResult(columns=["x", "a", "b", "error"],
                       rows=[[1.0, math.inf, -math.inf, ""],
                             [2.0, math.nan, np.float64(-np.inf), "E: x"]],
-                      config_hash="0" * 16, version="0", wall_time_ms=0.0)
+                      config_hash="0" * 16, version="0")
     back = json.loads(format_json(res), parse_constant=_reject_constant)
     assert back["rows"] == [[1.0, None, None, ""], [2.0, None, None, "E: x"]]
 
@@ -367,11 +367,10 @@ def test_sweep_json_matches_the_encoder_byte_for_byte(precision):
     rows = [[values[(i + j) % len(values)] for j in range(3)]
             + [errors[i % len(errors)]] for i in range(2 * len(values))]
     res = SweepResult(columns=["a", "b", "c", "error"], rows=rows,
-                      config_hash="0" * 16, version="0.1.0",
-                      wall_time_ms=0.0)
+                      config_hash="0" * 16, version="0.1.0")
     assert format_json(res, precision) == _old_json(res, precision)
     empty = SweepResult(columns=["a", "error"], rows=[], config_hash="1",
-                        version="0", wall_time_ms=0.0)
+                        version="0")
     assert format_json(empty, precision) == _old_json(empty, precision)
 
 
@@ -418,8 +417,7 @@ def test_csv_row_format_matches_per_cell_format(precision, n_cols, data):
                                    'E: "x", y', 'E: ""']))]
             for _ in range(data.draw(st.integers(0, 4)))]
     res = SweepResult(columns=[f"c{i}" for i in range(n_cols)] + ["error"],
-                      rows=rows, config_hash="0" * 16, version="0",
-                      wall_time_ms=0.0)
+                      rows=rows, config_hash="0" * 16, version="0")
     body = format_csv(res, precision).split("\n")[3:-1]
     assert body == [",".join(_old_cell(v, precision) for v in row)
                     for row in rows]
@@ -1350,6 +1348,22 @@ def test_cli_verify_report_io_error_exit(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "no" / "such" / "report.json"
     assert run_cli("verify", "--out", str(missing)) == 4
     assert capsys.readouterr().err.startswith("io error: ")
+
+
+def test_cli_verify_to_dev_stdout_is_the_report_alone(capfd, monkeypatch):
+    # with --out, the table and verdict follow the report on stderr:
+    # written to /dev/stdout (a file under capfd, as under `> f.json`),
+    # the report parses and holds every check
+    import rydshe.oracle
+    from rydshe.oracle import CheckResult
+    checks = [CheckResult("canned", "pass", 0.0, 1.0, 0.0),
+              CheckResult("other", "pass", 0.5, 1.0, 2.0)]
+    monkeypatch.setattr(rydshe.oracle, "verify_suite", lambda: checks)
+    assert run_cli("verify", "--out", "/dev/stdout") == 0
+    out, err = capfd.readouterr()
+    assert [r["check_name"] for r in json.loads(out)] == ["canned", "other"]
+    assert err.startswith("report written to /dev/stdout\ncanned  ")
+    assert err.endswith("verify: PASS\n")
 
 
 # ------------------------------------------------------------ the writer

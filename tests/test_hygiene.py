@@ -219,6 +219,32 @@ def test_no_public_name_exists_only_for_tests():
     assert not unused, f"public names only tests refer to: {unused}"
 
 
+def _public_members(tree):
+    """(class, name) of each public method or property of the public
+    classes a module defines."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((node.name, item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def test_no_public_member_exists_only_for_tests():
+    # every public method or property of a class in a production module
+    # is read by the package (the oracle included) or the benchmark, not
+    # only by the tests; the oracle's own classes are references
+    trees = {m: t for m, t in _trees().items() if m != "__init__.py"}
+    trees |= {f"bench/{p.name}": ast.parse(p.read_text(encoding="utf-8"))
+              for p in sorted(BENCH.glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{module}: {cls}.{name}" for module in sorted(_trees())
+              if module not in ("__init__.py", "oracle.py")
+              for cls, name in _public_members(trees[module])
+              if name not in read]
+    assert not unread, f"public members only tests read: {unread}"
+
+
 def _readme_block(heading: str) -> str:
     """The first fenced block after `heading` in the README."""
     text = README.read_text(encoding="utf-8")

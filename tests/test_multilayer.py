@@ -71,6 +71,16 @@ def test_zero_thickness_is_the_bare_interface(pol):
         assert t == pytest.approx(2 * p1 / (p1 + p3), rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pol", ["p", "s"])
+def test_bare_interface_at_grazing_entry_fails_by_name(pol):
+    # at exactly 90 deg the entry wave grazes in the entry medium, which
+    # is also the bare interface's slab: z1 = z2 = 0 give 0/0, refused
+    # as a vanishing denominator with no numpy warning
+    with pytest.raises(SingularityError, match="vanishing denominator"):
+        stack_fresnel(LayerStack(GLASS, (), 1.2), math.pi / 2, K0, pol)
+
+
 @pytest.mark.parametrize("pol", ["p", "s"])
 def test_quarter_wave_film_at_normal_incidence(pol):
     # delta = pi/2, and p_j = n_j for both polarizations at theta = 0
