@@ -29,7 +29,7 @@ the Brewster-like reflectivity minimum and positive above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,15 +76,15 @@ class ShiftResult:
     """Spin-resolved transverse centroid shifts and relative powers.
 
     The fields are floats, or arrays over the rows of an array call;
-    `errors` holds, per row, None or the typed error a scalar call on
-    that row raises (the fields are nan there).
+    `errors` maps each failed row's flat index to the typed error a
+    scalar call on that row raises (the fields are nan there).
     """
 
     delta_plus: float
     delta_minus: float
     power_plus: float
     power_minus: float
-    errors: tuple = ()
+    errors: dict = field(default_factory=dict)
 
 
 def spin_mixing_amplitude(rp, rs, theta_i, k_medium: float):
@@ -161,10 +161,8 @@ def shifts_from_coefficients(beam: BeamSpec, rp, rs) -> ShiftResult:
         if errors:
             raise errors[0]
         num, power = float(num[0]), float(power[0])
-    n = np.size(power)
     return ShiftResult(delta_plus=-num / power, delta_minus=num / power,
-                       power_plus=power, power_minus=power, errors=tuple(
-                           map(errors.get, range(n))) if errors else (None,) * n)
+                       power_plus=power, power_minus=power, errors=errors)
 
 
 def medium_index(chi):

@@ -110,9 +110,13 @@ class RunConfig:
             raise ConfigError(f"sweep variable must be one of {tuple(AXES)}")
         if self.variable2 is not None and self.variable2 not in AXES:
             raise ConfigError(f"sweep variable2 must be one of {tuple(AXES)}")
-        for n, lbl in ((self.steps, ""), (self.steps2, "2")):
-            if n < 2:
+        for lbl, lo, hi in (("", self.sweep_min, self.sweep_max),
+                            ("2", self.sweep_min2, self.sweep_max2)):
+            if getattr(self, "steps" + lbl) < 2:
                 raise ConfigError(f"steps{lbl} must be >= 2")
+            if not math.isfinite(hi - lo):      # the grid's step overflows
+                raise ConfigError(f"max{lbl} - min{lbl} = {hi!r} - {lo!r} "
+                                  "is not finite")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
         if not re.fullmatch(r"(?!.*\s[#;])[^\s#;](.*\S)?", self.out_path):

@@ -35,10 +35,7 @@ def failures(bad, error) -> dict:
     return {i: error(i) for i in bad.ravel().nonzero()[0].tolist()}
 
 
-def first_errors(*stages) -> dict:
+def first_errors(*stages: dict) -> dict:
     """{i: error} of each failed element, from the earliest stage that
-    failed it; a stage is a `failures` dict or a sequence holding None or
-    the error per element, as an `errors` tuple does."""
-    return {i: e for errors in reversed(stages) for i, e in (
-        errors.items() if isinstance(errors, dict) else enumerate(errors))
-        if e is not None}
+    failed it; each stage is an {i: error} map, as `failures` builds."""
+    return {i: e for errors in reversed(stages) for i, e in errors.items()}

@@ -96,8 +96,8 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
 
     A scalar angle and index give complex (r, t) and raise the error of
     the earliest check that fails.  An array call returns (r, t, errors):
-    errors holds per element (flattened) None or the error a call on
-    that element alone raises, and r and t are nan where it is set.
+    errors maps each failed element's flat index to the error a call on
+    that element alone raises, and r and t are nan there.
     """
     if polarization not in ("p", "s"):
         raise DomainError("polarization must be 'p' or 's'")
@@ -146,11 +146,9 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
              "vanishing denominator in stack Fresnel formula"),
             (~(np.isfinite(r) & np.isfinite(t)), PropagationError,
              "non-finite r or t"))))
-    failed = list(errors)
-    r.flat[failed] = t.flat[failed] = np.nan
+    r.flat[list(errors)] = t.flat[list(errors)] = np.nan
     if shape:
-        return r, t, (tuple(map(errors.get, range(den.size))) if errors
-                      else (None,) * den.size)
+        return r, t, errors
     if errors:
         raise errors[0]
     return complex(r[0]), complex(t[0])

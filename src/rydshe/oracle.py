@@ -32,8 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DomainError, SearchError, SingularityError, WindowError,
-                     first_errors)
+from .errors import DomainError, SearchError, SingularityError, WindowError
 from . import quantum
 from .quantum import (AtomParams, DriveParams, response_parts,
                       susceptibility)
@@ -218,7 +217,7 @@ def brewster_angle(stack: LayerStack, k0: float,
     """
     def argmin_rp(thetas):
         r, _, errors = stack_fresnel(stack, thetas, k0, "p")
-        return int(np.argmin(np.abs(_checked(r, first_errors(errors)))))
+        return int(np.argmin(np.abs(_checked(r, errors))))
     thetas = np.linspace(theta_min, theta_max, coarse)
     i = argmin_rp(thetas)
     if i == 0 or i == coarse - 1:
@@ -509,8 +508,7 @@ def verify_suite(seed: int = 20240811) -> list[CheckResult]:
         rp, rs = draws(30, 0.3, 0.3)
         rp, rs = rp[abs(rp) > 0.05], rs[abs(rp) > 0.05]
         o = spectral_shifts(beam, rp, rs)
-        da = np.array([shifts_from_coefficients(beam, p, s).delta_plus
-                       for p, s in zip(rp, rs)])
+        da = shifts_from_coefficients(beam, rp, rs).delta_plus
         scale = np.maximum(np.abs(da), beam.lambda_p)
         return np.max(np.abs(o.delta_plus - da) / scale, initial=0.0)
     _run_check("pipeline_vs_analytic_shift", chk_fft_vs_analytic, 0.02, results)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,14 +67,6 @@ DEFAULT_QUAD_NODES = 64
 # size, coincide: the residues divide by their difference, whose rounding
 # that bound magnifies at most 1e8-fold, so they keep about 8 digits
 POLE_CLEARANCE, _POLE_SEPARATION = 1e-3, 1e-8
-
-
-def _square(x: float) -> float:
-    """x**2, or inf where Python's float ** raises OverflowError."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,7 @@ class AtomParams:
         if Omega_c == 0:
             raise DomainError("Omega_c = 0 gives a divergent blockade radius")
         # an Omega_c^2 that underflows to 0 gives R_b = inf, refused below
-        Oc2 = _square(abs(Omega_c))
+        Oc2 = Omega_c * Omega_c     # a product: inf where ** would raise
         Rb = (abs(self.C6) * self.gamma21 / Oc2) ** (1 / 6) if Oc2 else math.inf
         if not 0 < Rb < math.inf:
             raise DomainError(f"need C6 != 0 and R_b in float range: {Rb} um")
@@ -251,36 +243,27 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
     return x, failures(bad, error)
 
 
-def _named(errors: dict, drive: DriveParams) -> tuple:
-    """Per detuning, None or its error; a SingularityError is named with
-    the detuning."""
-    named = [None] * len(drive.Delta2)
-    for i, e in errors.items():
-        if isinstance(e, SingularityError):
-            cause = e
-            e = SingularityError(f"{e} at Delta2 = {drive.Delta2[i]:g} rad/us")
-            e.__cause__ = cause
-        named[i] = e
-    return tuple(named)
-
-
 def _result(cls, parts: np.ndarray, errors: dict, drive: DriveParams,
             batch: DriveParams):
-    """cls of the rows of parts, over the detunings of batch (drive's,
-    from `_batch`); a part that is not finite (past the float range) is
-    a PropagationError naming it.  A failed detuning's parts are nan; a
-    scalar drive.Delta2 gives complex parts and raises its error."""
+    """cls of the rows of parts over the detunings of batch (drive's, from
+    `_batch`).  A non-finite part is a PropagationError naming it, a
+    SingularityError names its detuning, and failed detunings' parts are
+    nan; a scalar drive.Delta2 gives complex parts and raises its error."""
     bad = ~np.isfinite(parts)
     names = np.array([f.name for f in fields(cls) if f.name != "errors"])
     errors = first_errors(errors, failures(bad.any(axis=0), lambda i: (
         PropagationError(f"non-finite {' and '.join(names[bad[:, i]])}"))))
-    named = _named(errors, batch)
+    for i, e in errors.items():
+        if isinstance(e, SingularityError):
+            errors[i] = SingularityError(
+                f"{e} at Delta2 = {batch.Delta2[i]:g} rad/us")
+            errors[i].__cause__ = e
     parts[:, list(errors)] = np.nan
     if np.ndim(drive.Delta2) == 0:
         if errors:
-            raise named[0]
+            raise errors[0]
         parts = [complex(p.item()) for p in parts]
-    return cls(*parts, errors=named)
+    return cls(*parts, errors=errors)
 
 
 def _systems(drive: DriveParams, atom: AtomParams) -> np.ndarray:
@@ -472,7 +455,7 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
         f"(|Delta2| <= {_MAX_DETUNING:g})"))
     drive = replace(drive, Delta2=np.where(far, 0.0, drive.Delta2))
     Oc, (d21, d31) = drive.Omega_c, _denominators(drive, atom)
-    D, A4 = d21 * d31 - _square(Oc), _systems(drive, atom)
+    D, A4 = d21 * d31 - Oc * Oc, _systems(drive, atom)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r21, r31 = -d31 / D, Oc / D
         onebody, second = _onebody(A4, atom, r21, r31)
@@ -516,7 +499,7 @@ class ResponseParts:
     rho21_3_local: complex
     shell_integral: complex
     rho21_3_nonlocal: complex
-    errors: tuple = ()
+    errors: dict = field(default_factory=dict)
 
 
 def response_parts(drive: DriveParams, atom: AtomParams,
@@ -533,14 +516,14 @@ class SusceptibilityBreakdown:
     """chi split into linear, local-Kerr and nonlocal-Kerr contributions.
 
     The parts are complex numbers, or arrays over the detunings of an
-    array call; `errors` holds, per detuning, None or the typed error a
-    scalar call at that detuning raises (the parts are nan there).
+    array call; `errors` maps each failed detuning's index to the typed
+    error a scalar call at that detuning raises (the parts are nan there).
     """
 
     chi1: complex
     chi3_local_contrib: complex
     chi3_nonlocal_contrib: complex
-    errors: tuple = ()
+    errors: dict = field(default_factory=dict)
 
     @property
     def total(self) -> complex:
@@ -559,7 +542,7 @@ def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakd
     batch = _batch(drive)
     parts, errors = _response(batch, atom)
     r21, local, nl = parts[[0, 6, 8]]
-    K, Op2 = atom.chi_prefactor, _square(drive.Omega_p)
+    K, Op2 = atom.chi_prefactor, drive.Omega_p * drive.Omega_p
     with np.errstate(over="ignore", invalid="ignore"):
         # + 0: a zero K or Omega_p times a negative part is 0, not -0
         chi = np.array([K * r21, K * Op2 * local, K * Op2 * nl]) + 0.0

@@ -71,17 +71,18 @@ def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
         stages = ()
     else:
         # a failed detuning's rows carry its error; chi = 0 keeps nan out
-        chi = np.where([e is not None for e in b.errors], 0, b.total)
+        chi = b.total
+        chi[list(b.errors)] = 0
         values, stages = _optics_values(quantity, cfg, chi[det], theta)
     # a detuning's error wins, then the row's own errors in stage order
-    return values, first_errors(np.array(b.errors, dtype=object)[det], *stages)
+    return values, first_errors(_spread(b.errors, det), *stages)
 
 
 def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
                    theta: np.ndarray) -> tuple:
     """(values, errors) of the Fresnel or shift columns, for rows with
     the slab susceptibility `chi` at the angles `theta` (deg).  errors
-    holds the per-row error tuples of the stages in the order they run:
+    holds the per-row error maps of the stages in the order they run:
     p, s, then the shift."""
     stack = cfg.layer_stack(chi)
     beam = cfg.beam_spec(theta)
@@ -100,8 +101,8 @@ def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
                       s.power_minus], axis=-1), (errors_p, errors_s, s.errors))
 
 
-def _axis_errors(cfg: RunConfig, field: str, values) -> list:
-    """Per value of one axis, None or its error.
+def _axis_errors(cfg: RunConfig, field: str, values) -> dict:
+    """{i: error} of the values of one axis that `RunConfig` refuses.
 
     Every `RunConfig` check on a sweep field is an interval in that field
     alone: when both endpoints pass, every value between them passes.
@@ -111,10 +112,16 @@ def _axis_errors(cfg: RunConfig, field: str, values) -> list:
             replace(cfg, **{field: value})
         except RydsheError as exc:
             return exc
-        return None
     if error(values[0]) is None and error(values[-1]) is None:
-        return [None] * len(values)
-    return [error(v) for v in values]
+        return {}
+    return {i: e for i, v in enumerate(values) if (e := error(v)) is not None}
+
+
+def _spread(errors: dict, index: np.ndarray) -> dict:
+    """{row: errors[index[row]]} over the rows whose value on one axis,
+    index[row], failed in `errors`."""
+    return {row: errors[i] for row, i in enumerate(index.tolist())
+            if i in errors} if errors else {}
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
@@ -136,7 +143,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     index = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
     grid = np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
     # per failed row its error: the first axis's, then its group's or its own
-    errors = first_errors(*(np.array(_axis_errors(cfg, f, a), dtype=object)[i]
+    errors = first_errors(*(_spread(_axis_errors(cfg, f, a), i)
                             for f, a, i in zip(fields, axes, index)))
     # per field, its axis (a later axis on the same field overrides)
     column = {f: k for k, f in enumerate(fields)}
@@ -210,17 +217,18 @@ def write_text(path: str, text: str) -> None:
     length: unlike opening with O_TRUNC, its blocks are not freed and
     allocated again, and its inode, hard links and mode stay.  A new
     file gets mode 0o666 & ~umask.  Any other target (/dev/null, a pipe,
-    a FIFO) is written as a stream and never cut.  When a write raises
-    (KeyboardInterrupt too), a regular file is cut to zero length, so no
-    tail of its old content is left behind the new bytes; a process
-    killed before the cut, or a crash, can leave that tail.  Raises
-    OSError("cannot write PATH: ...") on any failure.
+    a FIFO, the file fd 1 or 2 is open on) is written as a stream and
+    never cut.  A write that raises (KeyboardInterrupt too) cuts a
+    regular file to zero length, so no tail of its old content is left
+    behind the new bytes; a process killed before the cut, or a crash,
+    can leave that tail.  Raises OSError("cannot write PATH: ...").
     """
     data = text.encode("utf-8")
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        std = _std_descriptor(path)
+        fd = std or os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            regular = not std and stat.S_ISREG(os.fstat(fd).st_mode)
             try:
                 rest = memoryview(data)
                 while rest:
@@ -232,9 +240,22 @@ def write_text(path: str, text: str) -> None:
                     os.ftruncate(fd, 0)
                 raise
         finally:
-            os.close(fd)
+            if not std:
+                os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _std_descriptor(path: str) -> int | None:
+    """1 or 2 when `path` is the file standard output or standard error
+    is open on (same device and inode), so that a write through it goes
+    at its offset and honours O_APPEND (`>>`); else None."""
+    try:
+        target = os.stat(path)
+        return next((fd for fd in (1, 2)
+                     if os.path.samestat(os.fstat(fd), target)), None)
+    except OSError:                 # no such file yet, or fd 1 is closed
+        return None
 
 
 def _csv_cell(cell: str) -> str:

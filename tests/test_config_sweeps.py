@@ -177,6 +177,39 @@ def test_run_config_refuses_nan(name):
         replace(RunConfig(), **{name: math.inf})
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["chi", "--delta2-min", "-1e308", "--delta2-max", "1e308", "--steps",
+      "5"], "max - min"),
+    (["map", "--delta2-min", "1e308", "--delta2-max", "-1e308"],
+     "max2 - min2")], ids=["chi", "map"])
+def test_cli_refuses_a_sweep_span_past_the_float_range(tmp_path, capsys,
+                                                       argv, keys):
+    # max - min overflows: the grid has no finite step, so the run is a
+    # config error naming the keys, with no numpy warning and no output
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {keys} = {argv[4]} - {argv[2]} is not finite\n"
+        .replace("1e308", "1e+308"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sfx", ["", "2"])
+def test_config_file_refuses_a_sweep_span_past_the_float_range(tmp_path,
+                                                               capsys, sfx):
+    text = f"[sweep]\nmin{sfx} = -1e308\nmax{sfx} = 1e308\n"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"max{sfx} - min{sfx} = 1e+308 - -1e+308 is not finite")):
+        parse_config(text)
+    ini, out = tmp_path / "span.ini", tmp_path / "x.csv"
+    ini.write_text(text)
+    assert run_cli("chi", "--config", str(ini), "--out", str(out)) == 2
+    assert f"max{sfx} - min{sfx}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _PHYSICS_INPUTS = {
     AtomParams: ("Gamma21", "Gamma32", "C6", "Na", "lambda_p", "coh21",
                  "coh31", "coh32"),
@@ -646,7 +679,7 @@ def test_active_index_fails_its_detuning_rows_only(monkeypatch):
 
 
 def test_layer_error_stays_on_its_row(monkeypatch):
-    # errors injected into the Fresnel calls' errors tuples at single rows
+    # errors injected into the Fresnel calls' error maps at single rows
     # of a map fail those rows alone; p's error wins over s's on a row
     cfg = RunConfig(quantity="map", variable="theta_i",
                     sweep_min=33.5, sweep_max=34.2, steps=8,
@@ -658,11 +691,10 @@ def test_layer_error_stays_on_its_row(monkeypatch):
 
     def patched(stack, theta, k0, pol):
         r, t, errors = real(stack, theta, k0, pol)
-        errors = list(errors)
         for i in at[pol]:
             r[i] = t[i] = complex(math.nan, math.nan)
             errors[i] = SingularityError(f"injected into {pol}")
-        return r, t, tuple(errors)
+        return r, t, errors
     monkeypatch.setattr(rydshe.sweeps, "stack_fresnel", patched)
     lines = format_csv(run_sweep(cfg)).splitlines()
     assert lines[3 + 3 + 8 * 2].endswith(",SingularityError: injected into p")
@@ -1376,6 +1408,39 @@ def test_emit_overwrites_a_longer_file_with_exactly_the_csv(tmp_path):
     out.write_bytes(b"x" * 100_000)
     emit(res, "csv", str(out))
     assert out.read_bytes() == format_csv(res).encode()
+
+
+def _sweep_to_dev_stdout(command, stdout):
+    """Run `rydshe COMMAND --steps 2 --out /dev/stdout` in a fresh process
+    with its standard output on the open file `stdout`."""
+    proc = subprocess.run([sys.executable, "-m", "rydshe.cli", command,
+                           "--steps", "2", "--out", "/dev/stdout"],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dev_stdout_appends_to_a_redirect(tmp_path):
+    # `>> log`: the CSV follows what the file held, which is not cut
+    log, plain = tmp_path / "log", tmp_path / "plain.csv"
+    log.write_text("first\n")
+    with open(log, "a") as stdout:
+        _sweep_to_dev_stdout("chi", stdout)
+    assert run_cli("chi", "--steps", "2", "--out", str(plain)) == 0
+    assert log.read_bytes() == b"first\n" + plain.read_bytes()
+
+
+def test_dev_stdout_of_two_runs_into_one_redirect(tmp_path):
+    # `{ chi; fresnel; } > both.csv`: each run writes at the shared
+    # offset, so the second neither overwrites nor cuts the first
+    both, plain = tmp_path / "both.csv", tmp_path / "plain.csv"
+    with open(both, "w") as stdout:
+        for command in ("chi", "fresnel"):
+            _sweep_to_dev_stdout(command, stdout)
+    want = b""
+    for command in ("chi", "fresnel"):
+        assert run_cli(command, "--steps", "2", "--out", str(plain)) == 0
+        want += plain.read_bytes()
+    assert both.read_bytes() == want
 
 
 def test_cli_writes_to_dev_null():
