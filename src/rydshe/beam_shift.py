@@ -210,15 +210,13 @@ def intensity_profiles(beam: BeamSpec, rp: complex, rs: complex,
 
 
 def intensity_maps_2d(beam: BeamSpec, rp: complex, rs: complex,
-                      x: np.ndarray | None = None,
                       y: np.ndarray | None = None):
     """Full 2-D transverse intensity maps (x, y, I_in, I+, I-).
 
     The reflection operator is kx-free, so every map is the outer
     product of exp(-2 x^2/w0^2) with the 1-D y profile.
     """
-    if x is None:
-        x = np.linspace(-2 * beam.w0, 2 * beam.w0, 129)
+    x = np.linspace(-2 * beam.w0, 2 * beam.w0, 129)
     if y is None:
         y = np.linspace(-2 * beam.w0, 2 * beam.w0, 257)
     _, i_in, i_p, i_m = intensity_profiles(beam, rp, rs, y)

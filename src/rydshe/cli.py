@@ -192,7 +192,8 @@ def _cmd_verify(args) -> int:
     for r in results:
         print(f"{r.check_name:<{width}}  {r.status.upper():4}  "
               f"measured={r.measured:.3e}  threshold={r.threshold:.0e}  "
-              f"({r.runtime_ms:.0f} ms)", file=table)
+              f"({r.runtime_ms:.0f} ms)"
+              f"{f'  {r.error}' if r.error else ''}", file=table)
     ok = all(r.status == "pass" for r in results)
     print("verify:", "PASS" if ok else "FAIL", file=table)
     return EXIT_OK if ok else EXIT_NUMERICAL

@@ -195,8 +195,8 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     f = f.reshape(-1, f.shape[-2] * f.shape[-1])
     ss = np.vecdot(f, f)
     norm = np.sqrt(ss)
-    if not (ss.min() >= 1e-290 and ss.max() < np.inf):      # nan too
-        redo = ~((ss >= 1e-290) & (ss < np.inf))
+    redo = ~((ss >= 1e-290) & (ss < np.inf))                # nan too
+    if redo.any():
         big = np.abs(f[redo]).max(axis=-1)
         big[~(big > 0)] = 1
         g = f[redo] / big[:, None]

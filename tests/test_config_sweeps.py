@@ -547,6 +547,22 @@ def test_map_chi_failure_lands_on_its_detuning(monkeypatch):
             assert row[-1] == "" and all(math.isfinite(v) for v in row[2:-1])
 
 
+@pytest.mark.filterwarnings("error")
+def test_empty_input_gives_empty_results_in_each_stage():
+    # no detuning, angle or coefficient: empty parts and no error, unwarned
+    cfg, empty = RunConfig(), np.array([])
+    atom, drive = cfg.atom_params(), replace(cfg.drive_params(), Delta2=empty)
+    for result in (susceptibility(drive, atom),
+                   quantum.response_parts(drive, atom),
+                   shifts_from_coefficients(cfg.beam_spec(), empty, empty)):
+        assert result.errors == {}
+        assert all(np.shape(getattr(result, f.name)) == (0,)
+                   for f in fields(result) if f.name != "errors")
+    r, t, errors = stack_fresnel(cfg.layer_stack(0.01 + 0.001j), empty,
+                                 cfg.beam_spec().k0, "p")
+    assert r.shape == t.shape == (0,) and errors == {}
+
+
 def test_chi_failure_cell_is_the_scalar_error(monkeypatch):
     # a 201-point chi sweep with one failing detuning: its error cell is
     # the text a scalar call raises there, and the other 200 rows are
@@ -1371,6 +1387,25 @@ def test_cli_verify_writes_its_report(tmp_path, capsys):
     assert f"report written to {out}\n" in capsys.readouterr().err
 
 
+def test_cli_chi_names_a_vanishing_eit_denominator(tmp_path, capsys):
+    # with no coupling and no 3-1 dephasing, D = d21 d31 vanishes at the
+    # two-photon resonance Delta2 = -Delta_c = 0.1 MHz alone: that row
+    # holds the error, the others finite values, and the run exits 0
+    cfg_path, out = tmp_path / "dark.ini", tmp_path / "chi.csv"
+    cfg_path.write_text("[atom]\ncoh31_mhz = 0\n")
+    assert run_cli("chi", "--config", str(cfg_path), "--omega-c", "0",
+                   "--delta2-min", "0.1", "--delta2-max", "0.3", "--steps",
+                   "3", "--out", str(out)) == 0
+    assert capsys.readouterr().err.endswith(", 1 failed points)\n")
+    rows = list(csv.reader(out.read_text().splitlines()[3:]))
+    assert rows[0][-1] == ("SingularityError: EIT denominator vanishes at "
+                           "Delta2 = 0.628319 rad/us")
+    assert all(v == "nan" for v in rows[0][1:-1])
+    for row in rows[1:]:
+        assert row[-1] == "" and all(math.isfinite(float(v))
+                                     for v in row[:-1])
+
+
 def test_cli_verify_report_io_error_exit(tmp_path, capsys, monkeypatch):
     # the suite's result is not under test here: one canned check
     import rydshe.oracle
@@ -1396,6 +1431,33 @@ def test_cli_verify_to_dev_stdout_is_the_report_alone(capfd, monkeypatch):
     assert [r["check_name"] for r in json.loads(out)] == ["canned", "other"]
     assert err.startswith("report written to /dev/stdout\ncanned  ")
     assert err.endswith("verify: PASS\n")
+
+
+def test_cli_verify_names_the_error_of_a_check_that_raised(tmp_path, capsys,
+                                                           monkeypatch):
+    # a reference that raises fails its check with the error on its table
+    # line and in its record; the checks that ran carry no error text
+    import rydshe.oracle
+
+    def raising(drive, atom):
+        raise SingularityError("injected")
+    monkeypatch.setattr(rydshe.oracle, "gauss_legendre_nonlocal_integral",
+                        raising)
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--out", str(out)) == 3
+    lines = capsys.readouterr().err.splitlines()
+    failed = [line for line in lines if " FAIL " in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("shell_integral_vs_gauss_legendre  FAIL  "
+                                "measured=nan  ")
+    assert failed[0].endswith(" ms)  SingularityError: injected")
+    assert all(line.endswith(" ms)") for line in lines[1:-1]
+               if line not in failed)
+    assert lines[-1] == "verify: FAIL"
+    errors = {r["check_name"]: r["error"] for r in json.loads(out.read_text())}
+    assert errors.pop("shell_integral_vs_gauss_legendre") == (
+        "SingularityError: injected")
+    assert set(errors.values()) == {""}
 
 
 # ------------------------------------------------------------ the writer

@@ -245,6 +245,54 @@ def test_no_public_member_exists_only_for_tests():
     assert not unread, f"public members only tests read: {unread}"
 
 
+def _defaulted_parameters(tree):
+    """(function, parameter, position) of each parameter with a default
+    of the functions the tree defines; position counts the arguments a
+    call passes (past self) and is None for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args]
+        bound = params[:1] in (["self"], ["cls"])
+        first = len(params) - len(a.defaults)
+        yield from ((node.name, p, i - bound)
+                    for i, p in enumerate(params[first:], start=first))
+        yield from ((node.name, p.arg, None)
+                    for p, d in zip(a.kwonlyargs, a.kw_defaults) if d)
+
+
+def _passes(call, parameter, position):
+    """Whether the call may pass the parameter: by keyword, at its
+    position, or through * or **."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default no caller overrides is a constant dressed as a knob: each
+    # parameter with a default is passed by some call in src/, tests/ or
+    # bench/ (calls matched to a function by its name alone)
+    callers = [*SRC.glob("*.py"), *(SRC.parent.parent / "tests").glob("*.py"),
+               *BENCH.glob("*.py")]
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = [f"{module}: {fn}({parameter})"
+                for module, tree in _trees().items()
+                for fn, parameter, position in _defaulted_parameters(tree)
+                if not any(_passes(call, parameter, position)
+                           for call in calls.get(fn, []))]
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
+
+
 def _readme_block(heading: str) -> str:
     """The first fenced block after `heading` in the README."""
     text = README.read_text(encoding="utf-8")
