@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, fields as dc_fields, replace
@@ -184,8 +185,10 @@ def _cmd_verify(args) -> int:
     # --out /dev/stdout holds the report alone
     table = sys.stdout
     if args.out:
-        write_text(args.out, json.dumps([asdict(r) for r in results],
-                                        indent=1, sort_keys=True))
+        # a check that raised measured nan, which is not JSON: null
+        records = [{**asdict(r), "measured": r.measured
+                    if math.isfinite(r.measured) else None} for r in results]
+        write_text(args.out, json.dumps(records, indent=1, sort_keys=True))
         print(f"report written to {args.out}", file=sys.stderr)
         table = sys.stderr
     width = max(len(r.check_name) for r in results)

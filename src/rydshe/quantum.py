@@ -184,26 +184,6 @@ def _batch(drive: DriveParams) -> DriveParams:
     return replace(drive, Delta2=Delta2)
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix in m (over the last two axes).
-
-    A sum of squares that overflows, or falls below 1e-290 where squares
-    may have underflowed, is taken again over its matrix divided by its
-    largest |entry| and multiplied back.  The squares lost below the
-    normal range add up to less than 1e-300, so a larger sum is kept."""
-    f = np.ascontiguousarray(m).view(float)
-    f = f.reshape(-1, f.shape[-2] * f.shape[-1])
-    ss = np.vecdot(f, f)
-    norm = np.sqrt(ss)
-    redo = ~((ss >= 1e-290) & (ss < np.inf))                # nan too
-    if redo.any():
-        big = np.abs(f[redo]).max(axis=-1)
-        big[~(big > 0)] = 1
-        g = f[redo] / big[:, None]
-        norm[redo] = big * np.sqrt(np.vecdot(g, g))
-    return norm.reshape(m.shape[:-2])
-
-
 def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
                    ) -> tuple[np.ndarray, dict]:
     """Dense LU solves (partial pivoting) of the batch A x = b, A (n, m, m)
@@ -211,10 +191,11 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
 
     Returns (x, errors): errors maps each failed system i to the typed
     error it gives alone -- non-finite entries, an exactly singular
-    matrix, or a relative residual above SOLVE_RESIDUAL_TOL -- so one bad
-    system cannot hide behind the norm of the others.  The residual is
-    the test; only the systems that fail it are classified.  A failed
-    system's x is 0, so it cannot poison later arithmetic on the batch.
+    matrix, or a relative residual above SOLVE_RESIDUAL_TOL, measured by
+    the largest |entry| -- so one bad system cannot hide behind the norm
+    of the others.  The residual is the test; only the systems that fail
+    it are classified.  A failed system's x is 0, so it cannot poison
+    later arithmetic on the batch.
     """
     singular = np.zeros(len(b), dtype=bool)
     try:
@@ -227,8 +208,9 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
         singular = np.linalg.slogdet(A1).sign == 0
         x = np.linalg.solve(np.where(singular[:, None, None], eye, A1), b)
     with np.errstate(invalid="ignore", over="ignore"):
-        scale = np.maximum(_frobenius(b), _frobenius(A) * _frobenius(x))
-        rel = _frobenius(A @ x - b) / np.maximum(scale, 1e-300)
+        nb, nA, nx, nr = (np.abs(m).max(axis=(-2, -1))
+                          for m in (b, A, x, A @ x - b))
+        rel = nr / np.maximum(np.maximum(nb, nA * nx), 1e-300)
     bad = singular | ~(rel <= SOLVE_RESIDUAL_TOL)       # nan fails too
     x[bad] = 0
 

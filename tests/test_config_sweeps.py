@@ -1436,7 +1436,8 @@ def test_cli_verify_to_dev_stdout_is_the_report_alone(capfd, monkeypatch):
 def test_cli_verify_names_the_error_of_a_check_that_raised(tmp_path, capsys,
                                                            monkeypatch):
     # a reference that raises fails its check with the error on its table
-    # line and in its record; the checks that ran carry no error text
+    # line and in its record, where its nan measured is a strict JSON
+    # null; the checks that ran carry no error text
     import rydshe.oracle
 
     def raising(drive, atom):
@@ -1454,7 +1455,13 @@ def test_cli_verify_names_the_error_of_a_check_that_raised(tmp_path, capsys,
     assert all(line.endswith(" ms)") for line in lines[1:-1]
                if line not in failed)
     assert lines[-1] == "verify: FAIL"
-    errors = {r["check_name"]: r["error"] for r in json.loads(out.read_text())}
+
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+    records = {r["check_name"]: r for r in
+               json.loads(out.read_text(), parse_constant=strict)}
+    assert records["shell_integral_vs_gauss_legendre"]["measured"] is None
+    errors = {name: r["error"] for name, r in records.items()}
     assert errors.pop("shell_integral_vs_gauss_legendre") == (
         "SingularityError: injected")
     assert set(errors.values()) == {""}

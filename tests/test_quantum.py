@@ -1131,13 +1131,11 @@ def test_solve_guards_each_system():
 
 @pytest.mark.parametrize("one", [False, True], ids=["batched", "one"])
 def test_solve_verdict_holds_at_extreme_scales(one, monkeypatch):
-    # the residual test squares the entries: at 1e200 the squares
-    # overflowed and at 1e-200 they underflowed, so the verdict turned on
-    # nan or 0.  A scaled system keeps the verdict it has at scale 1,
-    # with A scaled alone or with b: a well-conditioned and a nearly
-    # singular system pass, and a spoiled well-conditioned solve fails
-    # with the same residual.  The right-hand sides are three systems of a
-    # batch, or the columns of a batch of one
+    # at scales 1e-200 and 1e200, with A scaled alone or with b, each
+    # verdict and message equals the one at scale 1: a well-conditioned
+    # and a nearly singular system pass, and a spoiled well-conditioned
+    # solve fails with the same residual.  The right-hand sides are three
+    # systems of a batch, or the columns of a batch of one
     from rydshe.quantum import _solve_checked
     rng = np.random.default_rng(13)
     good = 4 * np.eye(4) + rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
