@@ -166,9 +166,9 @@ def shifts_from_coefficients(beam: BeamSpec, rp, rs) -> ShiftResult:
 
 
 def medium_index(chi):
-    """n = sqrt(1 + chi), forward branch; broadcasts over arrays."""
+    """n = sqrt(1 + chi) on numpy's principal branch (Re n >= 0), which
+    is the forward branch; broadcasts over arrays."""
     n = np.sqrt(1.0 + np.asarray(chi, dtype=complex))
-    n = np.where(n.real < 0, -n, n)
     return complex(n) if n.ndim == 0 else n
 
 

@@ -39,9 +39,7 @@ from .quantum import (AtomParams, DriveParams, response_parts,
 from .multilayer import Layer, LayerStack, stack_fresnel
 from .beam_shift import (BeamSpec, ShiftResult, shifts_from_coefficients,
                          spin_mixing_amplitude)
-from .config import canonical_atom, canonical_drive
-
-TWO_PI = 2.0 * math.pi
+from .config import TWO_PI, canonical_atom, canonical_drive
 
 # y-window half-width and sampling of the synthesis, in units of w0
 _Y_HALFWIDTH_W0 = 8.0

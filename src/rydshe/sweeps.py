@@ -48,7 +48,6 @@ class SweepResult:
     columns: list
     rows: list                    # list of lists, one per grid point
     config_hash: str
-    version: str
 
 
 def _error_cell(exc: RydsheError) -> str:
@@ -59,35 +58,23 @@ def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
                   det: np.ndarray, theta: np.ndarray
                   ) -> tuple[np.ndarray, dict]:
     """(values, errors) of the rows of one group, each at the probe
-    detuning detunings[det] (MHz) and the incidence angle `theta` (deg):
-    one `susceptibility` call over `detunings`, then one `stack_fresnel`
-    call per polarization and one shift call over the rows.  errors maps
-    each failed row to its error; its values mean nothing."""
+    detuning detunings[det] (MHz) and the angle `theta` (deg).  Each stage
+    (chi over `detunings`, p, s, the shift) appends its row errors to
+    `stages` as it runs; a failed row has its earliest error, no values."""
     b = susceptibility(cfg.drive_params(detunings), cfg.atom_params())
+    stages = [_spread(b.errors, det)]
     if quantity == "chi":
         chi = np.array([b.chi1, b.chi3_local_contrib,
                         b.chi3_nonlocal_contrib]).T
-        values = np.stack([chi.real, chi.imag], axis=-1).reshape(-1, 6)[det]
-        stages = ()
-    else:
-        # a failed detuning's rows carry its error; chi = 0 keeps nan out
-        chi = b.total
-        chi[list(b.errors)] = 0
-        values, stages = _optics_values(quantity, cfg, chi[det], theta)
-    # a detuning's error wins, then the row's own errors in stage order
-    return values, first_errors(_spread(b.errors, det), *stages)
-
-
-def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
-                   theta: np.ndarray) -> tuple:
-    """(values, errors) of the Fresnel or shift columns, for rows with
-    the slab susceptibility `chi` at the angles `theta` (deg).  errors
-    holds the per-row error maps of the stages in the order they run:
-    p, s, then the shift."""
-    stack = cfg.layer_stack(chi)
-    beam = cfg.beam_spec(theta)
+        return (np.stack([chi.real, chi.imag], axis=-1).reshape(-1, 6)[det],
+                first_errors(*stages))
+    # a failed detuning's rows carry its error; chi = 0 keeps nan out
+    chi = b.total
+    chi[list(b.errors)] = 0
+    stack, beam = cfg.layer_stack(chi[det]), cfg.beam_spec(theta)
     rp, _, errors_p = stack_fresnel(stack, beam.theta_i, beam.k0, "p")
     rs, _, errors_s = stack_fresnel(stack, beam.theta_i, beam.k0, "s")
+    stages += [errors_p, errors_s]
     if quantity == "fresnel":
         # hypot rounds as the scalar abs() does; np.abs does not
         abs_rp, abs_rs = np.hypot(rp.real, rp.imag), np.hypot(rs.real, rs.imag)
@@ -95,10 +82,11 @@ def _optics_values(quantity: str, cfg: RunConfig, chi: np.ndarray,
                           where=abs_rp > 0)
         return (np.stack([rp.real, rp.imag, rs.real, rs.imag,
                           abs_rp, abs_rs, ratio], axis=-1),
-                (errors_p, errors_s))
+                first_errors(*stages))
     s = shifts_from_coefficients(beam, rp, rs)
+    stages.append(s.errors)
     return (np.stack([s.delta_plus, s.delta_minus, s.power_plus,
-                      s.power_minus], axis=-1), (errors_p, errors_s, s.errors))
+                      s.power_minus], axis=-1), first_errors(*stages))
 
 
 def _axis_errors(cfg: RunConfig, field: str, values) -> dict:
@@ -177,7 +165,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         row.append(_error_cell(errors[i]) if i in errors else "")
     columns = [AXES[v][1] for v in variables] + value_cols + ["error"]
     return SweepResult(columns=columns, rows=rows,
-                       config_hash=config_hash(cfg), version=__version__)
+                       config_hash=config_hash(cfg))
 
 
 def profile_coefficients(cfg: RunConfig) -> tuple[complex, complex]:
@@ -195,8 +183,7 @@ def _run_profile(cfg: RunConfig) -> SweepResult:
     profiles = intensity_profiles(beam, *profile_coefficients(cfg), y=y)
     rows = [[*map(float, r), ""] for r in zip(*profiles)]
     return SweepResult(columns=["y_um"] + _PROFILE_COLUMNS + ["error"],
-                       rows=rows, config_hash=config_hash(cfg),
-                       version=__version__)
+                       rows=rows, config_hash=config_hash(cfg))
 
 
 def emit(result: SweepResult, fmt: str, path: str, precision: int = 12) -> None:
@@ -267,7 +254,7 @@ def _csv_cell(cell: str) -> str:
 
 
 def format_csv(result: SweepResult, precision: int = 12) -> str:
-    lines = [f"# rydshe {result.version} config={result.config_hash}",
+    lines = [f"# rydshe {__version__} config={result.config_hash}",
              "# frequencies in MHz, angles in deg, lengths in um, densities in mm^-3",
              ",".join(result.columns)]
     row_format = ",".join([f"%.{precision}g"] * (len(result.columns) - 1)
@@ -285,7 +272,7 @@ def format_json(result: SweepResult, precision: int = 12) -> str:
     import json
     import re
     head = json.dumps({"columns": result.columns, "meta": {
-        "config": result.config_hash, "version": result.version}}, indent=1)
+        "config": result.config_hash, "version": __version__}}, indent=1)
     row = "\n  [\n   " + ",\n   ".join(
         [f"%.{precision}g"] * (len(result.columns) - 1) + ["%s"]) + "\n  ]"
     body = ",".join([row % (*r[:-1], json.dumps(r[-1]) if r[-1] else '""')

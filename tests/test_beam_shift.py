@@ -178,6 +178,8 @@ def test_array_optics_and_shifts_match_scalar_calls(thetas, chi_re, chi_im,
     theta = np.radians(thetas)
     chi = (np.array(chi_re) + 1j * np.array(chi_im))[:len(thetas)]
     n1 = medium_index(chi)
+    # the principal root is the forward branch: no real part below +0
+    assert not np.signbit(n1.real[~np.isnan(n1)]).any()
     k0 = TWO_PI / 0.78
     stack = LayerStack(n_in=n_io[0], layers=(Layer(n=n1, d=d),),
                        n_out=n_io[1])

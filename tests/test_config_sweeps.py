@@ -367,7 +367,7 @@ def test_sweep_json_non_finite_cells_are_null():
     res = SweepResult(columns=["x", "a", "b", "error"],
                       rows=[[1.0, math.inf, -math.inf, ""],
                             [2.0, math.nan, np.float64(-np.inf), "E: x"]],
-                      config_hash="0" * 16, version="0")
+                      config_hash="0" * 16)
     back = json.loads(format_json(res), parse_constant=_reject_constant)
     assert back["rows"] == [[1.0, None, None, ""], [2.0, None, None, "E: x"]]
 
@@ -378,7 +378,7 @@ def _old_json(result: SweepResult, precision: int) -> str:
     rows = [[v if isinstance(v, str) else
              (float(f"{v:.{precision}g}") if math.isfinite(v) else None)
              for v in row] for row in result.rows]
-    return json.dumps({"meta": {"version": result.version,
+    return json.dumps({"meta": {"version": rydshe.__version__,
                                 "config": result.config_hash},
                        "columns": result.columns,
                        "rows": rows}, indent=1, sort_keys=True,
@@ -400,10 +400,9 @@ def test_sweep_json_matches_the_encoder_byte_for_byte(precision):
     rows = [[values[(i + j) % len(values)] for j in range(3)]
             + [errors[i % len(errors)]] for i in range(2 * len(values))]
     res = SweepResult(columns=["a", "b", "c", "error"], rows=rows,
-                      config_hash="0" * 16, version="0.1.0")
+                      config_hash="0" * 16)
     assert format_json(res, precision) == _old_json(res, precision)
-    empty = SweepResult(columns=["a", "error"], rows=[], config_hash="1",
-                        version="0")
+    empty = SweepResult(columns=["a", "error"], rows=[], config_hash="1")
     assert format_json(empty, precision) == _old_json(empty, precision)
 
 
@@ -450,7 +449,7 @@ def test_csv_row_format_matches_per_cell_format(precision, n_cols, data):
                                    'E: "x", y', 'E: ""']))]
             for _ in range(data.draw(st.integers(0, 4)))]
     res = SweepResult(columns=[f"c{i}" for i in range(n_cols)] + ["error"],
-                      rows=rows, config_hash="0" * 16, version="0")
+                      rows=rows, config_hash="0" * 16)
     body = format_csv(res, precision).split("\n")[3:-1]
     assert body == [",".join(_old_cell(v, precision) for v in row)
                     for row in rows]
@@ -531,6 +530,16 @@ def test_map_chi_failure_lands_on_its_detuning(monkeypatch):
         return real(drive, atom)
     monkeypatch.setattr(rydshe.sweeps, "susceptibility", counting)
     _fail_block_at(monkeypatch, 0.0)
+    # a p error on one Delta2 = 0 row (flat row 1, theta outer): the
+    # detuning's error runs earlier and wins
+    fresnel = rydshe.sweeps.stack_fresnel
+
+    def failing_p(stack, theta, k0, pol):
+        r, t, errors = fresnel(stack, theta, k0, pol)
+        if pol == "p":
+            errors[1] = DomainError("injected p error")
+        return r, t, errors
+    monkeypatch.setattr(rydshe.sweeps, "stack_fresnel", failing_p)
     cfg = RunConfig(quantity="map", variable="theta_i",
                     sweep_min=33.8, sweep_max=33.9, steps=3,
                     variable2="Delta2", sweep_min2=-1.0, sweep_max2=1.0,
