@@ -134,29 +134,24 @@ def shifts_from_coefficients(beam: BeamSpec, rp, rs) -> ShiftResult:
     rp, rs = (np.asarray(c, dtype=complex) for c in given)
     a = spin_mixing_amplitude(rp, rs, beam.theta_i, beam.k_medium)
     # hypot rounds as the scalar abs() does; np.abs does not.  numpy's **
-    # gives inf where Python's raises, and a w0 past the float range
-    # gives a non-finite power
+    # gives inf where Python's raises, a w0 past the float range gives a
+    # non-finite power, and a failed row's inf or nan flows through
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         power = (np.hypot(rp.real, rp.imag) ** 2
                  + np.hypot(a.real, a.imag) ** 2 / np.float64(beam.w0) ** 2)
+        num = rp.real * a.real + rp.imag * a.imag
     rp_, rs_ = (np.broadcast_to(c, power.shape) for c in given)
-    nonfinite, dark = ~np.isfinite(power), power == 0
     # the earliest check an element fails gives its error
     errors = first_errors(
         failures(~(np.isfinite(rp_) & np.isfinite(rs_)), lambda i: (
             PropagationError(f"non-finite Fresnel coefficients rp="
                              f"{rp_.flat[i].item()}, rs={rs_.flat[i].item()}"))),
-        failures(nonfinite, lambda i: DomainError(
+        failures(~np.isfinite(power), lambda i: DomainError(
             f"beam power |rp|^2 + |a|^2 / w0^2 is not finite at "
             f"w0 = {beam.w0:g} um")),
-        failures(dark, lambda i: DomainError(
+        failures(power == 0, lambda i: DomainError(
             "zero reflected power: shift undefined")))
-    failed = nonfinite | dark
-    if errors:
-        # keep nan and inf out of the arithmetic below
-        rp, a = np.where(failed, 0, rp), np.where(failed, 0, a)
-        power = np.where(failed, np.nan, power)
-    num = np.where(failed, np.nan, rp.real * a.real + rp.imag * a.imag)
+    num.flat[list(errors)] = power.flat[list(errors)] = np.nan
     if scalar:
         if errors:
             raise errors[0]
@@ -176,14 +171,6 @@ def _peak_normalized(v: np.ndarray) -> np.ndarray:
     return v / v.max() if v.max() > 0 else v
 
 
-def _check_finite(beam: BeamSpec, *profiles: np.ndarray) -> None:
-    """A DomainError unless every profile is finite: a w0 far from the
-    scale of the transverse grid takes y^2 / w0^2 out of the float range."""
-    if not all(np.isfinite(p).all() for p in profiles):
-        raise DomainError(f"intensity profile is not finite at "
-                          f"w0 = {beam.w0:g} um")
-
-
 def intensity_profiles(beam: BeamSpec, rp: complex, rs: complex,
                        y: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -197,7 +184,8 @@ def intensity_profiles(beam: BeamSpec, rp: complex, rs: complex,
         y = np.linspace(-8.0 * beam.w0, 8.0 * beam.w0, 2049)
     y = np.asarray(y, dtype=float)
     a = spin_mixing_amplitude(rp, rs, beam.theta_i, beam.k_medium)
-    # numpy's ** gives inf where Python's raises, and _check_finite names it
+    # numpy's ** gives inf where Python's raises: a w0 far from the scale
+    # of the grid takes y^2 / w0^2 out of the float range, named below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w0_sq = np.float64(beam.w0) ** 2
         i_in = np.exp(-2.0 * y**2 / w0_sq)
@@ -205,7 +193,9 @@ def intensity_profiles(beam: BeamSpec, rp: complex, rs: complex,
         profiles = (_peak_normalized(i_in),
                     _peak_normalized(np.abs(rp - slope) ** 2 * i_in),
                     _peak_normalized(np.abs(rp + slope) ** 2 * i_in))
-    _check_finite(beam, *profiles)
+    if not all(np.isfinite(p).all() for p in profiles):
+        raise DomainError(f"intensity profile is not finite at "
+                          f"w0 = {beam.w0:g} um")
     return (y, *profiles)
 
 
@@ -220,7 +210,5 @@ def intensity_maps_2d(beam: BeamSpec, rp: complex, rs: complex,
     if y is None:
         y = np.linspace(-2 * beam.w0, 2 * beam.w0, 257)
     _, i_in, i_p, i_m = intensity_profiles(beam, rp, rs, y)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ix = _peak_normalized(np.exp(-2.0 * x**2 / np.float64(beam.w0) ** 2))
-    _check_finite(beam, ix)
+    ix = intensity_profiles(beam, rp, rs, x)[1]
     return x, y, np.outer(ix, i_in), np.outer(ix, i_p), np.outer(ix, i_m)

@@ -87,9 +87,9 @@ def refraction_cosine(n_in: float, theta_i, n_j) -> np.ndarray | complex:
     return np.where(flip, -c, c)
 
 
-# an input past the float range gives a non-finite r or t, which the
-# last check reports in place of a numpy warning
-@np.errstate(over="ignore", invalid="ignore")
+# a zero index or denominator, or an input past the float range, gives
+# a non-finite r or t: the checks report it in place of a numpy warning
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     """(r, t) of the stack for one polarization; broadcasts over theta_i
     and the slab index.
@@ -113,9 +113,7 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     # entry/exit media give z1 == z3 exactly (trivial-stack reciprocity)
     cos_in = refraction_cosine(stack.n_in, theta_i, stack.n_in + 0j)
     cos_out = refraction_cosine(stack.n_in, theta_i, stack.n_out + 0j)
-    # a zero slab index has no refraction cosine: a fault, computed with
-    # a stand-in index 1
-    n2 = np.where(slab.n == 0, 1.0, slab.n)
+    n2 = np.asarray(slab.n)
     cos_t = refraction_cosine(stack.n_in, theta_i, n2)
     delta = k0 * n2 * slab.d * cos_t
     # opaque-slab guard: clamp the decay exponent, the phase is then moot
@@ -130,8 +128,6 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
     den = cd * z2 * (z1 + z3) - 1j * sd * (z2 * z2 + z1 * z3)
     r_num = cd * z2 * sub(z1, z3) - 1j * sd * sub(z1 * z3, z2 * z2)
     t_num = 2 * z2 * (z1 if polarization == "s" else z3)
-    zero = den == 0
-    den[zero] = 1.0                     # a fault below: no division by 0
     r, t = r_num / den, t_num / den
     # the earliest check an element fails gives its error
     errors = first_errors(*(
@@ -142,7 +138,7 @@ def stack_fresnel(stack: LayerStack, theta_i, k0: float, polarization: str):
              "layer index is strongly active (Im n << 0)"),
             ((cos_t == 0) & bool(stack.layers), SingularityError,
              "vanishing layer impedance (grazing pathology)"),
-            (zero, SingularityError,
+            (den == 0, SingularityError,
              "vanishing denominator in stack Fresnel formula"),
             (~(np.isfinite(r) & np.isfinite(t)), PropagationError,
              "non-finite r or t"))))

@@ -68,10 +68,7 @@ def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
                         b.chi3_nonlocal_contrib]).T
         return (np.stack([chi.real, chi.imag], axis=-1).reshape(-1, 6)[det],
                 first_errors(*stages))
-    # a failed detuning's rows carry its error; chi = 0 keeps nan out
-    chi = b.total
-    chi[list(b.errors)] = 0
-    stack, beam = cfg.layer_stack(chi[det]), cfg.beam_spec(theta)
+    stack, beam = cfg.layer_stack(b.total[det]), cfg.beam_spec(theta)
     rp, _, errors_p = stack_fresnel(stack, beam.theta_i, beam.k0, "p")
     rs, _, errors_s = stack_fresnel(stack, beam.theta_i, beam.k0, "s")
     stages += [errors_p, errors_s]
@@ -118,6 +115,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         return _run_profile(cfg)
     if cfg.quantity == "map" and cfg.variable2 is None:
         raise ConfigError("map sweeps need variable2/min2/max2/steps2")
+    if cfg.variable2 == cfg.variable:
+        raise ConfigError(f"variable2 = {cfg.variable2} repeats variable")
 
     variables = [cfg.variable]
     axes = [np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.steps)]
@@ -127,13 +126,13 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     fields = [AXES[v][0] for v in variables]
     value_cols = {"chi": _CHI_COLUMNS, "fresnel": _FRESNEL_COLUMNS,
                   "shift": _SHIFT_COLUMNS, "map": _SHIFT_COLUMNS}[cfg.quantity]
-    # row-major grid (axis 1 outer): the index and value on each axis
+    # row-major grid (first axis outer): the index and value on each axis
     index = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
     grid = np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
     # per failed row its error: the first axis's, then its group's or its own
     errors = first_errors(*(_spread(_axis_errors(cfg, f, a), i)
                             for f, a, i in zip(fields, axes, index)))
-    # per field, its axis (a later axis on the same field overrides)
+    # per field, its axis
     column = {f: k for k, f in enumerate(fields)}
     theta = (grid[:, column["theta_deg"]] if "theta_deg" in column
              else np.full(len(grid), cfg.theta_deg))

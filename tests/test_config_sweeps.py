@@ -474,6 +474,12 @@ def test_sweep_refuses_a_map_without_variable2_and_an_unknown_format(
         tmp_path):
     with pytest.raises(ConfigError, match="map sweeps need variable2"):
         run_sweep(RunConfig(quantity="map"))
+    with pytest.raises(ConfigError,
+                       match="^variable2 = Delta2 repeats variable$"):
+        run_sweep(RunConfig(quantity="chi", variable="Delta2",
+                            sweep_min=-1.0, sweep_max=1.0, steps=3,
+                            variable2="Delta2", sweep_min2=2.0,
+                            sweep_max2=3.0, steps2=2))
     out = tmp_path / "chi.xml"
     with pytest.raises(ConfigError, match="unknown output format 'xml'"):
         emit(run_sweep(RunConfig(quantity="chi", steps=2)), "xml", str(out))
@@ -572,11 +578,13 @@ def test_empty_input_gives_empty_results_in_each_stage():
     assert r.shape == t.shape == (0,) and errors == {}
 
 
-def test_chi_failure_cell_is_the_scalar_error(monkeypatch):
-    # a 201-point chi sweep with one failing detuning: its error cell is
-    # the text a scalar call raises there, and the other 200 rows are
+@pytest.mark.parametrize("quantity", ["chi", "fresnel", "shift"])
+def test_chi_failure_cell_is_the_scalar_error(monkeypatch, quantity):
+    # a 201-point sweep with one failing detuning: its error cell is the
+    # text a scalar chi call raises there, every value cell of its row is
+    # nan (the optics see its nan chi), and the other 200 rows are
     # byte-identical to a clean run
-    cfg = RunConfig(quantity="chi", variable="Delta2",
+    cfg = RunConfig(quantity=quantity, variable="Delta2",
                     sweep_min=-10.0, sweep_max=10.0, steps=201)
     clean = format_csv(run_sweep(cfg)).splitlines()
     bad = np.linspace(-10.0, 10.0, 201)[57]
@@ -585,7 +593,9 @@ def test_chi_failure_cell_is_the_scalar_error(monkeypatch):
     with pytest.raises(SingularityError) as exc:
         susceptibility(one.drive_params(), one.atom_params())
     assert re.search(r"at Delta2 = \S+ rad/us$", str(exc.value))
-    lines = format_csv(run_sweep(cfg)).splitlines()
+    res = run_sweep(cfg)
+    assert all(math.isnan(v) for v in res.rows[57][1:-1])
+    lines = format_csv(res).splitlines()
     header = 3
     assert lines[header + 57].endswith(f",SingularityError: {exc.value}")
     del lines[header + 57], clean[header + 57]

@@ -253,7 +253,7 @@ def test_grazing_impedance_singularity():
 @pytest.mark.parametrize("pol", ["p", "s"])
 def test_zero_slab_index_is_refused_by_name(pol):
     # a zero index has no refraction cosine: refused as the first check,
-    # before anything divides by it, with no numpy warning; an array call
+    # and its division runs without a numpy warning; an array call
     # reports it per element and keeps the other elements' values
     zero = LayerStack(GLASS, (Layer(0j, 100.0),), GLASS)
     with pytest.raises(DomainError, match="^layer index is zero$"):
