@@ -144,7 +144,7 @@ def _run_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 cfg = parse_config(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc

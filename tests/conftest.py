@@ -1,11 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from rydshe import canonical_atom, canonical_drive
-
-TWO_PI = 2.0 * math.pi
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,10 @@ from rydshe import (BeamSpec, DomainError, Layer, LayerStack,
                     intensity_profiles, medium_index, shifts_from_coefficients,
                     canonical_atom, canonical_drive,
                     RunConfig, stack_fresnel, susceptibility)
+from rydshe.config import TWO_PI
 from rydshe.oracle import (centroid, incident_spectrum, reflected_field,
                            reflected_spin_spectra, spectral_shifts)
 
-TWO_PI = 2.0 * math.pi
 GRID_N = 2048      # the oracle's default spectral grid
 
 

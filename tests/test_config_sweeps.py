@@ -26,12 +26,10 @@ from rydshe import (AtomParams, BeamSpec, ConfigError, DomainError,
                     serialize_config, shifts_from_coefficients, stack_fresnel,
                     susceptibility)
 from rydshe import quantum
-from rydshe.config import AXES, QUANTITIES
+from rydshe.config import AXES, QUANTITIES, TWO_PI
 from rydshe.sweeps import (SweepResult, run_sweep, emit, format_csv, format_json,
                            write_text)
 from rydshe.cli import main as cli_main
-
-TWO_PI = 2.0 * math.pi
 
 
 # ------------------------------------------------------------------- config
@@ -932,6 +930,22 @@ def test_cli_config_error_exit(tmp_path, capsys):
     bad.write_text("[beam]\ngrid_span = 8.0\n")
     assert run_cli("shift-angle", "--config", str(bad), "--out",
                    str(tmp_path / "x.csv"), "--steps", "3") == 2
+
+
+def test_cli_config_with_a_byte_order_mark(tmp_path):
+    # a leading UTF-8 byte-order mark is not part of the file's text: the
+    # run and its config= hash are those of the file without the mark
+    text = b"[atom]\ndensity_mm3 = 2e7\n"
+    written = {}
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text),
+                       ("defaults", b"")):
+        ini, out = tmp_path / f"{name}.ini", tmp_path / f"{name}.csv"
+        ini.write_bytes(data)
+        assert run_cli("chi", "--config", str(ini), "--steps", "3",
+                       "--out", str(out)) == 0
+        written[name] = out.read_text()
+    # the first line holds the config= hash
+    assert written["bom"] == written["plain"] != written["defaults"]
 
 
 def test_cli_io_error_exit(tmp_path):

@@ -126,6 +126,30 @@ def test_stage_modules_import_no_other_stage(stage):
     assert not imported, f"{stage} imports {imported}"
 
 
+def test_the_acceptance_gate_builds_no_pipeline_of_its_own():
+    # criteria 1-8 read the production path of one RunConfig: only the
+    # oracle criterion builds physics inputs by hand, and no module
+    # constant stands in for a setting of that configuration
+    tree = ast.parse(Path(__file__).with_name("test_acceptance.py")
+                     .read_text(encoding="utf-8"))
+    oracle = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "test_criterion_9_oracle_certification")
+    exempt = set(map(id, ast.walk(oracle)))
+    built = sorted(f"{name} (line {node.lineno})" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in exempt
+                   and (name := getattr(node.func, "id", None)
+                        or getattr(node.func, "attr", None))
+                   in ("DriveParams", "AtomParams", "BeamSpec", "Layer",
+                       "LayerStack"))
+    bound = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= {a.asname or a.name for n in ast.walk(tree)
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert not built, f"physics inputs built outside criterion 9: {built}"
+    assert not bound & {"K0", "W0"}, sorted(bound & {"K0", "W0"})
+
+
 def _file_writes(tree):
     """Line of each call in `tree` that opens a file to write: os.open,
     or open with a mode other than a literal read mode."""

@@ -10,8 +10,8 @@ from rydshe.multilayer import refraction_cosine
 from rydshe.oracle import _airy_two_interface, brewster_angle
 from rydshe import (susceptibility, canonical_atom, canonical_drive,
                     RunConfig)
+from rydshe.config import TWO_PI
 
-TWO_PI = 2.0 * math.pi
 K0 = TWO_PI / 0.78
 GLASS = 1.49
 BREWSTER_GLASS_VAC = math.atan(1.0 / GLASS)

@@ -6,12 +6,11 @@ import pytest
 
 from rydshe import (DriveParams, response_parts, canonical_atom,
                     canonical_drive)
+from rydshe.config import TWO_PI
 from rydshe.oracle import (density_matrix_defects,
                            full_local_bloch_steady_state,
                            perturbative_rho21_local,
                            trapezoid_nonlocal_integral, verify_suite)
-
-TWO_PI = 2.0 * math.pi
 
 
 def test_ground_state_without_fields(atom):

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rydshe import (AtomParams, DriveParams, DomainError,
-                    PropagationError, SingularityError, response_parts,
-                    susceptibility, canonical_atom, canonical_drive)
+                    PropagationError, RunConfig, SingularityError,
+                    response_parts, susceptibility, canonical_atom,
+                    canonical_drive)
 from rydshe import quantum
+from rydshe.config import TWO_PI
 from rydshe.oracle import (full_local_bloch_steady_state,
                            gauss_legendre_nonlocal_integral,
                            twobody_correlators)
 from rydshe.quantum import _correlator_poles, _denominators, _shell_pole_sum
-
-TWO_PI = 2.0 * math.pi
 
 
 def second_order_twobody(drv, atom, r):
@@ -1031,13 +1031,30 @@ def test_linear_passivity(atom):
         assert (atom.chi_prefactor * r21_1).imag >= -1e-12
 
 
-def test_exact_density_scaling(atom):
-    drv = canonical_drive(TWO_PI * 1.0)
-    b1 = susceptibility(drv, atom)
-    b2 = susceptibility(drv, replace(atom, Na=2 * atom.Na))
-    assert abs(b2.chi3_nonlocal_contrib / b1.chi3_nonlocal_contrib - 4) < 1e-10
-    assert abs(b2.chi1 / b1.chi1 - 2) < 1e-10
-    assert abs(b2.chi3_local_contrib / b1.chi3_local_contrib - 2) < 1e-10
+@pytest.mark.parametrize("c6, field, factor, scale", [
+    pytest.param(140.0, "density_mm3", 2.0, (2, 2, 4), id="Na*2"),
+    pytest.param(140.0, "omega_p_mhz", 0.5, (1, 0.25, 0.25), id="Omega_p*0.5"),
+    *(pytest.param(c6, "c6_ghz_um6", f, (1, 1, math.sqrt(f)),
+                   id=f"C6={c6:g}*{f:g}")
+      for c6 in (140.0, -140.0) for f in (4.0, 0.37))])
+def test_exact_density_scaling(c6, field, factor, scale):
+    # the prefactor laws: chi1, chi3_local and chi3_nonlocal scale as Na,
+    # Na Omega_p^2 and Na^2 Omega_p^2 sqrt|C6|, with fixed spectral shapes
+    # at each sign of C6; a power-of-two factor is exact, and sqrt|C6|
+    # reaches chi3_nonlocal through R_b^3, a sixth root, so to rounding
+    cfg = RunConfig(c6_ghz_um6=c6)
+    scaled = replace(cfg, **{field: getattr(cfg, field) * factor})
+    detunings = np.linspace(-6.0, 6.0, 121)
+    b1, b2 = (susceptibility(c.drive_params(detunings), c.atom_params())
+              for c in (cfg, scaled))
+    assert not b1.errors and not b2.errors
+    for part, s in zip(("chi1", "chi3_local_contrib",
+                        "chi3_nonlocal_contrib"), scale):
+        got, want = getattr(b2, part), s * getattr(b1, part)
+        if field == "c6_ghz_um6" and part == "chi3_nonlocal_contrib":
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(got).max()
+        else:
+            assert np.array_equal(got, want), part
 
 
 def test_breakdown_total_is_sum(atom, drive0):
