@@ -194,8 +194,7 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
     matrix, or a relative residual above SOLVE_RESIDUAL_TOL, measured by
     the largest |entry| -- so one bad system cannot hide behind the norm
     of the others.  The residual is the test; only the systems that fail
-    it are classified.  A failed system's x is 0, so it cannot poison
-    later arithmetic on the batch.
+    it are classified.
     """
     singular = np.zeros(len(b), dtype=bool)
     try:
@@ -212,7 +211,6 @@ def _solve_checked(A: np.ndarray, b: np.ndarray, what: str
                           for m in (b, A, x, A @ x - b))
         rel = nr / np.maximum(np.maximum(nb, nA * nx), 1e-300)
     bad = singular | ~(rel <= SOLVE_RESIDUAL_TOL)       # nan fails too
-    x[bad] = 0
 
     def error(i):
         if not (np.isfinite(A[i]).all() and np.isfinite(b[i]).all()):
@@ -340,8 +338,8 @@ def _correlator_poles(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray,
                       D: np.ndarray, Oc: float, r31: np.ndarray,
                       onebody: tuple) -> tuple[np.ndarray, np.ndarray, dict]:
     """Poles V_k and residues c_k, each (n, 3), of
-    rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solve,
-    at the n detunings of d21 and d31.
+    rr33_31^(3)(V) = sum_k c_k / (V - V_k), and the errors of the solve
+    and of lost residues, at the n detunings of d21 and d31.
 
     With w, a, S and b of `_hierarchy` and beta = w_0, Sherman-Morrison
     on the pair 4x4 gives zB(V) = zB0 + w zB0_0 g(V), g(V) = V / (1 -
@@ -370,11 +368,12 @@ def _correlator_poles(A4: np.ndarray, d21: np.ndarray, d31: np.ndarray,
                    / np.prod(1 - V[:, 2:] * lam, axis=1))
         # the residues scale with a and, through b, with rr31_31 = rho31^2,
         # neither 0 for Oc != 0: below the float range they are lost, and
-        # the row fails as a non-finite one, ahead of its solve
-        lost = (np.minimum(abs(a[:, 0]), abs(r31 * r31))
-                < np.finfo(float).tiny)
-    V[lost] = c[lost] = np.nan
-    return V, c, {i: e for i, e in errors.items() if not lost[i]}
+        # the row fails by the product that underflowed, ahead of its solve
+        a0, r31_2 = abs(a[:, 0]), abs(r31 * r31)
+        lost = np.minimum(a0, r31_2) < np.finfo(float).tiny
+    return V, c, first_errors(failures(lost, lambda i: SingularityError(
+        f"residues of rr33_31^(3) fall below the float range (|rho33 rho31| "
+        f"= {a0[i]:.3g}, |rho31^2| = {r31_2[i]:.3g} at V = 0)")), errors)
 
 
 def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
@@ -435,10 +434,11 @@ def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
     past = failures(far, lambda i: DomainError(
         f"Delta2 = {drive.Delta2[i]:g} rad/us is outside the float range "
         f"(|Delta2| <= {_MAX_DETUNING:g})"))
-    drive = replace(drive, Delta2=np.where(far, 0.0, drive.Delta2))
     Oc, (d21, d31) = drive.Omega_c, _denominators(drive, atom)
-    D, A4 = d21 * d31 - Oc * Oc, _systems(drive, atom)
+    A4 = _systems(drive, atom)
+    # a far detuning's own inf or nan flows on; past decides its row
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        D = d21 * d31 - Oc * Oc
         r21, r31 = -d31 / D, Oc / D
         onebody, second = _onebody(A4, atom, r21, r31)
         r11, r22, _, r32 = onebody

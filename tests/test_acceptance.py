@@ -10,13 +10,13 @@ Criteria 1-8 read the production path of one configuration, `CFG`:
 random inputs by hand, because it certifies the fast path against the
 oracle.
 
-Criteria 4-7 are known red.  Their messages put the cause on the slab's
-interference phase (k0*n2*d2*cos(theta2) moves by pi for a ~0.35 um
-change of d2), but a scan of d2 over more than one fringe passes none
-of them at any thickness: what moves their readings is the model (beam
-angular spread, the gain pockets of the truncated chi, the shell
-cutoff), or the targets themselves.  The asserts state the measured
-values.
+Criteria 4-7 are known red, and their messages name the ROADMAP items
+that hold the cause.  The slab's interference phase (k0*n2*d2*cos(theta2)
+moves by pi for a ~0.35 um change of d2) is not it: a scan of d2 over
+more than one fringe passes none of them at any thickness.  What moves
+their readings is the model (beam angular spread, the gain pockets of
+the truncated chi, the shell cutoff), or the targets themselves.  The
+asserts state the measured values.
 """
 
 import math
@@ -149,8 +149,8 @@ def test_criterion_4_detuning_sign_reversal():
                   f"largest max {best_max[1]:+.1f} um at {best_max[0]:+.2f} MHz, "
                   f"deepest min {best_min[1]:+.1f} um at {best_min[0]:+.2f} MHz, "
                   f"swing={swing:.1f} um, {elapsed:.1f}s "
-                  "(extremum positions ride on the slab interference phase; "
-                  "see project notes)")
+                  "(no d2 within one interference fringe passes: "
+                  "ROADMAP item 9)")
 
 
 # -------------------------------------------------------------- criterion 5
@@ -186,8 +186,8 @@ def test_criterion_5_reversal_angle_migration():
     assert report(5, "reversal-angle migration", ok,
                   f"crossing(-2.5 MHz)={c_red}, crossing(+3.3 MHz)={c_blue}, "
                   f"migration={shift}, {elapsed:.1f}s "
-                  "(at +3.3 MHz the truncated Kerr gain pocket suppresses the "
-                  "reversal; see project notes)")
+                  "(at +3.3 MHz the gain pocket of the truncated chi removes "
+                  "the crossing: ROADMAP items 4 and 13)")
 
 
 # -------------------------------------------------------------- criterion 6
@@ -212,8 +212,8 @@ def test_criterion_6_profile_orientation():
     assert report(6, "profile orientation", ok,
                   f"+3.5 MHz: sigma+ at {p_blue:+.1f}, sigma- at {m_blue:+.1f}; "
                   f"-3.0 MHz: sigma+ at {p_red:+.1f}, sigma- at {m_red:+.1f} um, "
-                  f"{elapsed:.1f}s (splitting detunings follow the slab "
-                  "interference phase; see project notes)")
+                  f"{elapsed:.1f}s (no d2 within one interference fringe "
+                  "passes: ROADMAP item 9)")
 
 
 # -------------------------------------------------------------- criterion 7
@@ -232,8 +232,8 @@ def test_criterion_7_density_dependence():
     assert report(7, "density dependence", ok,
                   f"swing(2e7)={s_low:.1f} um (< 15 required), "
                   f"swing(4e7)={s_high:.1f} um (> 30 required), {elapsed:.1f}s "
-                  "(low-density swing is carried by interference-dip "
-                  "crossings that persist at half density; see project notes)")
+                  "(half the density keeps the gain pockets: ROADMAP items 9 "
+                  "and 14)")
 
 
 # -------------------------------------------------------------- criterion 8

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module,
-the package exports exactly its public names, and the README's examples
+"""Source hygiene: every name a module or test module imports is used in
+it, the package exports exactly its public names, and the README's examples
 run."""
 
 import ast
@@ -21,9 +21,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rydshe"
 README = SRC.parent.parent / "README.md"
 BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}

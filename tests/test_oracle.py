@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydshe import (DriveParams, response_parts, canonical_atom,
-                    canonical_drive)
+from rydshe import DriveParams, response_parts
 from rydshe.config import TWO_PI
 from rydshe.oracle import (density_matrix_defects,
                            full_local_bloch_steady_state,
