@@ -35,8 +35,9 @@ import numpy as np
 
 from .errors import DomainError, PropagationError, failures, first_errors
 
-_THETA_MIN = math.radians(5.0)
-_THETA_MAX = math.radians(85.0)
+# the incidence angles the beam model admits: in deg, and in rad
+THETA_DOMAIN_DEG = (5.0, 85.0)
+THETA_DOMAIN = tuple(map(math.radians, THETA_DOMAIN_DEG))
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,10 @@ class BeamSpec:
     def __post_init__(self):
         if not (self.w0 > 0 and self.lambda_p > 0 and self.n_in > 0):
             raise DomainError("w0, lambda_p and n_in must be positive")
-        if not np.all((self.theta_i >= _THETA_MIN)
-                      & (self.theta_i <= _THETA_MAX)):
-            raise DomainError("theta_i restricted to [5 deg, 85 deg]")
+        (lo, hi), (lo_deg, hi_deg) = THETA_DOMAIN, THETA_DOMAIN_DEG
+        if not np.all((self.theta_i >= lo) & (self.theta_i <= hi)):
+            raise DomainError(f"theta_i restricted to [{lo_deg:g} deg, "
+                              f"{hi_deg:g} deg]")
 
     @property
     def k0(self) -> float:

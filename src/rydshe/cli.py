@@ -103,8 +103,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), help="output format")
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     for field, (flag, metavar, help_) in _OVERRIDES.items():
-        p.add_argument(flag, type=float, dest=field, metavar=metavar,
-                       help=help_)
+        p.add_argument(flag, type=float, dest=field, metavar=metavar, help=help_)
 
 
 @functools.cache
@@ -118,11 +117,14 @@ def build_parser() -> _Parser:
     for name, (help_, _, axes) in _SWEEP_COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         _add_common(p)
-        for var, lo, hi, steps_flag, steps in axes:
+        for sfx, (var, lo, hi, steps_flag, steps) in zip(("", "2"), axes):
             flag, unit, _ = _OVERRIDES[AXES[var][0]]
-            p.add_argument(f"{flag}-min", type=float, default=lo, metavar=unit)
-            p.add_argument(f"{flag}-max", type=float, default=hi, metavar=unit)
-            p.add_argument(f"--{steps_flag}", type=int, default=steps)
+            for end, default in (("min", lo), ("max", hi)):
+                p.add_argument(f"{flag}-{end}", type=float, default=default,
+                               metavar=unit, dest=f"sweep_{end}{sfx}")
+            p.add_argument(f"--{steps_flag}", type=int, default=steps,
+                           metavar=steps_flag.upper().replace("-", "_"),
+                           dest="steps" + sfx)
 
     p = sub.add_parser("profile", help="transverse intensity profiles")
     _add_common(p)
@@ -151,16 +153,13 @@ def _run_config(args) -> RunConfig:
     cfg = replace(cfg, **{f: v for f in _OVERRIDES
                           if (v := getattr(args, f)) is not None})
     _, quantity, axes = _SWEEP_COMMANDS.get(args.command, ("", "profile", ()))
-    fields = {f.name: f.default for f in dc_fields(RunConfig)
-              if f.metadata["section"] == "sweep"} | {"quantity": quantity}
-    for sfx, (var, _, _, steps_flag, _) in zip(("", "2"), axes):
+    # each range flag's dest is the [sweep] field it sets
+    fields = {f.name: getattr(args, f.name, f.default) for f in
+              dc_fields(RunConfig) if f.metadata["section"] == "sweep"}
+    for sfx, (var, *_) in zip(("", "2"), axes):
         field = AXES[var][0]
-        stem = _OVERRIDES[field][0][2:].replace("-", "_")  # its argparse dest
-        fields.update({field: getattr(RunConfig, field), "variable" + sfx: var,
-                       "sweep_min" + sfx: getattr(args, stem + "_min"),
-                       "sweep_max" + sfx: getattr(args, stem + "_max"),
-                       "steps" + sfx: getattr(args, steps_flag.replace("-", "_"))})
-    run = replace(cfg, **fields)
+        fields.update({field: getattr(RunConfig, field), "variable" + sfx: var})
+    run = replace(cfg, **(fields | {"quantity": quantity}))
     named, section = [], None
     for f in dc_fields(RunConfig):
         if getattr(cfg, f.name) in (f.default, getattr(run, f.name)):
@@ -241,8 +240,7 @@ def main(argv=None) -> int:
         ms = (time.perf_counter() - t0) * 1e3
         emit(result, args.format or cfg.out_format, out, cfg.precision)
         n_err = sum(1 for r in result.rows if r[-1] != "")
-        print(f"{args.command}: {len(result.rows)} rows -> {out} "
-              f"({ms:.0f} ms"
+        print(f"{args.command}: {len(result.rows)} rows -> {out} ({ms:.0f} ms"
               f"{f', {n_err} failed points' if n_err else ''})",
               file=sys.stderr)
         return EXIT_OK

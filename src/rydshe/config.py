@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .quantum import AtomParams, DriveParams
 from .multilayer import Layer, LayerStack
-from .beam_shift import BeamSpec, medium_index
+from .beam_shift import THETA_DOMAIN_DEG, BeamSpec, medium_index
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,8 +100,9 @@ class RunConfig:
             raise ConfigError("Rabi frequencies must be >= 0")
         if self.lambda_um <= 0 or self.w0_um <= 0 or self.d2_um < 0:
             raise ConfigError("lambda_um, w0_um must be > 0 and d2_um >= 0")
-        if not (5.0 <= self.theta_deg <= 85.0):
-            raise ConfigError("theta_deg must lie in [5, 85]")
+        lo, hi = THETA_DOMAIN_DEG
+        if not (lo <= self.theta_deg <= hi):
+            raise ConfigError(f"theta_deg must lie in [{lo:g}, {hi:g}]")
         if self.n1 <= 0 or self.n3 <= 0:
             raise ConfigError("window indices must be positive")
         if self.quantity not in QUANTITIES:

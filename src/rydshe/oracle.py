@@ -34,11 +34,11 @@ import numpy as np
 
 from .errors import DomainError, SearchError, SingularityError, WindowError
 from . import quantum
-from .quantum import (AtomParams, DriveParams, response_parts,
+from .quantum import (SHELL_END, AtomParams, DriveParams, response_parts,
                       susceptibility)
 from .multilayer import Layer, LayerStack, stack_fresnel
-from .beam_shift import (BeamSpec, ShiftResult, shifts_from_coefficients,
-                         spin_mixing_amplitude)
+from .beam_shift import (THETA_DOMAIN, BeamSpec, ShiftResult,
+                         shifts_from_coefficients, spin_mixing_amplitude)
 from .config import TWO_PI, canonical_atom, canonical_drive
 
 # y-window half-width and sampling of the synthesis, in units of w0
@@ -169,9 +169,10 @@ def _checked(value, errors: dict):
     return value
 
 
-def gauss_legendre_nonlocal_integral(drive: DriveParams, atom: AtomParams,
-                                     n_nodes: int = quantum.DEFAULT_QUAD_NODES,
-                                     upper_factor: float = 3.0) -> complex:
+def gauss_legendre_nonlocal_integral(
+        drive: DriveParams, atom: AtomParams,
+        n_nodes: int = quantum.DEFAULT_QUAD_NODES,
+        upper_factor: float = SHELL_END) -> complex:
     """Reference for the closed-form shell integral: Gauss-Legendre
     quadrature in u = 1/s^3 (where s^2 V ds -> (C6/3) du) of
     `twobody_correlators`, one batched 8x8 solve per node.  0 when C6,
@@ -190,20 +191,20 @@ def gauss_legendre_nonlocal_integral(drive: DriveParams, atom: AtomParams,
 def trapezoid_nonlocal_integral(drive: DriveParams, atom: AtomParams
                                 ) -> complex:
     """Brute-force reference for the shell integral: 10^4-panel trapezoid
-    in s, no substitution, of Na * 4 pi * s^2 V(s) rr33_31^(3)(s) from R_b
-    to 3 R_b.  0 when C6, Na or Omega_c is 0, as in production."""
+    in s, no substitution, of Na 4 pi s^2 V(s) rr33_31^(3)(s) over [R_b,
+    SHELL_END R_b].  0 if C6, Na or Omega_c is 0, as in production."""
     if atom.C6 == 0 or atom.Na == 0 or drive.Omega_c == 0:
         return 0.0 + 0.0j
     Rb = atom.blockade_radius(drive.Omega_c)
-    s = np.linspace(Rb, 3.0 * Rb, 10_001)
+    s = np.linspace(Rb, SHELL_END * Rb, 10_001)
     x1 = twobody_correlators(drive, atom, atom.C6 / s**6)[1][:, 0]
     integrand = 4.0 * np.pi * s**2 * (atom.C6 / s**6) * x1
     return complex(atom.Na * np.trapezoid(integrand, s))
 
 
 def brewster_angle(stack: LayerStack, k0: float,
-                   theta_min: float = math.radians(5.0),
-                   theta_max: float = math.radians(85.0)) -> float:
+                   theta_min: float = THETA_DOMAIN[0],
+                   theta_max: float = THETA_DOMAIN[1]) -> float:
     """Incidence angle minimizing |r_p|, to ~1e-9 rad.
 
     Coarse scan of 20001 angles (fine enough to resolve slab fringes),
@@ -455,7 +456,7 @@ def verify_suite() -> list[CheckResult]:
             stk = LayerStack(n_in=rng.uniform(1.2, 1.8),
                              layers=(Layer(n=n2, d=rng.uniform(0.5, 30.0)),),
                              n_out=rng.uniform(1.2, 1.8))
-            th = rng.uniform(math.radians(5), math.radians(80))
+            th = rng.uniform(THETA_DOMAIN[0], math.radians(80))
             for pol in ("p", "s"):
                 r, _ = stack_fresnel(stk, th, k0, pol)
                 worst = max(worst, abs(r - _airy_two_interface(stk, th, k0, pol)))
@@ -470,7 +471,7 @@ def verify_suite() -> list[CheckResult]:
             stk = LayerStack(n_in=rng.uniform(1.0, 2.0),
                              layers=(Layer(n=n2, d=rng.uniform(0.1, 5.0)),),
                              n_out=rng.uniform(1.0, 2.0))
-            th = rng.uniform(math.radians(5), math.radians(60))
+            th = rng.uniform(THETA_DOMAIN[0], math.radians(60))
             # keep propagating in the slab and exit (no TIR): real p_j
             n_min = min(n2.real, stk.n_out)
             if stk.n_in * math.sin(th) >= 0.98 * n_min:
@@ -494,14 +495,14 @@ def verify_suite() -> list[CheckResult]:
                           rng.normal() * ss + 1j * rng.normal() * ss)
                          for _ in range(n)]).T
 
+    beam = BeamSpec(w0=50.0, theta_i=math.radians(33.87), lambda_p=0.78)
+
     def chk_mirror():
-        beam = BeamSpec(w0=50.0, theta_i=math.radians(33.87), lambda_p=0.78)
         s = spectral_shifts(beam, *draws(10, 0.1, 0.3))
         return np.max(np.abs(s.delta_plus + s.delta_minus))
     _run_check("mirror_antisymmetry", chk_mirror, 1e-9, results)
 
     def chk_fft_vs_analytic():
-        beam = BeamSpec(w0=50.0, theta_i=math.radians(33.87), lambda_p=0.78)
         rp, rs = draws(30, 0.3, 0.3)
         rp, rs = rp[abs(rp) > 0.05], rs[abs(rp) > 0.05]
         o = spectral_shifts(beam, rp, rs)

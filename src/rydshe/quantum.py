@@ -19,8 +19,8 @@ probe Rabi frequency:
 rho21^(1) comes from a closed form, rho21^(3) splits into a local part
 (single-atom saturation) and a nonlocal part driven by the pair
 correlator <sigma33(r') sigma31(r)> integrated against V over the shell
-[R_b, 3 R_b] outside the blockade radius.  The correlator hierarchy is
-closed at two atoms / third order; its two-body matrices are Kronecker
+[R_b, SHELL_END R_b] outside the blockade radius.  The correlator hierarchy
+is closed at two atoms / third order; its two-body matrices are Kronecker
 sums of two one-atom blocks, and the pair energy enters them as a
 low-rank change, so the correlator is a rational function of V and the
 shell integral has a closed form.  At V = 0 the atoms are independent,
@@ -58,8 +58,9 @@ SOLVE_RESIDUAL_TOL = 1e-10
 # |Delta2| or |Delta_c| (rad/us) past which the solves leave the float range
 _MAX_DETUNING = 1e150
 
-# default order of the oracle's Gauss-Legendre rule for the shell integral
-DEFAULT_QUAD_NODES = 64
+# the shell integral's outer end, in units of R_b, and the default order
+# of the oracle's Gauss-Legendre rule for it
+SHELL_END, DEFAULT_QUAD_NODES = 3.0, 64
 
 # a pole of rr33_31^(3)(V) closer to the shell than this fraction of its
 # length (in u = 1/s^3) is a resonance the closed form refuses to
@@ -422,7 +423,7 @@ def _shell_pole_sum(poles: np.ndarray, residues: np.ndarray, C6: float,
     return total, failures(bad, error)
 
 
-def _response(drive: DriveParams, atom: AtomParams, upper_factor: float = 3.0
+def _response(drive: DriveParams, atom: AtomParams, upper_factor: float
               ) -> tuple[np.ndarray, dict]:
     """The one pass over a batch of detunings (drive from `_batch`).
 
@@ -485,7 +486,7 @@ class ResponseParts:
 
 
 def response_parts(drive: DriveParams, atom: AtomParams,
-                   upper_factor: float = 3.0) -> ResponseParts:
+                   upper_factor: float = SHELL_END) -> ResponseParts:
     """The named parts of `susceptibility`'s pass, for a scalar or 1-D
     array Delta2 alike; the shell ends at upper_factor R_b."""
     batch = _batch(drive)
@@ -522,7 +523,7 @@ def susceptibility(drive: DriveParams, atom: AtomParams) -> SusceptibilityBreakd
     as Na^2 (one power through K, one through the shell integral).
     """
     batch = _batch(drive)
-    parts, errors = _response(batch, atom)
+    parts, errors = _response(batch, atom, SHELL_END)
     r21, local, nl = parts[[0, 6, 8]]
     K, Op2 = atom.chi_prefactor, drive.Omega_p * drive.Omega_p
     with np.errstate(over="ignore", invalid="ignore"):

@@ -50,10 +50,6 @@ class SweepResult:
     config_hash: str
 
 
-def _error_cell(exc: RydsheError) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _group_values(quantity: str, cfg: RunConfig, detunings: np.ndarray,
                   det: np.ndarray, theta: np.ndarray
                   ) -> tuple[np.ndarray, dict]:
@@ -161,7 +157,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     table[list(errors)] = math.nan
     rows = np.concatenate([grid, table], axis=1).tolist()
     for i, row in enumerate(rows):
-        row.append(_error_cell(errors[i]) if i in errors else "")
+        row.append(f"{type(errors[i]).__name__}: {errors[i]}" if i in errors
+                   else "")
     columns = [AXES[v][1] for v in variables] + value_cols + ["error"]
     return SweepResult(columns=columns, rows=rows,
                        config_hash=config_hash(cfg))
@@ -185,15 +182,13 @@ def _run_profile(cfg: RunConfig) -> SweepResult:
                        rows=rows, config_hash=config_hash(cfg))
 
 
-def emit(result: SweepResult, fmt: str, path: str, precision: int = 12) -> None:
+def emit(result: SweepResult, fmt: str, path: str,
+         precision: int = RunConfig.precision) -> None:
     """Write CSV or JSON; byte-deterministic for fixed config and version."""
-    if fmt == "csv":
-        text = format_csv(result, precision)
-    elif fmt == "json":
-        text = format_json(result, precision)
-    else:
+    formats = {"csv": format_csv, "json": format_json}
+    if fmt not in formats:
         raise ConfigError(f"unknown output format {fmt!r}")
-    write_text(path, text)
+    write_text(path, formats[fmt](result, precision))
 
 
 def write_text(path: str, text: str) -> None:
@@ -252,7 +247,8 @@ def _csv_cell(cell: str) -> str:
     return cell
 
 
-def format_csv(result: SweepResult, precision: int = 12) -> str:
+def format_csv(result: SweepResult,
+               precision: int = RunConfig.precision) -> str:
     lines = [f"# rydshe {__version__} config={result.config_hash}",
              "# frequencies in MHz, angles in deg, lengths in um, densities in mm^-3",
              ",".join(result.columns)]
@@ -263,7 +259,8 @@ def format_csv(result: SweepResult, precision: int = 12) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_json(result: SweepResult, precision: int = 12) -> str:
+def format_json(result: SweepResult,
+                precision: int = RunConfig.precision) -> str:
     """json.dumps(..., indent=1, sort_keys=True) of the rows rounded by
     float(%g), non-finite cells null.  Up to 15 digits name one float, so
     %g is the repr but for integral values, 10**precision <= |v| < 1e16

@@ -319,6 +319,43 @@ def test_shift_bound_near_brewster(beam):
         assert abs(s.delta_plus) <= 0.525 * beam.w0
 
 
+# parts of a Fresnel coefficient: 0, or of a size whose square and whose
+# products with a beam width stay normal floats
+_PARTS = st.one_of(st.just(0.0), st.floats(1e-60, 1e60),
+                   st.floats(-1e60, -1e-60))
+_COEFFICIENTS = st.builds(complex, _PARTS, _PARTS)
+_ULPS = 8 * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(rp=_COEFFICIENTS, rs=_COEFFICIENTS, theta=st.floats(5.0, 85.0),
+       w0=st.floats(1e-3, 1e6), n_in=st.floats(1.0, 2.0))
+def test_shift_is_bounded_by_half_the_beam_width(rp, rs, theta, w0, n_in):
+    # |Re(rp a*)| <= |rp| |a| <= (w0/2) (|rp|^2 + |a|^2 / w0^2), so
+    # |delta+/-| <= w0/2 for any coefficients, angle and beam width
+    beam = BeamSpec(w0=w0, theta_i=math.radians(theta), lambda_p=0.78,
+                    n_in=n_in)
+    s = shifts_from_coefficients(beam, np.array([rp]), np.array([rs]))
+    if s.errors:                 # no reflected power: rp = 0 and rs = -rp
+        assert rp == 0 and rp + rs == 0
+        return
+    bound = beam.w0 / 2 * (1 + _ULPS)
+    assert abs(s.delta_plus[0]) <= bound and abs(s.delta_minus[0]) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(rp=_COEFFICIENTS.filter(lambda c: c != 0), sign=st.sampled_from([-1, 1]),
+       theta=st.floats(5.0, 85.0), w0=st.floats(1e-3, 1e6))
+def test_shift_reaches_half_the_beam_width(rp, sign, theta, w0):
+    # the equality case: a = +/- w0 rp, so |rp| = |a| / w0 and rp a* is
+    # real; rs is the coefficient that gives that a
+    beam = BeamSpec(w0=w0, theta_i=math.radians(theta), lambda_p=0.78)
+    rs = rp * (sign * w0 * beam.k_medium * math.tan(beam.theta_i) - 1)
+    s = shifts_from_coefficients(beam, rp, rs)
+    assert s.delta_plus == pytest.approx(-sign * w0 / 2, rel=_ULPS, abs=0)
+    assert s.delta_minus == pytest.approx(sign * w0 / 2, rel=_ULPS, abs=0)
+
+
 def test_grid_independence(beam):
     rp, rs = 3e-3 + 1e-3j, 0.38 - 0.01j   # near-Brewster, large shift
     s1 = spectral_shifts(beam, rp, rs)

@@ -26,6 +26,7 @@ from rydshe import (AtomParams, BeamSpec, ConfigError, DomainError,
                     serialize_config, shifts_from_coefficients, stack_fresnel,
                     susceptibility)
 from rydshe import quantum
+from rydshe.beam_shift import THETA_DOMAIN_DEG
 from rydshe.config import AXES, QUANTITIES, TWO_PI
 from rydshe.sweeps import (SweepResult, run_sweep, emit, format_csv, format_json,
                            write_text)
@@ -819,6 +820,23 @@ def test_crossing_ranges_cover_every_bounded_axis():
     assert {var for var, _, _ in _CROSSING_RANGES} == _bounded_axes()
 
 
+@pytest.mark.parametrize("variable", AXES)
+def test_each_axis_setting_is_accepted_on_one_interval(variable):
+    # sweeps._axis_errors checks only an axis's two endpoints, which is
+    # sound while RunConfig accepts each sweepable setting on one interval:
+    # on a grid across every bound, the accepted values are contiguous
+    edges = [0.0, *THETA_DOMAIN_DEG]
+    grid = np.unique(np.concatenate([
+        np.linspace(-100.0, 100.0, 4001), np.geomspace(1e-300, 1e308, 609),
+        -np.geomspace(1e-300, 1e308, 609), edges,
+        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]))
+    field = AXES[variable][0]
+    accepted = np.flatnonzero([not _config_error_cell(RunConfig(),
+                                                      **{field: v})
+                               for v in grid.tolist()])
+    assert accepted.size and np.all(np.diff(accepted) == 1)
+
+
 @pytest.mark.parametrize("variable, lo, hi", _CROSSING_RANGES)
 def test_axis_crossing_its_bound_errors_per_value(variable, lo, hi):
     cfg = RunConfig(quantity="fresnel", variable=variable,
@@ -1287,17 +1305,18 @@ _COMMON_FLAGS = [
 
 @pytest.mark.parametrize("command, own_flags", [
     ("chi", [("--delta2-min", "MHZ", -10.0), ("--delta2-max", "MHZ", 10.0),
-             ("--steps", None, 201)]),
+             ("--steps", "STEPS", 201)]),
     ("fresnel", [("--theta-min", "DEG", 20.0), ("--theta-max", "DEG", 50.0),
-                 ("--steps", None, 601)]),
+                 ("--steps", "STEPS", 601)]),
     ("shift-angle", [("--theta-min", "DEG", 33.5),
-                     ("--theta-max", "DEG", 34.2), ("--steps", None, 501)]),
+                     ("--theta-max", "DEG", 34.2), ("--steps", "STEPS", 501)]),
     ("shift-detuning", [("--delta2-min", "MHZ", -5.0),
                         ("--delta2-max", "MHZ", 5.0),
-                        ("--steps", None, 201)]),
+                        ("--steps", "STEPS", 201)]),
     ("map", [("--theta-min", "DEG", 33.5), ("--theta-max", "DEG", 34.2),
-             ("--theta-steps", None, 71), ("--delta2-min", "MHZ", -5.0),
-             ("--delta2-max", "MHZ", 5.0), ("--delta2-steps", None, 51)]),
+             ("--theta-steps", "THETA_STEPS", 71),
+             ("--delta2-min", "MHZ", -5.0), ("--delta2-max", "MHZ", 5.0),
+             ("--delta2-steps", "DELTA2_STEPS", 51)]),
     ("profile", [("--full-map", None, False)]),
 ])
 def test_cli_sweep_flags_metavars_and_defaults(command, own_flags):
@@ -1309,6 +1328,22 @@ def test_cli_sweep_flags_metavars_and_defaults(command, own_flags):
            for a in subparsers.choices[command]._actions
            if a.option_strings != ["-h", "--help"]]
     assert got == _COMMON_FLAGS + own_flags
+
+
+def test_cli_range_flags_are_stored_as_the_fields_they_set():
+    # _run_config copies each range flag by its dest, a [sweep] field
+    import argparse
+    from rydshe.cli import _OVERRIDES, _SWEEP_COMMANDS, build_parser
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, (_, _, axes) in _SWEEP_COMMANDS.items():
+        dests = {a.option_strings[-1]: a.dest
+                 for a in subparsers.choices[command]._actions}
+        for sfx, (var, _, _, steps_flag, _) in zip(("", "2"), axes):
+            flag = _OVERRIDES[AXES[var][0]][0]
+            assert (dests[flag + "-min"], dests[flag + "-max"],
+                    dests["--" + steps_flag]) == (
+                "sweep_min" + sfx, "sweep_max" + sfx, "steps" + sfx)
 
 
 def test_every_axis_field_has_an_override_flag():

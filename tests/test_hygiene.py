@@ -108,6 +108,13 @@ def test_every_cli_override_is_a_run_config_field():
     assert set(_OVERRIDES) <= {f.name for f in fields(rydshe.RunConfig)}
 
 
+def test_readme_lists_every_cli_override():
+    # the CLI section's list of per-run override flags is the CLI's own
+    listed = re.search(r"per-run overrides\s+`([^`]*)`",
+                       README.read_text(encoding="utf-8")).group(1).split()
+    assert listed == [flag for flag, _, _ in _OVERRIDES.values()]
+
+
 def test_only_the_front_ends_import_the_oracle():
     # production paths never lean on the brute-force references
     importers = sorted(name for name, tree in _trees().items()
